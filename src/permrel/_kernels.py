@@ -1,32 +1,14 @@
-"""Hot group-theory kernels with two interchangeable backends.
-
-Every kernel exists twice: a pure numpy implementation and a numba
-``@njit`` twin.  The active backend is chosen by the PERMREL_BACKEND
-environment variable: ``numba``, ``numpy``, or ``auto`` (the default,
-which uses numba when it imports cleanly and numpy otherwise).  Both
-variants of each kernel are exported so the test suite and the
-benchmark can compare them directly.
+"""Hot group-theory kernels, vectorised with numpy.
 
 All kernels operate on a multiplication table ``mult`` of shape
 (n, n) with int32 entries, where index 0 is the identity, plus the
 inverse table ``inv``.  Subgroups are sorted int32 index arrays.
 """
 
-import os
-
 import numpy as np
 
-from .errors import InputError
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-
-def closure_numpy(mult, seeds):
+def closure(mult, seeds):
     """Subgroup generated by ``seeds``, as a sorted index array."""
     n = mult.shape[0]
     member = np.zeros(n, dtype=bool)
@@ -44,7 +26,7 @@ def closure_numpy(mult, seeds):
     return np.flatnonzero(member).astype(np.int32)
 
 
-def normalizer_members_numpy(mult, inv, members):
+def normalizer_members(mult, inv, members):
     """Indices g with g * H * g^-1 == H, for H given by ``members``."""
     n = mult.shape[0]
     member_mask = np.zeros(n, dtype=bool)
@@ -59,7 +41,7 @@ def normalizer_members_numpy(mult, inv, members):
     return np.concatenate(found).astype(np.int32)
 
 
-def count_fixed_numpy(mult, inv, member_mask, transversal, kgens):
+def count_fixed(mult, inv, member_mask, transversal, kgens):
     """Number of cosets t*H (t in ``transversal``) with t^-1 K t <= H,
     where K is generated by ``kgens``."""
     if kgens.size == 0:
@@ -68,7 +50,7 @@ def count_fixed_numpy(mult, inv, member_mask, transversal, kgens):
     return int(member_mask[conj].all(axis=1).sum())
 
 
-def coset_reps_numpy(mult, members):
+def coset_reps(mult, members):
     """Left coset representatives of H, identity coset first."""
     n = mult.shape[0]
     visited = np.zeros(n, dtype=bool)
@@ -78,148 +60,3 @@ def coset_reps_numpy(mult, members):
             reps.append(g)
             visited[mult[g, members]] = True
     return np.asarray(reps, dtype=np.int32)
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def closure_numba(mult, seeds):
-        n = mult.shape[0]
-        member = np.zeros(n, dtype=np.bool_)
-        elems = np.empty(n, dtype=np.int32)
-        count = 0
-        member[0] = True
-        elems[count] = 0
-        count += 1
-        for idx in range(seeds.size):
-            s = seeds[idx]
-            if not member[s]:
-                member[s] = True
-                elems[count] = s
-                count += 1
-        i = 0
-        while i < count:
-            a = elems[i]
-            j = 0
-            while j < count:
-                b = elems[j]
-                c = mult[a, b]
-                if not member[c]:
-                    member[c] = True
-                    elems[count] = c
-                    count += 1
-                c = mult[b, a]
-                if not member[c]:
-                    member[c] = True
-                    elems[count] = c
-                    count += 1
-                j += 1
-            i += 1
-        out = elems[:count].copy()
-        out.sort()
-        return out
-
-    @njit(cache=True)
-    def normalizer_members_numba(mult, inv, members):
-        n = mult.shape[0]
-        member_mask = np.zeros(n, dtype=np.bool_)
-        for idx in range(members.size):
-            member_mask[members[idx]] = True
-        out = np.empty(n, dtype=np.int32)
-        cnt = 0
-        for g in range(n):
-            ig = inv[g]
-            ok = True
-            for idx in range(members.size):
-                if not member_mask[mult[mult[g, members[idx]], ig]]:
-                    ok = False
-                    break
-            if ok:
-                out[cnt] = g
-                cnt += 1
-        return out[:cnt].copy()
-
-    @njit(cache=True)
-    def count_fixed_numba(mult, inv, member_mask, transversal, kgens):
-        if kgens.size == 0:
-            return int(transversal.size)
-        total = 0
-        for idx in range(transversal.size):
-            t = transversal[idx]
-            it = inv[t]
-            ok = True
-            for kdx in range(kgens.size):
-                if not member_mask[mult[mult[it, kgens[kdx]], t]]:
-                    ok = False
-                    break
-            if ok:
-                total += 1
-        return total
-
-    @njit(cache=True)
-    def coset_reps_numba(mult, members):
-        n = mult.shape[0]
-        visited = np.zeros(n, dtype=np.bool_)
-        reps = np.empty(n, dtype=np.int32)
-        cnt = 0
-        for g in range(n):
-            if not visited[g]:
-                reps[cnt] = g
-                cnt += 1
-                for idx in range(members.size):
-                    visited[mult[g, members[idx]]] = True
-        return reps[:cnt].copy()
-
-
-_BACKEND = None
-
-
-def _resolve_backend():
-    requested = os.environ.get("PERMREL_BACKEND", "auto").strip().lower()
-    if requested not in ("auto", "numba", "numpy"):
-        raise InputError(
-            "PERMREL_BACKEND must be one of auto, numba, numpy; got %r" % requested
-        )
-    if requested == "numba" and not _HAVE_NUMBA:
-        raise InputError("PERMREL_BACKEND=numba but numba is not importable")
-    if requested == "auto":
-        return "numba" if _HAVE_NUMBA else "numpy"
-    return requested
-
-
-def backend_name():
-    global _BACKEND
-    if _BACKEND is None:
-        _BACKEND = _resolve_backend()
-    return _BACKEND
-
-
-def _reset_backend_cache():
-    # test hook: force re-reading PERMREL_BACKEND
-    global _BACKEND
-    _BACKEND = None
-
-
-def closure(mult, seeds):
-    seeds = np.asarray(seeds, dtype=np.int32)
-    if backend_name() == "numba":
-        return closure_numba(mult, seeds)
-    return closure_numpy(mult, seeds)
-
-
-def normalizer_members(mult, inv, members):
-    if backend_name() == "numba":
-        return normalizer_members_numba(mult, inv, members)
-    return normalizer_members_numpy(mult, inv, members)
-
-
-def count_fixed(mult, inv, member_mask, transversal, kgens):
-    if backend_name() == "numba":
-        return count_fixed_numba(mult, inv, member_mask, transversal, kgens)
-    return count_fixed_numpy(mult, inv, member_mask, transversal, kgens)
-
-
-def coset_reps(mult, members):
-    if backend_name() == "numba":
-        return coset_reps_numba(mult, members)
-    return coset_reps_numpy(mult, members)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from .errors import InputError, InternalCheckError
-from .subgroups import Subgroup, enumerate_classes, subgroup_as_group
+from .subgroups import Subgroup, enumerate_classes
 
 
 class BurnsideElement:
@@ -106,6 +106,8 @@ class MarksTable:
 def marks_table(group, table=None):
     if table is None:
         table = enumerate_classes(group)
+    elif table.group is not group:
+        raise InputError("marks_table was given the class table of another group")
     cached = group._memo.get("marks")
     if cached is not None:
         return cached
@@ -247,21 +249,9 @@ def inflate(table_quotient, table_g, x, quotient_map):
     return BurnsideElement(table_g, out)
 
 
-def tables_for(group):
-    """Convenience: the subgroup class table and marks table of a group."""
-    table = enumerate_classes(group)
-    marks_table(group, table)
-    return table
-
-
 def element_from_subgroups(table, pairs):
     """Build an element from (Subgroup, coefficient) pairs."""
     coeffs = [0] * len(table.classes)
     for sub, c in pairs:
         coeffs[table.class_index_of(sub)] += int(c)
     return BurnsideElement(table, coeffs)
-
-
-def subgroup_table(subgroup):
-    """Class table of a Subgroup viewed as its own group."""
-    return enumerate_classes(subgroup_as_group(subgroup))

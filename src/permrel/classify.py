@@ -29,6 +29,7 @@ from .subgroups import (
     Subgroup,
     centralizer_indices,
     enumerate_classes,
+    is_minimal_normal,
     normal_subgroups,
     quotient,
     subgroup_as_group,
@@ -393,8 +394,6 @@ def _lift_subgroup(group, member_group, subgroup):
 def _check_fusion(group, ng, hall_in_g, hall_group, hall_table):
     """Two subgroups of the Hall complement that are conjugate under the
     full normalizer must already be conjugate inside the complement."""
-    mult = group.mult
-    inv = group.inv
     by_key = {}
     for idx, cls in enumerate(hall_table.classes):
         for member in hall_table.class_orbit(idx):
@@ -402,7 +401,7 @@ def _check_fusion(group, ng, hall_in_g, hall_group, hall_table):
     for key, cls_idx in list(by_key.items()):
         indices = np.frombuffer(key, dtype=np.int32)
         for g in ng.indices:
-            conj = np.sort(mult[mult[g, indices], inv[g]]).astype(np.int32)
+            conj = group.conjugate_indices(g, indices)
             other = by_key.get(conj.tobytes())
             if other is not None and other != cls_idx:
                 raise InternalCheckError(
@@ -522,8 +521,7 @@ def vector_semidirect_match(group, p):
     Returns a witness dict or None.
     """
     table = enumerate_classes(group)
-    normals = normal_subgroups(group)
-    for w in normals:
+    for w in normal_subgroups(group):
         if w.is_trivial():
             continue  # W = G is allowed: the complement is then trivial
         l = _elementary_abelian_prime(group, w)
@@ -554,13 +552,6 @@ def vector_semidirect_match(group, p):
             if not found:
                 continue
             qs = found[0]
-        # irreducible means W is a minimal normal subgroup
-        irreducible = not any(
-            (not nsub.is_trivial())
-            and nsub.order < w.order
-            and w.contains_subgroup(nsub)
-            for nsub in normals
-        )
         witness = {
             "l": l,
             "rank": _log_to_base(w.order, l),
@@ -572,7 +563,8 @@ def vector_semidirect_match(group, p):
             "_module": w,
             "_complement": complement,
         }
-        if irreducible:
+        # irreducible means W is a minimal normal subgroup
+        if is_minimal_normal(group, w):
             witness["shape"] = "irreducible"
             return witness
         split = two_factor_decomposition(group, w, complement, l)
@@ -602,17 +594,10 @@ def _nonabelian_socle_witness(group, p):
     """Case: a nonabelian minimal normal subgroup with trivial centralizer
     and a Dress quotient."""
     out = []
-    normals = normal_subgroups(group)
-    for m in normals:
+    for m in normal_subgroups(group):
         if m.is_trivial():
             continue
-        minimal = not any(
-            (not nsub.is_trivial())
-            and nsub.order < m.order
-            and m.contains_subgroup(nsub)
-            for nsub in normals
-        )
-        if not minimal or subgroup_is_abelian(m):
+        if not is_minimal_normal(group, m) or subgroup_is_abelian(m):
             continue
         centr = centralizer_indices(group, m.generator_indices)
         if centr.size != 1:

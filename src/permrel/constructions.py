@@ -254,22 +254,6 @@ def direct_product(groups, element_cap=DEFAULT_ELEMENT_CAP):
     return product
 
 
-def matrix_of_stabilizer_element(group, perm_index, l, d):
-    """Extract the linear matrix of an origin-fixing affine element.
-
-    Column j of the result is the image of the j-th standard basis
-    point under the permutation.
-    """
-    perm = group.elements[perm_index]
-    cols = []
-    for axis in range(d):
-        basis = [0] * d
-        basis[axis] = 1
-        image = perm.images[encode_vector(basis, l)]
-        cols.append(decode_vector(image, l, d))
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
-
-
 def all_nonzero_functionals(l, d):
     """Nonzero functionals on (F_l)^d up to scalar: first nonzero
     coordinate normalized to 1."""

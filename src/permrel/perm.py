@@ -235,31 +235,37 @@ class Group:
     def is_member(self, perm):
         return perm.images in self._index
 
+    def _images(self):
+        return np.array([p.images for p in self.elements], dtype=">i4")
+
+    def _indices_of(self, images, rows):
+        """Element indices of the image ``rows``, given the element images."""
+        # Elements are sorted by image tuple, and the big-endian bytes of
+        # non-negative ints compare in the same order, so each row viewed
+        # as one 4*degree-byte key binary-searches to its element's index.
+        key = np.dtype((np.void, 4 * self.degree))
+        rows = np.ascontiguousarray(rows, dtype=">i4")
+        return np.searchsorted(images.view(key).ravel(), rows.view(key).ravel())
+
     @property
     def mult(self):
         """int32 table with mult[i, j] = index of elements[i] * elements[j]."""
         if self._mult is None:
             n = self.order
-            images = np.array([p.images for p in self.elements], dtype=np.int32)
-            lookup = {row.tobytes(): i for i, row in enumerate(images)}
+            images = self._images()
             table = np.empty((n, n), dtype=np.int32)
             for i in range(n):
                 # row i composes elements[i] with every element at once
-                composed = images[i][images]
-                for j in range(n):
-                    table[i, j] = lookup[composed[j].tobytes()]
+                table[i] = self._indices_of(images, images[i][images])
             self._mult = table
         return self._mult
 
     @property
     def inv(self):
         if self._inv is None:
-            images = np.array([p.images for p in self.elements], dtype=np.int32)
-            lookup = {row.tobytes(): i for i, row in enumerate(images)}
-            inverses = np.argsort(images, axis=1).astype(np.int32)
-            self._inv = np.array(
-                [lookup[row.tobytes()] for row in inverses], dtype=np.int32
-            )
+            images = self._images()
+            inverses = np.argsort(images, axis=1)
+            self._inv = self._indices_of(images, inverses).astype(np.int32)
         return self._inv
 
     @property
@@ -279,9 +285,3 @@ class Group:
 
     def __repr__(self):
         return "Group(degree=%d, order=%d)" % (self.degree, self.order)
-
-
-def conjugate_subgroup(g, elements):
-    """Conjugate a set of permutations by g, returning a sorted tuple."""
-    ginv = g.inverse()
-    return tuple(sorted(compose(compose(g, h), ginv) for h in elements))

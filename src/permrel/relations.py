@@ -18,8 +18,6 @@ from . import _kernels as kernels
 from .burnside import (
     BurnsideElement,
     element_from_subgroups,
-    inflate,
-    induct,
     mark_vector,
     marks_table,
 )
@@ -48,6 +46,7 @@ from .perm import Permutation
 from .subgroups import (
     Subgroup,
     enumerate_classes,
+    is_minimal_normal,
     normal_subgroups,
     quotient,
     subgroup_as_group,
@@ -57,7 +56,6 @@ from .zlattice import (
     hnf,
     hstack,
     kernel_basis,
-    lattice_contains,
     quotient_invariants,
 )
 
@@ -579,13 +577,7 @@ def theta_highdim(l, matrices, characteristic):
     else:
         if not dress_primes(subgroup_as_group(stabilizer), p):
             raise InputError("the stabilizer is not a Dress group for any prime")
-    irreducible = not any(
-        (not nsub.is_trivial())
-        and nsub.order < module.order
-        and module.contains_subgroup(nsub)
-        for nsub in normal_subgroups(group)
-    )
-    if not irreducible:
+    if not is_minimal_normal(group, module):
         if two_factor_decomposition(group, module, stabilizer, l) is None:
             raise InputError(
                 "the module is neither irreducible nor a product of two lines"
@@ -632,13 +624,3 @@ def generates_quotient(group, characteristic, element):
     column = IntMatrix.from_columns([list(element.coeffs)])
     free_rank, torsion = quotient_invariants(kernel.basis, hstack(imprim, column))
     return free_rank == 0 and not torsion
-
-
-def element_in_kernel(group, characteristic, element):
-    kernel = brauer_kernel(group, characteristic)
-    return lattice_contains(kernel.basis, list(element.coeffs))
-
-
-def element_in_imprimitive(group, characteristic, element):
-    imprim = imprimitive_lattice(group, characteristic)
-    return lattice_contains(imprim, list(element.coeffs))

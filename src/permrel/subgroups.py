@@ -15,7 +15,8 @@ from . import _kernels as kernels
 from .errors import CapExceeded, InputError, InternalCheckError
 from .perm import Group, Permutation, generate
 
-DEFAULT_SUBGROUP_CAP = 5000
+# enumeration stops with CapExceeded past this many subgroups
+SUBGROUP_CAP = 5000
 
 
 class Subgroup:
@@ -150,13 +151,11 @@ class SubgroupClassTable:
         if class_index not in self._orbits:
             cls = self.classes[class_index]
             rep = cls.representative
-            mult = self.group.mult
-            inv = self.group.inv
-            reps = kernels.coset_reps(mult, cls.normalizer.indices)
+            reps = kernels.coset_reps(self.group.mult, cls.normalizer.indices)
             seen = set()
             orbit = []
             for t in reps:
-                conj = np.sort(mult[mult[t, rep.indices], inv[t]]).astype(np.int32)
+                conj = self.group.conjugate_indices(t, rep.indices)
                 key = conj.tobytes()
                 if key not in seen:
                     seen.add(key)
@@ -176,15 +175,15 @@ class SubgroupClassTable:
         return out
 
 
-def enumerate_classes(group, subgroup_cap=DEFAULT_SUBGROUP_CAP):
+def enumerate_classes(group):
     """Enumerate all subgroups of ``group`` up to conjugacy.
 
     Raises CapExceeded when the total subgroup count passes
-    ``subgroup_cap``.  The result is cached on the group.
+    ``SUBGROUP_CAP``.  The result is cached on the group.
     """
     cached = group._memo.get("class_table")
-    if cached is not None and cached[1] >= subgroup_cap:
-        return cached[0]
+    if cached is not None:
+        return cached
     mult = group.mult
     inv = group.inv
     n = group.order
@@ -204,7 +203,7 @@ def enumerate_classes(group, subgroup_cap=DEFAULT_SUBGROUP_CAP):
         orbit = []
         seen = set()
         for t in reps:
-            conj = np.sort(mult[mult[t, indices], inv[t]]).astype(np.int32)
+            conj = group.conjugate_indices(t, indices)
             ckey = conj.tobytes()
             if ckey in seen:
                 raise InternalCheckError("normalizer transversal repeated a conjugate")
@@ -215,15 +214,15 @@ def enumerate_classes(group, subgroup_cap=DEFAULT_SUBGROUP_CAP):
         # the stored normalizer must belong to the stored representative,
         # so conjugate it by the same transversal element
         canon, t0 = min(orbit, key=lambda pair: pair[0].tolist())
-        canon_norm = np.sort(mult[mult[t0, norm], inv[t0]]).astype(np.int32)
+        canon_norm = group.conjugate_indices(t0, norm)
         cid = len(records)
         for conj, _ in orbit:
             sub_to_class[conj.tobytes()] = cid
         records.append((canon, canon_norm, len(orbit)))
         total += len(orbit)
-        if total > subgroup_cap:
+        if total > SUBGROUP_CAP:
             raise CapExceeded(
-                "subgroup enumeration exceeded the cap of %d" % subgroup_cap
+                "subgroup enumeration exceeded the cap of %d" % SUBGROUP_CAP
             )
         if canon.size < n:
             queue.append(canon)
@@ -261,13 +260,8 @@ def enumerate_classes(group, subgroup_cap=DEFAULT_SUBGROUP_CAP):
     if sum(c.class_size for c in classes) != len(sub_to_class):
         raise InternalCheckError("class sizes disagree with the subgroup key map")
     table = SubgroupClassTable(group, classes, sub_to_class)
-    group._memo["class_table"] = (table, subgroup_cap)
+    group._memo["class_table"] = table
     return table
-
-
-def normalizer(group, subgroup):
-    members = kernels.normalizer_members(group.mult, group.inv, subgroup.indices)
-    return Subgroup(group, members)
 
 
 def is_normal(group, subgroup):
@@ -280,9 +274,20 @@ def is_normal(group, subgroup):
     return True
 
 
-def normal_subgroups(group, subgroup_cap=DEFAULT_SUBGROUP_CAP):
-    table = enumerate_classes(group, subgroup_cap)
+def normal_subgroups(group):
+    table = enumerate_classes(group)
     return [c.representative for c in table.classes if c.class_size == 1]
+
+
+def is_minimal_normal(group, normal):
+    """True when no nontrivial normal subgroup of ``group`` lies strictly
+    inside the normal subgroup ``normal``."""
+    return not any(
+        not sub.is_trivial()
+        and sub.order < normal.order
+        and normal.contains_subgroup(sub)
+        for sub in normal_subgroups(group)
+    )
 
 
 class Quotient(NamedTuple):
@@ -340,17 +345,6 @@ def quotient(group, normal):
     result = Quotient(q, project, preimage)
     group._memo[("quotient", normal.key)] = result
     return result
-
-
-def meet_join(a, b):
-    """Intersection and join of two subgroups of the same group."""
-    if a.ambient is not b.ambient:
-        raise InputError("meet_join requires subgroups of one group")
-    meet_idx = np.intersect1d(a.indices, b.indices).astype(np.int32)
-    join_idx = kernels.closure(
-        a.ambient.mult, np.concatenate([a.indices, b.indices])
-    )
-    return Subgroup(a.ambient, meet_idx), Subgroup(a.ambient, join_idx)
 
 
 def subgroup_as_group(subgroup):

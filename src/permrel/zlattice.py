@@ -19,7 +19,6 @@ trailed at the right end.
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InternalCheckError
 
@@ -426,33 +425,3 @@ def hstack(left, right):
         raise ValueError("row count mismatch in hstack")
     data = [left.data[i] + right.data[i] for i in range(left.rows)]
     return IntMatrix(data, cols=left.cols + right.cols)
-
-
-def determinant(m):
-    """Determinant via exact fraction elimination; square matrices only."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    a = [[Fraction(v) for v in row] for row in m.data]
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            factor = a[i][k] * inv
-            if factor:
-                for j in range(k, n):
-                    a[i][j] -= factor * a[k][j]
-    if det.denominator != 1:
-        raise InternalCheckError("integer determinant is not integral")
-    return int(det)

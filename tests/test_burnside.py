@@ -13,8 +13,6 @@ from permrel.burnside import (
     marks_table,
     multiply,
     restrict,
-    subgroup_table,
-    tables_for,
 )
 from permrel.errors import InputError
 from permrel.perm import generate, parse_cycles
@@ -61,9 +59,16 @@ def test_marks_first_column_and_diagonal():
             assert all(marks.m[i][j] == 0 for j in range(i + 1, len(table)))
 
 
+def test_marks_table_rejects_foreign_table():
+    s4 = _s4()
+    marks_table(s4)
+    with pytest.raises(InputError):
+        marks_table(s4, enumerate_classes(_s3()))
+
+
 def test_mark_vector_reads_rows():
     s4 = _s4()
-    table = tables_for(s4)
+    table = enumerate_classes(s4)
     marks = marks_table(s4, table)
     for i in range(len(table)):
         assert mark_vector(BurnsideElement.basis(table, i)) == marks.m[i]
@@ -71,7 +76,7 @@ def test_mark_vector_reads_rows():
 
 def test_multiply_s3_transitive_square():
     s3 = _s3()
-    table = tables_for(s3)
+    table = enumerate_classes(s3)
     # classes by order: trivial, C2, C3, S3
     b_c2 = BurnsideElement.basis(table, 1)
     square = multiply(b_c2, b_c2)
@@ -80,7 +85,7 @@ def test_multiply_s3_transitive_square():
 
 def test_multiply_identity_and_zero():
     s4 = _s4()
-    table = tables_for(s4)
+    table = enumerate_classes(s4)
     one = BurnsideElement.basis(table, len(table) - 1)  # [G/G]
     zero = BurnsideElement.zero(table)
     for i in range(len(table)):
@@ -92,7 +97,7 @@ def test_multiply_identity_and_zero():
 
 def test_multiply_marks_are_multiplicative():
     a4 = _a4()
-    table = tables_for(a4)
+    table = enumerate_classes(a4)
     k = len(table)
     for i in range(k):
         for j in range(k):
@@ -105,7 +110,7 @@ def test_multiply_marks_are_multiplicative():
 
 def test_multiply_is_commutative_and_distributive():
     s4 = _s4()
-    table = tables_for(s4)
+    table = enumerate_classes(s4)
     a = BurnsideElement.basis(table, 2)
     b = BurnsideElement.basis(table, 5)
     c = BurnsideElement.basis(table, 7)
@@ -129,12 +134,12 @@ def test_fixed_points_extremes():
 
 def test_restrict_s3_to_cyclic_parts():
     s3 = _s3()
-    table = tables_for(s3)
+    table = enumerate_classes(s3)
     c3 = table.classes[2].representative
     c2 = table.classes[1].representative
     assert c3.order == 3 and c2.order == 2
-    t3 = subgroup_table(c3)
-    t2 = subgroup_table(c2)
+    t3 = enumerate_classes(subgroup_as_group(c3))
+    t2 = enumerate_classes(subgroup_as_group(c2))
     b_c2 = BurnsideElement.basis(table, 1)  # [S3/C2]
     b_c3 = BurnsideElement.basis(table, 2)  # [S3/C3]
     # [S3/C2] as a C3-set is one free orbit of size 3
@@ -147,9 +152,9 @@ def test_restrict_s3_to_cyclic_parts():
 
 def test_induct_from_cyclic_to_s3():
     s3 = _s3()
-    table = tables_for(s3)
+    table = enumerate_classes(s3)
     c3 = table.classes[2].representative
-    t3 = subgroup_table(c3)
+    t3 = enumerate_classes(subgroup_as_group(c3))
     # [C3/1] inducts to [S3/1], [C3/C3] inducts to [S3/C3]
     assert induct(t3, table, BurnsideElement.basis(t3, 0)).coeffs == (1, 0, 0, 0)
     assert induct(t3, table, BurnsideElement.basis(t3, 1)).coeffs == (0, 0, 1, 0)
@@ -159,9 +164,9 @@ def test_induct_fuses_conjugates():
     # the three order-2 subgroups of V4 are distinct classes inside V4
     # but fuse into one class of A4
     a4 = _a4()
-    table = tables_for(a4)
+    table = enumerate_classes(a4)
     v4 = [s for s in normal_subgroups(a4) if s.order == 4][0]
-    tv = subgroup_table(v4)
+    tv = enumerate_classes(subgroup_as_group(v4))
     order2 = [i for i, cls in enumerate(tv.classes) if cls.order == 2]
     assert len(order2) == 3
     images = {
@@ -175,9 +180,9 @@ def test_induct_fuses_conjugates():
 
 def test_induction_scales_the_free_mark():
     s4 = _s4()
-    table = tables_for(s4)
+    table = enumerate_classes(s4)
     for cls in table.classes[:6]:
-        sub_t = subgroup_table(cls.representative)
+        sub_t = enumerate_classes(subgroup_as_group(cls.representative))
         index = s4.order // cls.order
         for i in range(len(sub_t)):
             x = BurnsideElement.basis(sub_t, i)
@@ -224,10 +229,10 @@ def _orbit_decomposition_oracle(group, table_g, table_h, h_sub, u_sub):
                          ids=["S3", "A4", "S4", "D8"])
 def test_restrict_matches_orbit_oracle(maker):
     group = maker()
-    table = tables_for(group)
+    table = enumerate_classes(group)
     for hcls in table.classes:
         h_sub = hcls.representative
-        table_h = subgroup_table(h_sub)
+        table_h = enumerate_classes(subgroup_as_group(h_sub))
         for i in range(len(table)):
             u_sub = table.classes[i].representative
             got = restrict(table, table_h, BurnsideElement.basis(table, i))
@@ -239,10 +244,10 @@ def test_restrict_matches_orbit_oracle(maker):
 
 def test_inflate_s4_from_s3_quotient():
     s4 = _s4()
-    table = tables_for(s4)
+    table = enumerate_classes(s4)
     v4 = [s for s in normal_subgroups(s4) if s.order == 4][0]
     qmap = quotient(s4, v4)
-    tq = tables_for(qmap.group)
+    tq = enumerate_classes(qmap.group)
     for i, qcls in enumerate(tq.classes):
         x = inflate(tq, table, BurnsideElement.basis(tq, i), qmap)
         idx = x.coeffs.index(1)
@@ -255,10 +260,10 @@ def test_inflation_preserves_marks_on_preimages():
     # the mark of an inflated element at the preimage of K-bar equals
     # the original mark at K-bar
     s4 = _s4()
-    table = tables_for(s4)
+    table = enumerate_classes(s4)
     v4 = [s for s in normal_subgroups(s4) if s.order == 4][0]
     qmap = quotient(s4, v4)
-    tq = tables_for(qmap.group)
+    tq = enumerate_classes(qmap.group)
     for i in range(len(tq)):
         x = BurnsideElement.basis(tq, i)
         y = inflate(tq, table, x, qmap)
@@ -271,7 +276,7 @@ def test_inflation_preserves_marks_on_preimages():
 
 def test_element_arithmetic():
     s3 = _s3()
-    table = tables_for(s3)
+    table = enumerate_classes(s3)
     a = BurnsideElement.basis(table, 0)
     b = BurnsideElement.basis(table, 2)
     assert (a + b - a) == b
@@ -279,14 +284,14 @@ def test_element_arithmetic():
     assert (3 * a).coeffs == (3, 0, 0, 0)
     assert (a - a).is_zero()
     assert hash(a + b) == hash(b + a)
-    foreign = tables_for(_s4())
+    foreign = enumerate_classes(_s4())
     with pytest.raises(InputError):
         a + BurnsideElement.basis(foreign, 0)
 
 
 def test_element_from_subgroups_accumulates_conjugates():
     s4 = _s4()
-    table = tables_for(s4)
+    table = enumerate_classes(s4)
     cls = [c for c in table.classes if c.class_size > 1][0]
     orbit = table.class_orbit(table.classes.index(cls))
     x = element_from_subgroups(table, [(sub, 1) for sub in orbit])

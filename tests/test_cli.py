@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from permrel import __version__
+from permrel import __version__, subgroups
 from permrel.cli import main, parse_group_spec, run_command
 from permrel.errors import InputError
 
@@ -216,6 +216,13 @@ def test_exit_code_input_errors(tmp_path, specdir):
 def test_exit_code_cap_exceeded(specdir):
     code, _ = _run(["prim", "--group", str(specdir / "s5.json"),
                     "--char", "5", "--max-order", "50"])
+    assert code == 2
+
+
+def test_exit_code_subgroup_cap_exceeded(specdir, monkeypatch):
+    # S4 has 30 subgroups
+    monkeypatch.setattr(subgroups, "SUBGROUP_CAP", 10)
+    code, _ = _run(["marks", "--group", str(specdir / "s4.json")])
     assert code == 2
 
 

@@ -1,18 +1,12 @@
-"""Backend equivalence: numba kernels must match the numpy fallbacks."""
-
-import os
-import subprocess
-import sys
+"""The numpy kernels against pure-Python oracles built on Permutation
+arithmetic, on random permutation groups of degree at most 5."""
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permrel import _kernels
-from permrel.perm import generate, parse_cycles
-
-_HAVE_NUMBA = _kernels.backend_name() == "numba" or _kernels._HAVE_NUMBA
-
-needs_numba = pytest.mark.skipif(not _HAVE_NUMBA, reason="numba not installed")
+from permrel.perm import Permutation, generate, parse_cycles
 
 
 def _groups():
@@ -32,53 +26,6 @@ def _seed_sets(group):
         for j in (n - 1, n // 3 + 1):
             picks.append(np.asarray(sorted({i % n, j % n}), dtype=np.int32))
     return picks
-
-
-@needs_numba
-def test_closure_backends_agree():
-    for group in _groups():
-        for seeds in _seed_sets(group):
-            a = _kernels.closure_numpy(group.mult, seeds)
-            b = _kernels.closure_numba(group.mult, seeds)
-            assert np.array_equal(a, b)
-
-
-@needs_numba
-def test_normalizer_backends_agree():
-    for group in _groups():
-        for seeds in _seed_sets(group):
-            members = _kernels.closure_numpy(group.mult, seeds)
-            a = _kernels.normalizer_members_numpy(group.mult, group.inv, members)
-            b = _kernels.normalizer_members_numba(group.mult, group.inv, members)
-            assert np.array_equal(a, b)
-
-
-@needs_numba
-def test_coset_reps_backends_agree():
-    for group in _groups():
-        for seeds in _seed_sets(group):
-            members = _kernels.closure_numpy(group.mult, seeds)
-            a = _kernels.coset_reps_numpy(group.mult, members)
-            b = _kernels.coset_reps_numba(group.mult, members)
-            assert np.array_equal(a, b)
-
-
-@needs_numba
-def test_count_fixed_backends_agree():
-    for group in _groups():
-        subs = [_kernels.closure_numpy(group.mult, seeds)
-                for seeds in _seed_sets(group)]
-        for h in subs:
-            mask = np.zeros(group.order, dtype=bool)
-            mask[h] = True
-            transversal = _kernels.coset_reps_numpy(group.mult, h)
-            for k in subs:
-                kgens = k[k != 0]
-                a = _kernels.count_fixed_numpy(group.mult, group.inv, mask,
-                                               transversal, kgens)
-                b = _kernels.count_fixed_numba(group.mult, group.inv, mask,
-                                               transversal, kgens)
-                assert a == b
 
 
 def test_closure_is_a_subgroup():
@@ -104,28 +51,119 @@ def test_coset_reps_partition():
             assert np.array_equal(flat, np.arange(group.order))
 
 
-def test_backend_env_flag():
-    script = ("import permrel._kernels as k; print(k.backend_name())")
-    for value, expect in (("numpy", "numpy"),):
-        env = dict(os.environ, PERMREL_BACKEND=value)
-        out = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == expect
+# --- oracles: Permutation products only, never the mult/inv tables ---
 
 
-def test_backend_invalid_value_rejected():
-    env = dict(os.environ, PERMREL_BACKEND="cupy")
-    script = ("import permrel._kernels as k; k.backend_name()")
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode != 0
-    assert "PERMREL_BACKEND" in out.stderr
+def _bfs_closure(group, seeds):
+    """Element indices of the subgroup generated by ``seeds``."""
+    gens = [group.elements[i] for i in seeds]
+    found = {group.elements[0]}
+    frontier = [group.elements[0]]
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for g in gens:
+                q = p * g
+                if q not in found:
+                    found.add(q)
+                    fresh.append(q)
+        frontier = fresh
+    return sorted(group.index(p) for p in found)
 
 
-@needs_numba
-def test_backend_numba_selected():
-    env = dict(os.environ, PERMREL_BACKEND="numba")
-    script = ("import permrel._kernels as k; print(k.backend_name())")
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numba"
+def _brute_normalizer(group, members):
+    h = {group.elements[i] for i in members}
+    return [
+        i for i, g in enumerate(group.elements)
+        if {g * x * g.inverse() for x in h} == h
+    ]
+
+
+def _first_unseen_reps(group, members):
+    h = [group.elements[i] for i in members]
+    seen = set()
+    reps = []
+    for i, g in enumerate(group.elements):
+        if g not in seen:
+            reps.append(i)
+            seen.update(g * x for x in h)
+    return reps
+
+
+def _direct_fixed_count(group, transversal, h_members, k_members):
+    h = {group.elements[i] for i in h_members}
+    k = [group.elements[i] for i in k_members]
+    count = 0
+    for i in transversal:
+        t = group.elements[i]
+        if all(t.inverse() * x * t in h for x in k):
+            count += 1
+    return count
+
+
+@st.composite
+def group_and_seeds(draw, seed_sets=1):
+    degree = draw(st.integers(1, 5))
+    perms = st.permutations(range(degree)).map(Permutation)
+    group = generate(degree, draw(st.lists(perms, min_size=1, max_size=3)))
+    index = st.integers(0, group.order - 1)
+    seeds = [
+        np.asarray(draw(st.lists(index, max_size=2)), dtype=np.int32)
+        for _ in range(seed_sets)
+    ]
+    return (group, *seeds)
+
+
+@given(group_and_seeds())
+@settings(max_examples=60, deadline=None)
+def test_closure_matches_bfs(case):
+    group, seeds = case
+    got = _kernels.closure(group.mult, seeds)
+    assert got.tolist() == _bfs_closure(group, seeds)
+
+
+@given(group_and_seeds())
+@settings(max_examples=60, deadline=None)
+def test_normalizer_members_matches_conjugation(case):
+    group, seeds = case
+    members = np.asarray(_bfs_closure(group, seeds), dtype=np.int32)
+    got = _kernels.normalizer_members(group.mult, group.inv, members)
+    assert got.tolist() == _brute_normalizer(group, members)
+
+
+@given(group_and_seeds())
+@settings(max_examples=60, deadline=None)
+def test_coset_reps_match_first_unseen(case):
+    group, seeds = case
+    members = np.asarray(_bfs_closure(group, seeds), dtype=np.int32)
+    got = _kernels.coset_reps(group.mult, members)
+    assert got.tolist() == _first_unseen_reps(group, members)
+
+
+@given(group_and_seeds(seed_sets=2))
+@settings(max_examples=60, deadline=None)
+def test_count_fixed_matches_direct_count(case):
+    group, h_seeds, k_seeds = case
+    h_members = np.asarray(_bfs_closure(group, h_seeds), dtype=np.int32)
+    mask = np.zeros(group.order, dtype=bool)
+    mask[h_members] = True
+    transversal = np.asarray(_first_unseen_reps(group, h_members), dtype=np.int32)
+    got = _kernels.count_fixed(group.mult, group.inv, mask, transversal, k_seeds)
+    k_members = _bfs_closure(group, k_seeds)
+    assert got == _direct_fixed_count(group, transversal, h_members, k_members)
+
+
+def test_count_fixed_matches_direct_count_on_cyclic_pairs():
+    # every pair of cyclic subgroups of S4, so that marks of K on G/H
+    # with K conjugate into H but not into every conjugate are covered
+    s4 = _groups()[0]
+    closures = {i: _bfs_closure(s4, [i]) for i in range(s4.order)}
+    for h_members in closures.values():
+        h_members = np.asarray(h_members, dtype=np.int32)
+        mask = np.zeros(s4.order, dtype=bool)
+        mask[h_members] = True
+        transversal = np.asarray(_first_unseen_reps(s4, h_members), dtype=np.int32)
+        for k, k_members in closures.items():
+            kgens = np.asarray([k], dtype=np.int32)
+            got = _kernels.count_fixed(s4.mult, s4.inv, mask, transversal, kgens)
+            assert got == _direct_fixed_count(s4, transversal, h_members, k_members)

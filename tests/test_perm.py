@@ -13,6 +13,7 @@ from permrel.perm import (
     identity,
     parse_cycles,
 )
+from permrel.presets import preset_group
 
 
 def test_permutation_validates_bijection():
@@ -75,15 +76,16 @@ def test_generate_respects_cap():
 
 
 def test_cayley_table_consistency():
-    g = generate(4, [parse_cycles(4, "(0 1 2 3)"), parse_cycles(4, "(0 2)")])
-    assert g.order == 8
-    mult = g.mult
-    inv = g.inv
-    for i in range(g.order):
-        for j in range(g.order):
-            assert g.elements[mult[i, j]] == g.elements[i] * g.elements[j]
-        assert mult[i, inv[i]] == 0
-        assert g.element_orders[i] == g.elements[i].order()
+    d8 = generate(4, [parse_cycles(4, "(0 1 2 3)"), parse_cycles(4, "(0 2)")])
+    # degree 19: each image row is a 76-byte lookup key
+    for g in (d8, preset_group("C19:C18")):
+        mult = g.mult
+        inv = g.inv
+        for i in range(g.order):
+            for j in range(g.order):
+                assert g.elements[mult[i, j]] == g.elements[i] * g.elements[j]
+            assert mult[i, inv[i]] == 0
+            assert g.element_orders[i] == g.elements[i].order()
 
 
 def test_group_index_lookup():

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from permrel import _kernels
-from permrel.errors import InputError
+from permrel import subgroups
+from permrel.errors import CapExceeded, InputError
 from permrel.perm import generate, parse_cycles
 from permrel.presets import preset_group
 from permrel.subgroups import (
     Subgroup,
     enumerate_classes,
     is_normal,
-    meet_join,
     normal_subgroups,
-    normalizer,
     quotient,
     subgroup_as_group,
 )
@@ -71,7 +70,10 @@ def test_class_structure(name, group):
         assert orbit[0].key == cls.representative.key
         # class size is the index of the normalizer
         assert cls.class_size * cls.normalizer.order == group.order
-        assert normalizer(group, cls.representative).key == cls.normalizer.key
+        norm = _kernels.normalizer_members(
+            group.mult, group.inv, cls.representative.indices
+        )
+        assert norm.tobytes() == cls.normalizer.key
         for sub in orbit:
             assert table.class_index_of(sub) == idx
     # total subgroup count matches the key map
@@ -137,22 +139,6 @@ def test_quotient_projection_is_homomorphism():
             assert q.project(a * b) == q.project(a) * q.project(b)
 
 
-def test_meet_join():
-    s4 = generate(4, [parse_cycles(4, "(0 1 2 3)"), parse_cycles(4, "(0 1)")])
-    table = enumerate_classes(s4)
-    subs = [cls.representative for cls in table]
-    for a in subs:
-        for b in subs:
-            meet, join = meet_join(a, b)
-            assert meet.order <= min(a.order, b.order)
-            assert join.order >= max(a.order, b.order)
-            assert a.contains_subgroup(meet) and b.contains_subgroup(meet)
-            assert join.contains_subgroup(a) and join.contains_subgroup(b)
-            # meet is the full intersection, not just some common subgroup
-            common = set(a.indices.tolist()) & set(b.indices.tolist())
-            assert set(meet.indices.tolist()) == common
-
-
 def test_subgroup_as_group_isomorphic_structure():
     s4 = generate(4, [parse_cycles(4, "(0 1 2 3)"), parse_cycles(4, "(0 1)")])
     table = enumerate_classes(s4)
@@ -184,3 +170,10 @@ def test_generated_subgroup():
     sub = Subgroup.generated(s3, [rot])
     assert sub.order == 3
     assert is_normal(s3, sub)
+
+
+def test_enumeration_cap_exceeded(monkeypatch):
+    # S4 has 30 subgroups; a fresh group object carries no cached table
+    monkeypatch.setattr(subgroups, "SUBGROUP_CAP", 10)
+    with pytest.raises(CapExceeded):
+        enumerate_classes(preset_group("S4"))

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from permrel.errors import InternalCheckError
 from permrel.zlattice import (
     IntMatrix,
-    determinant,
     hnf,
     hstack,
     kernel_basis,
@@ -41,6 +40,10 @@ def minor_det(data, row_idx, col_idx):
             sub, range(n - 1), range(n - 1)
         )
     return total
+
+
+def determinant(m):
+    return minor_det(m.data, range(m.rows), range(m.cols))
 
 
 def determinantal_divisors(m):
