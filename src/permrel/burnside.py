@@ -84,11 +84,9 @@ def fixed_points(group, h, k):
     """Number of fixed points of K acting on the coset space G/H."""
     if h.ambient is not group or k.ambient is not group:
         raise InputError("fixed_points requires subgroups of the given group")
-    mult = group.mult
-    transversal = kernels.coset_reps(mult, h.indices)
     return int(
         kernels.count_fixed(
-            mult, group.inv, h.mask, transversal, k.generator_indices
+            group.mult, group.inv, h.mask, h.transversal, k.generator_indices
         )
     )
 

@@ -147,23 +147,11 @@ def frattini_subgroup(group):
     if cached is not None:
         return cached
     table = enumerate_classes(group)
-    subs = table.all_subgroups()
-    proper = [s for s in subs if not s.is_full()]
-    if not proper:
-        result = Subgroup.full(group)  # trivial group: empty intersection
-    else:
-        mask = np.ones(group.order, dtype=bool)
-        found = False
-        for m in proper:
-            is_maximal = not any(
-                s.order > m.order and s.contains_subgroup(m) for s in proper
-            )
-            if is_maximal:
-                mask &= m.mask
-                found = True
-        if not found:
-            raise InternalCheckError("nontrivial group without maximal subgroups")
-        result = Subgroup(group, np.flatnonzero(mask).astype(np.int32))
+    mask = np.ones(group.order, dtype=bool)
+    for i in table.maximal_classes():
+        for m in table.class_orbit(i):
+            mask &= m.mask
+    result = Subgroup(group, np.flatnonzero(mask).astype(np.int32))
     group._memo["frattini"] = result
     return result
 

@@ -7,6 +7,16 @@ subquotient is hypo-elementary for such a prime exactly when it is
 cyclic, so every lattice computed at the surrogate coincides with the
 characteristic-0 one while letting all code paths take a single prime
 argument.
+
+The imprimitive lattice is spanned by Ind_H^G Inf_{H/N}^H of the kernel
+of every proper subquotient H/N.  Induction and inflation are
+transitive, and each maps a kernel into a kernel, since conjugates and
+quotients of hypo-elementary groups stay hypo-elementary.  A proper H
+lies in a conjugate of some maximal subgroup M, and Ind_H^G = Ind_M^G
+Ind_H^M with Ind_H^M Inf_{H/N}^H landing in the kernel of M; for H = G a
+nontrivial N contains a minimal normal N0, and Inf_{G/N}^G factors
+through the kernel of G/N0.  So induction from the maximal subgroups
+and inflation from G/N0 for minimal normal N0 span the whole lattice.
 """
 
 import math
@@ -18,6 +28,8 @@ from . import _kernels as kernels
 from .burnside import (
     BurnsideElement,
     element_from_subgroups,
+    induct,
+    inflate,
     mark_vector,
     marks_table,
 )
@@ -148,68 +160,32 @@ def verify_relation(group, characteristic, element):
     return all(marks[i] == 0 for i in hypo)
 
 
-def _transfer_classes(group, table, h_subgroup, n_subgroup):
-    """For one subquotient H/N of G, the map sending each subgroup class
-    of H/N to the G-class of its preimage.  Returns (quotient_group,
-    class_map list)."""
-    h_group = subgroup_as_group(h_subgroup)
-    cache_key = ("transfer", h_subgroup.key, n_subgroup.key)
-    cached = group._memo.get(cache_key)
-    if cached is not None:
-        return cached
-    parent = (
-        h_subgroup.indices
-        if h_group is not group
-        else np.arange(group.order, dtype=np.int32)
-    )
-    g_table = enumerate_classes(group)
-    if n_subgroup.order == 1:
-        q_group = h_group
-        q_table = enumerate_classes(q_group)
-        class_map = []
-        for cls in q_table.classes:
-            lifted = Subgroup(group, parent[cls.representative.indices])
-            class_map.append(g_table.class_index_of(lifted))
-    else:
-        quot = quotient(h_group, n_subgroup)
-        q_group = quot.group
-        q_table = enumerate_classes(q_group)
-        class_map = []
-        for cls in q_table.classes:
-            pre = quot.preimage(cls.representative)  # subgroup of H
-            lifted = Subgroup(group, parent[pre.indices])
-            class_map.append(g_table.class_index_of(lifted))
-    result = (q_group, class_map)
-    group._memo[cache_key] = result
-    return result
-
-
 def imprimitive_lattice(group, characteristic):
     """Lattice spanned by all induced-inflated kernels of proper
     subquotients, as a Hermite-reduced column matrix over the class
-    basis of the group."""
+    basis of the group.
+
+    Only the maximal subgroups and the quotients by minimal normal
+    subgroups are visited; the module docstring says why that suffices.
+    """
     cached = group._memo.get(("imprimitive", characteristic))
     if cached is not None:
         return cached
     table = enumerate_classes(group)
     k = len(table.classes)
     columns = []
-    for cls in table.classes:
-        h = cls.representative
-        h_group = subgroup_as_group(h)
-        for n_sub in normal_subgroups(h_group):
-            if h.order == group.order and n_sub.order == 1:
-                continue  # the subquotient G/1 is G itself, not proper
-            if n_sub.order == h.order:
-                continue  # trivial quotient has a zero kernel
-            q_group, class_map = _transfer_classes(group, table, h, n_sub)
-            kq = brauer_kernel(q_group, characteristic)
-            for col in kq.basis.columns():
-                out = [0] * k
-                for idx, coeff in enumerate(col):
-                    if coeff:
-                        out[class_map[idx]] += coeff
-                columns.append(out)
+    for i in table.maximal_classes():
+        sub_group = subgroup_as_group(table.classes[i].representative)
+        sub_table = enumerate_classes(sub_group)
+        for x in brauer_kernel(sub_group, characteristic).elements(sub_table):
+            columns.append(list(induct(sub_table, table, x).coeffs))
+    for normal in normal_subgroups(group):
+        if normal.is_trivial() or not is_minimal_normal(group, normal):
+            continue
+        quot = quotient(group, normal)
+        q_table = enumerate_classes(quot.group)
+        for x in brauer_kernel(quot.group, characteristic).elements(q_table):
+            columns.append(list(inflate(q_table, table, x, quot).coeffs))
     columns.sort()
     matrix = IntMatrix.from_columns(columns, rows=k)
     reduced, _ = hnf(matrix)

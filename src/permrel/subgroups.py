@@ -22,7 +22,7 @@ SUBGROUP_CAP = 5000
 class Subgroup:
     """A subgroup of a fixed ambient Group, stored as sorted indices."""
 
-    __slots__ = ("ambient", "indices", "_mask", "_gens")
+    __slots__ = ("ambient", "indices", "_mask", "_gens", "_transversal")
 
     def __init__(self, ambient, indices):
         arr = np.unique(np.asarray(indices, dtype=np.int32))
@@ -34,6 +34,7 @@ class Subgroup:
         self.indices = arr
         self._mask = None
         self._gens = None
+        self._transversal = None
 
     @classmethod
     def generated(cls, ambient, indices):
@@ -64,6 +65,13 @@ class Subgroup:
             mask[self.indices] = True
             self._mask = mask
         return self._mask
+
+    @property
+    def transversal(self):
+        """Left coset representatives of the subgroup, identity first."""
+        if self._transversal is None:
+            self._transversal = kernels.coset_reps(self.ambient.mult, self.indices)
+        return self._transversal
 
     @property
     def generator_indices(self):
@@ -151,10 +159,9 @@ class SubgroupClassTable:
         if class_index not in self._orbits:
             cls = self.classes[class_index]
             rep = cls.representative
-            reps = kernels.coset_reps(self.group.mult, cls.normalizer.indices)
             seen = set()
             orbit = []
-            for t in reps:
+            for t in cls.normalizer.transversal:
                 conj = self.group.conjugate_indices(t, rep.indices)
                 key = conj.tobytes()
                 if key not in seen:
@@ -165,6 +172,28 @@ class SubgroupClassTable:
                 raise InternalCheckError("class representative is not orbit-least")
             self._orbits[class_index] = orbit
         return self._orbits[class_index]
+
+    def maximal_classes(self):
+        """Positions of the classes of maximal subgroups.
+
+        Walking down by order, a proper subgroup is maximal exactly when
+        no conjugate of a larger maximal subgroup, all of which are
+        already found, contains it.
+        """
+        n = self.group.order
+        found = []
+        for i in range(len(self.classes) - 1, -1, -1):
+            cls = self.classes[i]
+            if cls.order == n:
+                continue
+            rep = cls.representative
+            if not any(
+                self.classes[j].order > cls.order
+                and any(m.contains_subgroup(rep) for m in self.class_orbit(j))
+                for j in found
+            ):
+                found.append(i)
+        return tuple(sorted(found))
 
     def all_subgroups(self):
         """Every subgroup of the group, decoded from the key map."""
@@ -311,7 +340,7 @@ def quotient(group, normal):
         raise InputError("quotient requires a normal subgroup")
     mult = group.mult
     n = group.order
-    reps = kernels.coset_reps(mult, normal.indices)
+    reps = normal.transversal
     coset_of = np.empty(n, dtype=np.int32)
     for c, r in enumerate(reps):
         coset_of[mult[r, normal.indices]] = c

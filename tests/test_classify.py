@@ -77,6 +77,8 @@ def test_frattini_is_intersection_of_maximals(group):
         if not any(t.order > s.order and t.order < group.order
                    and t.contains_subgroup(s) for t in all_subs)
     ]
+    from_helper = [m for i in table.maximal_classes() for m in table.class_orbit(i)]
+    assert sorted(m.key for m in from_helper) == sorted(m.key for m in maximal)
     members = set(range(group.order))
     for m in maximal:
         members &= set(m.indices.tolist())

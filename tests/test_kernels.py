@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permrel import _kernels
-from permrel.perm import Permutation, generate, parse_cycles
+from permrel.perm import generate, parse_cycles
+
+from oracles import permutation_groups
 
 
 def _groups():
@@ -103,9 +105,7 @@ def _direct_fixed_count(group, transversal, h_members, k_members):
 
 @st.composite
 def group_and_seeds(draw, seed_sets=1):
-    degree = draw(st.integers(1, 5))
-    perms = st.permutations(range(degree)).map(Permutation)
-    group = generate(degree, draw(st.lists(perms, min_size=1, max_size=3)))
+    group = draw(permutation_groups())
     index = st.integers(0, group.order - 1)
     seeds = [
         np.asarray(draw(st.lists(index, max_size=2)), dtype=np.int32)

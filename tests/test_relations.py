@@ -3,12 +3,14 @@ constructions, checked against independently computed values."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permrel.burnside import BurnsideElement, mark_vector
 from permrel.constructions import affine_group, frobenius_group
 from permrel.errors import InputError
 from permrel.perm import generate, parse_cycles
-from permrel.presets import preset_group
+from permrel.presets import CORPUS_CHARACTERISTICS, CORPUS_NAMES, preset_group
 from permrel.relations import (
     brauer_kernel,
     effective_prime,
@@ -25,7 +27,11 @@ from permrel.relations import (
 from permrel.subgroups import Subgroup, enumerate_classes, subgroup_as_group
 from permrel.zlattice import lattice_contains
 
-from oracles import matrix_of_stabilizer_element
+from oracles import (
+    imprimitive_lattice_by_sweep,
+    matrix_of_stabilizer_element,
+    permutation_groups,
+)
 
 
 def _s3():
@@ -96,6 +102,24 @@ def test_imprimitive_columns_lie_in_kernel():
             imprim = imprimitive_lattice(group, char)
             for j in range(imprim.cols):
                 assert lattice_contains(kernel.basis, imprim.column(j))
+
+
+SWEEP_CASES = [(name, CORPUS_CHARACTERISTICS) for name in CORPUS_NAMES]
+SWEEP_CASES.append(("S4xC2", (0, 2)))
+
+
+@pytest.mark.parametrize("name, chars", SWEEP_CASES, ids=[c[0] for c in SWEEP_CASES])
+def test_imprimitive_lattice_matches_subquotient_sweep(name, chars):
+    group = preset_group(name)
+    for char in chars:
+        expected = imprimitive_lattice_by_sweep(group, char)
+        assert imprimitive_lattice(group, char) == expected, (name, char)
+
+
+@given(permutation_groups(), st.sampled_from((0, 2, 3, 5)))
+@settings(max_examples=40, deadline=None)
+def test_imprimitive_lattice_matches_sweep_on_random_groups(group, char):
+    assert imprimitive_lattice(group, char) == imprimitive_lattice_by_sweep(group, char)
 
 
 def test_s3_prim_is_free_of_rank_one():
