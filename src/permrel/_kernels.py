@@ -9,20 +9,25 @@ import numpy as np
 
 
 def closure(mult, seeds):
-    """Subgroup generated by ``seeds``, as a sorted index array."""
+    """Subgroup generated by ``seeds``, as a sorted index array.
+
+    Breadth-first from the identity: each round multiplies only the
+    elements found in the previous round by the seeds, so building K
+    takes |K| * |seeds| products plus one pass over an n-long mask per
+    round.  In a finite group the products of the seeds already give
+    the whole subgroup.
+    """
     n = mult.shape[0]
     member = np.zeros(n, dtype=bool)
     member[0] = True
-    seeds = np.asarray(seeds, dtype=np.int32)
-    if seeds.size:
-        member[seeds] = True
-    while True:
-        members = np.flatnonzero(member)
-        products = mult[np.ix_(members, members)]
-        fresh = products[~member[products]]
-        if fresh.size == 0:
-            break
-        member[fresh] = True
+    gens = np.asarray(seeds, dtype=np.int32)
+    frontier = np.zeros(1, dtype=np.int32)
+    while frontier.size and gens.size:
+        fresh = np.zeros(n, dtype=bool)
+        fresh[mult[frontier[:, None], gens]] = True
+        fresh &= ~member
+        member |= fresh
+        frontier = np.flatnonzero(fresh)
     return np.flatnonzero(member).astype(np.int32)
 
 

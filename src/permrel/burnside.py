@@ -179,6 +179,31 @@ def _class_of_perms(table, perms):
     return table.class_index_of(Subgroup(group, indices))
 
 
+def _induction_map(table_h, table_g):
+    """G-class of each H-class, built once per pair of tables and
+    cached on ``table_h``."""
+    maps = table_h._class_maps
+    if table_g not in maps:
+        h_group = table_h.group
+        g_group = table_g.group
+        parent = h_group._memo.get("parent_indices")
+        if (
+            parent is None
+            or g_group._memo.get(("as_group", parent.tobytes())) is not h_group
+        ):
+            # H was not made from G by subgroup_as_group
+            parent = np.asarray(
+                [g_group.index(p) for p in h_group.elements], dtype=np.int32
+            )
+        maps[table_g] = [
+            table_g.class_index_of(
+                Subgroup(g_group, parent[cls.representative.indices])
+            )
+            for cls in table_h.classes
+        ]
+    return maps[table_g]
+
+
 def induct(table_h, table_g, x):
     """Induction of Burnside elements along H <= G.
 
@@ -187,11 +212,11 @@ def induct(table_h, table_g, x):
     """
     if x.table is not table_h:
         raise InputError("element does not belong to the source table")
+    class_map = _induction_map(table_h, table_g)
     out = [0] * len(table_g.classes)
     for i, c in enumerate(x.coeffs):
         if c:
-            rep = table_h.classes[i].representative
-            out[_class_of_perms(table_g, rep.perms())] += c
+            out[class_map[i]] += c
     return BurnsideElement(table_g, out)
 
 

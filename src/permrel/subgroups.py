@@ -1,9 +1,19 @@
 """Subgroup enumeration up to conjugacy, quotients, and related maps.
 
-The enumeration walks cyclic subgroups first and then repeatedly
-extends each known class representative by one extra generator; the
-resulting table records every subgroup of the group (keyed by its
-sorted index array) together with its conjugacy class.
+The enumeration starts from the trivial subgroup and repeatedly
+extends each known class representative by one extra generator (the
+trivial subgroup's extensions are the cyclic subgroups); the resulting
+table records every subgroup of the group (keyed by its sorted index
+array) together with its conjugacy class.
+
+Each representative H travels with a small generating set: the seeds
+that produced it, conjugated along with it onto the orbit-least
+member of its class.  H is extended by one g per double coset HgH
+only, since <H, g> = <H, hgh'>, and <H, g> is closed from those
+generators plus g rather than from all of H plus g.  Neither shortcut
+changes which subgroups are reached, and the table is canonical
+(classes sorted, representatives orbit-least), so its content does
+not depend on the order of discovery.
 """
 
 from collections import deque
@@ -83,9 +93,7 @@ class Subgroup:
             for idx in self.indices:
                 if idx not in covered:
                     gens.append(int(idx))
-                    covered = kernels.closure(
-                        mult, np.asarray(covered.tolist() + [idx], dtype=np.int32)
-                    )
+                    covered = kernels.closure(mult, np.asarray(gens, dtype=np.int32))
                     if covered.size == self.indices.size:
                         break
             self._gens = np.asarray(gens, dtype=np.int32)
@@ -139,6 +147,8 @@ class SubgroupClassTable:
         self.classes = classes
         self.sub_to_class = sub_to_class
         self._orbits = {}
+        self._all = None
+        self._class_maps = {}  # supergroup table -> its class of each of ours
 
     def __len__(self):
         return len(self.classes)
@@ -196,12 +206,15 @@ class SubgroupClassTable:
         return tuple(sorted(found))
 
     def all_subgroups(self):
-        """Every subgroup of the group, decoded from the key map."""
-        out = []
-        for key in self.sub_to_class:
-            out.append(Subgroup(self.group, np.frombuffer(key, dtype=np.int32)))
-        out.sort(key=lambda s: (s.order, s.indices.tolist()))
-        return out
+        """Every subgroup of the group, decoded once from the key map."""
+        if self._all is None:
+            out = [
+                Subgroup(self.group, np.frombuffer(key, dtype=np.int32))
+                for key in self.sub_to_class
+            ]
+            out.sort(key=lambda s: (s.order, s.indices.tolist()))
+            self._all = tuple(out)
+        return self._all
 
 
 def enumerate_classes(group):
@@ -219,10 +232,10 @@ def enumerate_classes(group):
 
     sub_to_class = {}
     records = []  # (indices, normalizer_indices, class_size)
-    queue = deque()
+    queue = deque()  # (representative, generators of it)
     total = 0
 
-    def register(indices):
+    def register(indices, gens):
         nonlocal total
         key = indices.tobytes()
         if key in sub_to_class:
@@ -240,8 +253,8 @@ def enumerate_classes(group):
             orbit.append((conj, t))
         if len(orbit) * norm.size != n:
             raise InternalCheckError("orbit size violates orbit-stabilizer counting")
-        # the stored normalizer must belong to the stored representative,
-        # so conjugate it by the same transversal element
+        # the stored normalizer and the generators must belong to the
+        # stored representative, so conjugate them by the same element
         canon, t0 = min(orbit, key=lambda pair: pair[0].tolist())
         canon_norm = group.conjugate_indices(t0, norm)
         cid = len(records)
@@ -254,21 +267,25 @@ def enumerate_classes(group):
                 "subgroup enumeration exceeded the cap of %d" % SUBGROUP_CAP
             )
         if canon.size < n:
-            queue.append(canon)
+            canon_gens = group.conjugate_indices(t0, gens)
+            if not np.isin(canon_gens, canon).all():
+                raise InternalCheckError("generators left the class representative")
+            queue.append((canon, canon_gens))
 
-    for g in range(n):
-        register(kernels.closure(mult, np.asarray([g], dtype=np.int32)))
+    # extending the trivial group gives the cyclic subgroups
+    register(np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32))
     while queue:
-        base = queue.popleft()
-        base_mask = np.zeros(n, dtype=bool)
-        base_mask[base] = True
+        base, gens = queue.popleft()
+        # <H, g> = <H, hgh'>: one extension per double coset HgH (the
+        # |H| x |H| block is at most a quarter of the mult table)
+        done = np.zeros(n, dtype=bool)
+        done[base] = True
         for g in range(n):
-            if base_mask[g]:
+            if done[g]:
                 continue
-            extended = kernels.closure(
-                mult, np.concatenate([base, np.asarray([g], dtype=np.int32)])
-            )
-            register(extended)
+            done[mult[np.ix_(mult[base, g], base)]] = True
+            seeds = np.append(gens, np.int32(g))
+            register(kernels.closure(mult, seeds), seeds)
 
     order_perm = sorted(
         range(len(records)), key=lambda i: (records[i][0].size, records[i][0].tolist())

@@ -1,13 +1,18 @@
 """Reference helpers shared by several test modules."""
 
+from collections import deque
+
 import numpy as np
 from hypothesis import strategies as st
 
+from permrel import _kernels
 from permrel.constructions import decode_vector, encode_vector
 from permrel.perm import Permutation, generate
 from permrel.relations import brauer_kernel
 from permrel.subgroups import (
     Subgroup,
+    SubgroupClass,
+    SubgroupClassTable,
     enumerate_classes,
     normal_subgroups,
     quotient,
@@ -22,6 +27,72 @@ def permutation_groups(draw, max_degree=5):
     degree = draw(st.integers(1, max_degree))
     perms = st.permutations(range(degree)).map(Permutation)
     return generate(degree, draw(st.lists(perms, min_size=1, max_size=3)))
+
+
+def _closure_by_products(mult, seeds):
+    """Subgroup generated by ``seeds``: add every product of two members
+    until nothing new appears."""
+    member = np.zeros(mult.shape[0], dtype=bool)
+    member[0] = True
+    member[seeds] = True
+    while True:
+        members = np.flatnonzero(member)
+        products = mult[np.ix_(members, members)]
+        fresh = products[~member[products]]
+        if fresh.size == 0:
+            return members.astype(np.int32)
+        member[fresh] = True
+
+
+def enumerate_classes_by_every_extension(group):
+    """Subgroup classes with no shortcuts: every class representative H
+    is extended by every g outside H, closing all of H plus g.  The
+    table is built like ``enumerate_classes`` builds it (classes sorted
+    by order and indices, orbit-least representatives), but not cached."""
+    mult = group.mult
+    inv = group.inv
+    n = group.order
+    sub_to_class = {}
+    records = []  # (indices, normalizer_indices, class_size)
+    queue = deque()
+
+    def register(indices):
+        if indices.tobytes() in sub_to_class:
+            return
+        norm = _kernels.normalizer_members(mult, inv, indices)
+        orbit = [
+            (group.conjugate_indices(t, indices), t)
+            for t in _kernels.coset_reps(mult, norm)
+        ]
+        canon, t0 = min(orbit, key=lambda pair: pair[0].tolist())
+        for conj, _ in orbit:
+            sub_to_class[conj.tobytes()] = len(records)
+        records.append((canon, group.conjugate_indices(t0, norm), len(orbit)))
+        if canon.size < n:
+            queue.append(canon)
+
+    for g in range(n):
+        register(_closure_by_products(mult, np.asarray([g], dtype=np.int32)))
+    while queue:
+        base = queue.popleft()
+        for g in np.setdiff1d(np.arange(n, dtype=np.int32), base):
+            register(_closure_by_products(mult, np.append(base, g)))
+
+    order = sorted(range(len(records)), key=lambda i: (records[i][0].size,
+                                                       records[i][0].tolist()))
+    position = {old: new for new, old in enumerate(order)}
+    classes = [
+        SubgroupClass(
+            representative=Subgroup(group, records[i][0]),
+            order=int(records[i][0].size),
+            class_size=records[i][2],
+            normalizer=Subgroup(group, records[i][1]),
+        )
+        for i in order
+    ]
+    return SubgroupClassTable(
+        group, classes, {key: position[cid] for key, cid in sub_to_class.items()}
+    )
 
 
 def matrix_of_stabilizer_element(group, perm_index, l, d):

@@ -178,6 +178,31 @@ def test_induct_fuses_conjugates():
     assert table.classes[idx].order == 2
 
 
+def _induced_basis(table_h, table_g):
+    return sorted(
+        induct(table_h, table_g, BurnsideElement.basis(table_h, i)).coeffs
+        for i in range(len(table_h))
+    )
+
+
+def test_induct_from_groups_not_made_from_g():
+    # H generated on its own has no parent indices, and H made from a
+    # subgroup D8 of S4 has parent indices into D8, not into S4; both
+    # must induce like H made from S4 directly
+    s4 = _s4()
+    table = enumerate_classes(s4)
+    d8 = [c.representative for c in table.classes if c.order == 8][0]
+    d8_group = subgroup_as_group(d8)
+    d8_table = enumerate_classes(d8_group)
+    for cls in d8_table.classes:
+        inner = subgroup_as_group(cls.representative)
+        in_s4 = Subgroup(s4, d8.indices[cls.representative.indices])
+        direct = _induced_basis(enumerate_classes(subgroup_as_group(in_s4)), table)
+        alone = generate(s4.degree, cls.representative.generators())
+        assert _induced_basis(enumerate_classes(inner), table) == direct
+        assert _induced_basis(enumerate_classes(alone), table) == direct
+
+
 def test_induction_scales_the_free_mark():
     s4 = _s4()
     table = enumerate_classes(s4)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from permrel import _kernels
 from permrel.perm import generate, parse_cycles
+from permrel.subgroups import Subgroup
 
 from oracles import permutation_groups
 
@@ -40,6 +41,13 @@ def test_closure_is_a_subgroup():
             products = group.mult[np.ix_(members, members)]
             assert mask[products].all()
             assert mask[group.inv[members]].all()
+
+
+def test_closure_of_no_seeds_or_the_identity_is_trivial():
+    for group in _groups():
+        for seeds in ([], [0], [0, 0]):
+            got = _kernels.closure(group.mult, np.asarray(seeds, dtype=np.int32))
+            assert got.tolist() == [0]
 
 
 def test_coset_reps_partition():
@@ -120,6 +128,17 @@ def test_closure_matches_bfs(case):
     group, seeds = case
     got = _kernels.closure(group.mult, seeds)
     assert got.tolist() == _bfs_closure(group, seeds)
+
+
+@given(group_and_seeds(seed_sets=2))
+@settings(max_examples=60, deadline=None)
+def test_closure_from_generators_equals_closure_from_members(case):
+    # the enumeration extends H by g closing only H's generators and g
+    group, h_seeds, extra = case
+    h = Subgroup.generated(group, h_seeds)
+    for g in extra:
+        got = _kernels.closure(group.mult, np.append(h.generator_indices, g))
+        assert got.tolist() == _bfs_closure(group, np.append(h.indices, g))
 
 
 @given(group_and_seeds())

@@ -1,15 +1,18 @@
-"""Subgroup enumeration against a brute-force closure oracle."""
+"""Subgroup enumeration against a brute-force closure oracle and
+against the enumerator that extends by every element."""
 
+import random
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from permrel import _kernels
 from permrel import subgroups
 from permrel.errors import CapExceeded, InputError
-from permrel.perm import generate, parse_cycles
-from permrel.presets import preset_group
+from permrel.perm import Permutation, generate, parse_cycles
+from permrel.presets import CORPUS_NAMES, preset_group
 from permrel.subgroups import (
     Subgroup,
     enumerate_classes,
@@ -18,6 +21,8 @@ from permrel.subgroups import (
     quotient,
     subgroup_as_group,
 )
+
+from oracles import enumerate_classes_by_every_extension, permutation_groups
 
 
 def _all_subgroups_brute(group):
@@ -177,3 +182,51 @@ def test_enumeration_cap_exceeded(monkeypatch):
     monkeypatch.setattr(subgroups, "SUBGROUP_CAP", 10)
     with pytest.raises(CapExceeded):
         enumerate_classes(preset_group("S4"))
+
+
+def _relabelled(group, seed):
+    """The same group with its points renamed by a seeded shuffle."""
+    sigma = list(range(group.degree))
+    random.Random(seed).shuffle(sigma)
+    gens = []
+    for g in group.generators:
+        moved = [0] * group.degree
+        for point, image in enumerate(g.images):
+            moved[sigma[point]] = sigma[image]
+        gens.append(Permutation(moved))
+    return generate(group.degree, gens)
+
+
+def _assert_same_table(got, want):
+    def rows(table):
+        return [
+            (cls.representative.key, cls.normalizer.key, cls.class_size)
+            for cls in table.classes
+        ]
+
+    assert rows(got) == rows(want)
+    assert got.sub_to_class == want.sub_to_class
+
+
+# the corpus already holds S5; A6 is left out because the oracle alone
+# takes seconds on it
+DIFFERENTIAL = CORPUS_NAMES + ("C2xC2xC2xC2xC2", "S4xC2/relabelled")
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_enumeration_matches_every_extension(name):
+    if name.endswith("/relabelled"):
+        group = _relabelled(preset_group(name.split("/")[0]), seed=7)
+    else:
+        group = preset_group(name)
+    _assert_same_table(
+        enumerate_classes(group), enumerate_classes_by_every_extension(group)
+    )
+
+
+@given(permutation_groups())
+@settings(max_examples=40, deadline=None)
+def test_enumeration_matches_every_extension_on_random_groups(group):
+    _assert_same_table(
+        enumerate_classes(group), enumerate_classes_by_every_extension(group)
+    )
