@@ -184,17 +184,10 @@ def _induction_map(table_h, table_g):
     cached on ``table_h``."""
     maps = table_h._class_maps
     if table_g not in maps:
-        h_group = table_h.group
         g_group = table_g.group
-        parent = h_group._memo.get("parent_indices")
-        if (
-            parent is None
-            or g_group._memo.get(("as_group", parent.tobytes())) is not h_group
-        ):
-            # H was not made from G by subgroup_as_group
-            parent = np.asarray(
-                [g_group.index(p) for p in h_group.elements], dtype=np.int32
-            )
+        parent = np.asarray(
+            [g_group.index(p) for p in table_h.group.elements], dtype=np.int32
+        )
         maps[table_g] = [
             table_g.class_index_of(
                 Subgroup(g_group, parent[cls.representative.indices])

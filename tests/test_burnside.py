@@ -186,9 +186,8 @@ def _induced_basis(table_h, table_g):
 
 
 def test_induct_from_groups_not_made_from_g():
-    # H generated on its own has no parent indices, and H made from a
-    # subgroup D8 of S4 has parent indices into D8, not into S4; both
-    # must induce like H made from S4 directly
+    # H generated on its own, and H made from a subgroup D8 of S4, must
+    # induce like H made from S4 directly
     s4 = _s4()
     table = enumerate_classes(s4)
     d8 = [c.representative for c in table.classes if c.order == 8][0]

@@ -21,10 +21,10 @@ def _groups():
 
 
 def _seed_sets(group):
-    # single elements, pairs, and the full generator pattern
+    # no seeds, the identity alone or repeated, single elements and pairs
     n = group.order
-    picks = [np.asarray([], dtype=np.int32),
-             np.asarray([n - 1], dtype=np.int32)]
+    picks = [np.asarray(seeds, dtype=np.int32)
+             for seeds in ([], [0], [0, 0], [n - 1])]
     for i in (1, 2, n // 2):
         for j in (n - 1, n // 3 + 1):
             picks.append(np.asarray(sorted({i % n, j % n}), dtype=np.int32))
@@ -35,19 +35,12 @@ def test_closure_is_a_subgroup():
     for group in _groups():
         for seeds in _seed_sets(group):
             members = _kernels.closure(group.mult, seeds)
-            assert members[0] == 0
+            assert members.tolist() == _bfs_closure(group, seeds)
             mask = np.zeros(group.order, dtype=bool)
             mask[members] = True
             products = group.mult[np.ix_(members, members)]
             assert mask[products].all()
             assert mask[group.inv[members]].all()
-
-
-def test_closure_of_no_seeds_or_the_identity_is_trivial():
-    for group in _groups():
-        for seeds in ([], [0], [0, 0]):
-            got = _kernels.closure(group.mult, np.asarray(seeds, dtype=np.int32))
-            assert got.tolist() == [0]
 
 
 def test_coset_reps_partition():
