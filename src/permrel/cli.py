@@ -77,7 +77,7 @@ def _load_group(args):
         raise InputError("cannot read group file: %s" % exc)
     except json.JSONDecodeError as exc:
         raise InputError("group file is not valid JSON: %s" % exc)
-    cap = args.max_order if args.max_order else DEFAULT_ELEMENT_CAP
+    cap = DEFAULT_ELEMENT_CAP if args.max_order is None else args.max_order
     return spec, parse_group_spec(spec, element_cap=cap)
 
 
@@ -355,7 +355,7 @@ def _cmd_corpus(args, stream):
     all_pass = True
     for name in CORPUS_NAMES:
         group = preset_group(name)
-        if args.max_order and group.order > args.max_order:
+        if args.max_order is not None and group.order > args.max_order:
             continue
         for char in chars:
             row = _corpus_row(name, group, char)
@@ -491,6 +491,8 @@ def run_command(argv, stream=None):
             raise InputError(
                 "csv output is only available for: %s" % ", ".join(_CSV_COMMANDS)
             )
+        if args.max_order is not None and args.max_order < 1:
+            raise InputError("--max-order must be at least 1")
         if args.command == "classify":
             return _cmd_classify(args, stream)
         if args.command == "marks":

@@ -15,6 +15,16 @@ nonzero columns of H are in echelon shape with positive pivots, the
 pivot rows strictly increase left to right, entries to the left of a
 pivot in its row are reduced into [0, pivot), and zero columns are
 trailed at the right end.
+
+One routine, ``_echelon``, brings a list of columns into that shape on
+chosen coordinates.  A transform rides along as trailing coordinates:
+each column of M carries its identity column below it, so every column
+operation on M is also applied to T (H. Cohen, *A Course in
+Computational Algebraic Number Theory*, section 2.4).  ``hnf`` splits
+the result into H and T; ``kernel_basis`` echelons the part of T past
+the rank once more; ``snf`` alternates a column pass, with V below A,
+and a row pass, with U beside A, until A is diagonal (R. Kannan and
+A. Bachem, SIAM J. Comput. 8, 1979).
 """
 
 import operator
@@ -130,38 +140,55 @@ def _mat_mul_data(p, q, m, k, n):
     return out
 
 
-def _col_swap(a, i, j):
-    if i != j:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
+def _unit(j, n):
+    return [0] * j + [1] + [0] * (n - 1 - j)
 
 
-def _col_negate(a, j):
-    for row in a:
-        row[j] = -row[j]
+def _with_identity(m):
+    """M's columns, each with the matching identity column below it."""
+    return [col + _unit(j, m.cols) for j, col in enumerate(m.columns())]
 
 
-def _col_addmul(a, dst, src, q):
-    # column dst += q * column src
-    if q:
-        for row in a:
-            row[dst] += q * row[src]
+def _echelon(cols, rows):
+    """Put the columns ``cols`` into column-Hermite shape on the
+    coordinates ``rows``, in place, and return the rank.
 
-
-def _row_swap(a, i, j):
-    if i != j:
-        a[i], a[j] = a[j], a[i]
-
-
-def _row_negate(a, i):
-    a[i] = [-v for v in a[i]]
-
-
-def _row_addmul(a, dst, src, q):
-    if q:
-        ad, asrc = a[dst], a[src]
-        for j in range(len(ad)):
-            ad[j] += q * asrc[j]
+    Each operation acts on whole columns, so coordinates outside
+    ``rows`` (a transform stacked below) ride along.
+    """
+    ncols = len(cols)
+    r = 0
+    for i in rows:
+        if r == ncols:
+            break
+        while True:
+            nz = [j for j in range(r, ncols) if cols[j][i]]
+            if not nz:
+                break
+            j0 = min(nz, key=lambda j: (abs(cols[j][i]), j))
+            cols[r], cols[j0] = cols[j0], cols[r]
+            if cols[r][i] < 0:
+                cols[r] = [-x for x in cols[r]]
+            pc = cols[r]
+            piv = pc[i]
+            clean = True
+            for j in range(r + 1, ncols):
+                q = cols[j][i] // piv
+                if q:
+                    cols[j] = [x - q * y for x, y in zip(cols[j], pc)]
+                if cols[j][i]:
+                    clean = False
+            if clean:
+                # entries above the pivot are zero already, so reducing
+                # earlier pivot columns against this one cannot disturb
+                # previously fixed rows
+                for j in range(r):
+                    q = cols[j][i] // piv
+                    if q:
+                        cols[j] = [x - q * y for x, y in zip(cols[j], pc)]
+                r += 1
+                break
+    return r
 
 
 def hnf(m):
@@ -171,46 +198,13 @@ def hnf(m):
     echelon shape described in the module docstring.  The identity
     H == M * T is re-verified before returning.
     """
-    a = [row[:] for row in m.data]
-    t = [[1 if i == j else 0 for j in range(m.cols)] for i in range(m.cols)]
-    ncols = m.cols
-    r = 0
-    for i in range(m.rows):
-        if r == ncols:
-            break
-        while True:
-            nz = [j for j in range(r, ncols) if a[i][j] != 0]
-            if not nz:
-                break
-            j0 = min(nz, key=lambda j: (abs(a[i][j]), j))
-            _col_swap(a, r, j0)
-            _col_swap(t, r, j0)
-            if a[i][r] < 0:
-                _col_negate(a, r)
-                _col_negate(t, r)
-            piv = a[i][r]
-            clean = True
-            for j in range(r + 1, ncols):
-                q = a[i][j] // piv
-                _col_addmul(a, j, r, -q)
-                _col_addmul(t, j, r, -q)
-                if a[i][j] != 0:
-                    clean = False
-            if clean:
-                # entries above the pivot are zero already, so reducing
-                # earlier pivot columns against this one cannot disturb
-                # previously fixed rows
-                for j in range(r):
-                    q = a[i][j] // piv
-                    _col_addmul(a, j, r, -q)
-                    _col_addmul(t, j, r, -q)
-                r += 1
-                break
-    h = IntMatrix(a, cols=ncols)
-    tm = IntMatrix(t, cols=ncols)
-    if m.mul(tm) != h:
+    cols = _with_identity(m)
+    _echelon(cols, range(m.rows))
+    h = IntMatrix.from_columns([c[:m.rows] for c in cols], rows=m.rows)
+    t = IntMatrix.from_columns([c[m.rows:] for c in cols], rows=m.cols)
+    if _mat_mul_data(m.data, t.data, m.rows, m.cols, m.cols) != h.data:
         raise InternalCheckError("hermite form certificate failed")
-    return h, tm
+    return h, t
 
 
 @dataclass(frozen=True)
@@ -229,67 +223,31 @@ def snf(m):
     the next.  The product identity, the divisibility chain and the
     off-diagonal zeros are all re-verified before returning.
     """
-    a = [row[:] for row in m.data]
     nrows, ncols = m.rows, m.cols
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    t = 0
-    while t < nrows and t < ncols:
-        # locate a pivot of minimal absolute value in the trailing block
-        piv_i = piv_j = -1
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                val = abs(a[i][j])
-                if val and (best is None or val < best):
-                    best = val
-                    piv_i, piv_j = i, j
-        if best is None:
-            break
-        _row_swap(a, t, piv_i)
-        _row_swap(u, t, piv_i)
-        _col_swap(a, t, piv_j)
-        _col_swap(v, t, piv_j)
-        if a[t][t] < 0:
-            _row_negate(a, t)
-            _row_negate(u, t)
-        piv = a[t][t]
-        dirty = False
-        for i in range(t + 1, nrows):
-            q = a[i][t] // piv
-            _row_addmul(a, i, t, -q)
-            _row_addmul(u, i, t, -q)
-            if a[i][t] != 0:
-                dirty = True
-        for j in range(t + 1, ncols):
-            q = a[t][j] // piv
-            _col_addmul(a, j, t, -q)
-            _col_addmul(v, j, t, -q)
-            if a[t][j] != 0:
-                dirty = True
-        if dirty:
-            continue
-        # force divisibility: fold a bad row in and restart this pivot
-        bad = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % piv:
-                    bad = i
-                    break
-            if bad is not None:
+    cols = _with_identity(m)  # columns of A over V
+    u = [_unit(i, nrows) for i in range(nrows)]
+    while True:
+        _echelon(cols, range(nrows))
+        v = [c[nrows:] for c in cols]
+        rows = [[c[i] for c in cols] + u[i] for i in range(nrows)]  # A beside U
+        _echelon(rows, range(ncols))
+        if not any(row[j] for i, row in enumerate(rows) for j in range(ncols) if j != i):
+            # A is diagonal; fold a row whose entry the previous one
+            # does not divide into that one, and resume the passes
+            bad = next(
+                (t for t in range(min(nrows, ncols) - 1)
+                 if rows[t][t] and rows[t + 1][t + 1] % rows[t][t]),
+                None,
+            )
+            if bad is None:
                 break
-        if bad is not None:
-            _row_addmul(a, t, bad, 1)
-            _row_addmul(u, t, bad, 1)
-            continue
-        t += 1
-    d = IntMatrix(a, cols=ncols)
-    um = IntMatrix(u, cols=nrows)
-    vm = IntMatrix(v, cols=ncols)
-    factors = []
-    for k in range(min(nrows, ncols)):
-        if d.data[k][k]:
-            factors.append(d.data[k][k])
+            rows[bad] = [x + y for x, y in zip(rows[bad], rows[bad + 1])]
+        cols = [[row[j] for row in rows] + v[j] for j in range(ncols)]
+        u = [row[ncols:] for row in rows]
+    d = IntMatrix([row[:ncols] for row in rows], cols=ncols)
+    um = IntMatrix([row[ncols:] for row in rows], cols=nrows)
+    vm = IntMatrix.from_columns(v, rows=ncols)
+    factors = [rows[k][k] for k in range(min(nrows, ncols)) if rows[k][k]]
     _check_smith(m, um, d, vm, factors)
     return SmithDecomposition(um, d, vm, tuple(factors))
 
@@ -327,23 +285,16 @@ def kernel_basis(m):
     solution, not merely a finite-index sublattice.  The basis itself is
     Hermite reduced for determinism.
     """
-    h, t = hnf(m)
-    rank = 0
-    for j in range(h.cols):
-        if any(h.data[i][j] for i in range(h.rows)):
-            rank += 1
-    kernel_cols = [t.column(j) for j in range(rank, t.cols)]
-    if not kernel_cols:
-        return IntMatrix.zeros(m.cols, 0)
-    normalized, _ = hnf(IntMatrix.from_columns(kernel_cols, rows=m.cols))
-    for j in range(normalized.cols):
-        col = normalized.column(j)
-        prod = [
-            sum(m.data[i][k] * col[k] for k in range(m.cols)) for i in range(m.rows)
-        ]
-        if any(prod):
-            raise InternalCheckError("kernel basis column fails M x = 0")
-    return normalized
+    cols = _with_identity(m)
+    rank = _echelon(cols, range(m.rows))
+    # the columns past the rank vanish on M's rows; their transform
+    # parts are a basis of the kernel
+    kernel = [c[m.rows:] for c in cols[rank:]]
+    _echelon(kernel, range(m.cols))
+    basis = IntMatrix.from_columns(kernel, rows=m.cols)
+    if any(map(any, _mat_mul_data(m.data, basis.data, m.rows, m.cols, basis.cols))):
+        raise InternalCheckError("kernel basis column fails M x = 0")
+    return basis
 
 
 def _echelon_solve(h_cols, pivot_rows, vector):

@@ -162,3 +162,14 @@ def imprimitive_lattice_by_sweep(group, characteristic):
     reduced, _ = hnf(IntMatrix.from_columns(columns, rows=k))
     kept = [reduced.column(j) for j in range(reduced.cols) if any(reduced.column(j))]
     return IntMatrix.from_columns(kept, rows=k)
+
+
+def kernel_basis_by_two_hnfs(m):
+    """The integer kernel of M in two Hermite passes: the columns of T
+    past the rank of H = M * T, then the Hermite form of those."""
+    h, t = hnf(m)
+    rank = sum(1 for col in h.columns() if any(col))
+    kernel = t.columns()[rank:]
+    if not kernel:
+        return IntMatrix.zeros(m.cols, 0)
+    return hnf(IntMatrix.from_columns(kernel, rows=m.cols))[0]

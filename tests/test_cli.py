@@ -226,6 +226,14 @@ def test_exit_code_subgroup_cap_exceeded(specdir, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_max_order_below_one_rejected(specdir, bound, capsys):
+    for argv in (["marks", "--group", str(specdir / "s4.json")], ["corpus"]):
+        code, text = _run(argv + ["--max-order", bound])
+        assert (code, text) == (1, ""), argv
+        assert "--max-order must be at least 1" in capsys.readouterr().err
+
+
 def test_spec_rejects_malformed():
     with pytest.raises(InputError):
         parse_group_spec({"type": "perm", "degree": "3", "generators": []})

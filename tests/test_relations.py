@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permrel.burnside import BurnsideElement, mark_vector
+from permrel.burnside import BurnsideElement, mark_vector, marks_table
 from permrel.constructions import affine_group, frobenius_group
 from permrel.errors import InputError
 from permrel.perm import generate, parse_cycles
@@ -25,10 +25,11 @@ from permrel.relations import (
     verify_relation,
 )
 from permrel.subgroups import Subgroup, enumerate_classes, subgroup_as_group
-from permrel.zlattice import lattice_contains
+from permrel.zlattice import IntMatrix, kernel_basis, lattice_contains
 
 from oracles import (
     imprimitive_lattice_by_sweep,
+    kernel_basis_by_two_hnfs,
     matrix_of_stabilizer_element,
     permutation_groups,
 )
@@ -102,6 +103,25 @@ def test_imprimitive_columns_lie_in_kernel():
             imprim = imprimitive_lattice(group, char)
             for j in range(imprim.cols):
                 assert lattice_contains(kernel.basis, imprim.column(j))
+
+
+KERNEL_CASES = [(name, CORPUS_CHARACTERISTICS) for name in CORPUS_NAMES]
+KERNEL_CASES.append(("C2xC2xC2xC2xC2", (0,)))
+
+
+@pytest.mark.parametrize("name, chars", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_kernel_basis_matches_two_hnfs(name, chars):
+    # the marks rows at the hypo-elementary classes, as brauer_kernel builds them
+    group = preset_group(name)
+    table = enumerate_classes(group)
+    marks = marks_table(group, table)
+    k = len(table.classes)
+    for char in chars:
+        hypo = hypo_class_indices(group, char)
+        matrix = IntMatrix([[marks.m[h][u] for h in range(k)] for u in hypo], cols=k)
+        basis = kernel_basis(matrix)
+        assert basis == kernel_basis_by_two_hnfs(matrix), (name, char)
+        assert basis == brauer_kernel(group, char).basis, (name, char)
 
 
 SWEEP_CASES = [(name, CORPUS_CHARACTERISTICS) for name in CORPUS_NAMES]

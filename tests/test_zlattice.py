@@ -23,6 +23,8 @@ from permrel.zlattice import (
     snf,
 )
 
+from oracles import kernel_basis_by_two_hnfs
+
 
 def minor_det(data, row_idx, col_idx):
     # independent cofactor-expansion determinant, pure ints
@@ -173,6 +175,16 @@ def test_snf_matches_determinantal_divisors(data):
 
 @given(small_matrix)
 @settings(max_examples=120, deadline=None)
+def test_snf_transforms_are_unimodular(data):
+    m = IntMatrix(data)
+    dec = snf(m)
+    assert abs(determinant(dec.u)) == 1
+    assert abs(determinant(dec.v)) == 1
+    assert dec.u.mul(m).mul(dec.v) == dec.d
+
+
+@given(small_matrix)
+@settings(max_examples=120, deadline=None)
 def test_hnf_preserves_column_lattice(data):
     m = IntMatrix(data)
     h, t = hnf(m)
@@ -192,6 +204,13 @@ def test_kernel_rank_and_membership(data):
     for col in basis.columns():
         image = m.mul(IntMatrix.from_columns([col]))
         assert image.is_zero()
+
+
+@given(small_matrix)
+@settings(max_examples=120, deadline=None)
+def test_kernel_matches_two_hnfs(data):
+    m = IntMatrix(data)
+    assert kernel_basis(m) == kernel_basis_by_two_hnfs(m)
 
 
 @given(small_matrix)
