@@ -67,8 +67,8 @@ from .zlattice import (
     IntMatrix,
     hnf,
     hstack,
-    kernel_basis,
     quotient_invariants,
+    triangular_kernel,
 )
 
 PREDICTION_SOURCES = (
@@ -125,8 +125,12 @@ def brauer_kernel(group, characteristic):
     """Lattice of Burnside elements whose marks vanish on every
     hypo-elementary class.
 
-    The rank must equal the number of non-hypo-elementary classes; a
-    mismatch raises InternalCheckError.
+    The marks of the hypo-elementary classes R at R form an upper
+    triangular block with diagonal |N_G(H):H| (subgroups of a
+    hypo-elementary group are hypo-elementary), so the kernel comes from
+    ``triangular_kernel`` modulo |G|; with every class hypo-elementary
+    it is zero without any echelon.  The rank must equal the number of
+    non-hypo-elementary classes; a mismatch raises InternalCheckError.
     """
     cached = group._memo.get(("brauer_kernel", characteristic))
     if cached is not None:
@@ -136,8 +140,7 @@ def brauer_kernel(group, characteristic):
     hypo = hypo_class_indices(group, characteristic)
     k = len(table.classes)
     rows = [[marks.m[h][u] for h in range(k)] for u in hypo]
-    matrix = IntMatrix(rows, cols=k)
-    basis = kernel_basis(matrix)
+    basis = triangular_kernel(IntMatrix(rows, cols=k), hypo, group.order)
     if basis.cols != k - len(hypo):
         raise InternalCheckError(
             "kernel rank %d differs from the non-hypo class count %d"

@@ -17,14 +17,28 @@ pivot in its row are reduced into [0, pivot), and zero columns are
 trailed at the right end.
 
 One routine, ``_echelon``, brings a list of columns into that shape on
-chosen coordinates.  A transform rides along as trailing coordinates:
-each column of M carries its identity column below it, so every column
-operation on M is also applied to T (H. Cohen, *A Course in
-Computational Algebraic Number Theory*, section 2.4).  ``hnf`` splits
-the result into H and T; ``kernel_basis`` echelons the part of T past
-the rank once more; ``snf`` alternates a column pass, with V below A,
-and a row pass, with U beside A, until A is diagonal (R. Kannan and
-A. Bachem, SIAM J. Comput. 8, 1979).
+chosen coordinates.  Inside this module a column is sparse, a dict
+{coordinate: nonzero int}, so a column update touches only the support
+of the pivot column; ``IntMatrix`` stays dense at the public boundary.
+A transform rides along as trailing coordinates: each column of M
+carries its identity column below it, so every column operation on M
+is also applied to T (H. Cohen, *A Course in Computational Algebraic
+Number Theory*, section 2.4).  ``hnf`` splits the result into H and T;
+``snf`` alternates a column pass, with V below A, and a row pass, with
+U beside A, until A is diagonal (R. Kannan and A. Bachem, SIAM J.
+Comput. 8, 1979).
+
+``triangular_kernel`` finds {x : M x = 0} when M has a square upper
+triangular block A with nonzero diagonal, and B is M on the other
+columns.  A kernel vector is fixed by its part y outside A, through
+x_A = -A^-1 B y, so the kernel is the lift of the lattice
+L = {y : C y = 0 mod d} with C = d A^-1 B, for any d that makes C
+integral.  L contains d Z^N, so it is found by one echelon of C modulo
+d beside the columns d e_i (P. Domich, R. Kannan and L. Trotter, Math.
+Oper. Res. 12, 1987).  For the marks of a group G at its
+hypo-elementary classes, d = |G| serves: A^-1 is a block of the inverse
+table of marks, whose denominators divide |G| (D. Gluck, Illinois J.
+Math. 25, 1981; T. Yoshida, J. Algebra 80, 1983).
 """
 
 import operator
@@ -62,10 +76,6 @@ class IntMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
     def from_columns(cls, columns, rows=None):
         """Build from an iterable of column vectors (all the same length)."""
         columns = [list(c) for c in columns]
@@ -88,12 +98,6 @@ class IntMatrix:
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
-    def transpose(self):
-        return IntMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
@@ -104,9 +108,6 @@ class IntMatrix:
 
     def is_zero(self):
         return all(v == 0 for row in self.data for v in row)
-
-    def copy(self):
-        return IntMatrix([row[:] for row in self.data], cols=self.cols)
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
@@ -140,17 +141,80 @@ def _mat_mul_data(p, q, m, k, n):
     return out
 
 
-def _unit(j, n):
-    return [0] * j + [1] + [0] * (n - 1 - j)
+def _sparse(values):
+    """The nonzero entries of ``values`` as {index: value}."""
+    return {i: v for i, v in enumerate(values) if v}
+
+
+def _dense(col, n):
+    return [col.get(i, 0) for i in range(n)]
+
+
+def _from_sparse(cols, n):
+    """The IntMatrix with n rows and the sparse columns ``cols``.  Their
+    entries were computed here from checked ints, so they are not
+    checked again."""
+    out = IntMatrix.__new__(IntMatrix)
+    out.rows, out.cols = n, len(cols)
+    out.data = [[c.get(i, 0) for c in cols] for i in range(n)]
+    return out
+
+
+def _sparse_columns(m):
+    return [_sparse(col) for col in m.columns()]
 
 
 def _with_identity(m):
-    """M's columns, each with the matching identity column below it."""
-    return [col + _unit(j, m.cols) for j, col in enumerate(m.columns())]
+    """M's sparse columns, column j with the identity entry at m.rows + j."""
+    cols = _sparse_columns(m)
+    for j, col in enumerate(cols):
+        col[m.rows + j] = 1
+    return cols
+
+
+def _split(col, n):
+    """A sparse column cut at coordinate n: the part below n, and the
+    part from n on, shifted down by n."""
+    return (
+        {i: v for i, v in col.items() if i < n},
+        {i - n: v for i, v in col.items() if i >= n},
+    )
+
+
+def _beside(vectors, n, tails):
+    """Read the first n coordinates of ``vectors`` across: entry j of
+    the i-th result is coordinate i of vectors[j], followed from
+    coordinate len(vectors) on by tails[i]."""
+    out = [{len(vectors) + t: x for t, x in tail.items()} for tail in tails]
+    for j, vec in enumerate(vectors):
+        for i, x in vec.items():
+            if i < n:
+                out[i][j] = x
+    return out
+
+
+def _apply(m_cols, x):
+    """M x for sparse x, with M given by its sparse columns, as a sparse
+    column."""
+    out = {}
+    for j, v in x.items():
+        for i, a in m_cols[j].items():
+            out[i] = out.get(i, 0) + a * v
+    return {i: v for i, v in out.items() if v}
+
+
+def _addmul(col, q, pivot_col):
+    """col -= q * pivot_col, in place, on the support of pivot_col."""
+    for i, v in pivot_col.items():
+        x = col.get(i, 0) - q * v
+        if x:
+            col[i] = x
+        else:
+            del col[i]
 
 
 def _echelon(cols, rows):
-    """Put the columns ``cols`` into column-Hermite shape on the
+    """Put the sparse columns ``cols`` into column-Hermite shape on the
     coordinates ``rows``, in place, and return the rank.
 
     Each operation acts on whole columns, so coordinates outside
@@ -162,30 +226,33 @@ def _echelon(cols, rows):
         if r == ncols:
             break
         while True:
-            nz = [j for j in range(r, ncols) if cols[j][i]]
+            nz = [j for j in range(r, ncols) if i in cols[j]]
             if not nz:
                 break
             j0 = min(nz, key=lambda j: (abs(cols[j][i]), j))
             cols[r], cols[j0] = cols[j0], cols[r]
-            if cols[r][i] < 0:
-                cols[r] = [-x for x in cols[r]]
             pc = cols[r]
+            if pc[i] < 0:
+                for t in pc:
+                    pc[t] = -pc[t]
             piv = pc[i]
             clean = True
             for j in range(r + 1, ncols):
-                q = cols[j][i] // piv
-                if q:
-                    cols[j] = [x - q * y for x, y in zip(cols[j], pc)]
-                if cols[j][i]:
-                    clean = False
+                col = cols[j]
+                if i in col:
+                    q = col[i] // piv
+                    if q:
+                        _addmul(col, q, pc)
+                    if i in col:
+                        clean = False
             if clean:
                 # entries above the pivot are zero already, so reducing
                 # earlier pivot columns against this one cannot disturb
                 # previously fixed rows
                 for j in range(r):
-                    q = cols[j][i] // piv
+                    q = cols[j].get(i, 0) // piv
                     if q:
-                        cols[j] = [x - q * y for x, y in zip(cols[j], pc)]
+                        _addmul(cols[j], q, pc)
                 r += 1
                 break
     return r
@@ -200,10 +267,12 @@ def hnf(m):
     """
     cols = _with_identity(m)
     _echelon(cols, range(m.rows))
-    h = IntMatrix.from_columns([c[:m.rows] for c in cols], rows=m.rows)
-    t = IntMatrix.from_columns([c[m.rows:] for c in cols], rows=m.cols)
-    if _mat_mul_data(m.data, t.data, m.rows, m.cols, m.cols) != h.data:
+    parts = [_split(c, m.rows) for c in cols]
+    m_cols = _sparse_columns(m)
+    if any(_apply(m_cols, t) != h for h, t in parts):
         raise InternalCheckError("hermite form certificate failed")
+    h = _from_sparse([h for h, _ in parts], m.rows)
+    t = _from_sparse([t for _, t in parts], m.cols)
     return h, t
 
 
@@ -225,29 +294,30 @@ def snf(m):
     """
     nrows, ncols = m.rows, m.cols
     cols = _with_identity(m)  # columns of A over V
-    u = [_unit(i, nrows) for i in range(nrows)]
+    u = [{i: 1} for i in range(nrows)]
     while True:
         _echelon(cols, range(nrows))
-        v = [c[nrows:] for c in cols]
-        rows = [[c[i] for c in cols] + u[i] for i in range(nrows)]  # A beside U
+        v = [_split(c, nrows)[1] for c in cols]
+        rows = _beside(cols, nrows, u)  # A beside U
         _echelon(rows, range(ncols))
-        if not any(row[j] for i, row in enumerate(rows) for j in range(ncols) if j != i):
+        if not any(j < ncols and j != i for i, row in enumerate(rows) for j in row):
             # A is diagonal; fold a row whose entry the previous one
             # does not divide into that one, and resume the passes
             bad = next(
                 (t for t in range(min(nrows, ncols) - 1)
-                 if rows[t][t] and rows[t + 1][t + 1] % rows[t][t]),
+                 if rows[t].get(t) and rows[t + 1].get(t + 1, 0) % rows[t][t]),
                 None,
             )
             if bad is None:
                 break
-            rows[bad] = [x + y for x, y in zip(rows[bad], rows[bad + 1])]
-        cols = [[row[j] for row in rows] + v[j] for j in range(ncols)]
-        u = [row[ncols:] for row in rows]
-    d = IntMatrix([row[:ncols] for row in rows], cols=ncols)
-    um = IntMatrix([row[ncols:] for row in rows], cols=nrows)
-    vm = IntMatrix.from_columns(v, rows=ncols)
-    factors = [rows[k][k] for k in range(min(nrows, ncols)) if rows[k][k]]
+            _addmul(rows[bad], -1, rows[bad + 1])
+        u = [_split(row, ncols)[1] for row in rows]
+        cols = _beside(rows, ncols, v)
+    parts = [_split(row, ncols) for row in rows]
+    d = IntMatrix([_dense(a, ncols) for a, _ in parts], cols=ncols)
+    um = IntMatrix([_dense(w, nrows) for _, w in parts], cols=nrows)
+    vm = _from_sparse(v, ncols)
+    factors = [rows[k][k] for k in range(min(nrows, ncols)) if rows[k].get(k)]
     _check_smith(m, um, d, vm, factors)
     return SmithDecomposition(um, d, vm, tuple(factors))
 
@@ -277,24 +347,62 @@ def _check_smith(m, u, d, v, factors):
         raise InternalCheckError("invariant factor list mismatch")
 
 
-def kernel_basis(m):
-    """Basis of the integer kernel {x : M x = 0}, as matrix columns.
+def triangular_kernel(m, pivots, modulus):
+    """Basis of the integer kernel {x : M x = 0}, as Hermite-reduced
+    matrix columns.
 
-    The kernel of an integer matrix is saturated (the quotient by it is
-    torsion free), so the basis returned here generates every integer
-    solution, not merely a finite-index sublattice.  The basis itself is
-    Hermite reduced for determinism.
+    The columns ``pivots`` of M, one per row and taken in row order,
+    must form an upper triangular block A with nonzero diagonal, and
+    ``modulus`` must be a positive d with d * A^-1 B integral, where B
+    is M on the remaining columns; the module docstring gives the
+    method.  A block that is not triangular, or a remainder in the
+    back-substitution for d * A^-1 B, raises InternalCheckError, as
+    does a basis column that fails M x = 0.
     """
-    cols = _with_identity(m)
-    rank = _echelon(cols, range(m.rows))
-    # the columns past the rank vanish on M's rows; their transform
-    # parts are a basis of the kernel
-    kernel = [c[m.rows:] for c in cols[rank:]]
-    _echelon(kernel, range(m.cols))
-    basis = IntMatrix.from_columns(kernel, rows=m.cols)
-    if any(map(any, _mat_mul_data(m.data, basis.data, m.rows, m.cols, basis.cols))):
+    r, k = m.rows, m.cols
+    modulus = _as_int(modulus)
+    a = [[row[p] for p in pivots] for row in m.data]
+    if any(not a[i][i] or any(a[i][:i]) for i in range(r)):
+        raise InternalCheckError("pivot block is not upper triangular")
+    rest = sorted(set(range(k)) - set(pivots))
+    if not rest:
+        return IntMatrix.from_columns([], rows=k)
+    # C = d A^-1 B by back-substitution in A, one sparse column at a time
+    upper = [[(j, a[i][j]) for j in range(i + 1, r) if a[i][j]] for i in range(r)]
+    c_cols = []
+    for n in rest:
+        z = {}
+        for i in reversed(range(r)):
+            x = modulus * m.data[i][n] - sum(v * z[j] for j, v in upper[i] if j in z)
+            q, rem = divmod(x, a[i][i])
+            if rem:
+                raise InternalCheckError("modulus * A^-1 B is not integral")
+            if q:
+                z[i] = q
+        c_cols.append(z)
+    # L: the columns (C mod d over y) beside d e_i, echeloned on C's rows;
+    # the columns past the rank vanish there, and their y parts span L
+    cols = []
+    for n, z in enumerate(c_cols):
+        col = {i: v % modulus for i, v in z.items() if v % modulus}
+        col[r + n] = 1
+        cols.append(col)
+    cols += [{i: modulus} for i in range(r)]
+    rank = _echelon(cols, range(r))
+    # lift each y of L to x with x_A = -C y / d; a floor here would be
+    # caught by the M x = 0 check below
+    kernel = []
+    for col in cols[rank:]:
+        y = {n - r: v for n, v in col.items()}
+        x = {rest[n]: v for n, v in y.items()}
+        for i, v in _apply(c_cols, y).items():
+            x[pivots[i]] = -v // modulus
+        kernel.append(x)
+    _echelon(kernel, range(k))
+    m_cols = _sparse_columns(m)
+    if any(_apply(m_cols, x) for x in kernel):
         raise InternalCheckError("kernel basis column fails M x = 0")
-    return basis
+    return _from_sparse(kernel, k)
 
 
 def _echelon_solve(h_cols, pivot_rows, vector):

@@ -164,6 +164,10 @@ def imprimitive_lattice_by_sweep(group, characteristic):
     return IntMatrix.from_columns(kept, rows=k)
 
 
+def zeros(rows, cols):
+    return IntMatrix([[0] * cols for _ in range(rows)], cols=cols)
+
+
 def kernel_basis_by_two_hnfs(m):
     """The integer kernel of M in two Hermite passes: the columns of T
     past the rank of H = M * T, then the Hermite form of those."""
@@ -171,5 +175,86 @@ def kernel_basis_by_two_hnfs(m):
     rank = sum(1 for col in h.columns() if any(col))
     kernel = t.columns()[rank:]
     if not kernel:
-        return IntMatrix.zeros(m.cols, 0)
+        return zeros(m.cols, 0)
     return hnf(IntMatrix.from_columns(kernel, rows=m.cols))[0]
+
+
+def echelon_dense(cols, rows):
+    """Column-Hermite shape of dense list columns on the coordinates
+    ``rows``, in place; returns the rank.  Every update rewrites the
+    whole column, zeros included."""
+    ncols = len(cols)
+    r = 0
+    for i in rows:
+        if r == ncols:
+            break
+        while True:
+            nz = [j for j in range(r, ncols) if cols[j][i]]
+            if not nz:
+                break
+            j0 = min(nz, key=lambda j: (abs(cols[j][i]), j))
+            cols[r], cols[j0] = cols[j0], cols[r]
+            if cols[r][i] < 0:
+                cols[r] = [-x for x in cols[r]]
+            pc = cols[r]
+            piv = pc[i]
+            clean = True
+            for j in range(r + 1, ncols):
+                q = cols[j][i] // piv
+                if q:
+                    cols[j] = [x - q * y for x, y in zip(cols[j], pc)]
+                if cols[j][i]:
+                    clean = False
+            if clean:
+                for j in range(r):
+                    q = cols[j][i] // piv
+                    if q:
+                        cols[j] = [x - q * y for x, y in zip(cols[j], pc)]
+                r += 1
+                break
+    return r
+
+
+def _dense_with_identity(m):
+    return [col + [int(i == j) for i in range(m.cols)] for j, col in enumerate(m.columns())]
+
+
+def hnf_by_dense_echelon(m):
+    """(H, T) of ``hnf``, with the transform stacked below M and every
+    column kept dense."""
+    cols = _dense_with_identity(m)
+    echelon_dense(cols, range(m.rows))
+    return (
+        IntMatrix.from_columns([c[:m.rows] for c in cols], rows=m.rows),
+        IntMatrix.from_columns([c[m.rows:] for c in cols], rows=m.cols),
+    )
+
+
+def snf_by_dense_echelon(m):
+    """(U, D, V) of ``snf``: a column pass with V below A, then a row
+    pass with U beside A, until A is diagonal, folding row t + 1 into
+    row t where d_t does not divide d_{t+1}; every column kept dense."""
+    nrows, ncols = m.rows, m.cols
+    cols = _dense_with_identity(m)
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    while True:
+        echelon_dense(cols, range(nrows))
+        v = [c[nrows:] for c in cols]
+        rows = [[c[i] for c in cols] + u[i] for i in range(nrows)]
+        echelon_dense(rows, range(ncols))
+        if not any(row[j] for i, row in enumerate(rows) for j in range(ncols) if j != i):
+            bad = next(
+                (t for t in range(min(nrows, ncols) - 1)
+                 if rows[t][t] and rows[t + 1][t + 1] % rows[t][t]),
+                None,
+            )
+            if bad is None:
+                break
+            rows[bad] = [x + y for x, y in zip(rows[bad], rows[bad + 1])]
+        cols = [[row[j] for row in rows] + v[j] for j in range(ncols)]
+        u = [row[ncols:] for row in rows]
+    return (
+        IntMatrix([row[ncols:] for row in rows], cols=nrows),
+        IntMatrix([row[:ncols] for row in rows], cols=ncols),
+        IntMatrix.from_columns(v, rows=ncols),
+    )

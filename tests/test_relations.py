@@ -1,6 +1,8 @@
 """Kernel lattices, primitive quotients, predictions, and the generator
 constructions, checked against independently computed values."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from permrel.relations import (
     verify_relation,
 )
 from permrel.subgroups import Subgroup, enumerate_classes, subgroup_as_group
-from permrel.zlattice import IntMatrix, kernel_basis, lattice_contains
+from permrel.zlattice import IntMatrix, lattice_contains
 
 from oracles import (
     imprimitive_lattice_by_sweep,
@@ -105,23 +107,44 @@ def test_imprimitive_columns_lie_in_kernel():
                 assert lattice_contains(kernel.basis, imprim.column(j))
 
 
+def _hypo_marks_rows(group, char):
+    # the marks rows at the hypo-elementary classes, as brauer_kernel builds them
+    table = enumerate_classes(group)
+    marks = marks_table(group, table)
+    k = len(table.classes)
+    hypo = hypo_class_indices(group, char)
+    return IntMatrix([[marks.m[h][u] for h in range(k)] for u in hypo], cols=k)
+
+
 KERNEL_CASES = [(name, CORPUS_CHARACTERISTICS) for name in CORPUS_NAMES]
-KERNEL_CASES.append(("C2xC2xC2xC2xC2", (0,)))
+KERNEL_CASES += [("C2xC2xC2xC2xC2", (0, 3)), ("S4xC2", (2, 3)), ("D8xS3", (2, 3))]
 
 
 @pytest.mark.parametrize("name, chars", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
 def test_kernel_basis_matches_two_hnfs(name, chars):
-    # the marks rows at the hypo-elementary classes, as brauer_kernel builds them
     group = preset_group(name)
-    table = enumerate_classes(group)
-    marks = marks_table(group, table)
-    k = len(table.classes)
     for char in chars:
-        hypo = hypo_class_indices(group, char)
-        matrix = IntMatrix([[marks.m[h][u] for h in range(k)] for u in hypo], cols=k)
-        basis = kernel_basis(matrix)
-        assert basis == kernel_basis_by_two_hnfs(matrix), (name, char)
-        assert basis == brauer_kernel(group, char).basis, (name, char)
+        expected = kernel_basis_by_two_hnfs(_hypo_marks_rows(group, char))
+        assert brauer_kernel(group, char).basis == expected, (name, char)
+
+
+@given(permutation_groups(), st.sampled_from((0, 2, 3, 5)))
+@settings(max_examples=40, deadline=None)
+def test_kernel_basis_matches_two_hnfs_on_random_groups(group, char):
+    expected = kernel_basis_by_two_hnfs(_hypo_marks_rows(group, char))
+    assert brauer_kernel(group, char).basis == expected
+
+
+def test_c2_5_kernel_at_its_own_prime_is_zero_and_quick():
+    # every class of a 2-group is 2-hypo-elementary: the kernel is zero,
+    # and the 374 x 374 marks block needs no echelon
+    group = preset_group("C2xC2xC2xC2xC2")
+    marks_table(group, enumerate_classes(group))
+    start = time.perf_counter()
+    kernel = brauer_kernel(group, 2)
+    assert time.perf_counter() - start < 1.0
+    assert kernel.rank == 0
+    assert len(kernel.hypo_classes) == 374
 
 
 SWEEP_CASES = [(name, CORPUS_CHARACTERISTICS) for name in CORPUS_NAMES]

@@ -1,7 +1,9 @@
 """Exact integer matrix normal forms, kernels, and quotient invariants.
 
 Property tests check Smith invariants against an independent
-determinantal-divisor oracle (gcd of k x k minors, cofactor expansion).
+determinantal-divisor oracle (gcd of k x k minors, cofactor expansion),
+the sparse echelon against the dense one it replaced, and the
+triangular-block kernel against two Hermite passes.
 """
 
 import math
@@ -17,13 +19,13 @@ from permrel.zlattice import (
     IntMatrix,
     hnf,
     hstack,
-    kernel_basis,
     lattice_contains,
     quotient_invariants,
     snf,
+    triangular_kernel,
 )
 
-from oracles import kernel_basis_by_two_hnfs
+from oracles import hnf_by_dense_echelon, kernel_basis_by_two_hnfs, snf_by_dense_echelon
 
 
 def minor_det(data, row_idx, col_idx):
@@ -87,6 +89,36 @@ small_matrix = st.integers(1, 4).flatmap(
     )
 )
 
+# up to 6 x 6, half of the entries zero, so the sparse columns vary in support
+sparse_matrix = st.integers(1, 6).flatmap(
+    lambda r: st.integers(1, 6).flatmap(
+        lambda c: st.lists(
+            st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        )
+    )
+)
+
+
+@st.composite
+def triangular_led(draw):
+    """(M, pivots, d): the columns ``pivots`` of M, placed at random,
+    form an upper triangular block with nonzero diagonal, and d is the
+    product of the diagonal's absolute values, so d * A^-1 is integral."""
+    r = draw(st.integers(1, 4))
+    k = r + draw(st.integers(0, 4))
+    pivots = draw(st.permutations(range(k)))[:r]
+    entry = st.integers(-9, 9)
+    data = [[draw(entry) for _ in range(k)] for _ in range(r)]
+    modulus = 1
+    for i, p in enumerate(pivots):
+        data[i][p] = draw(entry.filter(bool))
+        modulus *= abs(data[i][p])
+        for below in range(i + 1, r):
+            data[below][p] = 0
+    return IntMatrix(data), pivots, modulus
+
 
 def test_hnf_worked_example():
     h, t = hnf(IntMatrix([[2, 4], [6, 8]]))
@@ -109,7 +141,7 @@ def test_snf_certificate_matrices():
 
 
 def test_kernel_of_ones_row():
-    basis = kernel_basis(IntMatrix([[1, 1, 1]]))
+    basis = triangular_kernel(IntMatrix([[1, 1, 1]]), [0], 1)
     assert basis.cols == 2
     for col in basis.columns():
         assert sum(col) == 0
@@ -118,8 +150,20 @@ def test_kernel_of_ones_row():
 def test_kernel_cyclic_rows_matrix():
     # the 3 x 4 marks rows of the cyclic classes of a group of order 6
     m = IntMatrix([[6, 3, 2, 1], [0, 1, 0, 1], [0, 0, 2, 1]])
-    basis = kernel_basis(m)
+    basis = triangular_kernel(m, [0, 1, 2], 6)
     assert basis.columns() == [[1, -2, -1, 2]]
+
+
+def test_triangular_kernel_rejects_a_small_modulus():
+    # 1 * A^-1 B = 1/2 is not integral; the back-substitution says so
+    # before the M x = 0 certificate could
+    with pytest.raises(InternalCheckError, match="not integral"):
+        triangular_kernel(IntMatrix([[2, 1]]), [0], 1)
+
+
+def test_triangular_kernel_rejects_a_block_that_is_not_triangular():
+    with pytest.raises(InternalCheckError, match="not upper triangular"):
+        triangular_kernel(IntMatrix([[1, 0, 1], [1, 1, 1]]), [0, 1], 1)
 
 
 def test_quotient_invariants_diagonal():
@@ -154,7 +198,7 @@ def test_hstack():
 
 
 def test_empty_kernel():
-    basis = kernel_basis(IntMatrix.identity(3))
+    basis = triangular_kernel(IntMatrix.identity(3), [0, 1, 2], 1)
     assert basis.cols == 0
     assert basis.rows == 3
 
@@ -195,30 +239,45 @@ def test_hnf_preserves_column_lattice(data):
         assert lattice_contains(h, col)
 
 
-@given(small_matrix)
-@settings(max_examples=120, deadline=None)
-def test_kernel_rank_and_membership(data):
+@given(sparse_matrix)
+@settings(max_examples=150, deadline=None)
+def test_hnf_matches_dense_echelon(data):
     m = IntMatrix(data)
-    basis = kernel_basis(m)
+    assert hnf(m) == hnf_by_dense_echelon(m)
+
+
+@given(sparse_matrix)
+@settings(max_examples=150, deadline=None)
+def test_snf_matches_dense_echelon(data):
+    m = IntMatrix(data)
+    dec = snf(m)
+    assert (dec.u, dec.d, dec.v) == snf_by_dense_echelon(m)
+
+
+@given(triangular_led())
+@settings(max_examples=120, deadline=None)
+def test_kernel_rank_and_membership(case):
+    m, pivots, modulus = case
+    basis = triangular_kernel(m, pivots, modulus)
     assert basis.cols == m.cols - rational_rank(m)
     for col in basis.columns():
         image = m.mul(IntMatrix.from_columns([col]))
         assert image.is_zero()
 
 
-@given(small_matrix)
+@given(triangular_led())
 @settings(max_examples=120, deadline=None)
-def test_kernel_matches_two_hnfs(data):
-    m = IntMatrix(data)
-    assert kernel_basis(m) == kernel_basis_by_two_hnfs(m)
+def test_kernel_matches_two_hnfs(case):
+    m, pivots, modulus = case
+    assert triangular_kernel(m, pivots, modulus) == kernel_basis_by_two_hnfs(m)
 
 
-@given(small_matrix)
+@given(triangular_led())
 @settings(max_examples=80, deadline=None)
-def test_kernel_saturation(data):
+def test_kernel_saturation(case):
     # any rational kernel vector scaled to integers must lie in the basis span
-    m = IntMatrix(data)
-    basis = kernel_basis(m)
+    m, pivots, modulus = case
+    basis = triangular_kernel(m, pivots, modulus)
     for col in basis.columns():
         doubled = [2 * v for v in col]
         assert lattice_contains(basis, doubled)
