@@ -125,12 +125,13 @@ def brauer_kernel(group, characteristic):
     """Lattice of Burnside elements whose marks vanish on every
     hypo-elementary class.
 
-    The marks of the hypo-elementary classes R at R form an upper
-    triangular block with diagonal |N_G(H):H| (subgroups of a
-    hypo-elementary group are hypo-elementary), so the kernel comes from
-    ``triangular_kernel`` modulo |G|; with every class hypo-elementary
-    it is zero without any echelon.  The rank must equal the number of
-    non-hypo-elementary classes; a mismatch raises InternalCheckError.
+    The marks at the hypo-elementary classes R of the [G/H] with H in R
+    form an upper triangular block A with diagonal |N_G(H):H|.  R is
+    closed under subgroups, so A^-1 is a block of the inverse table of
+    marks and |G| A^-1 is integral: the kernel comes from
+    ``triangular_kernel`` modulo |G|, and is zero without any echelon
+    when every class is hypo-elementary.  The rank must equal the number
+    of non-hypo-elementary classes; a mismatch raises InternalCheckError.
     """
     cached = group._memo.get(("brauer_kernel", characteristic))
     if cached is not None:

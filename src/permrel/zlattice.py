@@ -361,6 +361,8 @@ def triangular_kernel(m, pivots, modulus):
     """
     r, k = m.rows, m.cols
     modulus = _as_int(modulus)
+    if len(set(pivots)) != r or modulus < 1:
+        raise ValueError("need one distinct pivot column per row and a positive modulus")
     a = [[row[p] for p in pivots] for row in m.data]
     if any(not a[i][i] or any(a[i][:i]) for i in range(r)):
         raise InternalCheckError("pivot block is not upper triangular")

@@ -161,6 +161,13 @@ def test_triangular_kernel_rejects_a_small_modulus():
         triangular_kernel(IntMatrix([[2, 1]]), [0], 1)
 
 
+def test_triangular_kernel_rejects_bad_pivots_or_modulus():
+    m = IntMatrix([[1, 1, 1], [0, 1, 1]])
+    for pivots, modulus in (([0], 1), ([0, 0], 1), ([0, 1], 0)):
+        with pytest.raises(ValueError):
+            triangular_kernel(m, pivots, modulus)
+
+
 def test_triangular_kernel_rejects_a_block_that_is_not_triangular():
     with pytest.raises(InternalCheckError, match="not upper triangular"):
         triangular_kernel(IntMatrix([[1, 0, 1], [1, 1, 1]]), [0, 1], 1)
