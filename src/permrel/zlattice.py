@@ -141,11 +141,6 @@ def _mat_mul_data(p, q, m, k, n):
     return out
 
 
-def _sparse(values):
-    """The nonzero entries of ``values`` as {index: value}."""
-    return {i: v for i, v in enumerate(values) if v}
-
-
 def _dense(col, n):
     return [col.get(i, 0) for i in range(n)]
 
@@ -161,7 +156,8 @@ def _from_sparse(cols, n):
 
 
 def _sparse_columns(m):
-    return [_sparse(col) for col in m.columns()]
+    """M's columns as {row: nonzero entry} dicts."""
+    return [{i: v for i, v in enumerate(col) if v} for col in m.columns()]
 
 
 def _with_identity(m):
