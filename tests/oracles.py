@@ -164,10 +164,6 @@ def imprimitive_lattice_by_sweep(group, characteristic):
     return IntMatrix.from_columns(kept, rows=k)
 
 
-def zeros(rows, cols):
-    return IntMatrix([[0] * cols for _ in range(rows)], cols=cols)
-
-
 def kernel_basis_by_two_hnfs(m):
     """The integer kernel of M in two Hermite passes: the columns of T
     past the rank of H = M * T, then the Hermite form of those."""
@@ -175,7 +171,7 @@ def kernel_basis_by_two_hnfs(m):
     rank = sum(1 for col in h.columns() if any(col))
     kernel = t.columns()[rank:]
     if not kernel:
-        return zeros(m.cols, 0)
+        return IntMatrix.from_columns([], rows=m.cols)
     return hnf(IntMatrix.from_columns(kernel, rows=m.cols))[0]
 
 
