@@ -177,14 +177,14 @@ def _split(col, n):
     )
 
 
-def _beside(vectors, n, tails):
-    """Read the first n coordinates of ``vectors`` across: entry j of
-    the i-th result is coordinate i of vectors[j], followed from
-    coordinate len(vectors) on by tails[i]."""
+def _beside(vectors, tails):
+    """Read the first len(tails) coordinates of ``vectors`` across:
+    entry j of the i-th result is coordinate i of vectors[j], followed
+    from coordinate len(vectors) on by tails[i]."""
     out = [{len(vectors) + t: x for t, x in tail.items()} for tail in tails]
     for j, vec in enumerate(vectors):
         for i, x in vec.items():
-            if i < n:
+            if i < len(tails):
                 out[i][j] = x
     return out
 
@@ -294,7 +294,7 @@ def snf(m):
     while True:
         _echelon(cols, range(nrows))
         v = [_split(c, nrows)[1] for c in cols]
-        rows = _beside(cols, nrows, u)  # A beside U
+        rows = _beside(cols, u)  # A beside U
         _echelon(rows, range(ncols))
         if not any(j < ncols and j != i for i, row in enumerate(rows) for j in row):
             # A is diagonal; fold a row whose entry the previous one
@@ -308,7 +308,7 @@ def snf(m):
                 break
             _addmul(rows[bad], -1, rows[bad + 1])
         u = [_split(row, ncols)[1] for row in rows]
-        cols = _beside(rows, ncols, v)
+        cols = _beside(rows, v)
     parts = [_split(row, ncols) for row in rows]
     d = IntMatrix([_dense(a, ncols) for a, _ in parts], cols=ncols)
     um = IntMatrix([_dense(w, nrows) for _, w in parts], cols=nrows)
