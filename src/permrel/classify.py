@@ -187,32 +187,6 @@ def is_p_hypo_elementary(group, p):
     return is_cyclic(quotient(group, core).group)
 
 
-def subgroup_is_p_hypo_elementary(subgroup, p):
-    """Hypo-elementarity for a subgroup, without building its quotient.
-
-    A group is p-hypo-elementary exactly when its Sylow p-subgroup is
-    normal (unique) and a complement element exists, i.e. some element
-    has order equal to the prime-to-p part of the group order.  Both
-    conditions read off the ambient subgroup table.
-    """
-    group = subgroup.ambient
-    table = enumerate_classes(group)
-    order = subgroup.order
-    sylow_order = p_part(order, p)
-    if sylow_order > 1:
-        count = 0
-        for sub in table.all_subgroups():
-            if sub.order == sylow_order and subgroup.contains_subgroup(sub):
-                count += 1
-                if count > 1:
-                    return False
-        if count != 1:
-            raise InternalCheckError("no Sylow subgroup found inside a subgroup")
-    coprime_part = prime_to_p_part(order, p)
-    orders = group.element_orders[subgroup.indices]
-    return bool((orders == coprime_part).any())
-
-
 def is_q_quasi_elementary(group, q):
     """True when the q-residual is cyclic (normal cyclic with q-power index)."""
     return subgroup_is_cyclic(q_residual(group, q))

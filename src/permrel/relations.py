@@ -37,7 +37,6 @@ from .classify import (
     dress_primes,
     is_p_hypo_elementary,
     p_core,
-    subgroup_is_p_hypo_elementary,
     two_factor_decomposition,
     vector_semidirect_match,
 )
@@ -51,6 +50,7 @@ from .errors import InputError, InternalCheckError
 from .numtheory import (
     element_of_order,
     is_prime,
+    p_part,
     smallest_prime_not_dividing,
     xgcd,
 )
@@ -65,6 +65,7 @@ from .subgroups import (
 )
 from .zlattice import (
     IntMatrix,
+    _from_rows,
     hnf,
     hstack,
     quotient_invariants,
@@ -112,11 +113,35 @@ class KernelBasis:
 
 
 def hypo_class_indices(group, characteristic):
+    """Positions of the p-hypo-elementary classes, read off the marks.
+
+    U is p-hypo-elementary exactly when its Sylow p-subgroup is normal
+    (unique) and some element of U has order the prime-to-p part of |U|.
+    U_i contains m[i][j] |class j| / m[i][0] members of class j, so its
+    Sylow p-subgroups are counted over the classes of their order; a
+    p-group is its own Sylow subgroup.
+    """
     table = enumerate_classes(group)
+    marks = marks_table(group, table).m
     p = effective_prime(group, characteristic)
+    by_order = {}
+    for j, cls in enumerate(table.classes):
+        by_order.setdefault(cls.order, []).append(j)
     out = []
     for i, cls in enumerate(table.classes):
-        if subgroup_is_p_hypo_elementary(cls.representative, p):
+        sylow_order = p_part(cls.order, p)
+        if 1 < sylow_order < cls.order:
+            row = marks[i]
+            sylows, rem = divmod(
+                sum(row[j] * table.classes[j].class_size for j in by_order[sylow_order]),
+                row[0],
+            )
+            if rem or not sylows:
+                raise InternalCheckError("Sylow count from the marks is not a positive integer")
+            if sylows > 1:
+                continue
+        orders = group.element_orders[cls.representative.indices]
+        if (orders == cls.order // sylow_order).any():
             out.append(i)
     return tuple(out)
 
@@ -141,7 +166,7 @@ def brauer_kernel(group, characteristic):
     hypo = hypo_class_indices(group, characteristic)
     k = len(table.classes)
     rows = [[marks.m[h][u] for h in range(k)] for u in hypo]
-    basis = triangular_kernel(IntMatrix(rows, cols=k), hypo, group.order)
+    basis = triangular_kernel(_from_rows(rows, k), hypo, group.order)
     if basis.cols != k - len(hypo):
         raise InternalCheckError(
             "kernel rank %d differs from the non-hypo class count %d"

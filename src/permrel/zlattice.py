@@ -145,14 +145,18 @@ def _dense(col, n):
     return [col.get(i, 0) for i in range(n)]
 
 
-def _from_sparse(cols, n):
-    """The IntMatrix with n rows and the sparse columns ``cols``.  Their
-    entries were computed here from checked ints, so they are not
-    checked again."""
+def _from_rows(data, cols):
+    """The IntMatrix with the rows ``data``, each ``cols`` long.  Their
+    entries are ints permrel computed itself, so they are not checked
+    again."""
     out = IntMatrix.__new__(IntMatrix)
-    out.rows, out.cols = n, len(cols)
-    out.data = [[c.get(i, 0) for c in cols] for i in range(n)]
+    out.rows, out.cols, out.data = len(data), cols, data
     return out
+
+
+def _from_sparse(cols, n):
+    """The IntMatrix with n rows and the sparse columns ``cols``."""
+    return _from_rows([[c.get(i, 0) for c in cols] for i in range(n)], len(cols))
 
 
 def _sparse_columns(m):

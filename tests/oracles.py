@@ -1,12 +1,16 @@
 """Reference helpers shared by several test modules."""
 
+import random
 from collections import deque
 
 import numpy as np
 from hypothesis import strategies as st
 
 from permrel import _kernels
+from permrel.burnside import fixed_points
 from permrel.constructions import decode_vector, encode_vector
+from permrel.errors import InternalCheckError
+from permrel.numtheory import p_part, prime_to_p_part
 from permrel.perm import Permutation, generate
 from permrel.relations import brauer_kernel
 from permrel.subgroups import (
@@ -27,6 +31,61 @@ def permutation_groups(draw, max_degree=5):
     degree = draw(st.integers(1, max_degree))
     perms = st.permutations(range(degree)).map(Permutation)
     return generate(degree, draw(st.lists(perms, min_size=1, max_size=3)))
+
+
+def relabelled(group, seed):
+    """The same group on its points renamed by a permutation drawn from
+    ``seed``, so that its elements come in another order."""
+    sigma = list(range(group.degree))
+    random.Random(seed).shuffle(sigma)
+    gens = []
+    for perm in group.generators:
+        images = [0] * group.degree
+        for point, image in enumerate(perm.images):
+            images[sigma[point]] = sigma[image]
+        gens.append(Permutation(images))
+    return generate(group.degree, gens)
+
+
+def marks_table_by_fixed_points(group, table):
+    """The table of marks entry by entry: the fixed points of each class
+    representative K on each coset space G/H, zero where |K| > |H|."""
+    return [
+        [
+            fixed_points(group, h.representative, k.representative)
+            if k.order <= h.order
+            else 0
+            for k in table.classes
+        ]
+        for h in table.classes
+    ]
+
+
+def subgroup_is_p_hypo_elementary(subgroup, p):
+    """Hypo-elementarity for a subgroup, without building its quotient.
+
+    A group is p-hypo-elementary exactly when its Sylow p-subgroup is
+    normal (unique) and a complement element exists, i.e. some element
+    has order equal to the prime-to-p part of the group order.  The
+    Sylow subgroups are counted by a scan of every subgroup of the
+    ambient group.
+    """
+    group = subgroup.ambient
+    table = enumerate_classes(group)
+    order = subgroup.order
+    sylow_order = p_part(order, p)
+    if sylow_order > 1:
+        count = 0
+        for sub in table.all_subgroups():
+            if sub.order == sylow_order and subgroup.contains_subgroup(sub):
+                count += 1
+                if count > 1:
+                    return False
+        if count != 1:
+            raise InternalCheckError("no Sylow subgroup found inside a subgroup")
+    coprime_part = prime_to_p_part(order, p)
+    orders = group.element_orders[subgroup.indices]
+    return bool((orders == coprime_part).any())
 
 
 def _closure_by_products(mult, seeds):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from permrel.burnside import (
     BurnsideElement,
@@ -16,14 +17,17 @@ from permrel.burnside import (
 )
 from permrel.errors import InputError
 from permrel.perm import generate, parse_cycles
-from permrel.presets import preset_group
+from permrel.presets import CORPUS_NAMES, preset_group
 from permrel.subgroups import (
     Subgroup,
     enumerate_classes,
+    is_minimal_normal,
     normal_subgroups,
     quotient,
     subgroup_as_group,
 )
+
+from oracles import marks_table_by_fixed_points, permutation_groups, relabelled
 
 
 def _s3():
@@ -64,6 +68,41 @@ def test_marks_table_rejects_foreign_table():
     marks_table(s4)
     with pytest.raises(InputError):
         marks_table(s4, enumerate_classes(_s3()))
+
+
+def _with_subquotients(group):
+    """G, its first three maximal subgroup classes as groups of their
+    own, and G modulo its first three minimal normal subgroups; the last
+    two list their elements in an order other than G's.  C2^5 has 31 of
+    each, all of them C2^4, so taking three bounds the oracle's time."""
+    table = enumerate_classes(group)
+    maximal = table.maximal_classes()[:3]
+    minimal = [n for n in normal_subgroups(group)
+               if not n.is_trivial() and is_minimal_normal(group, n)][:3]
+    return ([group]
+            + [subgroup_as_group(table.classes[i].representative) for i in maximal]
+            + [quotient(group, n).group for n in minimal])
+
+
+MARKS_CASES = [(name, None) for name in CORPUS_NAMES]
+MARKS_CASES += [("C2xC2xC2xC2xC2", None), ("S4xC2", 7), ("D8xS3", 7)]
+
+
+@pytest.mark.parametrize("name, seed", MARKS_CASES, ids=[c[0] for c in MARKS_CASES])
+def test_marks_table_matches_fixed_points(name, seed):
+    group = preset_group(name)
+    if seed is not None:
+        group = relabelled(group, seed)
+    for g in _with_subquotients(group):
+        table = enumerate_classes(g)
+        assert marks_table(g, table).m == marks_table_by_fixed_points(g, table), g
+
+
+@given(permutation_groups())
+@settings(max_examples=40, deadline=None)
+def test_marks_table_matches_fixed_points_on_random_groups(group):
+    table = enumerate_classes(group)
+    assert marks_table(group, table).m == marks_table_by_fixed_points(group, table)
 
 
 def test_mark_vector_reads_rows():

@@ -14,7 +14,6 @@ from permrel.classify import (
     main_case_classify,
     p_core,
     q_residual,
-    subgroup_is_p_hypo_elementary,
     sylow_subgroup,
     two_factor_decomposition,
     vector_semidirect_match,
@@ -29,6 +28,8 @@ from permrel.subgroups import (
     normal_subgroups,
     subgroup_as_group,
 )
+
+from oracles import subgroup_is_p_hypo_elementary
 
 S3 = generate(3, [parse_cycles(3, "(0 1)"), parse_cycles(3, "(0 1 2)")])
 A4 = generate(4, [parse_cycles(4, "(0 1 2)"), parse_cycles(4, "(0 1)(2 3)")])

@@ -34,6 +34,7 @@ from oracles import (
     kernel_basis_by_two_hnfs,
     matrix_of_stabilizer_element,
     permutation_groups,
+    subgroup_is_p_hypo_elementary,
 )
 
 
@@ -107,6 +108,32 @@ def test_imprimitive_columns_lie_in_kernel():
                 assert lattice_contains(kernel.basis, imprim.column(j))
 
 
+def _hypo_by_subgroup_scan(group, char):
+    p = effective_prime(group, char)
+    return tuple(
+        i
+        for i, cls in enumerate(enumerate_classes(group).classes)
+        if subgroup_is_p_hypo_elementary(cls.representative, p)
+    )
+
+
+HYPO_CASES = CORPUS_NAMES + ("S4xC2", "D8xS3", "C2xC2xC2xC2xC2")
+
+
+@pytest.mark.parametrize("name", HYPO_CASES)
+def test_hypo_classes_match_subgroup_scan(name):
+    group = preset_group(name)
+    for char in CORPUS_CHARACTERISTICS:
+        expected = _hypo_by_subgroup_scan(group, char)
+        assert hypo_class_indices(group, char) == expected, (name, char)
+
+
+@given(permutation_groups(), st.sampled_from(CORPUS_CHARACTERISTICS))
+@settings(max_examples=40, deadline=None)
+def test_hypo_classes_match_subgroup_scan_on_random_groups(group, char):
+    assert hypo_class_indices(group, char) == _hypo_by_subgroup_scan(group, char)
+
+
 def _hypo_marks_rows(group, char):
     # the marks rows at the hypo-elementary classes, as brauer_kernel builds them
     table = enumerate_classes(group)
@@ -145,6 +172,18 @@ def test_c2_5_kernel_at_its_own_prime_is_zero_and_quick():
     assert time.perf_counter() - start < 1.0
     assert kernel.rank == 0
     assert len(kernel.hypo_classes) == 374
+
+
+def test_c2_6_marks_quick_and_kernel_at_two_is_zero():
+    # 2,825 classes, all of them 2-hypo-elementary
+    group = preset_group("C2xC2xC2xC2xC2xC2")
+    table = enumerate_classes(group)
+    start = time.perf_counter()
+    marks_table(group, table)
+    assert time.perf_counter() - start < 10.0
+    kernel = brauer_kernel(group, 2)
+    assert kernel.rank == 0
+    assert len(kernel.hypo_classes) == len(table.classes) == 2825
 
 
 SWEEP_CASES = [(name, CORPUS_CHARACTERISTICS) for name in CORPUS_NAMES]
