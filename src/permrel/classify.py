@@ -480,8 +480,16 @@ def vector_semidirect_match(group, p):
     """Match G = W x| D with W elementary abelian away from p, D faithful
     and Dress, and the action irreducible or split into two lines.
 
-    Returns a witness dict or None.
+    Returns a witness dict or None, memoised per (group, p); callers
+    must not mutate the dict.
     """
+    key = ("vector_semidirect", p)
+    if key not in group._memo:
+        group._memo[key] = _vector_semidirect_witness(group, p)
+    return group._memo[key]
+
+
+def _vector_semidirect_witness(group, p):
     table = enumerate_classes(group)
     for w in normal_subgroups(group):
         if w.is_trivial():

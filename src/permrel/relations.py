@@ -6,7 +6,12 @@ surrogate prime, the smallest prime not dividing the group order.  A
 subquotient is hypo-elementary for such a prime exactly when it is
 cyclic, so every lattice computed at the surrogate coincides with the
 characteristic-0 one while letting all code paths take a single prime
-argument.
+argument.  Every prime not dividing the group order selects the cyclic
+subquotients, as 0 does, so the kernel, the imprimitive lattice and the
+quotient invariants are memoised per lattice prime: the characteristic
+when it divides the order, and 0 otherwise.  A subquotient takes its
+lattice prime from its own order.  The prediction and its check against
+the computed quotient still run at every characteristic.
 
 The imprimitive lattice is spanned by Ind_H^G Inf_{H/N}^H of the kernel
 of every proper subquotient H/N.  Induction and inflation are
@@ -20,7 +25,7 @@ and inflation from G/N0 for minimal normal N0 span the whole lattice.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,6 +102,13 @@ def effective_prime(group, characteristic):
     return characteristic
 
 
+def _lattice_prime(group, characteristic):
+    """The key under which the lattices of ``group`` at this characteristic
+    are memoised: the prime when it divides the order, else 0."""
+    p = effective_prime(group, characteristic)
+    return p if group.order % p == 0 else 0
+
+
 @dataclass
 class KernelBasis:
     group: object
@@ -158,9 +170,10 @@ def brauer_kernel(group, characteristic):
     when every class is hypo-elementary.  The rank must equal the number
     of non-hypo-elementary classes; a mismatch raises InternalCheckError.
     """
-    cached = group._memo.get(("brauer_kernel", characteristic))
+    key = ("brauer_kernel", _lattice_prime(group, characteristic))
+    cached = group._memo.get(key)
     if cached is not None:
-        return cached
+        return replace(cached, characteristic=characteristic)
     table = enumerate_classes(group)
     marks = marks_table(group, table)
     hypo = hypo_class_indices(group, characteristic)
@@ -178,7 +191,7 @@ def brauer_kernel(group, characteristic):
         basis=basis,
         hypo_classes=hypo,
     )
-    group._memo[("brauer_kernel", characteristic)] = result
+    group._memo[key] = result
     return result
 
 
@@ -197,7 +210,8 @@ def imprimitive_lattice(group, characteristic):
     Only the maximal subgroups and the quotients by minimal normal
     subgroups are visited; the module docstring says why that suffices.
     """
-    cached = group._memo.get(("imprimitive", characteristic))
+    key = ("imprimitive", _lattice_prime(group, characteristic))
+    cached = group._memo.get(key)
     if cached is not None:
         return cached
     table = enumerate_classes(group)
@@ -216,15 +230,11 @@ def imprimitive_lattice(group, characteristic):
         for x in brauer_kernel(quot.group, characteristic).elements(q_table):
             columns.append(list(inflate(q_table, table, x, quot).coeffs))
     columns.sort()
-    matrix = IntMatrix.from_columns(columns, rows=k)
-    reduced, _ = hnf(matrix)
-    kept = [
-        reduced.column(j)
-        for j in range(reduced.cols)
-        if any(reduced.column(j))
-    ]
-    result = IntMatrix.from_columns(kept, rows=k)
-    group._memo[("imprimitive", characteristic)] = result
+    stacked = _from_rows([[c[i] for c in columns] for i in range(k)], len(columns))
+    reduced, _ = hnf(stacked)
+    rank = sum(any(col) for col in zip(*reduced.data))  # zero columns trail
+    result = _from_rows([row[:rank] for row in reduced.data], rank)
+    group._memo[key] = result
     return result
 
 
@@ -361,7 +371,10 @@ def prim(group, characteristic):
     table = enumerate_classes(group)
     kernel = brauer_kernel(group, characteristic)
     imprim = imprimitive_lattice(group, characteristic)
-    free_rank, torsion = quotient_invariants(kernel.basis, imprim)
+    key = ("prim_invariants", _lattice_prime(group, characteristic))
+    if key not in group._memo:
+        group._memo[key] = quotient_invariants(kernel.basis, imprim)
+    free_rank, torsion = group._memo[key]
     generator = _extract_generator(table, kernel)
     prediction = predict_prim(group, characteristic)
     if prediction.covered:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permrel import relations
 from permrel.burnside import BurnsideElement, mark_vector, marks_table
 from permrel.constructions import affine_group, frobenius_group
 from permrel.errors import InputError
@@ -202,6 +203,62 @@ def test_imprimitive_lattice_matches_subquotient_sweep(name, chars):
 @settings(max_examples=40, deadline=None)
 def test_imprimitive_lattice_matches_sweep_on_random_groups(group, char):
     assert imprimitive_lattice(group, char) == imprimitive_lattice_by_sweep(group, char)
+
+
+def _cold_copy(group):
+    # a new group object: no memo, no constructions cache in common
+    return generate(group.degree, group.generators)
+
+
+def _prim_answer(report):
+    generator = report.generator.coeffs if report.generator is not None else None
+    return (report.free_rank, report.torsion, generator, report.prediction.source)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ("S4xC2", "D8xS3"))
+def test_shared_lattices_match_cold_groups(name):
+    # the characteristics coprime to |G| share one memo entry on the
+    # shared group; every answer must equal that of a cold copy
+    shared = _cold_copy(preset_group(name))
+    for char in CORPUS_CHARACTERISTICS:
+        cold = _cold_copy(shared)
+        kernel, cold_kernel = brauer_kernel(shared, char), brauer_kernel(cold, char)
+        assert kernel.characteristic == char
+        assert kernel.basis == cold_kernel.basis, (name, char)
+        assert kernel.hypo_classes == cold_kernel.hypo_classes, (name, char)
+        imprim = imprimitive_lattice(shared, char)
+        assert imprim == imprimitive_lattice(cold, char), (name, char)
+        report = prim(shared, char)
+        assert report.characteristic == report.kernel.characteristic == char
+        assert _prim_answer(report) == _prim_answer(prim(cold, char)), (name, char)
+
+
+def test_coprime_characteristics_reuse_the_lattices(monkeypatch):
+    group = _cold_copy(preset_group("C2xC2xC2xC2"))
+    prim(group, 0)
+    names = ("triangular_kernel", "hnf", "quotient_invariants")
+    calls = dict.fromkeys(names, 0)
+    for fname in names:
+        original = getattr(relations, fname)
+
+        def counting(*args, _fname=fname, _original=original):
+            calls[_fname] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(relations, fname, counting)
+    for char in (3, 5, 7):
+        assert prim(group, char).characteristic == char
+    assert calls == dict.fromkeys(names, 0)
+    prim(group, 2)  # 2 divides |G|: a lattice of its own
+    assert all(calls[fname] > 0 for fname in names), calls
+
+
+def test_lattice_memo_still_checks_the_characteristic():
+    group = _s3()
+    prim(group, 0)
+    for call in (brauer_kernel, imprimitive_lattice, prim):
+        with pytest.raises(InputError):
+            call(group, 4)
 
 
 def test_s3_prim_is_free_of_rank_one():
