@@ -110,9 +110,9 @@ def marks_table(group, table=None):
     K lies in a conjugate gHg^-1 exactly when K fixes the coset gH, and
     the |N_G(H):H| cosets gnH with n in N_G(H) give the same conjugate,
     so the mark of K on G/H is |N_G(H):H| times the number of
-    conjugates of H that contain K (Pfeiffer, 1997).  Those are counted
-    for every class at once from one subgroup-by-element membership
-    matrix over ``sub_to_class``; testing K's generators suffices.
+    conjugates of H that contain K (Pfeiffer, 1997).  ``count_marks``
+    counts those for every class at once from the table's membership
+    matrix; testing K's generators suffices.
     """
     if table is None:
         table = enumerate_classes(group)
@@ -122,26 +122,43 @@ def marks_table(group, table=None):
     if cached is not None:
         return cached
     classes = table.classes
-    k = len(classes)
-    members = np.zeros((len(table.sub_to_class), group.order), dtype=bool)
-    for row, key in enumerate(table.sub_to_class):
-        members[row, np.frombuffer(key, dtype=np.int32)] = True
-    class_of = np.fromiter(table.sub_to_class.values(), dtype=np.intp)
     orders = np.asarray([c.order for c in classes], dtype=np.int64)
     weights = np.asarray([c.normalizer.order for c in classes], dtype=np.int64) // orders
+    m = count_marks(
+        table.members,
+        table.class_of,
+        weights,
+        [c.representative.generator_indices for c in classes],
+        group.order // orders,
+    )
+    result = MarksTable(table, m.tolist())
+    group._memo["marks"] = result
+    return result
+
+
+def count_marks(members, class_of, weights, tests, index):
+    """A table of marks counted from subgroup membership.
+
+    Row r of ``members`` is the element mask of a subgroup in the class
+    ``class_of[r]``; ``weights[i]`` is |N(H_i):H_i|, ``tests[j]`` is a
+    set of elements generating K_j (all of K_j will do), and
+    ``index[i]`` is the index of H_i.  The mark of K_j on H_i is the
+    weight times the number of class-i rows containing K_j.  The table
+    must be lower triangular with diagonal ``weights`` and first column
+    ``index``; otherwise InternalCheckError is raised.
+    """
+    k = len(weights)
     m = np.zeros((k, k), dtype=np.int64)
-    for j, kcls in enumerate(classes):
-        above = members[:, kcls.representative.generator_indices].all(axis=1)
+    for j, cols in enumerate(tests):
+        above = members[:, cols].all(axis=1)
         m[:, j] = weights * np.bincount(class_of[above], minlength=k)
-    if (m[:, 0] != group.order // orders).any():
+    if (m[:, 0] != index).any():
         raise InternalCheckError("mark on the trivial class must be the index")
     if (np.diagonal(m) != weights).any():
         raise InternalCheckError("diagonal mark disagrees with the normalizer")
     if np.triu(m, 1).any():
         raise InternalCheckError("table of marks is not lower triangular")
-    result = MarksTable(table, m.tolist())
-    group._memo["marks"] = result
-    return result
+    return m
 
 
 def mark_vector(x):

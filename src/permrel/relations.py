@@ -9,9 +9,8 @@ characteristic-0 one while letting all code paths take a single prime
 argument.  Every prime not dividing the group order selects the cyclic
 subquotients, as 0 does, so the kernel, the imprimitive lattice and the
 quotient invariants are memoised per lattice prime: the characteristic
-when it divides the order, and 0 otherwise.  A subquotient takes its
-lattice prime from its own order.  The prediction and its check against
-the computed quotient still run at every characteristic.
+when it divides the order, and 0 otherwise.  The prediction and its
+check against the computed quotient still run at every characteristic.
 
 The imprimitive lattice is spanned by Ind_H^G Inf_{H/N}^H of the kernel
 of every proper subquotient H/N.  Induction and inflation are
@@ -22,19 +21,38 @@ Ind_H^M with Ind_H^M Inf_{H/N}^H landing in the kernel of M; for H = G a
 nontrivial N contains a minimal normal N0, and Inf_{G/N}^G factors
 through the kernel of G/N0.  So induction from the maximal subgroups
 and inflation from G/N0 for minimal normal N0 span the whole lattice.
+
+These subquotients are read off G's class table and marks; none is
+built as a group.  The subgroups of G/N0 are the U/N0 with N0 <= U,
+conjugate exactly when the U are conjugate in G, and N0 acts trivially
+on G/U, so the marks of G/N0 are G's marks on the classes whose members
+contain N0, and inflation sends each such class to itself.  The
+subgroup classes of a maximal M are the M-orbits on G's subgroups
+inside M.  The orbit of H has |M:N_M(H)| members, so the mark of K on
+M/H is |N_M(H):H| = |M| / (|orbit| |H|) times the number of members of
+the orbit that contain K, and induction sends an M-class to the G-class
+of its members.  Being hypo-elementary is a property of the subgroup,
+so an M-class is hypo-elementary exactly when its G-class is.
+
+One test serves every U/N, with o(u) the order of uN: U/N is
+p-hypo-elementary exactly when its Sylow p-subgroup is normal, that is
+holds all its p-elements, and some element has order |U/N|_p'.  In U
+that reads #{u : o(u) a power of p} = |N| |U/N|_p and some o(u) =
+|U/N|_p'.  A prime not dividing |U/N| selects the cyclic U/N, as the
+subquotient's own effective prime would, so G's serves them all.
 """
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels as kernels
 from .burnside import (
     BurnsideElement,
+    count_marks,
     element_from_subgroups,
-    induct,
-    inflate,
     mark_vector,
     marks_table,
 )
@@ -124,38 +142,58 @@ class KernelBasis:
         return [BurnsideElement(table, col) for col in self.basis.columns()]
 
 
-def hypo_class_indices(group, characteristic):
-    """Positions of the p-hypo-elementary classes, read off the marks.
+def _orders_modulo(group, normal):
+    """The order of gN in G/N for every element g of the group."""
+    mult = group.mult
+    everything = np.arange(group.order)
+    orders = np.zeros(group.order, dtype=np.int64)
+    power, k = everything, 1  # power[g] is g^k
+    while not orders.all():
+        orders[(orders == 0) & normal.mask[power]] = k
+        power, k = mult[power, everything], k + 1
+    return orders
 
-    U is p-hypo-elementary exactly when its Sylow p-subgroup is normal
-    (unique) and some element of U has order the prime-to-p part of |U|.
-    U_i contains m[i][j] |class j| / m[i][0] members of class j, so its
-    Sylow p-subgroups are counted over the classes of their order; a
-    p-group is its own Sylow subgroup.
-    """
-    table = enumerate_classes(group)
-    marks = marks_table(group, table).m
-    p = effective_prime(group, characteristic)
-    by_order = {}
-    for j, cls in enumerate(table.classes):
-        by_order.setdefault(cls.order, []).append(j)
+
+def _hypo_positions(subgroups, orders, normal_order, p):
+    """Positions of the subgroups U, given as index arrays that contain
+    N, with U/N p-hypo-elementary; ``orders[u]`` is the order of uN and
+    ``normal_order`` is |N|.  The module docstring states the test."""
+    p_elements = np.isin(
+        orders, [o for o in np.unique(orders).tolist() if p_part(o, p) == o]
+    )
     out = []
-    for i, cls in enumerate(table.classes):
-        sylow_order = p_part(cls.order, p)
-        if 1 < sylow_order < cls.order:
-            row = marks[i]
-            sylows, rem = divmod(
-                sum(row[j] * table.classes[j].class_size for j in by_order[sylow_order]),
-                row[0],
-            )
-            if rem or not sylows:
-                raise InternalCheckError("Sylow count from the marks is not a positive integer")
-            if sylows > 1:
-                continue
-        orders = group.element_orders[cls.representative.indices]
-        if (orders == cls.order // sylow_order).any():
+    for i, u in enumerate(subgroups):
+        size = u.size // normal_order
+        sylow = p_part(size, p)
+        if (
+            np.count_nonzero(p_elements[u]) == normal_order * sylow
+            and (orders[u] == size // sylow).any()
+        ):
             out.append(i)
     return tuple(out)
+
+
+def hypo_class_indices(group, characteristic):
+    """Positions of the p-hypo-elementary classes: the test of the
+    module docstring with N = 1, on the element orders."""
+    p = effective_prime(group, characteristic)
+    reps = [cls.representative.indices for cls in enumerate_classes(group).classes]
+    return _hypo_positions(reps, group.element_orders, 1, p)
+
+
+def _kernel_of(marks, hypo, modulus):
+    """``brauer_kernel``'s basis and rank check, for a group of order
+    ``modulus`` with the table of marks ``marks`` (a list of rows) and
+    the hypo-elementary positions ``hypo``."""
+    k = len(marks)
+    rows = [[marks[h][u] for h in range(k)] for u in hypo]
+    basis = triangular_kernel(_from_rows(rows, k), hypo, modulus)
+    if basis.cols != k - len(hypo):
+        raise InternalCheckError(
+            "kernel rank %d differs from the non-hypo class count %d"
+            % (basis.cols, k - len(hypo))
+        )
+    return basis
 
 
 def brauer_kernel(group, characteristic):
@@ -175,31 +213,127 @@ def brauer_kernel(group, characteristic):
     if cached is not None:
         return replace(cached, characteristic=characteristic)
     table = enumerate_classes(group)
-    marks = marks_table(group, table)
     hypo = hypo_class_indices(group, characteristic)
-    k = len(table.classes)
-    rows = [[marks.m[h][u] for h in range(k)] for u in hypo]
-    basis = triangular_kernel(_from_rows(rows, k), hypo, group.order)
-    if basis.cols != k - len(hypo):
-        raise InternalCheckError(
-            "kernel rank %d differs from the non-hypo class count %d"
-            % (basis.cols, k - len(hypo))
-        )
     result = KernelBasis(
         group=group,
         characteristic=characteristic,
-        basis=basis,
+        basis=_kernel_of(marks_table(group, table).m, hypo, group.order),
         hypo_classes=hypo,
     )
     group._memo[key] = result
     return result
 
 
+def _check_group(group, element):
+    if element.table.group is not group:
+        raise InputError("element belongs to the Burnside ring of another group")
+
+
 def verify_relation(group, characteristic, element):
     """True when the element's marks vanish on every hypo-elementary class."""
+    _check_group(group, element)
     hypo = hypo_class_indices(group, characteristic)
     marks = mark_vector(element)
     return all(marks[i] == 0 for i in hypo)
+
+
+class SubquotientView(NamedTuple):
+    """A subquotient H/N of G read off G's class table.  Class t of H/N
+    holds U/N for the subgroup U of G given by the index array
+    representatives[t], has class_sizes[t] members and lies in the
+    G-class class_map[t]; ``marks`` is the table of marks of H/N,
+    ``hypo`` its hypo-elementary positions and ``order`` is |H/N|."""
+
+    order: int
+    representatives: list
+    class_sizes: np.ndarray
+    class_map: np.ndarray
+    marks: list
+    hypo: tuple
+
+
+def _row_keys(rows):
+    """One sortable bytes key per row of a boolean matrix."""
+    packed = np.ascontiguousarray(np.packbits(rows, axis=1))
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def maximal_view(table, hypo, sub):
+    """The subgroup M of G as a view of G's class table ``table``, with
+    ``hypo`` the mask of G's hypo-elementary classes.
+
+    The M-classes are the M-orbits on the rows of ``table.members``
+    inside M.  Conjugation by each generator of M permutes those rows,
+    found by looking up the conjugated rows' keys; labels merge along
+    these permutations until they are stable.  The classes are sorted
+    by order, so the hypo-elementary block of the marks stays upper
+    triangular.
+    """
+    group = table.group
+    mult = group.mult
+    rows = np.flatnonzero(~table.members[:, ~sub.mask].any(axis=1))
+    inside = table.members[rows]
+    keys = _row_keys(inside)
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    images = []
+    for g in sub.generator_indices:
+        conj = mult[mult[group.inv[g]], g]  # conj[y] = g^-1 y g
+        image_keys = _row_keys(inside[:, conj])  # the rows of gUg^-1
+        pos = np.minimum(np.searchsorted(sorted_keys, image_keys), len(keys) - 1)
+        if (sorted_keys[pos] != image_keys).any():
+            raise InternalCheckError("a conjugate left the subgroups of M")
+        images.append(by_key[pos])
+    label = np.arange(len(rows))  # ends as the least row of each orbit
+    while True:
+        merged = label.copy()
+        for image in images:
+            merged = np.minimum(merged, merged[image])
+            merged[image] = np.minimum(merged[image], merged)
+        merged = merged[merged]
+        if (merged == label).all():
+            break
+        label = merged
+    roots, orbit_of = np.unique(label, return_inverse=True)
+    sizes = np.bincount(orbit_of)
+    orders = np.count_nonzero(inside[roots], axis=1)
+    ranked = np.argsort(orders, kind="stable")
+    position = np.empty_like(ranked)
+    position[ranked] = np.arange(ranked.size)
+    sizes, orders, roots = sizes[ranked], orders[ranked], roots[ranked]
+    weights, rem = np.divmod(sub.order, sizes * orders)
+    if rem.any():
+        raise InternalCheckError("an M-orbit does not divide |M| by its order")
+    reps = [np.flatnonzero(inside[r]).astype(np.int32) for r in roots]
+    marks = count_marks(inside, position[orbit_of], weights, reps, sub.order // orders)
+    class_map = table.class_of[rows[roots]]
+    return SubquotientView(
+        order=sub.order,
+        representatives=reps,
+        class_sizes=sizes,
+        class_map=class_map,
+        marks=marks.tolist(),
+        hypo=tuple(np.flatnonzero(hypo[class_map]).tolist()),
+    )
+
+
+def quotient_view(table, marks, normal, p):
+    """G/N for the normal subgroup N as a view of G's class table
+    ``table`` and marks ``marks``, with the hypo-elementary positions at
+    the prime p."""
+    group = table.group
+    kept = [
+        j for j, c in enumerate(table.classes) if c.representative.contains_subgroup(normal)
+    ]
+    reps = [table.classes[j].representative.indices for j in kept]
+    return SubquotientView(
+        order=group.order // normal.order,
+        representatives=reps,
+        class_sizes=np.asarray([table.classes[j].class_size for j in kept]),
+        class_map=np.asarray(kept),
+        marks=[[marks[a][b] for b in kept] for a in kept],
+        hypo=_hypo_positions(reps, _orders_modulo(group, normal), normal.order, p),
+    )
 
 
 def imprimitive_lattice(group, characteristic):
@@ -208,27 +342,34 @@ def imprimitive_lattice(group, characteristic):
     basis of the group.
 
     Only the maximal subgroups and the quotients by minimal normal
-    subgroups are visited; the module docstring says why that suffices.
+    subgroups are visited, each as a view of the group's own class
+    table and marks; the module docstring says why that suffices.
     """
     key = ("imprimitive", _lattice_prime(group, characteristic))
     cached = group._memo.get(key)
     if cached is not None:
         return cached
+    p = effective_prime(group, characteristic)
     table = enumerate_classes(group)
+    marks = marks_table(group, table).m
     k = len(table.classes)
+    hypo = np.zeros(k, dtype=bool)
+    hypo[list(hypo_class_indices(group, characteristic))] = True
+    views = [maximal_view(table, hypo, table.classes[i].representative)
+             for i in table.maximal_classes()]
+    views += [
+        quotient_view(table, marks, normal, p)
+        for normal in normal_subgroups(group)
+        if not normal.is_trivial() and is_minimal_normal(group, normal)
+    ]
     columns = []
-    for i in table.maximal_classes():
-        sub_group = subgroup_as_group(table.classes[i].representative)
-        sub_table = enumerate_classes(sub_group)
-        for x in brauer_kernel(sub_group, characteristic).elements(sub_table):
-            columns.append(list(induct(sub_table, table, x).coeffs))
-    for normal in normal_subgroups(group):
-        if normal.is_trivial() or not is_minimal_normal(group, normal):
-            continue
-        quot = quotient(group, normal)
-        q_table = enumerate_classes(quot.group)
-        for x in brauer_kernel(quot.group, characteristic).elements(q_table):
-            columns.append(list(inflate(q_table, table, x, quot).coeffs))
+    for view in views:
+        for col in _kernel_of(view.marks, view.hypo, view.order).columns():
+            out = [0] * k
+            for t, c in enumerate(col):
+                if c:
+                    out[view.class_map[t]] += c
+            columns.append(out)
     columns.sort()
     stacked = _from_rows([[c[i] for c in columns] for i in range(k)], len(columns))
     reduced, _ = hnf(stacked)
@@ -637,6 +778,7 @@ def theta_highdim(l, matrices, characteristic):
 def generates_quotient(group, characteristic, element):
     """True when the element together with the imprimitive lattice spans
     the whole kernel, i.e. its residue generates the primitive quotient."""
+    _check_group(group, element)
     kernel = brauer_kernel(group, characteristic)
     imprim = imprimitive_lattice(group, characteristic)
     column = IntMatrix.from_columns([list(element.coeffs)])

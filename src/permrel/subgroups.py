@@ -139,7 +139,8 @@ class SubgroupClassTable:
     ``classes`` is sorted by (order, representative index tuple); the
     representative of each class is its lexicographically least member.
     ``sub_to_class`` maps the key of every individual subgroup to its
-    class position.
+    class position; ``members`` and ``class_of`` index the subgroups by
+    their position in it.
     """
 
     def __init__(self, group, classes, sub_to_class):
@@ -148,6 +149,7 @@ class SubgroupClassTable:
         self.sub_to_class = sub_to_class
         self._orbits = {}
         self._all = None
+        self._members = None
         self._class_maps = {}  # supergroup table -> its class of each of ours
 
     def __len__(self):
@@ -163,6 +165,22 @@ class SubgroupClassTable:
             return self.sub_to_class[subgroup.key]
         except KeyError:
             raise InternalCheckError("subgroup missing from the class table")
+
+    @property
+    def members(self):
+        """Subgroup-by-element membership matrix, built once: row r is the
+        element mask of the r-th subgroup of ``sub_to_class``."""
+        if self._members is None:
+            members = np.zeros((len(self.sub_to_class), self.group.order), dtype=bool)
+            for row, key in enumerate(self.sub_to_class):
+                members[row, np.frombuffer(key, dtype=np.int32)] = True
+            self._members = members
+        return self._members
+
+    @property
+    def class_of(self):
+        """Class position of each row of ``members``."""
+        return np.fromiter(self.sub_to_class.values(), dtype=np.intp)
 
     def class_orbit(self, class_index):
         """Every subgroup in the class, starting with the representative."""

@@ -155,8 +155,13 @@ def _from_rows(data, cols):
 
 
 def _from_sparse(cols, n):
-    """The IntMatrix with n rows and the sparse columns ``cols``."""
-    return _from_rows([[c.get(i, 0) for c in cols] for i in range(n)], len(cols))
+    """The IntMatrix with n rows and the sparse columns ``cols``: zero
+    rows, with each column's nonzeros written in."""
+    data = [[0] * len(cols) for _ in range(n)]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            data[i][j] = v
+    return _from_rows(data, len(cols))
 
 
 def _sparse_columns(m):

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from permrel import _kernels
-from permrel.burnside import fixed_points
+from permrel.burnside import fixed_points, induct, inflate
 from permrel.constructions import decode_vector, encode_vector
 from permrel.errors import InternalCheckError
 from permrel.numtheory import p_part, prime_to_p_part
@@ -18,6 +18,7 @@ from permrel.subgroups import (
     SubgroupClass,
     SubgroupClassTable,
     enumerate_classes,
+    is_minimal_normal,
     normal_subgroups,
     quotient,
     subgroup_as_group,
@@ -217,6 +218,33 @@ def imprimitive_lattice_by_sweep(group, characteristic):
                     if coeff:
                         out[class_map[idx]] += coeff
                 columns.append(out)
+    columns.sort()
+    reduced, _ = hnf(IntMatrix.from_columns(columns, rows=k))
+    kept = [reduced.column(j) for j in range(reduced.cols) if any(reduced.column(j))]
+    return IntMatrix.from_columns(kept, rows=k)
+
+
+def imprimitive_lattice_by_subquotient_groups(group, characteristic):
+    """The imprimitive lattice from the maximal subgroups and the
+    quotients by minimal normal subgroups, each built as a group of its
+    own with its own class table, marks and kernel, and moved to G by
+    ``induct`` or ``inflate``; the stacked columns are Hermite-reduced
+    with zero columns dropped."""
+    table = enumerate_classes(group)
+    k = len(table.classes)
+    columns = []
+    for i in table.maximal_classes():
+        sub_group = subgroup_as_group(table.classes[i].representative)
+        sub_table = enumerate_classes(sub_group)
+        for x in brauer_kernel(sub_group, characteristic).elements(sub_table):
+            columns.append(list(induct(sub_table, table, x).coeffs))
+    for normal in normal_subgroups(group):
+        if normal.is_trivial() or not is_minimal_normal(group, normal):
+            continue
+        quot = quotient(group, normal)
+        q_table = enumerate_classes(quot.group)
+        for x in brauer_kernel(quot.group, characteristic).elements(q_table):
+            columns.append(list(inflate(q_table, table, x, quot).coeffs))
     columns.sort()
     reduced, _ = hnf(IntMatrix.from_columns(columns, rows=k))
     kept = [reduced.column(j) for j in range(reduced.cols) if any(reduced.column(j))]

@@ -1,6 +1,7 @@
 """Kernel lattices, primitive quotients, predictions, and the generator
 constructions, checked against independently computed values."""
 
+import sys
 import time
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permrel import relations
-from permrel.burnside import BurnsideElement, mark_vector, marks_table
+from permrel.burnside import BurnsideElement, induct, mark_vector, marks_table
 from permrel.constructions import affine_group, frobenius_group
 from permrel.errors import InputError
 from permrel.perm import generate, parse_cycles
@@ -20,21 +21,32 @@ from permrel.relations import (
     generates_quotient,
     hypo_class_indices,
     imprimitive_lattice,
+    maximal_view,
     predict_prim,
     prim,
+    quotient_view,
     theta_highdim,
     theta_mn,
     theta_qk,
     verify_relation,
 )
-from permrel.subgroups import Subgroup, enumerate_classes, subgroup_as_group
+from permrel.subgroups import (
+    Subgroup,
+    enumerate_classes,
+    is_minimal_normal,
+    normal_subgroups,
+    quotient,
+    subgroup_as_group,
+)
 from permrel.zlattice import IntMatrix, lattice_contains
 
 from oracles import (
+    imprimitive_lattice_by_subquotient_groups,
     imprimitive_lattice_by_sweep,
     kernel_basis_by_two_hnfs,
     matrix_of_stabilizer_element,
     permutation_groups,
+    relabelled,
     subgroup_is_p_hypo_elementary,
 )
 
@@ -205,6 +217,138 @@ def test_imprimitive_lattice_matches_sweep_on_random_groups(group, char):
     assert imprimitive_lattice(group, char) == imprimitive_lattice_by_sweep(group, char)
 
 
+VIEW_CASES = CORPUS_NAMES + tuple(
+    name + "/relabelled" for name in ("C2xC2xC2xC2", "S4xC2", "D8xS3")
+)
+
+
+def _view_case(name):
+    if name.endswith("/relabelled"):
+        return relabelled(preset_group(name.split("/")[0]), 7)
+    return preset_group(name)
+
+
+@pytest.mark.parametrize("name", VIEW_CASES)
+def test_imprimitive_lattice_matches_subquotient_groups(name):
+    group = _view_case(name)
+    for char in CORPUS_CHARACTERISTICS:
+        expected = imprimitive_lattice_by_subquotient_groups(group, char)
+        assert imprimitive_lattice(group, char) == expected, (name, char)
+
+
+@given(permutation_groups(), st.sampled_from((0, 2, 3, 5)))
+@settings(max_examples=40, deadline=None)
+def test_imprimitive_lattice_matches_subquotient_groups_on_random_groups(group, char):
+    expected = imprimitive_lattice_by_subquotient_groups(group, char)
+    assert imprimitive_lattice(group, char) == expected
+
+
+def _hypo_mask(group, char):
+    mask = np.zeros(len(enumerate_classes(group)), dtype=bool)
+    mask[list(hypo_class_indices(group, char))] = True
+    return mask
+
+
+@pytest.mark.parametrize("name", VIEW_CASES)
+def test_maximal_views_match_subgroup_groups(name):
+    # each view class goes to the class of subgroup_as_group(M) holding
+    # its representative; sizes, marks, induction and hypo classes agree
+    group = _view_case(name)
+    table = enumerate_classes(group)
+    for i in table.maximal_classes():
+        sub = table.classes[i].representative
+        m_group = subgroup_as_group(sub)
+        m_table = enumerate_classes(m_group)
+        m_marks = marks_table(m_group, m_table).m
+        views = {char: maximal_view(table, _hypo_mask(group, char), sub)
+                 for char in CORPUS_CHARACTERISTICS}
+        view = views[0]
+        place = [
+            m_table.class_index_of(Subgroup(m_group, np.searchsorted(sub.indices, rep)))
+            for rep in view.representatives
+        ]
+        assert sorted(place) == list(range(len(m_table))), name
+        assert [int(s) for s in view.class_sizes] == [
+            m_table.classes[t].class_size for t in place
+        ]
+        assert view.marks == [[m_marks[a][b] for b in place] for a in place], name
+        induced = [
+            induct(m_table, table, BurnsideElement.basis(m_table, t)).coeffs.index(1)
+            for t in place
+        ]
+        assert view.class_map.tolist() == induced, name
+        assert view.order == m_group.order
+        for char, v in views.items():
+            expected = sorted(place.index(t) for t in hypo_class_indices(m_group, char))
+            assert list(v.hypo) == expected, (name, char)
+
+
+@pytest.mark.parametrize("name", VIEW_CASES)
+def test_quotient_views_match_quotient_groups(name):
+    group = _view_case(name)
+    table = enumerate_classes(group)
+    marks = marks_table(group, table).m
+    for normal in normal_subgroups(group):
+        if normal.is_trivial() or not is_minimal_normal(group, normal):
+            continue
+        quot = quotient(group, normal)
+        q_table = enumerate_classes(quot.group)
+        q_marks = marks_table(quot.group, q_table).m
+        for char in CORPUS_CHARACTERISTICS:
+            view = quotient_view(table, marks, normal, effective_prime(group, char))
+            in_g = view.class_map.tolist()
+            place = [
+                in_g.index(table.class_index_of(quot.preimage(c.representative)))
+                for c in q_table.classes
+            ]
+            assert sorted(place) == list(range(len(q_table))), name
+            assert view.marks == [[q_marks[a][b] for b in place] for a in place]
+            assert view.order == quot.group.order
+            expected = sorted(place[t] for t in hypo_class_indices(quot.group, char))
+            assert list(view.hypo) == expected, (name, char)
+
+
+def _count_calls(monkeypatch, fname, record):
+    # wrap the function in every permrel module that holds it
+    original = getattr(sys.modules["permrel.subgroups"], fname)
+
+    def counting(*args, **kwargs):
+        record(args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if mod is not None and modname.split(".")[0] == "permrel":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+
+
+def test_imprimitive_lattice_builds_no_group_but_g(monkeypatch):
+    built = []
+    enumerated = []
+    _count_calls(monkeypatch, "subgroup_as_group", built.append)
+    _count_calls(monkeypatch, "quotient", built.append)
+    _count_calls(monkeypatch, "enumerate_classes", lambda args: enumerated.append(args[0]))
+    for name in ("C2xC2xC2xC2", "D8xS3", "S4xC2"):
+        group = _cold_copy(preset_group(name))
+        for char in (0, 2, 3):
+            imprimitive_lattice(group, char)
+        assert built == [], name
+        assert enumerated and all(g is group for g in enumerated), name
+        enumerated.clear()
+
+
+def test_c2_5_prim_at_char_0():
+    # the prediction ladder does not cover C2^5, so the invariants are
+    # asserted here: relations of an abelian group come from its C2 x C2
+    # subquotients, which are proper
+    group = preset_group("C2xC2xC2xC2xC2")
+    start = time.perf_counter()
+    report = prim(group, 0)
+    assert time.perf_counter() - start < 30.0
+    assert (report.free_rank, report.torsion) == (0, ())
+
+
 def _cold_copy(group):
     # a new group object: no memo, no constructions cache in common
     return generate(group.degree, group.generators)
@@ -261,6 +405,30 @@ def test_lattice_memo_still_checks_the_characteristic():
             call(group, 4)
 
 
+def _c6():
+    return generate(6, [parse_cycles(6, "(0 1 2 3 4 5)")])
+
+
+def _s3_relation_on_c6():
+    # S3 and C6 both have four subgroup classes
+    s3, c6 = _s3(), _c6()
+    element = brauer_kernel(s3, 0).elements(enumerate_classes(s3))[0]
+    assert len(enumerate_classes(c6)) == len(element.coeffs)
+    return c6, element
+
+
+def test_verify_relation_rejects_another_groups_element():
+    c6, element = _s3_relation_on_c6()
+    with pytest.raises(InputError):
+        verify_relation(c6, 0, element)
+
+
+def test_generates_quotient_rejects_another_groups_element():
+    c6, element = _s3_relation_on_c6()
+    with pytest.raises(InputError):
+        generates_quotient(c6, 0, element)
+
+
 def test_s3_prim_is_free_of_rank_one():
     report = prim(_s3(), 0)
     assert (report.free_rank, report.torsion) == (1, ())
@@ -271,12 +439,13 @@ def test_s3_prim_is_free_of_rank_one():
 
 
 def test_a4_prim_char5():
-    report = prim(_a4(), 5)
+    a4 = _a4()
+    report = prim(a4, 5)
     assert (report.free_rank, report.torsion) == (1, ())
     assert report.prediction.source == "Thm2.9a"
     assert report.generator is not None
     assert report.generator.coeffs == (0, 1, -1, -1, 1)
-    assert generates_quotient(_a4(), 5, report.generator)
+    assert generates_quotient(a4, 5, report.generator)
 
 
 def test_s4_prim_values():
