@@ -92,14 +92,19 @@ def is_soluble(group):
     return cached
 
 
+def _sylow_class(table, p):
+    """Position of the one class of Sylow p-subgroups in ``table``."""
+    target = p_part(table.group.order, p)
+    hits = [i for i, c in enumerate(table.classes) if c.order == target]
+    if len(hits) != 1:
+        raise InternalCheckError("Sylow subgroups fell into %d classes" % len(hits))
+    return hits[0]
+
+
 def sylow_subgroup(group, p):
     """The representative Sylow p-subgroup (the whole class is conjugate)."""
     table = enumerate_classes(group)
-    target = p_part(group.order, p)
-    hits = [c for c in table.classes if c.order == target]
-    if len(hits) != 1:
-        raise InternalCheckError("Sylow subgroups fell into %d classes" % len(hits))
-    return hits[0].representative
+    return table.classes[_sylow_class(table, p)].representative
 
 
 def p_core(group, p):
@@ -111,14 +116,8 @@ def p_core(group, p):
         result = Subgroup.trivial(group)
     else:
         table = enumerate_classes(group)
-        target = p_part(group.order, p)
-        class_idx = [i for i, c in enumerate(table.classes) if c.order == target]
-        if len(class_idx) != 1:
-            raise InternalCheckError("Sylow subgroups fell into several classes")
-        mask = None
-        for sylow in table.class_orbit(class_idx[0]):
-            mask = sylow.mask.copy() if mask is None else (mask & sylow.mask)
-        result = Subgroup(group, np.flatnonzero(mask).astype(np.int32))
+        rows = table.members[table.class_of == _sylow_class(table, p)]
+        result = Subgroup(group, np.flatnonzero(rows.all(axis=0)).astype(np.int32))
     group._memo[("p_core", p)] = result
     return result
 
@@ -147,11 +146,8 @@ def frattini_subgroup(group):
     if cached is not None:
         return cached
     table = enumerate_classes(group)
-    mask = np.ones(group.order, dtype=bool)
-    for i in table.maximal_classes():
-        for m in table.class_orbit(i):
-            mask &= m.mask
-    result = Subgroup(group, np.flatnonzero(mask).astype(np.int32))
+    rows = table.members[np.isin(table.class_of, table.maximal_classes())]
+    result = Subgroup(group, np.flatnonzero(rows.all(axis=0)).astype(np.int32))
     group._memo["frattini"] = result
     return result
 
@@ -167,14 +163,11 @@ def hall_p_complement(group, p):
         raise InputError("Hall complements are only computed for soluble groups")
     target = prime_to_p_part(group.order, p)
     table = enumerate_classes(group)
-    best = None
-    for sub in table.all_subgroups():
-        if sub.order == target:
-            if best is None or sub.indices.tolist() < best.indices.tolist():
-                best = sub
-    if best is None:
+    candidates = [np.frombuffer(key, dtype=np.int32) for key in table.sub_to_class]
+    candidates = [idx.tolist() for idx in candidates if idx.size == target]
+    if not candidates:
         raise InternalCheckError("soluble group is missing a Hall complement")
-    return best
+    return Subgroup(group, min(candidates))
 
 
 def is_p_hypo_elementary(group, p):
@@ -357,9 +350,9 @@ def _check_fusion(group, ng, hall_in_g, hall_group, hall_table):
     """Two subgroups of the Hall complement that are conjugate under the
     full normalizer must already be conjugate inside the complement."""
     by_key = {}
-    for idx, cls in enumerate(hall_table.classes):
-        for member in hall_table.class_orbit(idx):
-            by_key[_lift_subgroup(group, hall_group, member).key] = idx
+    for key, idx in hall_table.sub_to_class.items():
+        member = Subgroup(hall_group, np.frombuffer(key, dtype=np.int32))
+        by_key[_lift_subgroup(group, hall_group, member).key] = idx
     for key, cls_idx in list(by_key.items()):
         indices = np.frombuffer(key, dtype=np.int32)
         for g in ng.indices:

@@ -312,10 +312,15 @@ def _cmd_theta(args, stream):
         params = {"l": args.l, "q": args.q, "k": args.k}
         spec = None
     elif args.family == "highdim":
-        spec, _ = _load_group(args)
+        spec, spec_group = _load_group(args)
         if spec.get("type") != "semidirect":
             raise InputError("theta --family highdim needs a semidirect group spec")
         element = theta_highdim(spec["l"], spec["matrices"], char)
+        # theta_highdim reads d off the matrices, so with none it is 2
+        built = element.table.group
+        if built is not spec_group:
+            raise InputError("the spec has order %d, its matrices give order %d"
+                             % (spec_group.order, built.order))
         params = {"l": spec["l"], "d": spec["d"]}
     else:
         raise InputError("unknown theta family: %r" % args.family)

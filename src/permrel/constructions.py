@@ -3,8 +3,6 @@ cyclic, dihedral, symmetric, alternating, quaternion, affine
 semidirect products over a prime field, and direct products.
 """
 
-import itertools
-
 import numpy as np
 
 from .errors import InputError
@@ -253,14 +251,3 @@ def direct_product(groups, element_cap=DEFAULT_ELEMENT_CAP):
         raise InputError("direct product closure produced a wrong order")
     return product
 
-
-def all_nonzero_functionals(l, d):
-    """Nonzero functionals on (F_l)^d up to scalar: first nonzero
-    coordinate normalized to 1."""
-    out = []
-    for vec in itertools.product(range(l), repeat=d):
-        nz = next((i for i, v in enumerate(vec) if v), None)
-        if nz is None or vec[nz] != 1:
-            continue
-        out.append(tuple(vec))
-    return out

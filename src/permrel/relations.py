@@ -48,7 +48,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels as kernels
 from .burnside import (
     BurnsideElement,
     count_marks,
@@ -65,8 +64,6 @@ from .classify import (
 )
 from .constructions import (
     affine_group,
-    all_nonzero_functionals,
-    decode_vector,
     frobenius_group,
 )
 from .errors import InputError, InternalCheckError
@@ -648,73 +645,6 @@ def _scaling_perm(group, l, order, multiplier):
     return Permutation([x * a % l for x in range(l)])
 
 
-def _gf_mat_inverse(matrix, l):
-    d = len(matrix)
-    aug = [
-        [matrix[i][j] % l for j in range(d)] + [1 if i == j else 0 for j in range(d)]
-        for i in range(d)
-    ]
-    rank = 0
-    for col in range(d):
-        piv = None
-        for row in range(rank, d):
-            if aug[row][col] % l:
-                piv = row
-                break
-        if piv is None:
-            raise InputError("matrix is singular modulo %d" % l)
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = pow(aug[rank][col], l - 2, l)
-        aug[rank] = [(v * inv) % l for v in aug[rank]]
-        for row in range(d):
-            if row != rank and aug[row][col]:
-                factor = aug[row][col]
-                aug[row] = [
-                    (x - factor * y) % l for x, y in zip(aug[row], aug[rank])
-                ]
-        rank += 1
-    return [row[d:] for row in aug]
-
-
-def _normalize_functional(vec, l):
-    nz = next((i for i, v in enumerate(vec) if v % l), None)
-    if nz is None:
-        raise InternalCheckError("zero functional in orbit walk")
-    inv = pow(vec[nz], l - 2, l)
-    return tuple(v * inv % l for v in vec)
-
-
-def _functional_orbits(l, d, matrices):
-    """Orbits of the projective functionals under the dual action of the
-    matrix group generated by ``matrices``."""
-    inverses = [_gf_mat_inverse(m, l) for m in matrices]
-    all_reps = all_nonzero_functionals(l, d)
-    seen = set()
-    orbits = []
-    for start in all_reps:
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            fresh = []
-            for phi in frontier:
-                for minv in inverses:
-                    image = tuple(
-                        sum(phi[i] * minv[i][j] for i in range(d)) % l
-                        for j in range(d)
-                    )
-                    image = _normalize_functional(image, l)
-                    if image not in seen:
-                        seen.add(image)
-                        orbit.append(image)
-                        fresh.append(image)
-            frontier = fresh
-        orbits.append(min(orbit))
-    return orbits
-
-
 def theta_highdim(l, matrices, characteristic):
     """Generator relation for (C_l)^d x| D with d >= 2.
 
@@ -723,6 +653,12 @@ def theta_highdim(l, matrices, characteristic):
     prime-power factors on two invariant lines.  The returned element is
     G - D + sum over hyperplane classes U of (U N_D(U) - W N_D(U)),
     verified to lie in the kernel.
+
+    The hyperplanes are the subgroups of index l in the module W, and
+    their classes are read off G's class table.  G = W D and W is
+    abelian, so W fixes every subgroup of W under conjugation and the
+    G-classes of index-l subgroups of W are exactly the D-orbits of
+    hyperplanes.  N_D(U) is the part of U's normalizer that lies in D.
     """
     matrices = [list(map(list, m)) for m in matrices]
     d = len(matrices[0]) if matrices else 2
@@ -744,19 +680,13 @@ def theta_highdim(l, matrices, characteristic):
     table = enumerate_classes(group)
     mult = group.mult
     pairs = [(Subgroup.full(group), 1), (stabilizer, -1)]
-    for phi in _functional_orbits(l, d, matrices):
-        members = [0]
-        for idx in module.indices:
-            if idx == 0:
-                continue
-            vec = decode_vector(group.elements[idx].images[0], l, d)
-            if sum(a * b for a, b in zip(phi, vec)) % l == 0:
-                members.append(int(idx))
-        hyperplane = Subgroup(group, np.asarray(sorted(members), dtype=np.int32))
-        if hyperplane.order * l != module.order:
-            raise InternalCheckError("hyperplane has wrong index in the module")
-        norm = kernels.normalizer_members(mult, group.inv, hyperplane.indices)
-        norm_in_stab = np.intersect1d(norm, stabilizer.indices).astype(np.int32)
+    for cls in table.classes:
+        hyperplane = cls.representative
+        if cls.order * l != module.order or not module.contains_subgroup(hyperplane):
+            continue
+        norm_in_stab = np.intersect1d(
+            cls.normalizer.indices, stabilizer.indices
+        ).astype(np.int32)
         un = np.unique(
             mult[np.ix_(hyperplane.indices, norm_in_stab)].ravel()
         ).astype(np.int32)

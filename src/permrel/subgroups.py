@@ -147,9 +147,8 @@ class SubgroupClassTable:
         self.group = group
         self.classes = classes
         self.sub_to_class = sub_to_class
-        self._orbits = {}
-        self._all = None
         self._members = None
+        self._class_of = None
         self._class_maps = {}  # supergroup table -> its class of each of ours
 
     def __len__(self):
@@ -179,60 +178,24 @@ class SubgroupClassTable:
 
     @property
     def class_of(self):
-        """Class position of each row of ``members``."""
-        return np.fromiter(self.sub_to_class.values(), dtype=np.intp)
-
-    def class_orbit(self, class_index):
-        """Every subgroup in the class, starting with the representative."""
-        if class_index not in self._orbits:
-            cls = self.classes[class_index]
-            rep = cls.representative
-            seen = set()
-            orbit = []
-            for t in cls.normalizer.transversal:
-                conj = self.group.conjugate_indices(t, rep.indices)
-                key = conj.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    orbit.append(Subgroup(self.group, conj))
-            orbit.sort(key=lambda s: s.indices.tolist())
-            if orbit[0].key != rep.key:
-                raise InternalCheckError("class representative is not orbit-least")
-            self._orbits[class_index] = orbit
-        return self._orbits[class_index]
+        """Class position of each row of ``members``, built once."""
+        if self._class_of is None:
+            self._class_of = np.fromiter(self.sub_to_class.values(), dtype=np.intp)
+        return self._class_of
 
     def maximal_classes(self):
         """Positions of the classes of maximal subgroups.
 
         Walking down by order, a proper subgroup is maximal exactly when
-        no conjugate of a larger maximal subgroup, all of which are
-        already found, contains it.
+        no member of a larger maximal class, all of which are already
+        found, contains it.  The last class is the group itself.
         """
-        n = self.group.order
-        found = []
-        for i in range(len(self.classes) - 1, -1, -1):
-            cls = self.classes[i]
-            if cls.order == n:
-                continue
-            rep = cls.representative
-            if not any(
-                self.classes[j].order > cls.order
-                and any(m.contains_subgroup(rep) for m in self.class_orbit(j))
-                for j in found
-            ):
-                found.append(i)
-        return tuple(sorted(found))
-
-    def all_subgroups(self):
-        """Every subgroup of the group, decoded once from the key map."""
-        if self._all is None:
-            out = [
-                Subgroup(self.group, np.frombuffer(key, dtype=np.int32))
-                for key in self.sub_to_class
-            ]
-            out.sort(key=lambda s: (s.order, s.indices.tolist()))
-            self._all = tuple(out)
-        return self._all
+        maximal = np.zeros(len(self.classes), dtype=bool)
+        for i in range(len(self.classes) - 2, -1, -1):
+            rows = self.members[maximal[self.class_of]]
+            if not rows[:, self.classes[i].representative.indices].all(axis=1).any():
+                maximal[i] = True
+        return tuple(np.flatnonzero(maximal).tolist())
 
 
 def enumerate_classes(group):

@@ -1,5 +1,6 @@
 """Reference helpers shared by several test modules."""
 
+import itertools
 import random
 from collections import deque
 
@@ -7,12 +8,22 @@ import numpy as np
 from hypothesis import strategies as st
 
 from permrel import _kernels
-from permrel.burnside import fixed_points, induct, inflate
-from permrel.constructions import decode_vector, encode_vector
-from permrel.errors import InternalCheckError
+from permrel.burnside import element_from_subgroups, fixed_points, induct, inflate
+from permrel.classify import (
+    dress_primes,
+    is_p_hypo_elementary,
+    two_factor_decomposition,
+)
+from permrel.constructions import affine_group, decode_vector, encode_vector
+from permrel.errors import InputError, InternalCheckError
 from permrel.numtheory import p_part, prime_to_p_part
 from permrel.perm import Permutation, generate
-from permrel.relations import brauer_kernel
+from permrel.relations import (
+    _validate_theta_characteristic,
+    brauer_kernel,
+    effective_prime,
+    verify_relation,
+)
 from permrel.subgroups import (
     Subgroup,
     SubgroupClass,
@@ -62,6 +73,32 @@ def marks_table_by_fixed_points(group, table):
     ]
 
 
+def subgroups_of(table):
+    """Every subgroup in ``table``, decoded from its key map and sorted
+    by order, then index set."""
+    subs = [
+        Subgroup(table.group, np.frombuffer(key, dtype=np.int32))
+        for key in table.sub_to_class
+    ]
+    return sorted(subs, key=lambda s: (s.order, s.indices.tolist()))
+
+
+def class_orbit_by_conjugation(table, class_index):
+    """Every subgroup in a class, sorted: the representative conjugated
+    by each element of its normalizer's transversal.  Raises
+    InternalCheckError when the representative is not the least member."""
+    cls = table.classes[class_index]
+    rep = cls.representative
+    orbit = {}
+    for t in cls.normalizer.transversal:
+        conj = table.group.conjugate_indices(t, rep.indices)
+        orbit.setdefault(conj.tobytes(), Subgroup(table.group, conj))
+    out = sorted(orbit.values(), key=lambda s: s.indices.tolist())
+    if out[0].key != rep.key:
+        raise InternalCheckError("class representative is not orbit-least")
+    return out
+
+
 def subgroup_is_p_hypo_elementary(subgroup, p):
     """Hypo-elementarity for a subgroup, without building its quotient.
 
@@ -77,7 +114,7 @@ def subgroup_is_p_hypo_elementary(subgroup, p):
     sylow_order = p_part(order, p)
     if sylow_order > 1:
         count = 0
-        for sub in table.all_subgroups():
+        for sub in subgroups_of(table):
             if sub.order == sylow_order and subgroup.contains_subgroup(sub):
                 count += 1
                 if count > 1:
@@ -341,3 +378,128 @@ def snf_by_dense_echelon(m):
         IntMatrix([row[:ncols] for row in rows], cols=ncols),
         IntMatrix.from_columns(v, rows=ncols),
     )
+
+
+def _gf_mat_inverse(matrix, l):
+    d = len(matrix)
+    aug = [
+        [matrix[i][j] % l for j in range(d)] + [1 if i == j else 0 for j in range(d)]
+        for i in range(d)
+    ]
+    rank = 0
+    for col in range(d):
+        piv = None
+        for row in range(rank, d):
+            if aug[row][col] % l:
+                piv = row
+                break
+        if piv is None:
+            raise InputError("matrix is singular modulo %d" % l)
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        inv = pow(aug[rank][col], l - 2, l)
+        aug[rank] = [(v * inv) % l for v in aug[rank]]
+        for row in range(d):
+            if row != rank and aug[row][col]:
+                factor = aug[row][col]
+                aug[row] = [
+                    (x - factor * y) % l for x, y in zip(aug[row], aug[rank])
+                ]
+        rank += 1
+    return [row[d:] for row in aug]
+
+
+def _normalize_functional(vec, l):
+    nz = next((i for i, v in enumerate(vec) if v % l), None)
+    if nz is None:
+        raise InternalCheckError("zero functional in orbit walk")
+    inv = pow(vec[nz], l - 2, l)
+    return tuple(v * inv % l for v in vec)
+
+
+def _functional_orbits(l, d, matrices):
+    """Least member of each orbit of the projective functionals on
+    (F_l)^d (first nonzero coordinate 1) under the dual action of the
+    matrix group generated by ``matrices``."""
+    inverses = [_gf_mat_inverse(m, l) for m in matrices]
+    all_reps = [
+        vec for vec in itertools.product(range(l), repeat=d)
+        if any(vec) and next(v for v in vec if v) == 1
+    ]
+    seen = set()
+    orbits = []
+    for start in all_reps:
+        if start in seen:
+            continue
+        orbit = [start]
+        seen.add(start)
+        frontier = [start]
+        while frontier:
+            fresh = []
+            for phi in frontier:
+                for minv in inverses:
+                    image = tuple(
+                        sum(phi[i] * minv[i][j] for i in range(d)) % l
+                        for j in range(d)
+                    )
+                    image = _normalize_functional(image, l)
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append(image)
+                        fresh.append(image)
+            frontier = fresh
+        orbits.append(min(orbit))
+    return orbits
+
+
+def theta_highdim_by_functional_orbits(l, matrices, characteristic):
+    """``theta_highdim`` with its hyperplanes found by walking the
+    projective functionals of (F_l)^d under the dual action of D: one
+    hyperplane ker(phi) per orbit, with N_D(U) from a fresh normalizer
+    computation."""
+    matrices = [list(map(list, m)) for m in matrices]
+    d = len(matrices[0]) if matrices else 2
+    if d < 2:
+        raise InputError("the high rank relation needs rank d >= 2")
+    _validate_theta_characteristic(l, characteristic)
+    group, module, stabilizer = affine_group(l, d, matrices)
+    p = effective_prime(group, characteristic)
+    if not is_p_hypo_elementary(subgroup_as_group(stabilizer), p):
+        if not dress_primes(subgroup_as_group(stabilizer), p):
+            raise InputError("the stabilizer is not a Dress group for any prime")
+    if not is_minimal_normal(group, module):
+        if two_factor_decomposition(group, module, stabilizer, l) is None:
+            raise InputError(
+                "the module is neither irreducible nor a product of two lines"
+            )
+    table = enumerate_classes(group)
+    mult = group.mult
+    pairs = [(Subgroup.full(group), 1), (stabilizer, -1)]
+    for phi in _functional_orbits(l, d, matrices):
+        members = [0]
+        for idx in module.indices:
+            if idx == 0:
+                continue
+            vec = decode_vector(group.elements[idx].images[0], l, d)
+            if sum(a * b for a, b in zip(phi, vec)) % l == 0:
+                members.append(int(idx))
+        hyperplane = Subgroup(group, np.asarray(sorted(members), dtype=np.int32))
+        if hyperplane.order * l != module.order:
+            raise InternalCheckError("hyperplane has wrong index in the module")
+        norm = _kernels.normalizer_members(mult, group.inv, hyperplane.indices)
+        norm_in_stab = np.intersect1d(norm, stabilizer.indices).astype(np.int32)
+        un = np.unique(
+            mult[np.ix_(hyperplane.indices, norm_in_stab)].ravel()
+        ).astype(np.int32)
+        wn = np.unique(
+            mult[np.ix_(module.indices, norm_in_stab)].ravel()
+        ).astype(np.int32)
+        if len(un) != hyperplane.order * len(norm_in_stab):
+            raise InternalCheckError("hyperplane product set is not split")
+        if len(wn) != module.order * len(norm_in_stab):
+            raise InternalCheckError("module product set is not split")
+        pairs.append((Subgroup(group, un), 1))
+        pairs.append((Subgroup(group, wn), -1))
+    element = element_from_subgroups(table, pairs)
+    if not verify_relation(group, characteristic, element):
+        raise InternalCheckError("constructed relation has nonzero hypo marks")
+    return element

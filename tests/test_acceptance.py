@@ -25,7 +25,7 @@ from permrel.relations import (
 from permrel.subgroups import Subgroup, enumerate_classes, subgroup_as_group
 from permrel.zlattice import lattice_contains
 
-from oracles import matrix_of_stabilizer_element
+from oracles import matrix_of_stabilizer_element, subgroups_of
 
 GROUPS = {name: preset_group(name) for name in CORPUS_NAMES}
 SMALL24 = [name for name in CORPUS_NAMES if GROUPS[name].order <= 24]
@@ -217,7 +217,7 @@ def test_criterion_07_module_count_identity():
             table = enumerate_classes(group)
             marks = mark_vector(theta)
             stab_group = subgroup_as_group(stabilizer)
-            for sub in enumerate_classes(stab_group).all_subgroups():
+            for sub in subgroups_of(enumerate_classes(stab_group)):
                 members = sorted(
                     group.index(stab_group.elements[i]) for i in sub.indices
                 )

@@ -27,7 +27,12 @@ from permrel.subgroups import (
     subgroup_as_group,
 )
 
-from oracles import marks_table_by_fixed_points, permutation_groups, relabelled
+from oracles import (
+    class_orbit_by_conjugation,
+    marks_table_by_fixed_points,
+    permutation_groups,
+    relabelled,
+)
 
 
 def _s3():
@@ -356,7 +361,7 @@ def test_element_from_subgroups_accumulates_conjugates():
     s4 = _s4()
     table = enumerate_classes(s4)
     cls = [c for c in table.classes if c.class_size > 1][0]
-    orbit = table.class_orbit(table.classes.index(cls))
+    orbit = class_orbit_by_conjugation(table, table.classes.index(cls))
     x = element_from_subgroups(table, [(sub, 1) for sub in orbit])
     idx = table.classes.index(cls)
     assert x.coeffs[idx] == cls.class_size

@@ -1,6 +1,7 @@
 """Structural classification: cores, residuals, Hall subgroups, shapes."""
 
 import pytest
+from hypothesis import given, settings
 
 from permrel.classify import (
     classify_group,
@@ -11,6 +12,7 @@ from permrel.classify import (
     is_p_hypo_elementary,
     is_pq_dress,
     is_q_quasi_elementary,
+    is_soluble,
     main_case_classify,
     p_core,
     q_residual,
@@ -21,7 +23,7 @@ from permrel.classify import (
 from permrel.errors import InputError
 from permrel.numtheory import p_part, prime_factors, prime_to_p_part
 from permrel.perm import generate, parse_cycles
-from permrel.presets import preset_group
+from permrel.presets import CORPUS_NAMES, preset_group
 from permrel.subgroups import (
     enumerate_classes,
     is_normal,
@@ -29,7 +31,12 @@ from permrel.subgroups import (
     subgroup_as_group,
 )
 
-from oracles import subgroup_is_p_hypo_elementary
+from oracles import (
+    class_orbit_by_conjugation,
+    permutation_groups,
+    subgroup_is_p_hypo_elementary,
+    subgroups_of,
+)
 
 S3 = generate(3, [parse_cycles(3, "(0 1)"), parse_cycles(3, "(0 1 2)")])
 A4 = generate(4, [parse_cycles(4, "(0 1 2)"), parse_cycles(4, "(0 1)(2 3)")])
@@ -71,14 +78,16 @@ def test_q_residual_is_smallest_with_q_power_index(group):
 @pytest.mark.parametrize("group", SMALL, ids=lambda g: "o%d" % g.order)
 def test_frattini_is_intersection_of_maximals(group):
     table = enumerate_classes(group)
-    all_subs = table.all_subgroups()
+    all_subs = subgroups_of(table)
     proper = [s for s in all_subs if s.order < group.order]
     maximal = [
         s for s in proper
         if not any(t.order > s.order and t.order < group.order
                    and t.contains_subgroup(s) for t in all_subs)
     ]
-    from_helper = [m for i in table.maximal_classes() for m in table.class_orbit(i)]
+    from_helper = [
+        m for i in table.maximal_classes() for m in class_orbit_by_conjugation(table, i)
+    ]
     assert sorted(m.key for m in from_helper) == sorted(m.key for m in maximal)
     members = set(range(group.order))
     for m in maximal:
@@ -101,6 +110,52 @@ def test_sylow_and_hall_orders(group):
         assert syl.order == p_part(group.order, p)
         hall = hall_p_complement(group, p)
         assert hall.order == prime_to_p_part(group.order, p)
+
+
+def _assert_lattice_answers_match_orbits(group):
+    """p-cores, Sylow and Hall subgroups, maximal classes and the
+    Frattini subgroup against the conjugation orbits of every class."""
+    n = group.order
+    table = enumerate_classes(group)
+    orbits = [class_orbit_by_conjugation(table, i) for i in range(len(table))]
+
+    def meet(subs):
+        members = set(range(n))
+        for sub in subs:
+            members &= set(sub.indices.tolist())
+        return sorted(members)
+
+    every = [sub for orbit in orbits for sub in orbit]
+    maximal = tuple(
+        i for i, orbit in enumerate(orbits)
+        if orbit[0].order < n and not any(
+            orbit[0].order < sub.order < n and sub.contains_subgroup(orbit[0])
+            for sub in every
+        )
+    )
+    assert table.maximal_classes() == maximal
+    assert frattini_subgroup(group).indices.tolist() == meet(
+        sub for i in maximal for sub in orbits[i]
+    )
+    for p in _primes_of(group):
+        (sylow,) = [o for o in orbits if o[0].order == p_part(n, p)]
+        assert sylow_subgroup(group, p) == sylow[0]
+        assert p_core(group, p).indices.tolist() == meet(sylow)
+        if is_soluble(group):
+            halls = [sub for sub in every if sub.order == prime_to_p_part(n, p)]
+            least = min(halls, key=lambda sub: sub.indices.tolist())
+            assert hall_p_complement(group, p) == least
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_lattice_answers_match_orbits_on_corpus(name):
+    _assert_lattice_answers_match_orbits(preset_group(name))
+
+
+@given(permutation_groups())
+@settings(max_examples=40, deadline=None)
+def test_lattice_answers_match_orbits_on_random_groups(group):
+    _assert_lattice_answers_match_orbits(group)
 
 
 def test_subgroup_hypo_matches_quotient_definition():

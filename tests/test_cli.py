@@ -169,6 +169,20 @@ def test_theta_highdim_cli(specdir):
     assert result["verified"] is True
 
 
+def test_theta_highdim_rejects_a_spec_it_does_not_build(tmp_path, capsys):
+    # theta_highdim reads d off the matrices, so with none it builds
+    # C2^2 (order 4), not the spec's C2^3 (order 8)
+    path = tmp_path / "c2_3.json"
+    path.write_text(
+        json.dumps({"type": "semidirect", "l": 2, "d": 3, "matrices": []}),
+        encoding="utf-8",
+    )
+    code, text = _run(["theta", "--family", "highdim", "--group", str(path),
+                       "--char", "5"])
+    assert (code, text) == (1, "")
+    assert "order 4" in capsys.readouterr().err
+
+
 def test_corpus_small_csv():
     code, text = _run(["corpus", "--max-order", "12", "--format", "csv"])
     assert code == 0

@@ -1,6 +1,7 @@
 """Kernel lattices, primitive quotients, predictions, and the generator
 constructions, checked against independently computed values."""
 
+import random
 import sys
 import time
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from permrel import relations
 from permrel.burnside import BurnsideElement, induct, mark_vector, marks_table
 from permrel.constructions import affine_group, frobenius_group
-from permrel.errors import InputError
+from permrel.errors import InputError, PermrelError
 from permrel.perm import generate, parse_cycles
 from permrel.presets import CORPUS_CHARACTERISTICS, CORPUS_NAMES, preset_group
 from permrel.relations import (
@@ -48,6 +49,7 @@ from oracles import (
     permutation_groups,
     relabelled,
     subgroup_is_p_hypo_elementary,
+    theta_highdim_by_functional_orbits,
 )
 
 
@@ -738,3 +740,72 @@ def test_theta_highdim_marks_match_module_counts(l, d, mats):
         assert mark == coinv - fixed, (cls.order, mark, coinv, fixed)
         checked += 1
     assert checked == len(stab_table.classes)
+
+
+def _matrix_group_order(mats, l, cap):
+    """Order of the group the matrices generate modulo l, or None once it
+    passes ``cap``."""
+    d = len(mats[0])
+    identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for m in mats:
+                prod = tuple(
+                    tuple(sum(a[i][k] * m[k][j] for k in range(d)) % l
+                          for j in range(d))
+                    for i in range(d)
+                )
+                if prod not in seen:
+                    seen.add(prod)
+                    fresh.append(prod)
+        if len(seen) > cap:
+            return None
+        frontier = fresh
+    return len(seen)
+
+
+def _random_matrix_sets(seed, count, max_group_order=400):
+    """``count`` sets of one or two invertible d x d matrices over Z/l,
+    l in {2, 3, 5} and d in {2, 3}, whose affine group (C_l)^d x| D has
+    at most ``max_group_order`` elements, so its subgroups enumerate
+    quickly."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        l, d = rng.choice((2, 3, 5)), rng.choice((2, 3))
+        size = rng.randint(1, 2)
+        mats = []
+        while len(mats) < size:
+            m = [[rng.randrange(l) for _ in range(d)] for _ in range(d)]
+            if _gf_rank(m, l) == d:
+                mats.append(m)
+        if _matrix_group_order(mats, l, max_group_order // l ** d) is not None:
+            out.append((l, mats))
+    return out
+
+
+# the hand cases above and in test_acceptance.py, the rank one and
+# fixed line rejections, then random matrix sets
+THETA_HIGHDIM_DIFFERENTIAL = (
+    [(l, mats) for l, _, mats in THETA_HIGHDIM_CASES]
+    + [(3, [[[2]]]), (3, [[[1, 1], [0, 1]], [[1, 0], [0, 2]]])]
+    + _random_matrix_sets(2024, 40)
+)
+
+
+@pytest.mark.parametrize("l,mats", THETA_HIGHDIM_DIFFERENTIAL)
+def test_theta_highdim_matches_functional_orbits(l, mats):
+    """The hyperplane classes read off G's class table give the relation
+    the walk over projective functionals gives, or the same error."""
+    def outcome(build, char):
+        try:
+            return build(l, mats, char).coeffs
+        except PermrelError as exc:
+            return type(exc)
+
+    for char in (0, 2, 3, 5, 7):
+        want = outcome(theta_highdim_by_functional_orbits, char)
+        assert outcome(theta_highdim, char) == want, char

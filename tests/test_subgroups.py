@@ -22,7 +22,11 @@ from permrel.subgroups import (
     subgroup_as_group,
 )
 
-from oracles import enumerate_classes_by_every_extension, permutation_groups
+from oracles import (
+    class_orbit_by_conjugation,
+    enumerate_classes_by_every_extension,
+    permutation_groups,
+)
 
 
 def _all_subgroups_brute(group):
@@ -58,8 +62,19 @@ SMALL = [
 @pytest.mark.parametrize("name,group", SMALL, ids=[n for n, _ in SMALL])
 def test_enumeration_complete(name, group):
     table = enumerate_classes(group)
-    keys = {sub.key for sub in table.all_subgroups()}
-    assert keys == _all_subgroups_brute(group)
+    assert set(table.sub_to_class) == _all_subgroups_brute(group)
+
+
+def _assert_rows_are_orbits(table):
+    """The membership rows of each class are the orbit of its
+    representative under conjugation, and the representative is the
+    least of them."""
+    for idx, cls in enumerate(table.classes):
+        rows = table.members[table.class_of == idx]
+        got = sorted(np.flatnonzero(row).tolist() for row in rows)
+        orbit = class_orbit_by_conjugation(table, idx)
+        assert got == [sub.indices.tolist() for sub in orbit]
+        assert got[0] == cls.representative.indices.tolist()
 
 
 @pytest.mark.parametrize("name,group", SMALL, ids=[n for n, _ in SMALL])
@@ -70,7 +85,7 @@ def test_class_structure(name, group):
     assert table.classes[0].order == 1
     assert table.classes[-1].order == group.order
     for idx, cls in enumerate(table):
-        orbit = table.class_orbit(idx)
+        orbit = class_orbit_by_conjugation(table, idx)
         assert len(orbit) == cls.class_size
         assert orbit[0].key == cls.representative.key
         # class size is the index of the normalizer
@@ -83,6 +98,13 @@ def test_class_structure(name, group):
             assert table.class_index_of(sub) == idx
     # total subgroup count matches the key map
     assert sum(cls.class_size for cls in table) == len(table.sub_to_class)
+    _assert_rows_are_orbits(table)
+
+
+@given(permutation_groups())
+@settings(max_examples=40, deadline=None)
+def test_membership_rows_are_the_conjugation_orbits_on_random_groups(group):
+    _assert_rows_are_orbits(enumerate_classes(group))
 
 
 def test_known_class_counts():
