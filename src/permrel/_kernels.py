@@ -34,6 +34,8 @@ def closure(mult, seeds):
 def normalizer_members(mult, inv, members):
     """Indices g with g * H * g^-1 == H, for H given by ``members``."""
     n = mult.shape[0]
+    if members.size == n:  # H = G, spared the n x n conjugation block
+        return np.arange(n, dtype=np.int32)
     member_mask = np.zeros(n, dtype=bool)
     member_mask[members] = True
     block = max(1, 1_000_000 // max(1, int(members.size)))

@@ -128,7 +128,7 @@ def marks_table(group, table=None):
         table.members,
         table.class_of,
         weights,
-        [c.representative.generator_indices for c in classes],
+        [c.generators for c in classes],
         group.order // orders,
     )
     result = MarksTable(table, m.tolist())

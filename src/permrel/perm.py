@@ -232,9 +232,6 @@ class Group:
         except KeyError:
             raise InputError("permutation %s is not an element of this group" % perm)
 
-    def is_member(self, perm):
-        return perm.images in self._index
-
     def _images(self):
         return np.array([p.images for p in self.elements], dtype=">i4")
 

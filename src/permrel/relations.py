@@ -181,8 +181,13 @@ def hypo_class_indices(group, characteristic):
 def _kernel_of(marks, hypo, modulus):
     """``brauer_kernel``'s basis and rank check, for a group of order
     ``modulus`` with the table of marks ``marks`` (a list of rows) and
-    the hypo-elementary positions ``hypo``."""
+    the hypo-elementary positions ``hypo``.  With every class
+    hypo-elementary the kernel is zero, and no rows are copied:
+    ``count_marks`` already proved the table (for a quotient view, G's)
+    lower triangular with a positive diagonal."""
     k = len(marks)
+    if len(hypo) == k:
+        return IntMatrix.from_columns([], rows=k)
     rows = [[marks[h][u] for h in range(k)] for u in hypo]
     basis = triangular_kernel(_from_rows(rows, k), hypo, modulus)
     if basis.cols != k - len(hypo):
@@ -255,26 +260,28 @@ def _row_keys(rows):
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
-def maximal_view(table, hypo, sub):
-    """The subgroup M of G as a view of G's class table ``table``, with
-    ``hypo`` the mask of G's hypo-elementary classes.
+def maximal_view(table, hypo, cls):
+    """The representative M of the class ``cls`` as a view of G's class
+    table ``table``, with ``hypo`` the mask of G's hypo-elementary
+    classes.
 
     The M-classes are the M-orbits on the rows of ``table.members``
-    inside M.  Conjugation by each generator of M permutes those rows,
-    found by looking up the conjugated rows' keys; labels merge along
-    these permutations until they are stable.  The classes are sorted
-    by order, so the hypo-elementary block of the marks stays upper
+    inside M.  Conjugation by each of ``cls.generators`` permutes those
+    rows, found by looking up the conjugated rows' keys; labels merge
+    along these permutations until they are stable.  The classes are
+    sorted by order, so the hypo-elementary block of the marks stays upper
     triangular.
     """
     group = table.group
     mult = group.mult
+    sub = cls.representative
     rows = np.flatnonzero(~table.members[:, ~sub.mask].any(axis=1))
     inside = table.members[rows]
     keys = _row_keys(inside)
     by_key = np.argsort(keys)
     sorted_keys = keys[by_key]
     images = []
-    for g in sub.generator_indices:
+    for g in cls.generators:
         conj = mult[mult[group.inv[g]], g]  # conj[y] = g^-1 y g
         image_keys = _row_keys(inside[:, conj])  # the rows of gUg^-1
         pos = np.minimum(np.searchsorted(sorted_keys, image_keys), len(keys) - 1)
@@ -352,8 +359,7 @@ def imprimitive_lattice(group, characteristic):
     k = len(table.classes)
     hypo = np.zeros(k, dtype=bool)
     hypo[list(hypo_class_indices(group, characteristic))] = True
-    views = [maximal_view(table, hypo, table.classes[i].representative)
-             for i in table.maximal_classes()]
+    views = [maximal_view(table, hypo, table.classes[i]) for i in table.maximal_classes()]
     views += [
         quotient_view(table, marks, normal, p)
         for normal in normal_subgroups(group)
@@ -645,12 +651,14 @@ def _scaling_perm(group, l, order, multiplier):
     return Permutation([x * a % l for x in range(l)])
 
 
-def theta_highdim(l, matrices, characteristic):
+def theta_highdim(l, matrices, characteristic, d=None):
     """Generator relation for (C_l)^d x| D with d >= 2.
 
     D is the matrix group generated by ``matrices`` acting on l^d
     points; it must act irreducibly, or split as two faithful
-    prime-power factors on two invariant lines.  The returned element is
+    prime-power factors on two invariant lines; d is read off the
+    matrices, or is ``d`` (2 by default) when there are none.  The
+    returned element is
     G - D + sum over hyperplane classes U of (U N_D(U) - W N_D(U)),
     verified to lie in the kernel.
 
@@ -661,7 +669,9 @@ def theta_highdim(l, matrices, characteristic):
     hyperplanes.  N_D(U) is the part of U's normalizer that lies in D.
     """
     matrices = [list(map(list, m)) for m in matrices]
-    d = len(matrices[0]) if matrices else 2
+    if matrices and d not in (None, len(matrices[0])):
+        raise InputError("rank %d disagrees with the matrices" % d)
+    d = len(matrices[0]) if matrices else 2 if d is None else d
     if d < 2:
         raise InputError("the high rank relation needs rank d >= 2")
     _validate_theta_characteristic(l, characteristic)

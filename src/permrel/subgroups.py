@@ -1,19 +1,29 @@
 """Subgroup enumeration up to conjugacy, quotients, and related maps.
 
-The enumeration starts from the trivial subgroup and repeatedly
-extends each known class representative by one extra generator (the
-trivial subgroup's extensions are the cyclic subgroups); the resulting
-table records every subgroup of the group (keyed by its sorted index
-array) together with its conjugacy class.
+The enumeration starts from the trivial subgroup and extends each class
+representative H by one element at a time; the table records every
+subgroup (keyed by its sorted index array) with its conjugacy class.
+H carries the generators it was closed from, conjugated with it onto
+the orbit-least member of its class, and <H, g> is closed from those
+plus g.  Most g are never tried:
 
-Each representative H travels with a small generating set: the seeds
-that produced it, conjugated along with it onto the orbit-least
-member of its class.  H is extended by one g per double coset HgH
-only, since <H, g> = <H, hgh'>, and <H, g> is closed from those
-generators plus g rather than from all of H plus g.  Neither shortcut
-changes which subgroups are reached, and the table is canonical
-(classes sorted, representatives orbit-least), so its content does
-not depend on the order of discovery.
+- only zuppos, the elements of prime-power order, extend H (Neubüser's
+  cyclic extension method; Holt, Eick and O'Brien, *Handbook of
+  Computational Group Theory*, 2005);
+- one g per double coset HgH, as <H, g> = <H, hgh'>;
+- no g in a registered K >= H of prime index, as then <H, g> = K.
+
+Every K > 1 is still reached, by induction on |K|: a maximal subgroup
+of K is conjugate, say by t, to a queued H, which is maximal in
+K' = tKt^-1.  K' is generated by its zuppos (each element is a product
+of powers of itself of prime-power order), so some zuppo z of K' lies
+outside H and <H, z> = K'; the skips pass z over only when <H, z> is
+already registered.  Registering K' registers its class, K included.
+
+The masks of the registered subgroups grow as the rows of the table's
+``members``.  The table is canonical: classes sorted, representatives
+orbit-least, and ``sub_to_class`` and the rows of ``members`` in
+(class position, key) order, whatever the order of discovery.
 """
 
 from collections import deque
@@ -23,6 +33,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from .errors import CapExceeded, InputError, InternalCheckError
+from .numtheory import prime_factors
 from .perm import Group, Permutation, generate
 
 # enumeration stops with CapExceeded past this many subgroups
@@ -127,10 +138,15 @@ class Subgroup:
 
 
 class SubgroupClass(NamedTuple):
+    """A conjugacy class of subgroups.  ``generators``, an int32 index
+    array, generates the representative; unlike its canonical
+    ``generator_indices``, it depends on the order of discovery."""
+
     representative: Subgroup
     order: int
     class_size: int
     normalizer: Subgroup
+    generators: np.ndarray
 
 
 class SubgroupClassTable:
@@ -139,15 +155,15 @@ class SubgroupClassTable:
     ``classes`` is sorted by (order, representative index tuple); the
     representative of each class is its lexicographically least member.
     ``sub_to_class`` maps the key of every individual subgroup to its
-    class position; ``members`` and ``class_of`` index the subgroups by
-    their position in it.
+    class position, in (class position, key) order; row r of ``members``
+    is the element mask of its r-th subgroup.
     """
 
-    def __init__(self, group, classes, sub_to_class):
+    def __init__(self, group, classes, sub_to_class, members):
         self.group = group
         self.classes = classes
         self.sub_to_class = sub_to_class
-        self._members = None
+        self.members = members
         self._class_of = None
         self._class_maps = {}  # supergroup table -> its class of each of ours
 
@@ -164,17 +180,6 @@ class SubgroupClassTable:
             return self.sub_to_class[subgroup.key]
         except KeyError:
             raise InternalCheckError("subgroup missing from the class table")
-
-    @property
-    def members(self):
-        """Subgroup-by-element membership matrix, built once: row r is the
-        element mask of the r-th subgroup of ``sub_to_class``."""
-        if self._members is None:
-            members = np.zeros((len(self.sub_to_class), self.group.order), dtype=bool)
-            for row, key in enumerate(self.sub_to_class):
-                members[row, np.frombuffer(key, dtype=np.int32)] = True
-            self._members = members
-        return self._members
 
     @property
     def class_of(self):
@@ -210,14 +215,22 @@ def enumerate_classes(group):
     mult = group.mult
     inv = group.inv
     n = group.order
+    primes = prime_factors(n)
+    orders = group.element_orders
+    zuppos = np.isin(
+        orders, [o for o in np.unique(orders).tolist() if len(prime_factors(o)) == 1]
+    )
 
     sub_to_class = {}
-    records = []  # (indices, normalizer_indices, class_size)
+    records = []  # (indices, normalizer_indices, class_size, generators)
     queue = deque()  # (representative, generators of it)
+    # row r < total masks the r-th registered subgroup, of order sizes[r]
+    members = np.zeros((1, n), dtype=bool)
+    sizes = np.zeros(1, dtype=np.int64)
     total = 0
 
     def register(indices, gens):
-        nonlocal total
+        nonlocal members, sizes, total
         key = indices.tobytes()
         if key in sub_to_class:
             return
@@ -234,59 +247,85 @@ def enumerate_classes(group):
             orbit.append((conj, t))
         if len(orbit) * norm.size != n:
             raise InternalCheckError("orbit size violates orbit-stabilizer counting")
+        if total + len(orbit) > SUBGROUP_CAP:
+            raise CapExceeded(
+                "subgroup enumeration exceeded the cap of %d" % SUBGROUP_CAP
+            )
         # the stored normalizer and the generators must belong to the
         # stored representative, so conjugate them by the same element
         canon, t0 = min(orbit, key=lambda pair: pair[0].tolist())
         canon_norm = group.conjugate_indices(t0, norm)
+        canon_gens = group.conjugate_indices(t0, gens)
+        if not np.isin(canon_gens, canon).all():
+            raise InternalCheckError("generators left the class representative")
         cid = len(records)
-        for conj, _ in orbit:
+        if total + len(orbit) > len(sizes):  # grow geometrically
+            grow = total + len(orbit)
+            members = np.concatenate((members, np.zeros((grow, n), dtype=bool)))
+            sizes = np.concatenate((sizes, np.zeros(grow, dtype=np.int64)))
+        for row, (conj, _) in enumerate(orbit, total):
             sub_to_class[conj.tobytes()] = cid
-        records.append((canon, canon_norm, len(orbit)))
+            members[row, conj] = True
+        sizes[total:total + len(orbit)] = indices.size
         total += len(orbit)
-        if total > SUBGROUP_CAP:
-            raise CapExceeded(
-                "subgroup enumeration exceeded the cap of %d" % SUBGROUP_CAP
-            )
+        records.append((canon, canon_norm, len(orbit), canon_gens))
         if canon.size < n:
-            canon_gens = group.conjugate_indices(t0, gens)
-            if not np.isin(canon_gens, canon).all():
-                raise InternalCheckError("generators left the class representative")
             queue.append((canon, canon_gens))
 
     # extending the trivial group gives the cyclic subgroups
     register(np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32))
     while queue:
         base, gens = queue.popleft()
-        # <H, g> = <H, hgh'>: one extension per double coset HgH (the
-        # |H| x |H| block is at most a quarter of the mult table)
-        done = np.zeros(n, dtype=bool)
+        done = ~zuppos
         done[base] = True
-        for g in range(n):
+        # every g in a registered K of prime index over H gives <H, g> = K
+        over = np.flatnonzero(np.isin(sizes, [base.size * p for p in primes]))
+        over = over[members[np.ix_(over, base)].all(axis=1)]
+        done |= members[over].any(axis=0)
+        for g in np.flatnonzero(~done):
             if done[g]:
                 continue
+            # <H, g> = <H, hgh'>: one extension per double coset HgH (the
+            # |H| x |H| block is at most a quarter of the mult table)
             done[mult[np.ix_(mult[base, g], base)]] = True
             seeds = np.append(gens, np.int32(g))
-            register(kernels.closure(mult, seeds), seeds)
+            closed = kernels.closure(mult, seeds)
+            if closed.size // base.size in primes:
+                done[closed] = True
+            register(closed, seeds)
 
     order_perm = sorted(
         range(len(records)), key=lambda i: (records[i][0].size, records[i][0].tolist())
     )
     remap = {old: new for new, old in enumerate(order_perm)}
+    shared = {}  # one Subgroup per distinct representative or normalizer
+
+    def subgroup(indices):
+        key = indices.tobytes()
+        if key not in shared:
+            shared[key] = Subgroup(group, indices)
+        return shared[key]
+
     classes = []
     for old in order_perm:
-        indices, norm, size = records[old]
+        indices, norm, size, gens = records[old]
         classes.append(
             SubgroupClass(
-                representative=Subgroup(group, indices),
+                representative=subgroup(indices),
                 order=int(indices.size),
                 class_size=size,
-                normalizer=Subgroup(group, norm),
+                normalizer=subgroup(norm),
+                generators=gens,
             )
         )
-    sub_to_class = {key: remap[cid] for key, cid in sub_to_class.items()}
+    # rows in (class, key) order, whatever order they were found in
+    keys = list(sub_to_class)
+    positions = [remap[cid] for cid in sub_to_class.values()]
+    rows = sorted(range(total), key=lambda r: (positions[r], keys[r]))
+    sub_to_class = {keys[r]: positions[r] for r in rows}
     if sum(c.class_size for c in classes) != len(sub_to_class):
         raise InternalCheckError("class sizes disagree with the subgroup key map")
-    table = SubgroupClassTable(group, classes, sub_to_class)
+    table = SubgroupClassTable(group, classes, sub_to_class, members[rows])
     group._memo["class_table"] = table
     return table
 

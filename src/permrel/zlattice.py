@@ -448,16 +448,6 @@ def _echelon_data(m):
     return cols, pivot_rows
 
 
-def lattice_contains(basis, vector):
-    """True when ``vector`` lies in the lattice generated by the columns
-    of ``basis``."""
-    vec = [_as_int(v) for v in vector]
-    if len(vec) != basis.rows:
-        raise ValueError("vector length does not match lattice dimension")
-    cols, pivot_rows = _echelon_data(basis)
-    return _echelon_solve(cols, pivot_rows, vec) is not None
-
-
 def quotient_invariants(ambient, sub):
     """Invariants of the quotient of one lattice by a sublattice.
 

@@ -34,7 +34,7 @@ from permrel.subgroups import (
     quotient,
     subgroup_as_group,
 )
-from permrel.zlattice import IntMatrix, hnf
+from permrel.zlattice import IntMatrix, _as_int, _echelon_data, _echelon_solve, hnf
 
 
 @st.composite
@@ -145,7 +145,9 @@ def enumerate_classes_by_every_extension(group):
     """Subgroup classes with no shortcuts: every class representative H
     is extended by every g outside H, closing all of H plus g.  The
     table is built like ``enumerate_classes`` builds it (classes sorted
-    by order and indices, orbit-least representatives), but not cached."""
+    by order and indices, orbit-least representatives), but not cached;
+    each class carries all of its representative as its generators, and
+    the rows of ``members`` follow ``sub_to_class`` in discovery order."""
     mult = group.mult
     inv = group.inv
     n = group.order
@@ -184,12 +186,15 @@ def enumerate_classes_by_every_extension(group):
             order=int(records[i][0].size),
             class_size=records[i][2],
             normalizer=Subgroup(group, records[i][1]),
+            generators=records[i][0],
         )
         for i in order
     ]
-    return SubgroupClassTable(
-        group, classes, {key: position[cid] for key, cid in sub_to_class.items()}
-    )
+    sub_to_class = {key: position[cid] for key, cid in sub_to_class.items()}
+    members = np.zeros((len(sub_to_class), n), dtype=bool)
+    for row, key in enumerate(sub_to_class):
+        members[row, np.frombuffer(key, dtype=np.int32)] = True
+    return SubgroupClassTable(group, classes, sub_to_class, members)
 
 
 def matrix_of_stabilizer_element(group, perm_index, l, d):
@@ -503,3 +508,13 @@ def theta_highdim_by_functional_orbits(l, matrices, characteristic):
     if not verify_relation(group, characteristic, element):
         raise InternalCheckError("constructed relation has nonzero hypo marks")
     return element
+
+
+def lattice_contains(basis, vector):
+    """True when ``vector`` lies in the lattice generated by the columns
+    of ``basis``."""
+    vec = [_as_int(v) for v in vector]
+    if len(vec) != basis.rows:
+        raise ValueError("vector length does not match lattice dimension")
+    cols, pivot_rows = _echelon_data(basis)
+    return _echelon_solve(cols, pivot_rows, vec) is not None

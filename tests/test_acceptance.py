@@ -23,9 +23,8 @@ from permrel.relations import (
     verify_relation,
 )
 from permrel.subgroups import Subgroup, enumerate_classes, subgroup_as_group
-from permrel.zlattice import lattice_contains
 
-from oracles import matrix_of_stabilizer_element, subgroups_of
+from oracles import lattice_contains, matrix_of_stabilizer_element, subgroups_of
 
 GROUPS = {name: preset_group(name) for name in CORPUS_NAMES}
 SMALL24 = [name for name in CORPUS_NAMES if GROUPS[name].order <= 24]

@@ -170,8 +170,8 @@ def test_theta_highdim_cli(specdir):
 
 
 def test_theta_highdim_rejects_a_spec_it_does_not_build(tmp_path, capsys):
-    # theta_highdim reads d off the matrices, so with none it builds
-    # C2^2 (order 4), not the spec's C2^3 (order 8)
+    # the spec's d reaches theta_highdim, which builds C2^3 with trivial D
+    # and rejects it; it used to build C2^2 and answer for that instead
     path = tmp_path / "c2_3.json"
     path.write_text(
         json.dumps({"type": "semidirect", "l": 2, "d": 3, "matrices": []}),
@@ -180,7 +180,7 @@ def test_theta_highdim_rejects_a_spec_it_does_not_build(tmp_path, capsys):
     code, text = _run(["theta", "--family", "highdim", "--group", str(path),
                        "--char", "5"])
     assert (code, text) == (1, "")
-    assert "order 4" in capsys.readouterr().err
+    assert "neither irreducible nor a product of two lines" in capsys.readouterr().err
 
 
 def test_corpus_small_csv():

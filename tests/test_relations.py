@@ -39,12 +39,13 @@ from permrel.subgroups import (
     quotient,
     subgroup_as_group,
 )
-from permrel.zlattice import IntMatrix, lattice_contains
+from permrel.zlattice import IntMatrix
 
 from oracles import (
     imprimitive_lattice_by_subquotient_groups,
     imprimitive_lattice_by_sweep,
     kernel_basis_by_two_hnfs,
+    lattice_contains,
     matrix_of_stabilizer_element,
     permutation_groups,
     relabelled,
@@ -262,7 +263,7 @@ def test_maximal_views_match_subgroup_groups(name):
         m_group = subgroup_as_group(sub)
         m_table = enumerate_classes(m_group)
         m_marks = marks_table(m_group, m_table).m
-        views = {char: maximal_view(table, _hypo_mask(group, char), sub)
+        views = {char: maximal_view(table, _hypo_mask(group, char), table.classes[i])
                  for char in CORPUS_CHARACTERISTICS}
         view = views[0]
         place = [
@@ -396,7 +397,10 @@ def test_coprime_characteristics_reuse_the_lattices(monkeypatch):
         assert prim(group, char).characteristic == char
     assert calls == dict.fromkeys(names, 0)
     prim(group, 2)  # 2 divides |G|: a lattice of its own
-    assert all(calls[fname] > 0 for fname in names), calls
+    assert calls["hnf"] > 0 and calls["quotient_invariants"] > 0, calls
+    # at 2 every class of the 2-group and of its views is hypo-elementary,
+    # so each kernel is zero before triangular_kernel is reached
+    assert calls["triangular_kernel"] == 0, calls
 
 
 def test_lattice_memo_still_checks_the_characteristic():
@@ -631,6 +635,16 @@ def test_theta_highdim_trivial_stabilizer():
     assert group.order == 4
     assert theta.coeffs == (-1, 1, 1, 1, -2)
     assert generates_quotient(group, 5, theta)
+
+
+def test_theta_highdim_takes_the_rank_without_matrices():
+    assert theta_highdim(2, [], 5, d=2) == theta_highdim(2, [], 5)
+    # (C2)^3 with trivial D is neither irreducible nor two lines, where
+    # the relation of (C2)^2 used to come back
+    with pytest.raises(InputError, match="neither irreducible"):
+        theta_highdim(2, [], 5, d=3)
+    with pytest.raises(InputError, match="disagrees"):
+        theta_highdim(2, [[[0, 1], [1, 1]]], 5, d=3)
 
 
 def test_theta_highdim_validation():

@@ -230,9 +230,12 @@ def _assert_same_table(got, want):
     assert got.sub_to_class == want.sub_to_class
 
 
-# the corpus already holds S5; A6 is left out because the oracle alone
-# takes seconds on it
-DIFFERENTIAL = CORPUS_NAMES + ("C2xC2xC2xC2xC2", "S4xC2/relabelled")
+# the corpus already holds S5; D8xS3 has elements of order 6 and 12;
+# A6 and C19:C18 are left out because the oracle alone takes seconds on
+# them
+DIFFERENTIAL = CORPUS_NAMES + (
+    "C2xC2xC2xC2xC2", "S4xC2/relabelled", "D8xS3", "D8xD8",
+)
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
@@ -252,3 +255,58 @@ def test_enumeration_matches_every_extension_on_random_groups(group):
     _assert_same_table(
         enumerate_classes(group), enumerate_classes_by_every_extension(group)
     )
+
+
+def _assert_generators_and_row_order(table):
+    """Each class's carried generators close to its representative, and
+    the rows of ``members`` follow ``sub_to_class`` in (class, key)
+    order."""
+    for cls in table.classes:
+        assert cls.generators.dtype == np.int32
+        closed = _kernels.closure(table.group.mult, cls.generators)
+        assert closed.tobytes() == cls.representative.key
+    keys = list(table.sub_to_class)
+    assert keys == sorted(keys, key=lambda key: (table.sub_to_class[key], key))
+    assert table.members.shape == (len(keys), table.group.order)
+    for row, key in zip(table.members, keys):
+        assert np.flatnonzero(row).astype(np.int32).tobytes() == key
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_generators_and_row_order(name):
+    _assert_generators_and_row_order(enumerate_classes(preset_group(name)))
+
+
+@given(permutation_groups())
+@settings(max_examples=40, deadline=None)
+def test_generators_and_row_order_on_random_groups(group):
+    _assert_generators_and_row_order(enumerate_classes(group))
+
+
+def _closures_to_enumerate(monkeypatch, name):
+    """(closure calls, subgroups) of enumerating a fresh copy of a preset."""
+    preset = preset_group(name)
+    group = generate(preset.degree, preset.generators)  # nothing cached
+    closure = subgroups.kernels.closure
+    calls = []
+
+    def counting(mult, seeds):
+        calls.append(seeds)
+        return closure(mult, seeds)
+
+    monkeypatch.setattr(subgroups.kernels, "closure", counting)
+    table = enumerate_classes(group)
+    return len(calls), len(table.sub_to_class)
+
+
+@pytest.mark.parametrize("name,closures", [("C2xC2xC2xC2", 66), ("C2xC2xC2xC2xC2", 373)])
+def test_prime_index_skip_closes_each_subgroup_once(monkeypatch, name, closures):
+    # every subgroup but the trivial one costs exactly one closure
+    got = _closures_to_enumerate(monkeypatch, name)
+    assert got == (closures, closures + 1)
+
+
+def test_skips_cut_the_closures_of_c19_c18(monkeypatch):
+    # 521 closures with neither skip
+    closures, subgroup_count = _closures_to_enumerate(monkeypatch, "C19:C18")
+    assert closures < 300 and subgroup_count == 102

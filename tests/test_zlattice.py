@@ -19,13 +19,17 @@ from permrel.zlattice import (
     IntMatrix,
     hnf,
     hstack,
-    lattice_contains,
     quotient_invariants,
     snf,
     triangular_kernel,
 )
 
-from oracles import hnf_by_dense_echelon, kernel_basis_by_two_hnfs, snf_by_dense_echelon
+from oracles import (
+    hnf_by_dense_echelon,
+    kernel_basis_by_two_hnfs,
+    lattice_contains,
+    snf_by_dense_echelon,
+)
 
 
 def minor_det(data, row_idx, col_idx):
