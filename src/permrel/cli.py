@@ -315,7 +315,9 @@ def _cmd_theta(args, stream):
         spec, _ = _load_group(args)
         if spec.get("type") != "semidirect":
             raise InputError("theta --family highdim needs a semidirect group spec")
-        element = theta_highdim(spec["l"], spec["matrices"], char, d=spec["d"])
+        if not spec["matrices"] and spec["d"] != 2:
+            raise InputError("theta --family highdim with no matrices needs d = 2")
+        element = theta_highdim(spec["l"], spec["matrices"], char)
         params = {"l": spec["l"], "d": spec["d"]}
     else:
         raise InputError("unknown theta family: %r" % args.family)

@@ -651,14 +651,14 @@ def _scaling_perm(group, l, order, multiplier):
     return Permutation([x * a % l for x in range(l)])
 
 
-def theta_highdim(l, matrices, characteristic, d=None):
+def theta_highdim(l, matrices, characteristic):
     """Generator relation for (C_l)^d x| D with d >= 2.
 
     D is the matrix group generated by ``matrices`` acting on l^d
     points; it must act irreducibly, or split as two faithful
-    prime-power factors on two invariant lines; d is read off the
-    matrices, or is ``d`` (2 by default) when there are none.  The
-    returned element is
+    prime-power factors on two invariant lines.  d is read off the
+    matrices; with none, D is trivial and d = 2, the only rank at which
+    a trivial D splits as two lines.  The returned element is
     G - D + sum over hyperplane classes U of (U N_D(U) - W N_D(U)),
     verified to lie in the kernel.
 
@@ -669,9 +669,7 @@ def theta_highdim(l, matrices, characteristic, d=None):
     hyperplanes.  N_D(U) is the part of U's normalizer that lies in D.
     """
     matrices = [list(map(list, m)) for m in matrices]
-    if matrices and d not in (None, len(matrices[0])):
-        raise InputError("rank %d disagrees with the matrices" % d)
-    d = len(matrices[0]) if matrices else 2 if d is None else d
+    d = len(matrices[0]) if matrices else 2
     if d < 2:
         raise InputError("the high rank relation needs rank d >= 2")
     _validate_theta_characteristic(l, characteristic)

@@ -20,8 +20,10 @@ of powers of itself of prime-power order), so some zuppo z of K' lies
 outside H and <H, z> = K'; the skips pass z over only when <H, z> is
 already registered.  Registering K' registers its class, K included.
 
-The masks of the registered subgroups grow as the rows of the table's
-``members``.  The table is canonical: classes sorted, representatives
+The masks of the registered subgroups are kept packed, eight elements to
+a byte, in one block per order with each class's rows in key order, and
+copied once into the table, which unpacks them as ``members`` when first
+asked.  The table is canonical: classes sorted, representatives
 orbit-least, and ``sub_to_class`` and the rows of ``members`` in
 (class position, key) order, whatever the order of discovery.
 """
@@ -38,6 +40,15 @@ from .perm import Group, Permutation, generate
 
 # enumeration stops with CapExceeded past this many subgroups
 SUBGROUP_CAP = 5000
+
+# row b holds the bits of the byte b, high bit first as np.packbits packs
+# them; indexing it reads single bits or whole rows of a packed matrix
+_BITS = np.array([[b >> (7 - i) & 1 for i in range(8)] for b in range(256)], dtype=bool)
+
+
+def _unpack(packed, count):
+    """The first ``count`` bits of each row of the uint8 array ``packed``."""
+    return _BITS[packed].reshape(len(packed), 8 * packed.shape[1])[:, :count]
 
 
 class Subgroup:
@@ -155,15 +166,17 @@ class SubgroupClassTable:
     ``classes`` is sorted by (order, representative index tuple); the
     representative of each class is its lexicographically least member.
     ``sub_to_class`` maps the key of every individual subgroup to its
-    class position, in (class position, key) order; row r of ``members``
-    is the element mask of its r-th subgroup.
+    class position, in (class position, key) order; row r of
+    ``packed_members`` is the element mask of its r-th subgroup, packed
+    eight elements to a byte as by ``np.packbits``.
     """
 
-    def __init__(self, group, classes, sub_to_class, members):
+    def __init__(self, group, classes, sub_to_class, packed_members):
         self.group = group
         self.classes = classes
         self.sub_to_class = sub_to_class
-        self.members = members
+        self._packed = packed_members
+        self._members = None
         self._class_of = None
         self._class_maps = {}  # supergroup table -> its class of each of ours
 
@@ -180,6 +193,15 @@ class SubgroupClassTable:
             return self.sub_to_class[subgroup.key]
         except KeyError:
             raise InternalCheckError("subgroup missing from the class table")
+
+    @property
+    def members(self):
+        """Subgroup-by-element membership matrix, unpacked once: row r is
+        the element mask of the r-th subgroup of ``sub_to_class``."""
+        if self._members is None:
+            self._members = _unpack(self._packed, self.group.order)
+            self._packed = None
+        return self._members
 
     @property
     def class_of(self):
@@ -222,15 +244,19 @@ def enumerate_classes(group):
     )
 
     sub_to_class = {}
-    records = []  # (indices, normalizer_indices, class_size, generators)
+    records = []  # (indices, normalizer_indices, member keys, generators, first row)
     queue = deque()  # (representative, generators of it)
-    # row r < total masks the r-th registered subgroup, of order sizes[r]
-    members = np.zeros((1, n), dtype=bool)
-    sizes = np.zeros(1, dtype=np.int64)
+    # the packed masks of the registered subgroups of each order: the
+    # first used[order] rows of blocks[order], each class's rows in key order
+    width = (n + 7) // 8
+    # element i is bit bit[i] of byte byte[i] of a packed row
+    byte, bit = np.repeat(np.arange(width), 8)[:n], np.tile(np.arange(8), width)[:n]
+    blocks = {}
+    used = {}
     total = 0
 
     def register(indices, gens):
-        nonlocal members, sizes, total
+        nonlocal total
         key = indices.tobytes()
         if key in sub_to_class:
             return
@@ -259,16 +285,23 @@ def enumerate_classes(group):
         if not np.isin(canon_gens, canon).all():
             raise InternalCheckError("generators left the class representative")
         cid = len(records)
-        if total + len(orbit) > len(sizes):  # grow geometrically
-            grow = total + len(orbit)
-            members = np.concatenate((members, np.zeros((grow, n), dtype=bool)))
-            sizes = np.concatenate((sizes, np.zeros(grow, dtype=np.int64)))
-        for row, (conj, _) in enumerate(orbit, total):
-            sub_to_class[conj.tobytes()] = cid
-            members[row, conj] = True
-        sizes[total:total + len(orbit)] = indices.size
+        keys = sorted(conj.tobytes() for conj, _ in orbit)
+        rows = np.zeros((len(keys), n), dtype=bool)
+        for row, key in enumerate(keys):
+            sub_to_class[key] = cid
+            rows[row, np.frombuffer(key, dtype=np.int32)] = True
+        size = indices.size
+        first = used.get(size, 0)
+        block = blocks.get(size)
+        if block is None or first + len(keys) > len(block):  # grow geometrically
+            grown = np.zeros((2 * (first + len(keys)), width), dtype=np.uint8)
+            if first:
+                grown[:first] = block[:first]
+            blocks[size] = block = grown
+        block[first:first + len(keys)] = np.packbits(rows, axis=1)
+        used[size] = first + len(keys)
         total += len(orbit)
-        records.append((canon, canon_norm, len(orbit), canon_gens))
+        records.append((canon, canon_norm, keys, canon_gens, first))
         if canon.size < n:
             queue.append((canon, canon_gens))
 
@@ -278,10 +311,14 @@ def enumerate_classes(group):
         base, gens = queue.popleft()
         done = ~zuppos
         done[base] = True
-        # every g in a registered K of prime index over H gives <H, g> = K
-        over = np.flatnonzero(np.isin(sizes, [base.size * p for p in primes]))
-        over = over[members[np.ix_(over, base)].all(axis=1)]
-        done |= members[over].any(axis=0)
+        # every g in a registered K of prime index over H gives <H, g> = K;
+        # only H's bits of each packed row are read to find those K
+        for p in primes:
+            over = blocks.get(base.size * p)
+            if over is not None:
+                over = over[:used[base.size * p]]
+                over = over[_BITS[over[:, byte[base]], bit[base]].all(axis=1)]
+                done |= _unpack(over, n).any(axis=0)
         for g in np.flatnonzero(~done):
             if done[g]:
                 continue
@@ -294,38 +331,28 @@ def enumerate_classes(group):
                 done[closed] = True
             register(closed, seeds)
 
-    order_perm = sorted(
-        range(len(records)), key=lambda i: (records[i][0].size, records[i][0].tolist())
-    )
-    remap = {old: new for new, old in enumerate(order_perm)}
-    shared = {}  # one Subgroup per distinct representative or normalizer
-
-    def subgroup(indices):
-        key = indices.tobytes()
-        if key not in shared:
-            shared[key] = Subgroup(group, indices)
-        return shared[key]
-
+    records.sort(key=lambda record: (record[0].size, record[0].tolist()))
     classes = []
-    for old in order_perm:
-        indices, norm, size, gens = records[old]
+    # rows in (class, key) order, whatever order they were found in
+    packed = np.empty((total, width), dtype=np.uint8)
+    sub_to_class = {}
+    full = Subgroup.full(group)  # shared by G's class and every normal subgroup's
+    for pos, (indices, norm, keys, gens, first) in enumerate(records):
         classes.append(
             SubgroupClass(
-                representative=subgroup(indices),
+                representative=full if indices.size == n else Subgroup(group, indices),
                 order=int(indices.size),
-                class_size=size,
-                normalizer=subgroup(norm),
+                class_size=len(keys),
+                normalizer=full if norm.size == n else Subgroup(group, norm),
                 generators=gens,
             )
         )
-    # rows in (class, key) order, whatever order they were found in
-    keys = list(sub_to_class)
-    positions = [remap[cid] for cid in sub_to_class.values()]
-    rows = sorted(range(total), key=lambda r: (positions[r], keys[r]))
-    sub_to_class = {keys[r]: positions[r] for r in rows}
-    if sum(c.class_size for c in classes) != len(sub_to_class):
+        row = len(sub_to_class)
+        packed[row:row + len(keys)] = blocks[indices.size][first:first + len(keys)]
+        sub_to_class.update(dict.fromkeys(keys, pos))
+    if len(sub_to_class) != total:
         raise InternalCheckError("class sizes disagree with the subgroup key map")
-    table = SubgroupClassTable(group, classes, sub_to_class, members[rows])
+    table = SubgroupClassTable(group, classes, sub_to_class, packed)
     group._memo["class_table"] = table
     return table
 

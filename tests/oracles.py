@@ -194,7 +194,7 @@ def enumerate_classes_by_every_extension(group):
     members = np.zeros((len(sub_to_class), n), dtype=bool)
     for row, key in enumerate(sub_to_class):
         members[row, np.frombuffer(key, dtype=np.int32)] = True
-    return SubgroupClassTable(group, classes, sub_to_class, members)
+    return SubgroupClassTable(group, classes, sub_to_class, np.packbits(members, axis=1))
 
 
 def matrix_of_stabilizer_element(group, perm_index, l, d):

@@ -170,8 +170,8 @@ def test_theta_highdim_cli(specdir):
 
 
 def test_theta_highdim_rejects_a_spec_it_does_not_build(tmp_path, capsys):
-    # the spec's d reaches theta_highdim, which builds C2^3 with trivial D
-    # and rejects it; it used to build C2^2 and answer for that instead
+    # with no matrices theta_highdim builds (C_l)^2, so the spec's C2^3
+    # is rejected rather than answered for C2^2
     path = tmp_path / "c2_3.json"
     path.write_text(
         json.dumps({"type": "semidirect", "l": 2, "d": 3, "matrices": []}),
@@ -180,7 +180,7 @@ def test_theta_highdim_rejects_a_spec_it_does_not_build(tmp_path, capsys):
     code, text = _run(["theta", "--family", "highdim", "--group", str(path),
                        "--char", "5"])
     assert (code, text) == (1, "")
-    assert "neither irreducible nor a product of two lines" in capsys.readouterr().err
+    assert "no matrices needs d = 2" in capsys.readouterr().err
 
 
 def test_corpus_small_csv():

@@ -637,16 +637,6 @@ def test_theta_highdim_trivial_stabilizer():
     assert generates_quotient(group, 5, theta)
 
 
-def test_theta_highdim_takes_the_rank_without_matrices():
-    assert theta_highdim(2, [], 5, d=2) == theta_highdim(2, [], 5)
-    # (C2)^3 with trivial D is neither irreducible nor two lines, where
-    # the relation of (C2)^2 used to come back
-    with pytest.raises(InputError, match="neither irreducible"):
-        theta_highdim(2, [], 5, d=3)
-    with pytest.raises(InputError, match="disagrees"):
-        theta_highdim(2, [[[0, 1], [1, 1]]], 5, d=3)
-
-
 def test_theta_highdim_validation():
     with pytest.raises(InputError):
         theta_highdim(2, [[[0, 1], [1, 1]]], 2)  # characteristic equals l
