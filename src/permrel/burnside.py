@@ -258,6 +258,8 @@ def restrict(table_g, table_h, x):
     h_in_g = np.asarray(
         sorted(g_group.index(p) for p in h_group.elements), dtype=np.int32
     )
+    h_mask = np.zeros(g_group.order, dtype=bool)
+    h_mask[h_in_g] = True
     out = [0] * len(table_h.classes)
     for i, c in enumerate(x.coeffs):
         if not c:
@@ -271,7 +273,7 @@ def restrict(table_g, table_h, x):
             block = mult[np.ix_(h_in_g, mult[g, u.indices])]
             visited[block.ravel()] = True
             conj = mult[mult[g, u.indices], inv[g]]
-            stab_in_g = np.intersect1d(conj, h_in_g)
+            stab_in_g = conj[h_mask[conj]]
             stab_perms = [g_group.elements[s] for s in stab_in_g]
             out[_class_of_perms(table_h, stab_perms)] += c
     return BurnsideElement(table_h, out)

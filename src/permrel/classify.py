@@ -1,18 +1,30 @@
 """Group-class predicates and structural classification.
 
 The predicates here (cyclic, soluble, hypo-elementary, quasi-elementary,
-Dress) all reduce to characteristic subgroups computed from the ambient
-subgroup table: the p-core is the intersection of the Sylow p-subgroups,
-the q-residual is the intersection of the normal subgroups of q-power
-index, and the Frattini subgroup is the intersection of the maximal
-subgroups.
+Dress) reduce to characteristic subgroups read off G's class table: the
+p-core is the largest normal p-subgroup, the q-residual the intersection
+of the normal subgroups of q-power index, and the Frattini subgroup the
+intersection of the maximal subgroups.
+
+A question about a quotient G/N is asked of G; no quotient is built as a
+group.  The normal subgroups of G/N are the M/N for the normal M >= N of
+G (the classes of size 1), so the preimage of the p-core of G/N is the
+largest such M with |M:N| a power of p, and the preimage of the
+q-residual of G/N is the intersection of those M of q-power index in G.
+A section R/M of normal subgroups is cyclic exactly when some r in R has
+order |R:M| modulo M.  The predicates on G are the case N = 1.
 
 ``main_case_classify`` matches a group against the structural shapes
 that force a nonzero primitive quotient; it returns every matching
-shape with a witness, and an empty list means no shape matched.
+shape with a witness, and an empty list means no shape matched.  In the
+shape G = W x| D with W abelian, C_G(W) = W C_D(W), so D acts faithfully
+exactly when C_G(W) = W; and D is isomorphic to G/W, so the questions
+about D are asked of G/W.
 """
 
+import math
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -31,7 +43,6 @@ from .subgroups import (
     enumerate_classes,
     is_minimal_normal,
     normal_subgroups,
-    quotient,
     subgroup_as_group,
 )
 
@@ -45,24 +56,13 @@ def is_cyclic(group):
     return subgroup_is_cyclic(Subgroup.full(group))
 
 
+def _generators_commute(group, gens):
+    block = group.mult[np.ix_(gens, gens)]
+    return bool((block == block.T).all())
+
+
 def is_abelian(group):
-    mult = group.mult
-    gens = [group.index(g) for g in group.generators]
-    for a in gens:
-        for b in gens:
-            if mult[a, b] != mult[b, a]:
-                return False
-    return True
-
-
-def subgroup_is_abelian(subgroup):
-    mult = subgroup.ambient.mult
-    gens = subgroup.generator_indices
-    for a in gens:
-        for b in gens:
-            if mult[a, b] != mult[b, a]:
-                return False
-    return True
+    return _generators_commute(group, [group.index(g) for g in group.generators])
 
 
 def derived_subgroup(subgroup):
@@ -74,7 +74,7 @@ def derived_subgroup(subgroup):
     a = np.repeat(idx, idx.size)
     b = np.tile(idx, idx.size)
     commutators = mult[mult[inv[a], inv[b]], mult[a, b]]
-    seeds = np.unique(commutators).astype(np.int32)
+    seeds = kernels.sorted_unique(commutators).astype(np.int32)
     return Subgroup(group, kernels.closure(mult, seeds))
 
 
@@ -92,64 +92,125 @@ def is_soluble(group):
     return cached
 
 
-def _sylow_class(table, p):
-    """Position of the one class of Sylow p-subgroups in ``table``."""
-    target = p_part(table.group.order, p)
-    hits = [i for i, c in enumerate(table.classes) if c.order == target]
-    if len(hits) != 1:
-        raise InternalCheckError("Sylow subgroups fell into %d classes" % len(hits))
-    return hits[0]
-
-
 def sylow_subgroup(group, p):
     """The representative Sylow p-subgroup (the whole class is conjugate)."""
-    table = enumerate_classes(group)
-    return table.classes[_sylow_class(table, p)].representative
+    target = p_part(group.order, p)
+    hits = [c for c in enumerate_classes(group).classes if c.order == target]
+    if len(hits) != 1:
+        raise InternalCheckError("Sylow subgroups fell into %d classes" % len(hits))
+    return hits[0].representative
+
+
+def orders_modulo(group, normal):
+    """The order of gN in G/N for every element g, memoised per N."""
+    if normal.is_trivial():
+        return group.element_orders
+    key = ("orders_modulo", normal.key)
+    if key not in group._memo:
+        everything = np.arange(group.order)
+        orders = np.zeros(group.order, dtype=np.int64)
+        power, k = everything, 1  # power[g] is g^k
+        while not orders.all():
+            orders[(orders == 0) & normal.mask[power]] = k
+            power, k = group.mult[power, everything], k + 1
+        group._memo[key] = orders
+    return group._memo[key]
+
+
+def _normal_over(group, normal):
+    """The normal subgroups of ``group`` that contain ``normal``."""
+    return [m for m in normal_subgroups(group) if m.contains_subgroup(normal)]
+
+
+def quotient_p_core(group, normal, p):
+    """The preimage of the p-core of G/N: the largest normal M >= N with
+    |M:N| a power of p, which contains every other one."""
+    if (group.order // normal.order) % p:
+        return normal  # read off no table: G/N has no nontrivial p-subgroup
+    key = ("p_core", normal.key, p)
+    if key not in group._memo:
+        group._memo[key] = max(
+            (m for m in _normal_over(group, normal)
+             if is_prime_power(m.order // normal.order, p)),
+            key=lambda m: m.order,
+        )
+    return group._memo[key]
+
+
+def quotient_q_residual(group, normal, q):
+    """The preimage of the q-residual of G/N: the intersection of the
+    normal M >= N of q-power index in G."""
+    key = ("q_residual", normal.key, q)
+    if key not in group._memo:
+        n = group.order
+        mask = np.ones(n, dtype=bool)
+        for sub in _normal_over(group, normal):
+            if is_prime_power(n // sub.order, q):
+                mask &= sub.mask
+        result = Subgroup(group, np.flatnonzero(mask))
+        # the intersection has q-power index iff some member attains it
+        if not is_prime_power(n // result.order, q):
+            raise InternalCheckError("q-residual does not have q-power index")
+        group._memo[key] = result
+    return group._memo[key]
+
+
+def quotient_is_p_hypo_elementary(group, normal, p):
+    """True when G/N modulo its p-core, G/O for O its preimage, is cyclic."""
+    core = quotient_p_core(group, normal, p)
+    return bool((orders_modulo(group, core) == group.order // core.order).any())
+
+
+def quotient_is_pq_dress(group, normal, p, q):
+    """True when G/N modulo its p-core, G/O for O its preimage, is
+    q-quasi-elementary: the q-residual R/O of G/O is cyclic."""
+    core = quotient_p_core(group, normal, p)
+    residual = quotient_q_residual(group, core, q)
+    orders = orders_modulo(group, core)[residual.indices]
+    return bool((orders == residual.order // core.order).any())
+
+
+def quotient_dress_primes(group, normal, p):
+    """The primes q for which a non-hypo-elementary G/N is (p,q)-Dress.
+
+    The list has at most one entry: G/N modulo its p-core is noncyclic,
+    and a noncyclic group is q-quasi-elementary for at most one prime.
+    Callers must handle the hypo-elementary case (Dress for every q)
+    themselves.
+    """
+    if quotient_is_p_hypo_elementary(group, normal, p):
+        raise InputError("dress_primes is only meaningful for non-hypo groups")
+    core = quotient_p_core(group, normal, p)
+    found = [
+        q for q in prime_factors(group.order // core.order)
+        if quotient_is_pq_dress(group, normal, p, q)
+    ]
+    if len(found) > 1:
+        raise InternalCheckError(
+            "a noncyclic quotient cannot be quasi-elementary for two primes"
+        )
+    return found
 
 
 def p_core(group, p):
-    """Largest normal p-subgroup: the intersection of the Sylow p-subgroups."""
-    cached = group._memo.get(("p_core", p))
-    if cached is not None:
-        return cached
-    if group.order % p:
-        result = Subgroup.trivial(group)
-    else:
-        table = enumerate_classes(group)
-        rows = table.members[table.class_of == _sylow_class(table, p)]
-        result = Subgroup(group, np.flatnonzero(rows.all(axis=0)).astype(np.int32))
-    group._memo[("p_core", p)] = result
-    return result
+    """Largest normal p-subgroup."""
+    return quotient_p_core(group, Subgroup.trivial(group), p)
 
 
 def q_residual(group, q):
     """Smallest normal subgroup of q-power index (intersection of them all)."""
-    cached = group._memo.get(("q_residual", q))
-    if cached is not None:
-        return cached
-    n = group.order
-    mask = np.ones(n, dtype=bool)
-    for sub in normal_subgroups(group):
-        if is_prime_power(n // sub.order, q):
-            mask &= sub.mask
-    result = Subgroup(group, np.flatnonzero(mask).astype(np.int32))
-    # the intersection has q-power index iff some member attains it
-    if not is_prime_power(n // result.order, q):
-        raise InternalCheckError("q-residual does not have q-power index")
-    group._memo[("q_residual", q)] = result
-    return result
+    return quotient_q_residual(group, Subgroup.trivial(group), q)
 
 
 def frattini_subgroup(group):
     """Intersection of the maximal subgroups."""
-    cached = group._memo.get("frattini")
-    if cached is not None:
-        return cached
-    table = enumerate_classes(group)
-    rows = table.members[np.isin(table.class_of, table.maximal_classes())]
-    result = Subgroup(group, np.flatnonzero(rows.all(axis=0)).astype(np.int32))
-    group._memo["frattini"] = result
-    return result
+    if "frattini" not in group._memo:
+        table = enumerate_classes(group)
+        maximal = np.zeros(len(table.classes), dtype=bool)
+        maximal[list(table.maximal_classes())] = True
+        rows = table.members[maximal[table.class_of]]
+        group._memo["frattini"] = Subgroup(group, np.flatnonzero(rows.all(axis=0)))
+    return group._memo["frattini"]
 
 
 def hall_p_complement(group, p):
@@ -172,12 +233,7 @@ def hall_p_complement(group, p):
 
 def is_p_hypo_elementary(group, p):
     """True when the quotient by the p-core is cyclic."""
-    core = p_core(group, p)
-    if core.is_trivial():
-        return is_cyclic(group)
-    if core.is_full():
-        return True
-    return is_cyclic(quotient(group, core).group)
+    return quotient_is_p_hypo_elementary(group, Subgroup.trivial(group), p)
 
 
 def is_q_quasi_elementary(group, q):
@@ -187,32 +243,13 @@ def is_q_quasi_elementary(group, q):
 
 def is_pq_dress(group, p, q):
     """True when the quotient by the p-core is q-quasi-elementary."""
-    core = p_core(group, p)
-    if core.is_trivial():
-        return is_q_quasi_elementary(group, q)
-    if core.is_full():
-        return True
-    return is_q_quasi_elementary(quotient(group, core).group, q)
+    return quotient_is_pq_dress(group, Subgroup.trivial(group), p, q)
 
 
 def dress_primes(group, p):
-    """The primes q for which a non-hypo-elementary group is (p,q)-Dress.
-
-    For a group that is not p-hypo-elementary the list has at most one
-    entry: the quotient by the p-core is noncyclic, and a noncyclic
-    group is q-quasi-elementary for at most one prime.  Callers must
-    handle the hypo-elementary case (Dress for every q) themselves.
-    """
-    if is_p_hypo_elementary(group, p):
-        raise InputError("dress_primes is only meaningful for non-hypo groups")
-    core = p_core(group, p)
-    candidates = prime_factors(group.order // core.order)
-    found = [q for q in candidates if is_pq_dress(group, p, q)]
-    if len(found) > 1:
-        raise InternalCheckError(
-            "a noncyclic quotient cannot be quasi-elementary for two primes"
-        )
-    return found
+    """The primes q for which a non-hypo-elementary group is (p,q)-Dress;
+    ``quotient_dress_primes`` with N = 1."""
+    return quotient_dress_primes(group, Subgroup.trivial(group), p)
 
 
 @dataclass
@@ -305,8 +342,8 @@ def dress_decomposition(group, p, q):
         reps = []
         for v_idx, vcls in enumerate(hall_table.classes):
             v_in_g = _lift_subgroup(group, hall_group, vcls.representative)
-            product = np.unique(
-                mult[np.ix_(u.indices, v_in_g.indices)].ravel()
+            product = kernels.sorted_unique(
+                mult[np.ix_(u.indices, v_in_g.indices)]
             ).astype(np.int32)
             if product.size != u.order * v_in_g.order:
                 raise InternalCheckError("core times complement part is not direct")
@@ -379,47 +416,29 @@ def _quasi_elementary_witness(group, p):
     n = group.order
     if n % p == 0:
         return []
-    out = []
-    for q in prime_factors(n) or []:
+    rows = []
+    for q in prime_factors(n):
         if not is_q_quasi_elementary(group, q):
             continue
         c = q_residual(group, q)
         sylow = sylow_subgroup(group, q)
-        centr = centralizer_indices(group, c.generator_indices, within=sylow)
-        faithful = centr.size == 1
+        # c is cyclic: one element of order |c| generates it
+        gen = c.indices[group.element_orders[c.indices] == c.order][:1]
+        faithful = centralizer_indices(group, gen, within=sylow).size == 1
         c_prime = is_prime(c.order)
-        if (not c_prime) or (not faithful):
-            out.append(
-                MainCaseMatch(
-                    tag="QuasiElementary",
-                    witness={
-                        "q": q,
-                        "cyclic_part_order": c.order,
-                        "sylow_part_order": sylow.order,
-                        "cyclic_part_prime": c_prime,
-                        "action_faithful": faithful,
-                    },
-                )
-            )
+        if not c_prime or not faithful:
+            rows.append((q, c.order, sylow.order, c_prime, faithful))
     if n == 1:
         # the trivial group is quasi-elementary with trivial cyclic part
-        out.append(
-            MainCaseMatch(
-                tag="QuasiElementary",
-                witness={
-                    "q": None,
-                    "cyclic_part_order": 1,
-                    "sylow_part_order": 1,
-                    "cyclic_part_prime": False,
-                    "action_faithful": True,
-                },
-            )
-        )
-    return out
+        rows.append((None, 1, 1, False, True))
+    keys = ("q", "cyclic_part_order", "sylow_part_order", "cyclic_part_prime",
+            "action_faithful")
+    return [MainCaseMatch(tag="QuasiElementary", witness=dict(zip(keys, row))) for row in rows]
 
 
-def _elementary_abelian_prime(group, subgroup):
-    """The prime l when the subgroup is elementary abelian, else None."""
+def _elementary_abelian_prime(group, subgroup, gens):
+    """The prime l when the subgroup, generated by ``gens``, is
+    elementary abelian, else None."""
     if subgroup.order == 1:
         return None
     factors = prime_factors(subgroup.order)
@@ -429,7 +448,7 @@ def _elementary_abelian_prime(group, subgroup):
     orders = group.element_orders[subgroup.indices]
     if not bool(((orders == 1) | (orders == l)).all()):
         return None
-    if not subgroup_is_abelian(subgroup):
+    if not _generators_commute(group, gens):
         return None
     return l
 
@@ -448,24 +467,18 @@ def two_factor_decomposition(group, w, d_sub, l):
         nsub for nsub in normal_subgroups(group)
         if nsub.order == l and w.contains_subgroup(nsub)
     ]
-    for a in range(len(lines)):
-        for b in range(len(lines)):
-            if a == b:
-                continue
-            l1, l2 = lines[a], lines[b]
-            p1 = centralizer_indices(group, l2.indices, within=d_sub)
-            p2 = centralizer_indices(group, l1.indices, within=d_sub)
-            if p1.size * p2.size != d_sub.order:
-                continue
-            qs = set(prime_factors(int(p1.size))) | set(prime_factors(int(p2.size)))
-            if len(qs) > 1:
-                continue
-            q = qs.pop() if qs else None
-            sub1 = Subgroup(group, p1)
-            sub2 = Subgroup(group, p2)
-            if not subgroup_is_cyclic(sub1) or not subgroup_is_cyclic(sub2):
-                continue
-            return q, (int(p1.size), int(p2.size))
+    for l1, l2 in permutations(lines, 2):
+        p1 = centralizer_indices(group, l2.indices, within=d_sub)
+        p2 = centralizer_indices(group, l1.indices, within=d_sub)
+        if p1.size * p2.size != d_sub.order:
+            continue
+        qs = set(prime_factors(int(p1.size))) | set(prime_factors(int(p2.size)))
+        if len(qs) > 1:
+            continue
+        q = qs.pop() if qs else None
+        if not all(subgroup_is_cyclic(Subgroup(group, part)) for part in (p1, p2)):
+            continue
+        return q, (int(p1.size), int(p2.size))
     return None
 
 
@@ -473,8 +486,10 @@ def vector_semidirect_match(group, p):
     """Match G = W x| D with W elementary abelian away from p, D faithful
     and Dress, and the action irreducible or split into two lines.
 
-    Returns a witness dict or None, memoised per (group, p); callers
-    must not mutate the dict.
+    W runs over the normal subgroups; faithfulness is one centralizer per
+    W, and D's questions are asked of G/W (module docstring).  Returns a
+    witness dict or None, memoised per (group, p); callers must not
+    mutate the dict.
     """
     key = ("vector_semidirect", p)
     if key not in group._memo:
@@ -484,40 +499,38 @@ def vector_semidirect_match(group, p):
 
 def _vector_semidirect_witness(group, p):
     table = enumerate_classes(group)
-    for w in normal_subgroups(group):
-        if w.is_trivial():
+    for cls in table.classes:
+        w = cls.representative
+        if cls.class_size != 1 or w.is_trivial():
             continue  # W = G is allowed: the complement is then trivial
-        l = _elementary_abelian_prime(group, w)
+        l = _elementary_abelian_prime(group, w, cls.generators)
         if l is None or l == p:
             continue
+        # W is abelian, so C_G(W) = W C_D(W) for every complement D: D
+        # acts faithfully exactly when C_G(W) = W
+        if centralizer_indices(group, cls.generators).size != w.order:
+            continue
         comp_order = group.order // w.order
-        complement = None
-        for cls in table.classes:
-            if cls.order != comp_order:
-                continue
-            meet_size = int((cls.representative.mask & w.mask).sum())
-            if meet_size != 1:
-                continue
-            centr = centralizer_indices(
-                group, w.generator_indices, within=cls.representative
-            )
-            if centr.size == 1:  # found a complement acting faithfully
-                complement = cls.representative
-                break
+        complement = next(
+            (c.representative for c in table.classes
+             if c.order == comp_order
+             and np.count_nonzero(w.mask[c.representative.indices]) == 1),
+            None,
+        )
         if complement is None:
             continue
-        d_group = subgroup_as_group(complement)
-        d_hypo = is_p_hypo_elementary(d_group, p)
+        # D is isomorphic to G/W, so its questions are asked of G/W
+        d_hypo = quotient_is_p_hypo_elementary(group, w, p)
         if d_hypo:
             qs = None  # Dress for every prime
         else:
-            found = dress_primes(d_group, p)
+            found = quotient_dress_primes(group, w, p)
             if not found:
                 continue
             qs = found[0]
         witness = {
             "l": l,
-            "rank": _log_to_base(w.order, l),
+            "rank": round(math.log(w.order, l)),  # |W| = l^rank
             "module_order": w.order,
             "complement_order": complement.order,
             "complement_is_hypo": d_hypo,
@@ -543,41 +556,25 @@ def _vector_semidirect_witness(group, p):
     return None
 
 
-def _log_to_base(n, l):
-    d = 0
-    while n > 1:
-        if n % l:
-            raise InternalCheckError("order is not a power of the prime")
-        n //= l
-        d += 1
-    return d
-
-
 def _nonabelian_socle_witness(group, p):
     """Case: a nonabelian minimal normal subgroup with trivial centralizer
     and a Dress quotient."""
     out = []
-    for m in normal_subgroups(group):
-        if m.is_trivial():
+    for cls in enumerate_classes(group).classes:
+        m = cls.representative
+        if cls.class_size != 1 or m.is_trivial():
             continue
-        if not is_minimal_normal(group, m) or subgroup_is_abelian(m):
+        if _generators_commute(group, cls.generators) or not is_minimal_normal(group, m):
             continue
-        centr = centralizer_indices(group, m.generator_indices)
-        if centr.size != 1:
+        if centralizer_indices(group, cls.generators).size != 1:
             continue
-        if m.is_full():
-            quot_group = None
-            d_hypo = True
-            q = None
-        else:
-            quot_group = quotient(group, m).group
-            d_hypo = is_p_hypo_elementary(quot_group, p)
-            q = None
-            if not d_hypo:
-                found = dress_primes(quot_group, p)
-                if not found:
-                    continue
-                q = found[0]
+        d_hypo = quotient_is_p_hypo_elementary(group, m, p)
+        q = None
+        if not d_hypo:
+            found = quotient_dress_primes(group, m, p)
+            if not found:
+                continue
+            q = found[0]
         out.append(
             MainCaseMatch(
                 tag="NonabelianSerre",

@@ -48,6 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernels as kernels
 from .burnside import (
     BurnsideElement,
     count_marks,
@@ -58,7 +59,10 @@ from .burnside import (
 from .classify import (
     dress_primes,
     is_p_hypo_elementary,
+    orders_modulo,
     p_core,
+    quotient_dress_primes,
+    quotient_is_p_hypo_elementary,
     two_factor_decomposition,
     vector_semidirect_match,
 )
@@ -80,7 +84,6 @@ from .subgroups import (
     enumerate_classes,
     is_minimal_normal,
     normal_subgroups,
-    quotient,
     subgroup_as_group,
 )
 from .zlattice import (
@@ -139,25 +142,11 @@ class KernelBasis:
         return [BurnsideElement(table, col) for col in self.basis.columns()]
 
 
-def _orders_modulo(group, normal):
-    """The order of gN in G/N for every element g of the group."""
-    mult = group.mult
-    everything = np.arange(group.order)
-    orders = np.zeros(group.order, dtype=np.int64)
-    power, k = everything, 1  # power[g] is g^k
-    while not orders.all():
-        orders[(orders == 0) & normal.mask[power]] = k
-        power, k = mult[power, everything], k + 1
-    return orders
-
-
 def _hypo_positions(subgroups, orders, normal_order, p):
     """Positions of the subgroups U, given as index arrays that contain
     N, with U/N p-hypo-elementary; ``orders[u]`` is the order of uN and
     ``normal_order`` is |N|.  The module docstring states the test."""
-    p_elements = np.isin(
-        orders, [o for o in np.unique(orders).tolist() if p_part(o, p) == o]
-    )
+    p_elements = kernels.value_mask(orders, lambda o: p_part(o, p) == o)
     out = []
     for i, u in enumerate(subgroups):
         size = u.size // normal_order
@@ -336,7 +325,7 @@ def quotient_view(table, marks, normal, p):
         class_sizes=np.asarray([table.classes[j].class_size for j in kept]),
         class_map=np.asarray(kept),
         marks=[[marks[a][b] for b in kept] for a in kept],
-        hypo=_hypo_positions(reps, _orders_modulo(group, normal), normal.order, p),
+        hypo=_hypo_positions(reps, orders_modulo(group, normal), normal.order, p),
     )
 
 
@@ -401,7 +390,8 @@ def predict_prim(group, characteristic):
     quotient trichotomy; Dress groups with nontrivial p-core and q != p
     have trivial primitive quotient; groups of the faithful module
     semidirect shape get Z or Z/q depending on the complement; anything
-    else is NotCovered.
+    else is NotCovered.  Every rung reads G's class table; no quotient
+    or complement is built as a group.
     """
     p = effective_prime(group, characteristic)
     if is_p_hypo_elementary(group, p):
@@ -424,17 +414,16 @@ def predict_prim(group, characteristic):
 
 def _quotient_trichotomy(group, p):
     """Prediction for groups that are (p,q)-Dress for no prime q, read
-    off the proper quotients: all hypo gives Z; a unique prime q with
-    every quotient (p,q)-Dress and at least one non-hypo gives Z/q;
-    anything else collapses the quotient to zero."""
+    off the proper quotients G/N, each asked of G's normal subgroups over
+    N: all hypo gives Z; a unique prime q with every quotient (p,q)-Dress
+    and at least one non-hypo gives Z/q; anything else gives zero."""
     non_hypo_primes = set()
     for n_sub in normal_subgroups(group):
         if n_sub.order == 1:
             continue
-        q_group = quotient(group, n_sub).group
-        if is_p_hypo_elementary(q_group, p):
+        if quotient_is_p_hypo_elementary(group, n_sub, p):
             continue
-        found = dress_primes(q_group, p)
+        found = quotient_dress_primes(group, n_sub, p)
         if not found:
             return Prediction(source="Thm2.9c", free_rank=0, torsion=())
         non_hypo_primes.add(found[0])
@@ -675,11 +664,9 @@ def theta_highdim(l, matrices, characteristic):
     _validate_theta_characteristic(l, characteristic)
     group, module, stabilizer = affine_group(l, d, matrices)
     p = effective_prime(group, characteristic)
-    if is_p_hypo_elementary(subgroup_as_group(stabilizer), p):
-        pass  # Dress for every prime
-    else:
-        if not dress_primes(subgroup_as_group(stabilizer), p):
-            raise InputError("the stabilizer is not a Dress group for any prime")
+    stab_group = subgroup_as_group(stabilizer)
+    if not is_p_hypo_elementary(stab_group, p) and not dress_primes(stab_group, p):
+        raise InputError("the stabilizer is not a Dress group for any prime")
     if not is_minimal_normal(group, module):
         if two_factor_decomposition(group, module, stabilizer, l) is None:
             raise InputError(
@@ -692,15 +679,9 @@ def theta_highdim(l, matrices, characteristic):
         hyperplane = cls.representative
         if cls.order * l != module.order or not module.contains_subgroup(hyperplane):
             continue
-        norm_in_stab = np.intersect1d(
-            cls.normalizer.indices, stabilizer.indices
-        ).astype(np.int32)
-        un = np.unique(
-            mult[np.ix_(hyperplane.indices, norm_in_stab)].ravel()
-        ).astype(np.int32)
-        wn = np.unique(
-            mult[np.ix_(module.indices, norm_in_stab)].ravel()
-        ).astype(np.int32)
+        norm_in_stab = stabilizer.indices[cls.normalizer.mask[stabilizer.indices]]
+        un = kernels.sorted_unique(mult[np.ix_(hyperplane.indices, norm_in_stab)])
+        wn = kernels.sorted_unique(mult[np.ix_(module.indices, norm_in_stab)])
         if len(un) != hyperplane.order * len(norm_in_stab):
             raise InternalCheckError("hyperplane product set is not split")
         if len(wn) != module.order * len(norm_in_stab):

@@ -57,7 +57,7 @@ class Subgroup:
     __slots__ = ("ambient", "indices", "_mask", "_gens", "_transversal")
 
     def __init__(self, ambient, indices):
-        arr = np.unique(np.asarray(indices, dtype=np.int32))
+        arr = kernels.sorted_unique(np.asarray(indices, dtype=np.int32))
         if arr.size == 0 or arr[0] != 0:
             raise InputError("a subgroup must contain the identity (index 0)")
         if ambient.order % arr.size:
@@ -239,9 +239,7 @@ def enumerate_classes(group):
     n = group.order
     primes = prime_factors(n)
     orders = group.element_orders
-    zuppos = np.isin(
-        orders, [o for o in np.unique(orders).tolist() if len(prime_factors(o)) == 1]
-    )
+    zuppos = kernels.value_mask(orders, lambda o: len(prime_factors(o)) == 1)
 
     sub_to_class = {}
     records = []  # (indices, normalizer_indices, member keys, generators, first row)
@@ -282,7 +280,7 @@ def enumerate_classes(group):
         canon, t0 = min(orbit, key=lambda pair: pair[0].tolist())
         canon_norm = group.conjugate_indices(t0, norm)
         canon_gens = group.conjugate_indices(t0, gens)
-        if not np.isin(canon_gens, canon).all():
+        if not np.isin(canon_gens, canon, kind="table").all():  # no numpy.ma import
             raise InternalCheckError("generators left the class representative")
         cid = len(records)
         keys = sorted(conj.tobytes() for conj, _ in orbit)
@@ -463,13 +461,12 @@ def subgroup_as_group(subgroup):
 
 def centralizer_indices(group, target_indices, within=None):
     """Indices of elements commuting with every element of ``target_indices``,
-    optionally restricted to the subgroup ``within``."""
+    optionally restricted to the subgroup ``within``: one |pool| x |targets|
+    block of products each way."""
     mult = group.mult
     pool = within.indices if within is not None else np.arange(
         group.order, dtype=np.int32
     )
-    out = []
-    for g in pool:
-        if all(mult[g, t] == mult[t, g] for t in target_indices):
-            out.append(int(g))
-    return np.asarray(out, dtype=np.int32)
+    targets = np.asarray(target_indices, dtype=np.int32)
+    commute = mult[np.ix_(pool, targets)] == mult[np.ix_(targets, pool)].T
+    return pool[commute.all(axis=1)].astype(np.int32)

@@ -10,15 +10,27 @@ from hypothesis import strategies as st
 from permrel import _kernels
 from permrel.burnside import element_from_subgroups, fixed_points, induct, inflate
 from permrel.classify import (
+    GroupClassReport,
+    MainCaseMatch,
+    _elementary_abelian_prime,
+    _quasi_elementary_witness,
     dress_primes,
+    frattini_subgroup,
+    is_abelian,
+    is_cyclic,
     is_p_hypo_elementary,
+    is_q_quasi_elementary,
+    is_soluble,
+    q_residual,
     two_factor_decomposition,
 )
 from permrel.constructions import affine_group, decode_vector, encode_vector
 from permrel.errors import InputError, InternalCheckError
-from permrel.numtheory import p_part, prime_to_p_part
+from permrel.numtheory import p_part, prime_factors, prime_to_p_part
 from permrel.perm import Permutation, generate
+from permrel.presets import CORPUS_NAMES
 from permrel.relations import (
+    Prediction,
     _validate_theta_characteristic,
     brauer_kernel,
     effective_prime,
@@ -518,3 +530,217 @@ def lattice_contains(basis, vector):
         raise ValueError("vector length does not match lattice dimension")
     cols, pivot_rows = _echelon_data(basis)
     return _echelon_solve(cols, pivot_rows, vec) is not None
+
+
+# the prediction ladder's differential cases: the corpus, and larger
+# groups with many normal subgroups
+LADDER_NAMES = CORPUS_NAMES + ("S4xC2", "D8xS3", "D8xD8", "C2xC2xC2xC2xC2")
+
+
+def centralizer_indices_by_loop(group, target_indices, within=None):
+    """Elements of ``within`` (default the group) commuting with every
+    target, tested one element and one target at a time."""
+    mult = group.mult
+    pool = within.indices if within is not None else range(group.order)
+    out = [g for g in pool if all(mult[g, t] == mult[t, g] for t in target_indices)]
+    return np.asarray(out, dtype=np.int32)
+
+
+def p_core_by_sylow_intersection(group, p):
+    """The largest normal p-subgroup as the meet of the Sylow p-subgroups:
+    the rows of the class table's Sylow class, intersected."""
+    if group.order % p:
+        return Subgroup.trivial(group)
+    table = enumerate_classes(group)
+    (sylow,) = [i for i, c in enumerate(table.classes) if c.order == p_part(group.order, p)]
+    rows = table.members[table.class_of == sylow]
+    return Subgroup(group, np.flatnonzero(rows.all(axis=0)))
+
+
+def _modulo_core_group(group, p):
+    """G/O_p(G) built by ``quotient``, G itself when the core is trivial,
+    None when it is G."""
+    core = p_core_by_sylow_intersection(group, p)
+    if core.is_full():
+        return None
+    return group if core.is_trivial() else quotient(group, core).group
+
+
+def is_p_hypo_elementary_by_quotient_group(group, p):
+    """True when G/O_p(G), built as a group, is cyclic."""
+    quot = _modulo_core_group(group, p)
+    return quot is None or is_cyclic(quot)
+
+
+def is_pq_dress_by_quotient_group(group, p, q):
+    """True when G/O_p(G), built as a group, is q-quasi-elementary."""
+    quot = _modulo_core_group(group, p)
+    return quot is None or is_q_quasi_elementary(quot, q)
+
+
+def dress_primes_by_quotient_group(group, p):
+    """The primes q with G (p,q)-Dress, for G not p-hypo-elementary."""
+    core = p_core_by_sylow_intersection(group, p)
+    return [
+        q for q in prime_factors(group.order // core.order)
+        if is_pq_dress_by_quotient_group(group, p, q)
+    ]
+
+
+def _quotient_trichotomy_by_quotient_groups(group, p):
+    non_hypo_primes = set()
+    for n_sub in normal_subgroups(group):
+        if n_sub.is_trivial():
+            continue
+        q_group = quotient(group, n_sub).group
+        if is_p_hypo_elementary_by_quotient_group(q_group, p):
+            continue
+        found = dress_primes_by_quotient_group(q_group, p)
+        if not found:
+            return Prediction(source="Thm2.9c", free_rank=0, torsion=())
+        non_hypo_primes.add(found[0])
+    if not non_hypo_primes:
+        return Prediction(source="Thm2.9a", free_rank=1, torsion=())
+    if len(non_hypo_primes) == 1:
+        return Prediction(source="Thm2.9b", free_rank=0, torsion=(non_hypo_primes.pop(),))
+    return Prediction(source="Thm2.9c", free_rank=0, torsion=())
+
+
+def vector_semidirect_by_complement_group(group, p):
+    """``vector_semidirect_match`` with one centralizer per candidate
+    complement class, and the complement's questions asked of it built
+    by ``subgroup_as_group``; not memoised."""
+    table = enumerate_classes(group)
+    for w in normal_subgroups(group):
+        if w.is_trivial():
+            continue
+        l = _elementary_abelian_prime(group, w, w.generator_indices)
+        if l is None or l == p:
+            continue
+        complement = None
+        for cls in table.classes:
+            rep = cls.representative
+            if cls.order * w.order != group.order or (rep.mask & w.mask).sum() != 1:
+                continue
+            if centralizer_indices_by_loop(group, w.generator_indices, within=rep).size == 1:
+                complement = rep
+                break
+        if complement is None:
+            continue
+        d_group = subgroup_as_group(complement)
+        d_hypo = is_p_hypo_elementary_by_quotient_group(d_group, p)
+        qs = None
+        if not d_hypo:
+            found = dress_primes_by_quotient_group(d_group, p)
+            if not found:
+                continue
+            qs = found[0]
+        witness = {
+            "l": l,
+            "rank": next(d for d in range(w.order) if l ** d == w.order),
+            "module_order": w.order,
+            "complement_order": complement.order,
+            "complement_is_hypo": d_hypo,
+            "q": qs,
+            "shape": None,
+            "_module": w,
+            "_complement": complement,
+        }
+        if is_minimal_normal(group, w):
+            witness["shape"] = "irreducible"
+            return witness
+        split = two_factor_decomposition(group, w, complement, l)
+        if split is not None:
+            q2, factor_orders = split
+            if qs is not None and q2 is not None and q2 != qs:
+                continue
+            witness["shape"] = "two_factor"
+            witness["factor_orders"] = factor_orders
+            if witness["q"] is None:
+                witness["q"] = q2
+            return witness
+    return None
+
+
+def _nonabelian_socle_by_quotient_groups(group, p):
+    out = []
+    for m in normal_subgroups(group):
+        if m.is_trivial() or not is_minimal_normal(group, m):
+            continue
+        mult = group.mult
+        if all(mult[a, b] == mult[b, a] for a in m.indices for b in m.indices):
+            continue  # abelian
+        if centralizer_indices_by_loop(group, m.generator_indices).size != 1:
+            continue
+        q_group = quotient(group, m).group
+        d_hypo = is_p_hypo_elementary_by_quotient_group(q_group, p)
+        q = None
+        if not d_hypo:
+            found = dress_primes_by_quotient_group(q_group, p)
+            if not found:
+                continue
+            q = found[0]
+        out.append(MainCaseMatch(tag="NonabelianSerre", witness={
+            "socle_order": m.order,
+            "quotient_order": group.order // m.order,
+            "quotient_is_hypo": d_hypo,
+            "q": q,
+        }))
+    return out
+
+
+def predict_prim_by_quotient_groups(group, characteristic):
+    """``predict_prim`` with every quotient and complement built as a
+    group of its own."""
+    p = effective_prime(group, characteristic)
+    if is_p_hypo_elementary_by_quotient_group(group, p):
+        return Prediction(source="Hypo", free_rank=0, torsion=())
+    qs = dress_primes_by_quotient_group(group, p)
+    if not qs:
+        return _quotient_trichotomy_by_quotient_groups(group, p)
+    if qs[0] != p and not p_core_by_sylow_intersection(group, p).is_trivial():
+        return Prediction(source="Thm3.2", free_rank=0, torsion=())
+    witness = vector_semidirect_by_complement_group(group, p)
+    if witness is None:
+        return Prediction(source="NotCovered")
+    if witness["complement_is_hypo"]:
+        return Prediction(source="ThmMainB", free_rank=1, torsion=())
+    return Prediction(source="ThmMainB", free_rank=0, torsion=(witness["q"],))
+
+
+def main_case_classify_by_groups(group, p):
+    """``main_case_classify`` with every quotient and complement built as
+    a group of its own (the quasi-elementary case builds none)."""
+    matches = list(_quasi_elementary_witness(group, p))
+    vs = vector_semidirect_by_complement_group(group, p)
+    if vs is not None:
+        witness = {k: v for k, v in vs.items() if not k.startswith("_")}
+        matches.append(MainCaseMatch(tag="VectorSemidirect", witness=witness))
+    matches.extend(_nonabelian_socle_by_quotient_groups(group, p))
+    if is_pq_dress_by_quotient_group(group, p, p):
+        core = p_core_by_sylow_intersection(group, p)
+        matches.append(MainCaseMatch(tag="PPDress", witness={"core_order": core.order}))
+    return matches
+
+
+def classify_group_by_groups(group):
+    """``classify_group`` with the p-cores from the Sylow subgroups and
+    the hypo and Dress tests on quotients built as groups."""
+    n = group.order
+    primes = prime_factors(n) if n > 1 else []
+    return GroupClassReport(
+        order=n,
+        cyclic=is_cyclic(group),
+        abelian=is_abelian(group),
+        soluble=is_soluble(group),
+        p_core_orders={p: p_core_by_sylow_intersection(group, p).order for p in primes},
+        q_residual_orders={q: q_residual(group, q).order for q in primes},
+        frattini_order=frattini_subgroup(group).order,
+        hypo_elementary_primes=tuple(
+            p for p in primes if is_p_hypo_elementary_by_quotient_group(group, p)
+        ),
+        quasi_elementary_primes=tuple(q for q in primes if is_q_quasi_elementary(group, q)),
+        dress_pairs=tuple(
+            (p, q) for p in primes for q in primes if is_pq_dress_by_quotient_group(group, p, q)
+        ),
+    )

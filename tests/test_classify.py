@@ -16,6 +16,10 @@ from permrel.classify import (
     main_case_classify,
     p_core,
     q_residual,
+    quotient_dress_primes,
+    quotient_is_p_hypo_elementary,
+    quotient_is_pq_dress,
+    quotient_p_core,
     sylow_subgroup,
     two_factor_decomposition,
     vector_semidirect_match,
@@ -23,16 +27,26 @@ from permrel.classify import (
 from permrel.errors import InputError
 from permrel.numtheory import p_part, prime_factors, prime_to_p_part
 from permrel.perm import generate, parse_cycles
-from permrel.presets import CORPUS_NAMES, preset_group
+from permrel.presets import CORPUS_CHARACTERISTICS, CORPUS_NAMES, preset_group
+from permrel.relations import effective_prime
 from permrel.subgroups import (
     enumerate_classes,
     is_normal,
     normal_subgroups,
+    quotient,
     subgroup_as_group,
 )
 
 from oracles import (
+    LADDER_NAMES,
     class_orbit_by_conjugation,
+    classify_group_by_groups,
+    dress_primes_by_quotient_group,
+    is_p_hypo_elementary_by_quotient_group,
+    is_pq_dress_by_quotient_group,
+    main_case_classify_by_groups,
+    p_core_by_sylow_intersection,
+    vector_semidirect_by_complement_group,
     permutation_groups,
     subgroup_is_p_hypo_elementary,
     subgroups_of,
@@ -331,3 +345,65 @@ def test_classify_report_s4():
     assert report.hypo_elementary_primes == ()
     assert report.quasi_elementary_primes == ()
     assert report.dress_pairs == ((2, 2),)
+
+
+def _ladder_primes(group):
+    return sorted({effective_prime(group, char) for char in CORPUS_CHARACTERISTICS})
+
+
+def _assert_sections_match_quotient_groups(group):
+    """Every question about G/N, read off G's normal subgroups, against
+    G/N built as a group."""
+    primes = prime_factors(group.order)
+    for normal in normal_subgroups(group):
+        quot = quotient(group, normal).group
+        for p in _ladder_primes(group):
+            core = quotient_p_core(group, normal, p)
+            assert core.order == normal.order * p_core_by_sylow_intersection(quot, p).order
+            hypo = is_p_hypo_elementary_by_quotient_group(quot, p)
+            assert quotient_is_p_hypo_elementary(group, normal, p) == hypo
+            for q in primes:
+                expected = is_pq_dress_by_quotient_group(quot, p, q)
+                assert quotient_is_pq_dress(group, normal, p, q) == expected, (p, q)
+            if not hypo:
+                expected = dress_primes_by_quotient_group(quot, p)
+                assert quotient_dress_primes(group, normal, p) == expected
+
+
+def _assert_ladder_matches_groups(group):
+    """Main-case tags and witnesses, and the class report, against the
+    ladder that builds every quotient and complement as a group."""
+    for p in _ladder_primes(group):
+        found = [(m.tag, m.witness) for m in main_case_classify(group, p)]
+        expected = [(m.tag, m.witness) for m in main_case_classify_by_groups(group, p)]
+        assert found == expected, p
+        # the memoised witness, module and complement included
+        assert vector_semidirect_match(group, p) == vector_semidirect_by_complement_group(
+            group, p
+        )
+    assert classify_group(group) == classify_group_by_groups(group)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_sections_match_quotient_groups_on_corpus(name):
+    _assert_sections_match_quotient_groups(preset_group(name))
+
+
+@pytest.mark.parametrize("name", LADDER_NAMES)
+def test_ladder_matches_quotient_groups(name):
+    _assert_ladder_matches_groups(preset_group(name))
+
+
+@given(permutation_groups())
+@settings(max_examples=40, deadline=None)
+def test_ladder_matches_quotient_groups_on_random_groups(group):
+    _assert_sections_match_quotient_groups(group)
+    _assert_ladder_matches_groups(group)
+
+
+def test_coprime_prime_reads_no_class_table():
+    # G/N has no p-subgroup but the trivial one when p does not divide |G:N|
+    group = preset_group("A6")
+    assert not is_p_hypo_elementary(group, 7)
+    assert p_core(group, 7).is_trivial()
+    assert "class_table" not in group._memo

@@ -1,6 +1,11 @@
 """The numpy kernels against pure-Python oracles built on Permutation
 arithmetic, on random permutation groups of degree at most 5."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,3 +184,51 @@ def test_count_fixed_matches_direct_count_on_cyclic_pairs():
             kgens = np.asarray([k], dtype=np.int32)
             got = _kernels.count_fixed(s4.mult, s4.inv, mask, transversal, kgens)
             assert got == _direct_fixed_count(s4, transversal, h_members, k_members)
+
+
+@given(st.lists(st.integers(0, 40), max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_sorted_unique_and_value_mask_match_numpy(values):
+    arr = np.asarray(values, dtype=np.int32)
+    got = _kernels.sorted_unique(arr)
+    assert got.dtype == arr.dtype and got.tolist() == np.unique(arr).tolist()
+    if values:
+        odd = [v for v in set(values) if v % 2]
+        assert _kernels.value_mask(arr, lambda v: v % 2 == 1).tolist() == np.isin(
+            arr, odd
+        ).tolist()
+
+
+# Run in a fresh process, since any earlier test may have imported numpy.ma.
+_NO_MA_SCRIPT = """
+import sys
+import numpy
+before = "numpy.ma" in sys.modules
+from permrel import effective_prime, main_case_classify, preset_group, prim
+from permrel.presets import CORPUS_CHARACTERISTICS, CORPUS_NAMES
+cases = [(name, CORPUS_CHARACTERISTICS) for name in CORPUS_NAMES]
+cases += [("A6", CORPUS_CHARACTERISTICS), ("C19:C18", CORPUS_CHARACTERISTICS),
+          ("C2xC2xC2xC2xC2", (0, 2))]
+for name, chars in cases:
+    group = preset_group(name)
+    for char in chars:
+        prim(group, char)
+        main_case_classify(group, effective_prime(group, char))
+print(before, "numpy.ma" in sys.modules)
+"""
+
+
+def test_prim_and_main_cases_never_import_numpy_ma():
+    # np.unique, np.intersect1d and the sort path of np.isin import
+    # numpy.ma on first use, which a pass would pay for; neither building
+    # the groups nor answering may.  Where ``import numpy`` already loads
+    # numpy.ma (before is True) the check is vacuous.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src] + [path for path in [os.environ.get("PYTHONPATH")] if path]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_MA_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    before, after = out.stdout.split()
+    assert before == "True" or after == "False"

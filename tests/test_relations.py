@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from permrel import relations
 from permrel.burnside import BurnsideElement, induct, mark_vector, marks_table
+from permrel.classify import main_case_classify
 from permrel.constructions import affine_group, frobenius_group
 from permrel.errors import InputError, PermrelError
 from permrel.perm import generate, parse_cycles
@@ -42,12 +43,14 @@ from permrel.subgroups import (
 from permrel.zlattice import IntMatrix
 
 from oracles import (
+    LADDER_NAMES,
     imprimitive_lattice_by_subquotient_groups,
     imprimitive_lattice_by_sweep,
     kernel_basis_by_two_hnfs,
     lattice_contains,
     matrix_of_stabilizer_element,
     permutation_groups,
+    predict_prim_by_quotient_groups,
     relabelled,
     subgroup_is_p_hypo_elementary,
     theta_highdim_by_functional_orbits,
@@ -311,9 +314,9 @@ def test_quotient_views_match_quotient_groups(name):
             assert list(view.hypo) == expected, (name, char)
 
 
-def _count_calls(monkeypatch, fname, record):
+def _count_calls(monkeypatch, fname, record, home="permrel.subgroups"):
     # wrap the function in every permrel module that holds it
-    original = getattr(sys.modules["permrel.subgroups"], fname)
+    original = getattr(sys.modules[home], fname)
 
     def counting(*args, **kwargs):
         record(args)
@@ -339,6 +342,38 @@ def test_imprimitive_lattice_builds_no_group_but_g(monkeypatch):
         assert built == [], name
         assert enumerated and all(g is group for g in enumerated), name
         enumerated.clear()
+
+
+def test_prediction_ladder_builds_no_group_but_g(monkeypatch):
+    groups = [
+        _cold_copy(preset_group(name))
+        for name in CORPUS_NAMES + ("C2xC2xC2xC2xC2",)
+    ]
+    built = []
+    _count_calls(monkeypatch, "subgroup_as_group", built.append)
+    _count_calls(monkeypatch, "quotient", built.append)
+    _count_calls(monkeypatch, "generate", built.append, home="permrel.perm")
+    for group in groups:
+        for char in CORPUS_CHARACTERISTICS:
+            prim(group, char)
+            main_case_classify(group, effective_prime(group, char))
+        assert built == [], group
+
+
+def _assert_predictions_match_quotient_groups(group):
+    for char in CORPUS_CHARACTERISTICS:
+        assert predict_prim(group, char) == predict_prim_by_quotient_groups(group, char), char
+
+
+@pytest.mark.parametrize("name", LADDER_NAMES)
+def test_predictions_match_quotient_groups(name):
+    _assert_predictions_match_quotient_groups(preset_group(name))
+
+
+@given(permutation_groups())
+@settings(max_examples=40, deadline=None)
+def test_predictions_match_quotient_groups_on_random_groups(group):
+    _assert_predictions_match_quotient_groups(group)
 
 
 def test_c2_5_prim_at_char_0():

@@ -15,6 +15,7 @@ from permrel.perm import Permutation, generate, parse_cycles
 from permrel.presets import CORPUS_NAMES, preset_group
 from permrel.subgroups import (
     Subgroup,
+    centralizer_indices,
     enumerate_classes,
     is_normal,
     normal_subgroups,
@@ -23,6 +24,7 @@ from permrel.subgroups import (
 )
 
 from oracles import (
+    centralizer_indices_by_loop,
     class_orbit_by_conjugation,
     enumerate_classes_by_every_extension,
     permutation_groups,
@@ -310,3 +312,26 @@ def test_skips_cut_the_closures_of_c19_c18(monkeypatch):
     # 521 closures with neither skip
     closures, subgroup_count = _closures_to_enumerate(monkeypatch, "C19:C18")
     assert closures < 300 and subgroup_count == 102
+
+
+def _assert_centralizers_match_loop(group):
+    """Centralizers of each class's generators, of its members and of
+    nothing, in G and in the class's normalizer."""
+    for cls in enumerate_classes(group).classes:
+        for targets in (cls.generators, cls.representative.indices, []):
+            for within in (None, cls.normalizer):
+                got = centralizer_indices(group, targets, within=within)
+                expected = centralizer_indices_by_loop(group, targets, within=within)
+                assert got.dtype == np.int32
+                assert got.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_centralizers_match_loop(name):
+    _assert_centralizers_match_loop(preset_group(name))
+
+
+@given(permutation_groups())
+@settings(max_examples=40, deadline=None)
+def test_centralizers_match_loop_on_random_groups(group):
+    _assert_centralizers_match_loop(group)
