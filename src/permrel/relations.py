@@ -83,8 +83,8 @@ from .subgroups import (
     Subgroup,
     enumerate_classes,
     is_minimal_normal,
+    minimal_normal_subgroups,
     normal_subgroups,
-    subgroup_as_group,
 )
 from .zlattice import (
     IntMatrix,
@@ -351,8 +351,7 @@ def imprimitive_lattice(group, characteristic):
     views = [maximal_view(table, hypo, table.classes[i]) for i in table.maximal_classes()]
     views += [
         quotient_view(table, marks, normal, p)
-        for normal in normal_subgroups(group)
-        if not normal.is_trivial() and is_minimal_normal(group, normal)
+        for normal in minimal_normal_subgroups(group)
     ]
     columns = []
     for view in views:
@@ -664,8 +663,9 @@ def theta_highdim(l, matrices, characteristic):
     _validate_theta_characteristic(l, characteristic)
     group, module, stabilizer = affine_group(l, d, matrices)
     p = effective_prime(group, characteristic)
-    stab_group = subgroup_as_group(stabilizer)
-    if not is_p_hypo_elementary(stab_group, p) and not dress_primes(stab_group, p):
+    # D is isomorphic to G/W, so its questions are asked of G/W
+    d_hypo = quotient_is_p_hypo_elementary(group, module, p)
+    if not d_hypo and not quotient_dress_primes(group, module, p):
         raise InputError("the stabilizer is not a Dress group for any prime")
     if not is_minimal_normal(group, module):
         if two_factor_decomposition(group, module, stabilizer, l) is None:

@@ -370,14 +370,28 @@ def normal_subgroups(group):
     return [c.representative for c in table.classes if c.class_size == 1]
 
 
+def minimal_normal_subgroups(group):
+    """The minimal normal subgroups of ``group``, by order: the nontrivial
+    normal N containing none found before.  A minimal normal M meets N in
+    M or 1, so one nonidentity element of M tells whether N contains M."""
+    cached = group._memo.get("minimal_normal")
+    if cached is None:
+        cached = []
+        witness = np.zeros(group.order, dtype=bool)  # one element of each kept M
+        for sub in normal_subgroups(group):
+            if not sub.is_trivial() and not witness[sub.indices].any():
+                cached.append(sub)
+                witness[sub.indices[1]] = True
+        group._memo["minimal_normal"] = cached
+    return cached
+
+
 def is_minimal_normal(group, normal):
     """True when no nontrivial normal subgroup of ``group`` lies strictly
     inside the normal subgroup ``normal``."""
     return not any(
-        not sub.is_trivial()
-        and sub.order < normal.order
-        and normal.contains_subgroup(sub)
-        for sub in normal_subgroups(group)
+        sub.order < normal.order and normal.contains_subgroup(sub)
+        for sub in minimal_normal_subgroups(group)
     )
 
 

@@ -1,12 +1,12 @@
 """Exact integer matrices: Hermite and Smith normal forms, kernels,
 lattice membership, and quotient invariants.
 
-All arithmetic uses Python integers, so entries may grow without
-overflow.  numpy is deliberately not used here: the intermediate
-entries of normal-form computations routinely exceed 64 bits even for
-small inputs.  Every normal form is certified before it is returned;
-a failed certificate raises InternalCheckError rather than letting a
-wrong lattice leak into callers.
+All arithmetic is exact.  Python integers carry it, since the entries
+of normal-form computations routinely exceed 64 bits even for small
+inputs; numpy serves only an elimination modulo a prime whose answer is
+then proved over the integers.  Every normal form is certified before it
+is returned; a failed certificate raises InternalCheckError rather than
+letting a wrong lattice leak into callers.
 
 Conventions.  Matrices act on column vectors.  A lattice is given by a
 matrix whose columns generate it.  Hermite form is the column-style
@@ -30,19 +30,22 @@ Comput. 8, 1979).
 
 ``triangular_kernel`` finds {x : M x = 0} when M has a square upper
 triangular block A with nonzero diagonal, and B is M on the other
-columns.  A kernel vector is fixed by its part y outside A, through
-x_A = -A^-1 B y, so the kernel is the lift of the lattice
-L = {y : C y = 0 mod d} with C = d A^-1 B, for any d that makes C
-integral.  L contains d Z^N, so it is found by one echelon of C modulo
-d beside the columns d e_i (P. Domich, R. Kannan and L. Trotter, Math.
-Oper. Res. 12, 1987).  For the marks of a group G at its
-hypo-elementary classes, d = |G| serves: A^-1 is a block of the inverse
-table of marks, whose denominators divide |G| (D. Gluck, Illinois J.
-Math. 25, 1981; T. Yoshida, J. Algebra 80, 1983).
+columns.  It first reads the Hermite basis off one elimination modulo a
+prime (its docstring gives the argument).  When that fails, a kernel
+vector is fixed by its part y outside A, through x_A = -A^-1 B y, so
+the kernel is the lift of the lattice L = {y : C y = 0 mod d} with
+C = d A^-1 B, for any d that makes C integral.  L contains d Z^(k-r), so
+it is found by one echelon of C modulo d beside the columns d e_i (P.
+Domich, R. Kannan and L. Trotter, Math. Oper. Res. 12, 1987).  For the
+marks of a group G at its hypo-elementary classes, d = |G| serves: A^-1
+is a block of the inverse table of marks, whose denominators divide |G|
+(D. Gluck, Illinois J. Math. 25, 1981; T. Yoshida, J. Algebra 80, 1983).
 """
 
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InternalCheckError
 
@@ -359,10 +362,24 @@ def triangular_kernel(m, pivots, modulus):
     The columns ``pivots`` of M, one per row and taken in row order,
     must form an upper triangular block A with nonzero diagonal, and
     ``modulus`` must be a positive d with d * A^-1 B integral, where B
-    is M on the remaining columns; the module docstring gives the
-    method.  A block that is not triangular, or a remainder in the
-    back-substitution for d * A^-1 B, raises InternalCheckError, as
-    does a basis column that fails M x = 0.
+    is M on the remaining columns.  A block that is not triangular, or a
+    remainder in the back-substitution for d * A^-1 B, raises
+    InternalCheckError.
+
+    First, a Gauss-Jordan elimination of M modulo the prime Q takes
+    pivot columns N from the right.  Each other coordinate p gives the
+    column e_p - W_p, with W = M_N^-1 M_P mod Q in residues of least
+    absolute value; W_p is zero on each n in N below p, whose row had no
+    pivot, hence a zero residue, when p was passed over.  The columns
+    are accepted when there are r = M.rows pivots and M_P = M_N W
+    exactly.  Then det M_N is nonzero, so rank M = r, and the columns,
+    integral kernel vectors equal to the identity on P, span every
+    integral kernel vector (x minus the sum of x_p (e_p - W_p) is a
+    kernel vector supported on N, hence 0).  So they are the unique
+    Hermite basis, with unit pivots.  A non-unit pivot (W is not
+    integral), an entry of W past Q/2 or a prime that divides det M_N
+    fails that test, and the basis comes from the lattice L of the
+    module docstring, each column checked against M x = 0.
     """
     r, k = m.rows, m.cols
     modulus = _as_int(modulus)
@@ -374,21 +391,23 @@ def triangular_kernel(m, pivots, modulus):
     rest = sorted(set(range(k)) - set(pivots))
     if not rest:
         return IntMatrix.from_columns([], rows=k)
-    # C = d A^-1 B by back-substitution in A, one sparse column at a time
-    upper = [[(j, a[i][j]) for j in range(i + 1, r) if a[i][j]] for i in range(r)]
-    c_cols = []
-    for n in rest:
-        z = {}
-        for i in reversed(range(r)):
-            x = modulus * m.data[i][n] - sum(v * z[j] for j, v in upper[i] if j in z)
-            q, rem = divmod(x, a[i][i])
-            if rem:
-                raise InternalCheckError("modulus * A^-1 B is not integral")
-            if q:
-                z[i] = q
-        c_cols.append(z)
+    # C = d A^-1 B by back-substitution in A, one row at a time
+    c_rows = [None] * r
+    for i in reversed(range(r)):
+        acc = [modulus * m.data[i][n] for n in rest]
+        for j in range(i + 1, r):
+            if a[i][j]:
+                v, below = a[i][j], c_rows[j]
+                acc = [x - v * y for x, y in zip(acc, below)]
+        if any(x % a[i][i] for x in acc):
+            raise InternalCheckError("modulus * A^-1 B is not integral")
+        c_rows[i] = [x // a[i][i] for x in acc]
+    basis = _unit_kernel(m)
+    if basis is not None:
+        return basis
     # L: the columns (C mod d over y) beside d e_i, echeloned on C's rows;
     # the columns past the rank vanish there, and their y parts span L
+    c_cols = [{i: row[n] for i, row in enumerate(c_rows) if row[n]} for n in range(len(rest))]
     cols = []
     for n, z in enumerate(c_cols):
         col = {i: v % modulus for i, v in z.items() if v % modulus}
@@ -410,6 +429,54 @@ def triangular_kernel(m, pivots, modulus):
     if any(_apply(m_cols, x) for x in kernel):
         raise InternalCheckError("kernel basis column fails M x = 0")
     return _from_sparse(kernel, k)
+
+
+# Q: below 2^31, so a product of two residues fits in int64, and so does
+# each entry of M_N W while r * Q * max |M| does
+_PRIME = 2**31 - 1
+
+
+def _unit_kernel(m):
+    """``triangular_kernel``'s basis by elimination modulo Q, or None."""
+    r, k = m.rows, m.cols
+    q = _PRIME
+    if r and r * q * max(max(map(max, m.data)), -min(map(min, m.data))) >= 2**63:
+        return None
+    mat = np.array(m.data, dtype=np.int64).reshape(r, k)
+    red = mat % q
+    free = list(range(r))  # rows without a pivot, in order
+    pivot_cols = [None] * r
+    for n in range(k - 1, -1, -1):
+        if not free:
+            break
+        x = red[:, n].tolist()
+        s = next((i for i in free if x[i]), None)
+        if s is None:
+            continue
+        # row s is scaled to 1 at n, and x[i] times it leaves row i
+        inv = pow(x[s], q - 2, q)  # Q is prime
+        x[s] -= 1
+        red -= np.multiply.outer([v * inv % q for v in x], red[s])
+        red %= q
+        free.remove(s)
+        pivot_cols[s] = n
+    if free:
+        return None
+    rest = sorted(set(range(k)) - set(pivot_cols))
+    neg = (q - red[:, rest]) % q  # -W, lifted below
+    neg[neg > q // 2] -= q
+    check = mat[:, rest]  # M_P + M_N (-W) must vanish
+    for n, row in zip(pivot_cols, neg):
+        check += np.multiply.outer(mat[:, n], row)
+    if check.any():
+        return None
+    data = [None] * k
+    for j, p in enumerate(rest):
+        data[p] = [0] * len(rest)
+        data[p][j] = 1
+    for n, row in zip(pivot_cols, neg.tolist()):
+        data[n] = row
+    return _from_rows(data, len(rest))
 
 
 def _echelon_solve(h_cols, pivot_rows, vector):
@@ -435,16 +502,20 @@ def _echelon_solve(h_cols, pivot_rows, vector):
 
 
 def _echelon_data(m):
-    h, _ = hnf(m)
+    """A basis of M's column lattice in echelon shape, with the pivot
+    row of each column: M's own nonzero columns when they come first and
+    their pivot rows strictly increase, and otherwise those of M's
+    Hermite form."""
     cols = []
     pivot_rows = []
-    for j in range(h.cols):
-        col = h.column(j)
-        nz = [i for i, val in enumerate(col) if val]
-        if not nz:
-            break
+    for j, col in enumerate(m.columns()):
+        prow = next((i for i, val in enumerate(col) if val), None)
+        if prow is None:
+            continue
+        if len(cols) < j or (pivot_rows and prow <= pivot_rows[-1]):
+            return _echelon_data(hnf(m)[0])
         cols.append(col)
-        pivot_rows.append(nz[0])
+        pivot_rows.append(prow)
     return cols, pivot_rows
 
 
@@ -453,8 +524,10 @@ def quotient_invariants(ambient, sub):
 
     ``ambient`` and ``sub`` are matrices whose columns generate the two
     lattices; the sublattice must be contained in the ambient one, or
-    InternalCheckError is raised.  Returns (free_rank, torsion) where
-    torsion is a tuple of invariant factors > 1 in divisibility order.
+    InternalCheckError is raised.  An ambient matrix in column echelon
+    shape, such as a kernel basis, is used as it is; any other is put in
+    Hermite form first.  Returns (free_rank, torsion), where torsion is
+    a tuple of invariant factors > 1 in divisibility order.
     """
     if ambient.rows != sub.rows:
         raise ValueError("lattices live in different ambient dimensions")

@@ -46,7 +46,7 @@ from permrel.subgroups import (
     quotient,
     subgroup_as_group,
 )
-from permrel.zlattice import IntMatrix, _as_int, _echelon_data, _echelon_solve, hnf
+from permrel.zlattice import IntMatrix, _as_int, _echelon_data, _echelon_solve, hnf, snf
 
 
 @st.composite
@@ -314,6 +314,22 @@ def kernel_basis_by_two_hnfs(m):
     if not kernel:
         return IntMatrix.from_columns([], rows=m.cols)
     return hnf(IntMatrix.from_columns(kernel, rows=m.cols))[0]
+
+
+def quotient_invariants_by_hnf(ambient, sub):
+    """The invariants of the quotient of the column lattice of ``ambient``
+    by that of ``sub``, with the ambient lattice always put in Hermite
+    form before the sub columns are solved in it."""
+    h, _ = hnf(ambient)
+    cols = [c for c in h.columns() if any(c)]
+    pivot_rows = [next(i for i, v in enumerate(c) if v) for c in cols]
+    coords = [_echelon_solve(cols, pivot_rows, c) for c in sub.columns()]
+    if any(c is None for c in coords):
+        raise InternalCheckError("sublattice is not contained in the ambient lattice")
+    if not coords:
+        return len(cols), ()
+    factors = snf(IntMatrix.from_columns(coords, rows=len(cols))).invariant_factors
+    return len(cols) - len(factors), tuple(f for f in factors if f > 1)
 
 
 def echelon_dense(cols, rows):

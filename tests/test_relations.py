@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permrel import relations
+from permrel import relations, zlattice
 from permrel.burnside import BurnsideElement, induct, mark_vector, marks_table
 from permrel.classify import main_case_classify
 from permrel.constructions import affine_group, frobenius_group
@@ -174,11 +174,32 @@ def test_kernel_basis_matches_two_hnfs(name, chars):
         assert brauer_kernel(group, char).basis == expected, (name, char)
 
 
-@given(permutation_groups(), st.sampled_from((0, 2, 3, 5)))
+@given(permutation_groups(), st.sampled_from((0, 2, 3, 5, 7)))
 @settings(max_examples=40, deadline=None)
 def test_kernel_basis_matches_two_hnfs_on_random_groups(group, char):
     expected = kernel_basis_by_two_hnfs(_hypo_marks_rows(group, char))
     assert brauer_kernel(group, char).basis == expected
+
+
+def test_marks_kernels_take_the_modular_route(monkeypatch):
+    # every marks kernel met so far has a Hermite basis with unit pivots,
+    # so the modular elimination's certificate accepts it
+    fallbacks = []
+    original = zlattice._unit_kernel
+
+    def counting(m):
+        basis = original(m)
+        if basis is None:
+            fallbacks.append(m)
+        return basis
+
+    monkeypatch.setattr(zlattice, "_unit_kernel", counting)
+    groups = [_cold_copy(preset_group(name)) for name in CORPUS_NAMES]
+    for group in groups:
+        for char in CORPUS_CHARACTERISTICS:
+            brauer_kernel(group, char)
+    assert brauer_kernel(_cold_copy(preset_group("C2xC2xC2xC2xC2")), 0).rank == 342
+    assert fallbacks == []
 
 
 def test_c2_5_kernel_at_its_own_prime_is_zero_and_quick():
@@ -680,6 +701,18 @@ def test_theta_highdim_validation():
     with pytest.raises(InputError):
         # a single fixed line: neither irreducible nor two lines
         theta_highdim(3, [[[1, 1], [0, 1]], [[1, 0], [0, 2]]], 5)
+
+
+def test_theta_highdim_builds_no_group_but_g(monkeypatch):
+    # the stabilizer D is asked its questions as G/W
+    built = []
+    _count_calls(monkeypatch, "subgroup_as_group", built.append)
+    theta_highdim(2, [[[0, 1], [1, 1]]], 5)
+    theta_highdim(3, [[[0, 2], [1, 0]]], 0)
+    theta_highdim(3, [[[2, 0], [0, 1]], [[1, 0], [0, 2]]], 5)
+    with pytest.raises(InputError):
+        theta_highdim(3, [[[1, 1], [0, 1]], [[1, 0], [0, 2]]], 5)
+    assert built == []
 
 
 def test_theta_highdim_two_line_product():

@@ -17,7 +17,9 @@ from permrel.subgroups import (
     Subgroup,
     centralizer_indices,
     enumerate_classes,
+    is_minimal_normal,
     is_normal,
+    minimal_normal_subgroups,
     normal_subgroups,
     quotient,
     subgroup_as_group,
@@ -335,3 +337,39 @@ def test_centralizers_match_loop(name):
 @settings(max_examples=40, deadline=None)
 def test_centralizers_match_loop_on_random_groups(group):
     _assert_centralizers_match_loop(group)
+
+
+def _assert_minimal_normal_by_definition(group):
+    # N is minimal normal when it is nontrivial and no nontrivial normal
+    # subgroup lies strictly inside it
+    normals = normal_subgroups(group)
+    expected = [
+        n for n in normals
+        if not n.is_trivial()
+        and not any(
+            not k.is_trivial() and k.order < n.order and n.contains_subgroup(k)
+            for k in normals
+        )
+    ]
+    assert minimal_normal_subgroups(group) == expected
+    # is_minimal_normal keeps its meaning on every class representative,
+    # normal or not, the trivial group included
+    for cls in enumerate_classes(group).classes:
+        sub = cls.representative
+        assert is_minimal_normal(group, sub) == (
+            not any(
+                not k.is_trivial() and k.order < sub.order and sub.contains_subgroup(k)
+                for k in normals
+            )
+        )
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_minimal_normal_subgroups_match_definition(name):
+    _assert_minimal_normal_by_definition(preset_group(name))
+
+
+@given(permutation_groups())
+@settings(max_examples=40, deadline=None)
+def test_minimal_normal_subgroups_match_definition_on_random_groups(group):
+    _assert_minimal_normal_by_definition(group)

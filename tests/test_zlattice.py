@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permrel import zlattice
 from permrel.errors import InternalCheckError
 from permrel.zlattice import (
     IntMatrix,
@@ -28,6 +29,7 @@ from oracles import (
     hnf_by_dense_echelon,
     kernel_basis_by_two_hnfs,
     lattice_contains,
+    quotient_invariants_by_hnf,
     snf_by_dense_echelon,
 )
 
@@ -298,3 +300,111 @@ def test_kernel_saturation(case):
         image = m.mul(IntMatrix.from_columns([halved]))
         if image.is_zero():
             assert lattice_contains(basis, halved)
+
+
+def _count_lattice_route(monkeypatch):
+    # the modular route gives up, with None, exactly when L is used
+    calls = []
+    original = zlattice._unit_kernel
+
+    def counting(m):
+        basis = original(m)
+        if basis is None:
+            calls.append(m)
+        return basis
+
+    monkeypatch.setattr(zlattice, "_unit_kernel", counting)
+    return calls
+
+
+def test_kernel_with_a_non_unit_pivot_takes_the_lattice_route(monkeypatch):
+    # x_0 + 2 x_2 = 0: the Hermite basis has the pivot 2 at coordinate 0
+    m = IntMatrix([[1, 0, 2]])
+    calls = _count_lattice_route(monkeypatch)
+    basis = triangular_kernel(m, [0], 2)
+    assert len(calls) == 1
+    assert basis.columns() == [[2, 0, -1], [0, 1, 0]]
+    assert basis == kernel_basis_by_two_hnfs(m)
+
+
+def test_kernel_certificate_rejects_a_wrapped_residue(monkeypatch):
+    # W = M_N^-1 M_P = 5 is read as -1 modulo 3; the exact product
+    # M_N W = M_P rejects it, and the lattice route answers
+    m = IntMatrix([[5, 1]])
+    calls = _count_lattice_route(monkeypatch)
+    assert triangular_kernel(m, [0], 5).columns() == [[1, -5]]
+    assert calls == []
+    monkeypatch.setattr(zlattice, "_PRIME", 3)
+    assert triangular_kernel(m, [0], 5).columns() == [[1, -5]]
+    assert len(calls) == 1
+
+
+def test_kernel_of_a_matrix_with_no_rows():
+    assert triangular_kernel(IntMatrix([], cols=3), [], 1) == IntMatrix.identity(3)
+
+
+@given(triangular_led(), st.sampled_from((2, 3, 5, 7)))
+@settings(max_examples=120, deadline=None)
+def test_kernel_matches_two_hnfs_modulo_a_small_prime(case, prime):
+    # small primes lose rank and wrap residues; the certificate catches both
+    m, pivots, modulus = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zlattice, "_PRIME", prime)
+        assert triangular_kernel(m, pivots, modulus) == kernel_basis_by_two_hnfs(m)
+
+
+@given(triangular_led())
+@settings(max_examples=120, deadline=None)
+def test_lattice_route_alone_matches_two_hnfs(case):
+    m, pivots, modulus = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zlattice, "_unit_kernel", lambda m: None)
+        assert triangular_kernel(m, pivots, modulus) == kernel_basis_by_two_hnfs(m)
+
+
+@st.composite
+def echelon_matrix(draw):
+    """A column echelon matrix, not Hermite-reduced: pivots of either
+    sign on strictly increasing rows, anything below them, and zero
+    columns at the end."""
+    n = draw(st.integers(1, 5))
+    pivot_rows = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    cols = []
+    for prow in pivot_rows:
+        col = [0] * n
+        col[prow] = draw(st.integers(-6, 6).filter(bool))
+        for i in range(prow + 1, n):
+            col[i] = draw(st.integers(-9, 9))
+        cols.append(col)
+    cols += [[0] * n] * draw(st.integers(0, 2))
+    return IntMatrix.from_columns(cols, rows=n)
+
+
+def _sub_of(ambient, coeffs):
+    """Integer combinations of the ambient columns, one per row of coeffs."""
+    cols = [
+        [sum(c * a for c, a in zip(row, ambient.data[i])) for i in range(ambient.rows)]
+        for row in coeffs
+    ]
+    return IntMatrix.from_columns(cols, rows=ambient.rows)
+
+
+_coeff_rows = st.lists(st.lists(st.integers(-4, 4), min_size=6, max_size=6), max_size=4)
+
+
+@given(echelon_matrix(), _coeff_rows)
+@settings(max_examples=150, deadline=None)
+def test_quotient_invariants_take_an_echelon_ambient_as_it_is(ambient, coeffs):
+    sub = _sub_of(ambient, coeffs)
+    expected = quotient_invariants_by_hnf(ambient, sub)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zlattice, "hnf", None)  # never reached
+        assert quotient_invariants(ambient, sub) == expected
+
+
+@given(small_matrix, _coeff_rows)
+@settings(max_examples=150, deadline=None)
+def test_quotient_invariants_match_the_hermite_path(data, coeffs):
+    ambient = IntMatrix(data)
+    sub = _sub_of(ambient, coeffs)
+    assert quotient_invariants(ambient, sub) == quotient_invariants_by_hnf(ambient, sub)
