@@ -52,21 +52,16 @@ def closure(mult, seeds):
     return np.flatnonzero(member).astype(np.int32)
 
 
-def normalizer_members(mult, inv, members):
-    """Indices g with g * H * g^-1 == H, for H given by ``members``."""
+def normalizer_members(mult, inv, members, gens):
+    """Indices g with g * H * g^-1 == H, for H given by ``members`` and
+    generated by ``gens``: g normalises H iff it conjugates every
+    generator into H, one n x |gens| block."""
     n = mult.shape[0]
-    if members.size == n:  # H = G, spared the n x n conjugation block
-        return np.arange(n, dtype=np.int32)
     member_mask = np.zeros(n, dtype=bool)
     member_mask[members] = True
-    block = max(1, 1_000_000 // max(1, int(members.size)))
-    found = []
-    for start in range(0, n, block):
-        g = np.arange(start, min(start + block, n), dtype=np.int32)
-        conj = mult[mult[g[:, None], members], inv[g][:, None]]
-        ok = member_mask[conj].all(axis=1)
-        found.append(g[ok])
-    return np.concatenate(found).astype(np.int32)
+    g = np.arange(n, dtype=np.int32)
+    conj = mult[mult[g[:, None], gens], inv[:, None]]
+    return g[member_mask[conj].all(axis=1)]
 
 
 def count_fixed(mult, inv, member_mask, transversal, kgens):

@@ -20,6 +20,11 @@ shape with a witness, and an empty list means no shape matched.  In the
 shape G = W x| D with W abelian, C_G(W) = W C_D(W), so D acts faithfully
 exactly when C_G(W) = W; and D is isomorphic to G/W, so the questions
 about D are asked of G/W.
+
+``dress_decomposition`` builds no subgroup as a group either: the
+subgroup classes of a subgroup S of G are its orbits on G's subgroups
+inside S, each represented by its least index list and sorted by
+(order, indices), as ``enumerate_classes`` sorts G's.
 """
 
 import math
@@ -40,10 +45,10 @@ from .numtheory import (
 from .subgroups import (
     Subgroup,
     centralizer_indices,
+    conjugation_orbits,
     enumerate_classes,
     is_minimal_normal,
     normal_subgroups,
-    subgroup_as_group,
 )
 
 
@@ -222,13 +227,17 @@ def hall_p_complement(group, p):
     """
     if not is_soluble(group):
         raise InputError("Hall complements are only computed for soluble groups")
-    target = prime_to_p_part(group.order, p)
-    table = enumerate_classes(group)
-    candidates = [np.frombuffer(key, dtype=np.int32) for key in table.sub_to_class]
-    candidates = [idx.tolist() for idx in candidates if idx.size == target]
-    if not candidates:
+    return _least_hall_subgroup(enumerate_classes(group), Subgroup.full(group), p)
+
+
+def _least_hall_subgroup(table, sub, p):
+    """The subgroup of G inside ``sub`` of order |sub|_p' whose index
+    list is lexicographically least, read off the class table ``table``."""
+    rows = table.members[~table.members[:, ~sub.mask].any(axis=1)]
+    rows = rows[np.count_nonzero(rows, axis=1) == prime_to_p_part(sub.order, p)]
+    if not len(rows):
         raise InternalCheckError("soluble group is missing a Hall complement")
-    return Subgroup(group, min(candidates))
+    return Subgroup(table.group, min(np.flatnonzero(row).tolist() for row in rows))
 
 
 def is_p_hypo_elementary(group, p):
@@ -308,11 +317,10 @@ def dress_decomposition(group, p, q):
     """Coordinates for subgroup classes of a soluble (p,q)-Dress group.
 
     Every subgroup is conjugate to a product U * V with U a subgroup of
-    the p-core (up to conjugacy) and V one of finitely many complement
-    parts attached to U; the product assignment is verified to hit every
-    subgroup class exactly once, and fusion of complement parts is
-    verified to agree between the Hall complement and the full
-    normalizer.
+    the p-core (up to conjugacy) and V a subgroup class of H, the least
+    Hall p'-subgroup of N_G(U) among G's subgroups.  The product
+    assignment is verified to hit every subgroup class exactly once, and
+    no N_G(U)-orbit to hold two H-classes.
     """
     if q == p:
         raise InputError("dress_decomposition requires q different from p")
@@ -322,83 +330,39 @@ def dress_decomposition(group, p, q):
         raise InputError("group is not (p,q)-Dress for the given pair")
     table = enumerate_classes(group)
     core = p_core(group, p)
-    mult = group.mult
-    core_classes = [
-        (i, c) for i, c in enumerate(table.classes)
-        if core.contains_subgroup(c.representative)
-    ]
     sections = []
     pair_to_class = {}
-    hit = {}
-    for sec_idx, (_, ccls) in enumerate(core_classes):
-        u = ccls.representative
-        ng = ccls.normalizer
-        ng_group = subgroup_as_group(ng)
-        hall = hall_p_complement(ng_group, p)
-        hall_in_g = _lift_subgroup(group, ng_group, hall)
-        hall_group = subgroup_as_group(hall_in_g)
-        hall_table = enumerate_classes(hall_group)
-        _check_fusion(group, ng, hall_in_g, hall_group, hall_table)
-        reps = []
-        for v_idx, vcls in enumerate(hall_table.classes):
-            v_in_g = _lift_subgroup(group, hall_group, vcls.representative)
-            product = kernels.sorted_unique(
-                mult[np.ix_(u.indices, v_in_g.indices)]
-            ).astype(np.int32)
-            if product.size != u.order * v_in_g.order:
+    for cls in table.classes:
+        u, ng = cls.representative, cls.normalizer
+        if not core.contains_subgroup(u):
+            continue
+        hall = _least_hall_subgroup(table, ng, p)
+        rows, label = conjugation_orbits(table, hall, hall.generator_indices)
+        roots = kernels.sorted_unique(label)
+        ng_rows, ng_label = conjugation_orbits(table, ng, ng.generator_indices)
+        fused = ng_label[np.searchsorted(ng_rows, rows[roots])]  # each H-class's N_G(U)-orbit
+        if kernels.sorted_unique(fused).size < roots.size:
+            raise InternalCheckError("normalizer fused two complement classes")
+        least = [min(np.flatnonzero(table.members[r]).tolist() for r in rows[label == root])
+                 for root in roots]
+        reps = [Subgroup(group, v) for v in sorted(least, key=lambda v: (len(v), v))]
+        for v_idx, v in enumerate(reps):
+            product = kernels.sorted_unique(group.mult[np.ix_(u.indices, v.indices)])
+            if product.size != u.order * v.order:
                 raise InternalCheckError("core times complement part is not direct")
-            if product.tobytes() not in table.sub_to_class:
+            g_class = table.sub_to_class.get(product.tobytes())
+            if g_class is None:
                 raise InternalCheckError("product set is not a known subgroup")
-            g_class = table.sub_to_class[product.tobytes()]
-            pair = (sec_idx, v_idx)
-            pair_to_class[pair] = g_class
-            if g_class in hit:
-                raise InternalCheckError(
-                    "two product pairs landed in one subgroup class"
-                )
-            hit[g_class] = pair
-            reps.append(v_in_g)
-        sections.append(
-            DressSection(
-                core_subgroup=u,
-                hall_complement=hall_in_g,
-                complement_classes=tuple(reps),
-            )
-        )
+            pair_to_class[(len(sections), v_idx)] = g_class
+        sections.append(DressSection(u, hall, tuple(reps)))
+    hit = set(pair_to_class.values())
+    if len(hit) < len(pair_to_class):
+        raise InternalCheckError("two product pairs landed in one subgroup class")
     if len(hit) != len(table.classes):
         raise InternalCheckError(
-            "product pairs covered %d of %d subgroup classes"
-            % (len(hit), len(table.classes))
+            "product pairs covered %d of %d subgroup classes" % (len(hit), len(table.classes))
         )
-    return DressDecomposition(
-        p=p, q=q, core=core, sections=tuple(sections), pair_to_class=pair_to_class
-    )
-
-
-def _lift_subgroup(group, member_group, subgroup):
-    """Transport a subgroup of a subgroup-as-group back to the parent."""
-    if member_group is group:
-        return subgroup
-    parent = member_group._memo["parent_indices"]
-    return Subgroup(group, parent[subgroup.indices])
-
-
-def _check_fusion(group, ng, hall_in_g, hall_group, hall_table):
-    """Two subgroups of the Hall complement that are conjugate under the
-    full normalizer must already be conjugate inside the complement."""
-    by_key = {}
-    for key, idx in hall_table.sub_to_class.items():
-        member = Subgroup(hall_group, np.frombuffer(key, dtype=np.int32))
-        by_key[_lift_subgroup(group, hall_group, member).key] = idx
-    for key, cls_idx in list(by_key.items()):
-        indices = np.frombuffer(key, dtype=np.int32)
-        for g in ng.indices:
-            conj = group.conjugate_indices(g, indices)
-            other = by_key.get(conj.tobytes())
-            if other is not None and other != cls_idx:
-                raise InternalCheckError(
-                    "normalizer fused two complement classes"
-                )
+    return DressDecomposition(p, q, core, tuple(sections), pair_to_class)
 
 
 @dataclass

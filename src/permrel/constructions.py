@@ -3,8 +3,6 @@ cyclic, dihedral, symmetric, alternating, quaternion, affine
 semidirect products over a prime field, and direct products.
 """
 
-import numpy as np
-
 from .errors import InputError
 from .numtheory import element_of_order, is_prime
 from .perm import DEFAULT_ELEMENT_CAP, Permutation, from_cycles, generate
@@ -203,23 +201,10 @@ def affine_group(l, d, matrices, element_cap=DEFAULT_ELEMENT_CAP):
     gens.extend(matrix_permutation(m, l, d) for m in mats)
     group = generate(l ** d, gens, element_cap=element_cap)
 
-    translations = []
-    origin_stab = []
-    for idx, perm in enumerate(group.elements):
-        shift = perm.images[0]
-        if shift == 0:
-            origin_stab.append(idx)
-        vec = decode_vector(shift, l, d)
-        if all(
-            perm.images[point]
-            == encode_vector(
-                tuple(a + b for a, b in zip(decode_vector(point, l, d), vec)), l
-            )
-            for point in range(group.degree)
-        ):
-            translations.append(idx)
-    module = Subgroup(group, np.asarray(translations, dtype=np.int32))
-    stabilizer = Subgroup(group, np.asarray(origin_stab, dtype=np.int32))
+    # W is generated by the d unit translations
+    module = Subgroup.generated(group, [group.index(gen) for gen in gens[:d]])
+    origin_stab = [idx for idx, perm in enumerate(group.elements) if perm.images[0] == 0]
+    stabilizer = Subgroup(group, origin_stab)
     if module.order != l ** d:
         raise InputError("translation subgroup has unexpected order")
     if module.order * stabilizer.order != group.order:

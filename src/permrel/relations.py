@@ -81,6 +81,7 @@ from .numtheory import (
 from .perm import Permutation
 from .subgroups import (
     Subgroup,
+    conjugation_orbits,
     enumerate_classes,
     is_minimal_normal,
     minimal_normal_subgroups,
@@ -243,50 +244,19 @@ class SubquotientView(NamedTuple):
     hypo: tuple
 
 
-def _row_keys(rows):
-    """One sortable bytes key per row of a boolean matrix."""
-    packed = np.ascontiguousarray(np.packbits(rows, axis=1))
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-
-
 def maximal_view(table, hypo, cls):
     """The representative M of the class ``cls`` as a view of G's class
     table ``table``, with ``hypo`` the mask of G's hypo-elementary
     classes.
 
     The M-classes are the M-orbits on the rows of ``table.members``
-    inside M.  Conjugation by each of ``cls.generators`` permutes those
-    rows, found by looking up the conjugated rows' keys; labels merge
-    along these permutations until they are stable.  The classes are
-    sorted by order, so the hypo-elementary block of the marks stays upper
+    inside M, merged along ``cls.generators``.  The classes are sorted
+    by order, so the hypo-elementary block of the marks stays upper
     triangular.
     """
-    group = table.group
-    mult = group.mult
     sub = cls.representative
-    rows = np.flatnonzero(~table.members[:, ~sub.mask].any(axis=1))
+    rows, label = conjugation_orbits(table, sub, cls.generators)
     inside = table.members[rows]
-    keys = _row_keys(inside)
-    by_key = np.argsort(keys)
-    sorted_keys = keys[by_key]
-    images = []
-    for g in cls.generators:
-        conj = mult[mult[group.inv[g]], g]  # conj[y] = g^-1 y g
-        image_keys = _row_keys(inside[:, conj])  # the rows of gUg^-1
-        pos = np.minimum(np.searchsorted(sorted_keys, image_keys), len(keys) - 1)
-        if (sorted_keys[pos] != image_keys).any():
-            raise InternalCheckError("a conjugate left the subgroups of M")
-        images.append(by_key[pos])
-    label = np.arange(len(rows))  # ends as the least row of each orbit
-    while True:
-        merged = label.copy()
-        for image in images:
-            merged = np.minimum(merged, merged[image])
-            merged[image] = np.minimum(merged[image], merged)
-        merged = merged[merged]
-        if (merged == label).all():
-            break
-        label = merged
     roots, orbit_of = np.unique(label, return_inverse=True)
     sizes = np.bincount(orbit_of)
     orders = np.count_nonzero(inside[roots], axis=1)

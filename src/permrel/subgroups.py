@@ -225,6 +225,51 @@ class SubgroupClassTable:
         return tuple(np.flatnonzero(maximal).tolist())
 
 
+def _row_keys(rows):
+    """One sortable bytes key per row of a boolean matrix."""
+    packed = np.ascontiguousarray(np.packbits(rows, axis=1))
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def conjugation_orbits(table, sub, gens):
+    """The orbits of the subgroup S = ``sub`` of G, generated by the
+    element indices ``gens``, on the subgroups of G inside S, by
+    conjugation.
+
+    Returns (rows, label): ``rows`` the positions in ``table.members``
+    of the subgroups inside S, ascending, and ``label[i]`` the least i'
+    with rows[i'] in the orbit of rows[i].  Conjugation by each
+    generator permutes those rows, found by looking up the conjugated
+    rows' keys; labels merge along these permutations until they are
+    stable.
+    """
+    group = table.group
+    mult = group.mult
+    rows = np.flatnonzero(~table.members[:, ~sub.mask].any(axis=1))
+    inside = table.members[rows]
+    keys = _row_keys(inside)
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    images = []
+    for g in gens:
+        conj = mult[mult[group.inv[g]], g]  # conj[y] = g^-1 y g
+        image_keys = _row_keys(inside[:, conj])  # the rows of gUg^-1
+        pos = np.minimum(np.searchsorted(sorted_keys, image_keys), len(keys) - 1)
+        if (sorted_keys[pos] != image_keys).any():
+            raise InternalCheckError("a conjugate left the subgroups of S")
+        images.append(by_key[pos])
+    label = np.arange(len(rows))
+    while True:
+        merged = label.copy()
+        for image in images:
+            merged = np.minimum(merged, merged[image])
+            merged[image] = np.minimum(merged[image], merged)
+        merged = merged[merged]
+        if (merged == label).all():
+            return rows, label
+        label = merged
+
+
 def enumerate_classes(group):
     """Enumerate all subgroups of ``group`` up to conjugacy.
 
@@ -258,7 +303,7 @@ def enumerate_classes(group):
         key = indices.tobytes()
         if key in sub_to_class:
             return
-        norm = kernels.normalizer_members(mult, inv, indices)
+        norm = kernels.normalizer_members(mult, inv, indices, gens)
         reps = kernels.coset_reps(mult, norm)
         orbit = []
         seen = set()

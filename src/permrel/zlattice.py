@@ -362,9 +362,9 @@ def triangular_kernel(m, pivots, modulus):
     The columns ``pivots`` of M, one per row and taken in row order,
     must form an upper triangular block A with nonzero diagonal, and
     ``modulus`` must be a positive d with d * A^-1 B integral, where B
-    is M on the remaining columns.  A block that is not triangular, or a
-    remainder in the back-substitution for d * A^-1 B, raises
-    InternalCheckError.
+    is M on the remaining columns.  Only the lattice route below reads
+    them: there a block that is not triangular, or a remainder in the
+    back-substitution for d * A^-1 B, raises InternalCheckError.
 
     First, a Gauss-Jordan elimination of M modulo the prime Q takes
     pivot columns N from the right.  Each other coordinate p gives the
@@ -385,12 +385,13 @@ def triangular_kernel(m, pivots, modulus):
     modulus = _as_int(modulus)
     if len(set(pivots)) != r or modulus < 1:
         raise ValueError("need one distinct pivot column per row and a positive modulus")
+    basis = _unit_kernel(m)
+    if basis is not None:
+        return basis
     a = [[row[p] for p in pivots] for row in m.data]
     if any(not a[i][i] or any(a[i][:i]) for i in range(r)):
         raise InternalCheckError("pivot block is not upper triangular")
     rest = sorted(set(range(k)) - set(pivots))
-    if not rest:
-        return IntMatrix.from_columns([], rows=k)
     # C = d A^-1 B by back-substitution in A, one row at a time
     c_rows = [None] * r
     for i in reversed(range(r)):
@@ -402,9 +403,6 @@ def triangular_kernel(m, pivots, modulus):
         if any(x % a[i][i] for x in acc):
             raise InternalCheckError("modulus * A^-1 B is not integral")
         c_rows[i] = [x // a[i][i] for x in acc]
-    basis = _unit_kernel(m)
-    if basis is not None:
-        return basis
     # L: the columns (C mod d over y) beside d e_i, echeloned on C's rows;
     # the columns past the rank vanish there, and their y parts span L
     c_cols = [{i: row[n] for i, row in enumerate(c_rows) if row[n]} for n in range(len(rest))]

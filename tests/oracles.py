@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from permrel import _kernels
 from permrel.burnside import element_from_subgroups, fixed_points, induct, inflate
 from permrel.classify import (
+    DressDecomposition,
+    DressSection,
     GroupClassReport,
     MainCaseMatch,
     _elementary_abelian_prime,
@@ -19,8 +21,10 @@ from permrel.classify import (
     is_abelian,
     is_cyclic,
     is_p_hypo_elementary,
+    is_pq_dress,
     is_q_quasi_elementary,
     is_soluble,
+    p_core,
     q_residual,
     two_factor_decomposition,
 )
@@ -170,7 +174,7 @@ def enumerate_classes_by_every_extension(group):
     def register(indices):
         if indices.tobytes() in sub_to_class:
             return
-        norm = _kernels.normalizer_members(mult, inv, indices)
+        norm = _kernels.normalizer_members(mult, inv, indices, indices)
         orbit = [
             (group.conjugate_indices(t, indices), t)
             for t in _kernels.coset_reps(mult, norm)
@@ -207,6 +211,21 @@ def enumerate_classes_by_every_extension(group):
     for row, key in enumerate(sub_to_class):
         members[row, np.frombuffer(key, dtype=np.int32)] = True
     return SubgroupClassTable(group, classes, sub_to_class, np.packbits(members, axis=1))
+
+
+def translation_module_by_points(group, l, d):
+    """The elements of an affine group on (Z/l)^d that move every point
+    by the same vector, found by testing each element on each point."""
+    found = []
+    for idx, perm in enumerate(group.elements):
+        vec = decode_vector(perm.images[0], l, d)
+        if all(
+            perm.images[point]
+            == encode_vector(tuple(a + b for a, b in zip(decode_vector(point, l, d), vec)), l)
+            for point in range(group.degree)
+        ):
+            found.append(idx)
+    return Subgroup(group, np.asarray(found, dtype=np.int32))
 
 
 def matrix_of_stabilizer_element(group, perm_index, l, d):
@@ -518,7 +537,9 @@ def theta_highdim_by_functional_orbits(l, matrices, characteristic):
         hyperplane = Subgroup(group, np.asarray(sorted(members), dtype=np.int32))
         if hyperplane.order * l != module.order:
             raise InternalCheckError("hyperplane has wrong index in the module")
-        norm = _kernels.normalizer_members(mult, group.inv, hyperplane.indices)
+        norm = _kernels.normalizer_members(
+            mult, group.inv, hyperplane.indices, hyperplane.indices
+        )
         norm_in_stab = np.intersect1d(norm, stabilizer.indices).astype(np.int32)
         un = np.unique(
             mult[np.ix_(hyperplane.indices, norm_in_stab)].ravel()
@@ -759,4 +780,92 @@ def classify_group_by_groups(group):
         dress_pairs=tuple(
             (p, q) for p in primes for q in primes if is_pq_dress_by_quotient_group(group, p, q)
         ),
+    )
+
+
+def _lift_subgroup(group, member_group, subgroup):
+    """Transport a subgroup of a subgroup-as-group back to the parent."""
+    if member_group is group:
+        return subgroup
+    parent = member_group._memo["parent_indices"]
+    return Subgroup(group, parent[subgroup.indices])
+
+
+def _hall_by_keys(group, p):
+    """The Hall p'-subgroup of ``group`` with the least index list, read
+    off its own class table's key map."""
+    target = prime_to_p_part(group.order, p)
+    candidates = [np.frombuffer(key, dtype=np.int32) for key in enumerate_classes(group).sub_to_class]
+    candidates = [idx.tolist() for idx in candidates if idx.size == target]
+    if not candidates:
+        raise InternalCheckError("soluble group is missing a Hall complement")
+    return Subgroup(group, min(candidates))
+
+
+def _check_fusion(group, ng, hall_in_g, hall_group, hall_table):
+    """Two subgroups of the Hall complement that are conjugate under the
+    full normalizer must already be conjugate inside the complement."""
+    by_key = {}
+    for key, idx in hall_table.sub_to_class.items():
+        member = Subgroup(hall_group, np.frombuffer(key, dtype=np.int32))
+        by_key[_lift_subgroup(group, hall_group, member).key] = idx
+    for key, cls_idx in list(by_key.items()):
+        indices = np.frombuffer(key, dtype=np.int32)
+        for g in ng.indices:
+            conj = group.conjugate_indices(g, indices)
+            other = by_key.get(conj.tobytes())
+            if other is not None and other != cls_idx:
+                raise InternalCheckError("normalizer fused two complement classes")
+
+
+def dress_decomposition_by_subgroup_groups(group, p, q):
+    """``dress_decomposition`` with each normalizer N_G(U) and its Hall
+    p'-subgroup built as groups of their own, whose subgroup classes are
+    enumerated from scratch."""
+    if q == p:
+        raise InputError("dress_decomposition requires q different from p")
+    if not is_soluble(group):
+        raise InputError("dress_decomposition requires a soluble group")
+    if not is_pq_dress(group, p, q):
+        raise InputError("group is not (p,q)-Dress for the given pair")
+    table = enumerate_classes(group)
+    core = p_core(group, p)
+    mult = group.mult
+    core_classes = [c for c in table.classes if core.contains_subgroup(c.representative)]
+    sections = []
+    pair_to_class = {}
+    hit = {}
+    for sec_idx, ccls in enumerate(core_classes):
+        u = ccls.representative
+        ng = ccls.normalizer
+        ng_group = subgroup_as_group(ng)
+        hall_in_g = _lift_subgroup(group, ng_group, _hall_by_keys(ng_group, p))
+        hall_group = subgroup_as_group(hall_in_g)
+        hall_table = enumerate_classes(hall_group)
+        _check_fusion(group, ng, hall_in_g, hall_group, hall_table)
+        reps = []
+        for v_idx, vcls in enumerate(hall_table.classes):
+            v_in_g = _lift_subgroup(group, hall_group, vcls.representative)
+            product = _kernels.sorted_unique(
+                mult[np.ix_(u.indices, v_in_g.indices)]
+            ).astype(np.int32)
+            if product.size != u.order * v_in_g.order:
+                raise InternalCheckError("core times complement part is not direct")
+            if product.tobytes() not in table.sub_to_class:
+                raise InternalCheckError("product set is not a known subgroup")
+            g_class = table.sub_to_class[product.tobytes()]
+            pair_to_class[(sec_idx, v_idx)] = g_class
+            if g_class in hit:
+                raise InternalCheckError("two product pairs landed in one subgroup class")
+            hit[g_class] = (sec_idx, v_idx)
+            reps.append(v_in_g)
+        sections.append(DressSection(
+            core_subgroup=u, hall_complement=hall_in_g, complement_classes=tuple(reps),
+        ))
+    if len(hit) != len(table.classes):
+        raise InternalCheckError(
+            "product pairs covered %d of %d subgroup classes" % (len(hit), len(table.classes))
+        )
+    return DressDecomposition(
+        p=p, q=q, core=core, sections=tuple(sections), pair_to_class=pair_to_class
     )

@@ -41,6 +41,7 @@ from oracles import (
     LADDER_NAMES,
     class_orbit_by_conjugation,
     classify_group_by_groups,
+    dress_decomposition_by_subgroup_groups,
     dress_primes_by_quotient_group,
     is_p_hypo_elementary_by_quotient_group,
     is_pq_dress_by_quotient_group,
@@ -51,6 +52,7 @@ from oracles import (
     subgroup_is_p_hypo_elementary,
     subgroups_of,
 )
+from test_relations import _cold_copy, _count_calls
 
 S3 = generate(3, [parse_cycles(3, "(0 1)"), parse_cycles(3, "(0 1 2)")])
 A4 = generate(4, [parse_cycles(4, "(0 1 2)"), parse_cycles(4, "(0 1)(2 3)")])
@@ -260,6 +262,60 @@ def test_dress_decomposition_rejects_bad_input():
         dress_decomposition(preset_group("Q8"), 3, 3)
     with pytest.raises(InputError):
         dress_decomposition(A4, 5, 3)  # A4 is not (5,3)-Dress
+
+
+# D8xS3xC7 has order 336: past index 255 the byte order of the int32
+# subgroup keys no longer follows the order of the index lists, which
+# choose the representatives
+DRESS_CASES = CORPUS_NAMES + (
+    "C19:C18", "C13:C12", "D8xS3", "S4xC2", "C2xC2xC2xC2", "C3xS3",
+    "C3^2:C4xC2", "C5xQ8xC2", "D8xD8", "D8xS3xC7",
+)
+
+
+def _dress_pairs(group):
+    """Every (p, q), q != p, with the soluble ``group`` (p,q)-Dress, p and
+    q running over the primes of |G| and 7 and 11."""
+    primes = sorted(set(prime_factors(group.order)) | {7, 11})
+    return [(p, q) for p in primes for q in primes if q != p and is_pq_dress(group, p, q)]
+
+
+@pytest.mark.parametrize("name", DRESS_CASES)
+def test_dress_decomposition_matches_subgroup_groups(name):
+    group = preset_group(name)
+    if not is_soluble(group):  # A5, S5: both refuse
+        for decompose in (dress_decomposition, dress_decomposition_by_subgroup_groups):
+            with pytest.raises(InputError, match="soluble"):
+                decompose(group, 2, 3)
+        return
+    for p, q in _dress_pairs(group):
+        expected = dress_decomposition_by_subgroup_groups(group, p, q)
+        assert dress_decomposition(group, p, q) == expected, (name, p, q)
+
+
+@given(permutation_groups().filter(is_soluble))
+@settings(max_examples=40, deadline=None)
+def test_dress_decomposition_matches_subgroup_groups_on_random_groups(group):
+    for p, q in _dress_pairs(group):
+        expected = dress_decomposition_by_subgroup_groups(group, p, q)
+        assert dress_decomposition(group, p, q) == expected, (p, q)
+
+
+def test_dress_decomposition_builds_no_group_but_g(monkeypatch):
+    groups = [_cold_copy(preset_group(name)) for name in ("C5xQ8", "C3^2:C4xC2", "D8xS3")]
+    built = []
+    enumerated = []
+    _count_calls(monkeypatch, "subgroup_as_group", built.append)
+    _count_calls(monkeypatch, "generate", built.append, home="permrel.perm")
+    _count_calls(monkeypatch, "enumerate_classes", lambda args: enumerated.append(args[0]))
+    for group in groups:
+        pairs = _dress_pairs(group)
+        assert pairs, group
+        for p, q in pairs:
+            dress_decomposition(group, p, q)
+        assert built == [], group
+        assert enumerated and all(g is group for g in enumerated), group
+        enumerated.clear()
 
 
 def test_vector_semidirect_a4():

@@ -144,8 +144,11 @@ def test_closure_from_generators_equals_closure_from_members(case):
 def test_normalizer_members_matches_conjugation(case):
     group, seeds = case
     members = np.asarray(_bfs_closure(group, seeds), dtype=np.int32)
-    got = _kernels.normalizer_members(group.mult, group.inv, members)
-    assert got.tolist() == _brute_normalizer(group, members)
+    expected = _brute_normalizer(group, members)
+    # the seeds generate H, and so does the whole of H
+    for gens in (seeds, members):
+        got = _kernels.normalizer_members(group.mult, group.inv, members, gens)
+        assert got.tolist() == expected
 
 
 @given(group_and_seeds())

@@ -54,6 +54,7 @@ from oracles import (
     relabelled,
     subgroup_is_p_hypo_elementary,
     theta_highdim_by_functional_orbits,
+    translation_module_by_points,
 )
 
 
@@ -782,6 +783,18 @@ THETA_HIGHDIM_CASES = [
     (3, 2, [[[2, 0], [0, 1]], [[1, 0], [0, 2]]]),
     (2, 2, []),
 ]
+
+
+@pytest.mark.parametrize("l,d,mats", THETA_HIGHDIM_CASES + [
+    (5, 1, [[[2]]]),
+    (7, 1, [[[3]]]),
+    (5, 2, [[[2, 0], [0, 3]]]),
+    (2, 3, [[[0, 0, 1], [1, 0, 0], [0, 1, 0]]]),
+    (3, 3, [[[2, 0, 0], [0, 1, 0], [0, 0, 1]]]),
+])
+def test_affine_module_matches_translations_on_points(l, d, mats):
+    group, module, _ = affine_group(l, d, mats)
+    assert module == translation_module_by_points(group, l, d)
 
 
 @pytest.mark.parametrize("l,d,mats", THETA_HIGHDIM_CASES,

@@ -94,9 +94,8 @@ def test_class_structure(name, group):
         assert orbit[0].key == cls.representative.key
         # class size is the index of the normalizer
         assert cls.class_size * cls.normalizer.order == group.order
-        norm = _kernels.normalizer_members(
-            group.mult, group.inv, cls.representative.indices
-        )
+        rep = cls.representative.indices
+        norm = _kernels.normalizer_members(group.mult, group.inv, rep, rep)
         assert norm.tobytes() == cls.normalizer.key
         for sub in orbit:
             assert table.class_index_of(sub) == idx
