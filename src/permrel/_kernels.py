@@ -7,6 +7,8 @@ inverse table ``inv``.  Subgroups are sorted int32 index arrays.
 
 import numpy as np
 
+from .errors import InternalCheckError
+
 
 def sorted_unique(values):
     """The distinct entries of ``values``, sorted.
@@ -29,27 +31,38 @@ def value_mask(values, keep):
     return chosen[values]
 
 
-def closure(mult, seeds):
-    """Subgroup generated by ``seeds``, as a sorted index array.
+def closure(mult, seeds, start=None):
+    """Subgroup K generated by ``seeds``, as a sorted index array.
 
-    Breadth-first from the identity: each round multiplies only the
-    elements found in the previous round by the seeds, so building K
-    takes |K| * |seeds| products plus one pass over an n-long mask per
-    round.  In a finite group the products of the seeds already give
-    the whole subgroup.
+    Breadth-first from ``start``, a sorted index array that holds the
+    identity and lies inside K (the identity alone by default): each
+    round multiplies only the elements found in the previous round by
+    the seeds, so building K takes |K| * |seeds| products plus one pass
+    over an n-long mask per round.  The search reaches start * K = K,
+    as in a finite group the products of the seeds already give the
+    whole subgroup; a start that knows more of K needs fewer rounds.
+    Past n/2 elements K is the whole group, by Lagrange.  A result whose
+    size does not divide n (a start outside K) raises InternalCheckError.
     """
     n = mult.shape[0]
-    member = np.zeros(n, dtype=bool)
-    member[0] = True
     gens = np.asarray(seeds, dtype=np.int32)
-    frontier = np.zeros(1, dtype=np.int32)
+    frontier = np.zeros(1, dtype=np.int32) if start is None else start
+    member = np.zeros(n, dtype=bool)
+    member[frontier] = True
+    size = frontier.size
     while frontier.size and gens.size:
-        fresh = np.zeros(n, dtype=bool)
-        fresh[mult[frontier[:, None], gens]] = True
-        fresh &= ~member
+        if 2 * size > n:
+            return np.arange(n, dtype=np.int32)
+        reached = np.zeros(n, dtype=bool)
+        reached[mult[frontier[:, None], gens]] = True
+        fresh = reached > member  # reached, and not a member yet
         member |= fresh
-        frontier = np.flatnonzero(fresh)
-    return np.flatnonzero(member).astype(np.int32)
+        frontier = fresh.nonzero()[0]
+        size += frontier.size
+    if n % size:
+        raise InternalCheckError("a closure of %d elements in a group of order %d"
+                                 % (size, n))
+    return member.nonzero()[0].astype(np.int32)
 
 
 def normalizer_members(mult, inv, members, gens):

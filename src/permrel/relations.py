@@ -330,8 +330,9 @@ def imprimitive_lattice(group, characteristic):
             for t, c in enumerate(col):
                 if c:
                     out[view.class_map[t]] += c
-            columns.append(out)
-    columns.sort()
+            columns.append(tuple(out))
+    # the HNF is canonical, so duplicate and zero columns only cost time
+    columns = sorted(set(columns) - {(0,) * k})
     stacked = _from_rows([[c[i] for c in columns] for i in range(k)], len(columns))
     reduced, _ = hnf(stacked)
     rank = sum(any(col) for col in zip(*reduced.data))  # zero columns trail

@@ -20,6 +20,15 @@ of powers of itself of prime-power order), so some zuppo z of K' lies
 outside H and <H, z> = K'; the skips pass z over only when <H, z> is
 already registered.  Registering K' registers its class, K included.
 
+The closure of <H, g> does not start from the identity: its search
+grows from the set H<g> of products hg^k, which lies inside <H, g> as
+both factors do, and holds the identity.  Right products of a start S
+inside a group K by K's generators reach exactly S K = K, so the result
+is the same; it only needs fewer rounds, since H and the powers of g
+are known before the first one (Dimino's algorithm likewise starts from
+H, and adds whole cosets of it; Butler, *Fundamental Algorithms for
+Permutation Groups*, 1991).
+
 The masks of the registered subgroups are kept packed, eight elements to
 a byte, in one block per order with each class's rows in key order, and
 copied once into the table, which unpacks them as ``members`` when first
@@ -107,7 +116,8 @@ class Subgroup:
 
     @property
     def generator_indices(self):
-        """A small generating set, found greedily along the index order."""
+        """A small generating set, found greedily along the index order;
+        each step's closure grows from the one before, which it contains."""
         if self._gens is None:
             mult = self.ambient.mult
             covered = np.zeros(1, dtype=np.int32)
@@ -115,7 +125,9 @@ class Subgroup:
             for idx in self.indices:
                 if idx not in covered:
                     gens.append(int(idx))
-                    covered = kernels.closure(mult, np.asarray(gens, dtype=np.int32))
+                    covered = kernels.closure(
+                        mult, np.asarray(gens, dtype=np.int32), start=covered
+                    )
                     if covered.size == self.indices.size:
                         break
             self._gens = np.asarray(gens, dtype=np.int32)
@@ -325,7 +337,9 @@ def enumerate_classes(group):
         canon, t0 = min(orbit, key=lambda pair: pair[0].tolist())
         canon_norm = group.conjugate_indices(t0, norm)
         canon_gens = group.conjugate_indices(t0, gens)
-        if not np.isin(canon_gens, canon, kind="table").all():  # no numpy.ma import
+        inside = np.zeros(n, dtype=bool)
+        inside[canon] = True
+        if not inside[canon_gens].all():
             raise InternalCheckError("generators left the class representative")
         cid = len(records)
         keys = sorted(conj.tobytes() for conj, _ in orbit)
@@ -362,14 +376,22 @@ def enumerate_classes(group):
                 over = over[:used[base.size * p]]
                 over = over[_BITS[over[:, byte[base]], bit[base]].all(axis=1)]
                 done |= _unpack(over, n).any(axis=0)
+        # the last seed is each g in turn; neither closure nor register keeps seeds
+        seeds = np.append(gens, np.int32(0))
         for g in np.flatnonzero(~done):
             if done[g]:
                 continue
             # <H, g> = <H, hgh'>: one extension per double coset HgH (the
             # |H| x |H| block is at most a quarter of the mult table)
-            done[mult[np.ix_(mult[base, g], base)]] = True
-            seeds = np.append(gens, np.int32(g))
-            closed = kernels.closure(mult, seeds)
+            done[mult[mult[base, g][:, None], base]] = True
+            # the search grows from H<g>, which lies inside <H, g>
+            powers = [0, int(g)]
+            for _ in range(orders[g] - 2):
+                powers.append(int(mult[powers[-1], g]))
+            start = np.zeros(n, dtype=bool)
+            start[mult[base[:, None], powers]] = True
+            seeds[-1] = g
+            closed = kernels.closure(mult, seeds, start.nonzero()[0])
             if closed.size // base.size in primes:
                 done[closed] = True
             register(closed, seeds)

@@ -238,7 +238,10 @@ def _echelon(cols, rows):
             if not nz:
                 break
             j0 = min(nz, key=lambda j: (abs(cols[j][i]), j))
-            cols[r], cols[j0] = cols[j0], cols[r]
+            # move the pivot column to r and keep the others in order;
+            # a swap would scramble them, which on the deduplicated
+            # imprimitive columns of C2^5 quadrupled the column updates
+            cols.insert(r, cols.pop(j0))
             pc = cols[r]
             if pc[i] < 0:
                 for t in pc:

@@ -142,7 +142,7 @@ def subgroup_is_p_hypo_elementary(subgroup, p):
     return bool((orders == coprime_part).any())
 
 
-def _closure_by_products(mult, seeds):
+def closure_by_products(mult, seeds):
     """Subgroup generated by ``seeds``: add every product of two members
     until nothing new appears."""
     member = np.zeros(mult.shape[0], dtype=bool)
@@ -187,11 +187,11 @@ def enumerate_classes_by_every_extension(group):
             queue.append(canon)
 
     for g in range(n):
-        register(_closure_by_products(mult, np.asarray([g], dtype=np.int32)))
+        register(closure_by_products(mult, np.asarray([g], dtype=np.int32)))
     while queue:
         base = queue.popleft()
         for g in np.setdiff1d(np.arange(n, dtype=np.int32), base):
-            register(_closure_by_products(mult, np.append(base, g)))
+            register(closure_by_products(mult, np.append(base, g)))
 
     order = sorted(range(len(records)), key=lambda i: (records[i][0].size,
                                                        records[i][0].tolist()))
@@ -365,7 +365,7 @@ def echelon_dense(cols, rows):
             if not nz:
                 break
             j0 = min(nz, key=lambda j: (abs(cols[j][i]), j))
-            cols[r], cols[j0] = cols[j0], cols[r]
+            cols.insert(r, cols.pop(j0))
             if cols[r][i] < 0:
                 cols[r] = [-x for x in cols[r]]
             pc = cols[r]

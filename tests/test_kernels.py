@@ -1,5 +1,6 @@
 """The numpy kernels against pure-Python oracles built on Permutation
-arithmetic, on random permutation groups of degree at most 5."""
+arithmetic, on the corpus, a few fixed groups and random permutation
+groups of degree at most 5."""
 
 import os
 import subprocess
@@ -7,12 +8,15 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permrel import _kernels
+from permrel.errors import InternalCheckError
 from permrel.perm import generate, parse_cycles
-from permrel.subgroups import Subgroup
+from permrel.presets import CORPUS_NAMES, preset_group
+from permrel.subgroups import Subgroup, enumerate_classes
 
 from oracles import permutation_groups
 
@@ -137,6 +141,90 @@ def test_closure_from_generators_equals_closure_from_members(case):
     for g in extra:
         got = _kernels.closure(group.mult, np.append(h.generator_indices, g))
         assert got.tolist() == _bfs_closure(group, np.append(h.indices, g))
+
+
+class _CountingTable:
+    """A ``mult`` table that records the rows of each product block
+    read from it, one block per round of ``closure``."""
+
+    def __init__(self, mult):
+        self.mult = mult
+        self.shape = mult.shape
+        self.rows = []
+
+    def __getitem__(self, index):
+        self.rows.append(len(index[0]))
+        return self.mult[index]
+
+
+def _start_sets(group, h_seeds, g):
+    """The start sets <H, g> may grow from, each a sorted index array
+    inside <H, g> that holds the identity, by name."""
+    mult = group.mult
+    h = np.asarray(_bfs_closure(group, h_seeds), dtype=np.int32)
+    cyclic = np.asarray(_bfs_closure(group, [g]), dtype=np.int32)
+    double_coset = mult[mult[h, g][:, None], h]
+    return {
+        "1": np.zeros(1, dtype=np.int32),
+        "H": h,
+        "H u HgH": _kernels.sorted_unique(np.append(h, double_coset)),
+        "H<g>": _kernels.sorted_unique(mult[h[:, None], cyclic]),
+        "<H, g>": np.asarray(_bfs_closure(group, np.append(h_seeds, g)), dtype=np.int32),
+    }
+
+
+def _assert_closures_from_start_sets(group, h_seeds, g):
+    seeds = np.append(h_seeds, g).astype(np.int32)
+    want = _bfs_closure(group, seeds)
+    for name, start in _start_sets(group, h_seeds, g).items():
+        table = _CountingTable(group.mult)
+        got = _kernels.closure(table, seeds, start)
+        assert got.dtype == np.int32
+        assert got.tolist() == want, name
+        if name == "<H, g>":
+            # nothing is left to find: one round, or none past n/2
+            assert table.rows == ([start.size] if 2 * start.size <= group.order else [])
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_closure_from_start_sets_matches_bfs_on_corpus(name):
+    group = preset_group(name)
+    n = group.order
+    for cls in enumerate_classes(group).classes:
+        for g in sorted({1 % n, n // 2, n - 1}):
+            _assert_closures_from_start_sets(group, cls.generators, g)
+
+
+@given(group_and_seeds(seed_sets=2))
+@settings(max_examples=60, deadline=None)
+def test_closure_from_start_sets_matches_bfs(case):
+    group, h_seeds, extra = case
+    for g in extra:
+        _assert_closures_from_start_sets(group, h_seeds, g)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + ("A6",))
+def test_closure_of_generators_of_g_stops_past_half(name):
+    # a subgroup with more than n/2 elements is G, by Lagrange, so the
+    # search multiplies at most n/2 elements before it stops
+    group = preset_group(name)
+    n = group.order
+    seeds = np.asarray([group.index(p) for p in group.generators], dtype=np.int32)
+    table = _CountingTable(group.mult)
+    assert _kernels.closure(table, seeds).tolist() == list(range(n))
+    assert sum(table.rows) <= n // 2
+
+
+def test_closure_from_a_start_outside_the_subgroup_fails_the_order_check():
+    # K = <(0 1 2)> has index 8 in S4; a start with the identity and two
+    # more left coset representatives reaches three cosets, 9 elements,
+    # and 9 does not divide 24
+    s4 = _groups()[0]
+    seeds = np.asarray([s4.index(parse_cycles(4, "(0 1 2)"))], dtype=np.int32)
+    reps = _first_unseen_reps(s4, _bfs_closure(s4, seeds))
+    start = np.asarray(sorted(reps[:3]), dtype=np.int32)
+    with pytest.raises(InternalCheckError):
+        _kernels.closure(s4.mult, seeds, start)
 
 
 @given(group_and_seeds())

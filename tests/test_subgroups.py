@@ -28,6 +28,7 @@ from permrel.subgroups import (
 from oracles import (
     centralizer_indices_by_loop,
     class_orbit_by_conjugation,
+    closure_by_products,
     enumerate_classes_by_every_extension,
     permutation_groups,
 )
@@ -286,6 +287,35 @@ def test_generators_and_row_order_on_random_groups(group):
     _assert_generators_and_row_order(enumerate_classes(group))
 
 
+def _assert_greedy_generators(table):
+    """``generator_indices`` of each representative is the greedy choice
+    along the index order, with each step closed from the identity."""
+    mult = table.group.mult
+    for cls in table.classes:
+        sub = cls.representative
+        want = []
+        covered = np.zeros(1, dtype=np.int32)
+        for idx in sub.indices.tolist():
+            if covered.size == sub.order:
+                break
+            if idx not in covered:
+                want.append(idx)
+                covered = closure_by_products(mult, np.asarray(want, dtype=np.int32))
+        fresh = Subgroup(table.group, sub.indices)  # nothing cached
+        assert fresh.generator_indices.tolist() == want
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_generator_indices_are_the_greedy_choice(name):
+    _assert_greedy_generators(enumerate_classes(preset_group(name)))
+
+
+@given(permutation_groups())
+@settings(max_examples=40, deadline=None)
+def test_generator_indices_are_the_greedy_choice_on_random_groups(group):
+    _assert_greedy_generators(enumerate_classes(group))
+
+
 def _closures_to_enumerate(monkeypatch, name):
     """(closure calls, subgroups) of enumerating a fresh copy of a preset."""
     preset = preset_group(name)
@@ -293,9 +323,9 @@ def _closures_to_enumerate(monkeypatch, name):
     closure = subgroups.kernels.closure
     calls = []
 
-    def counting(mult, seeds):
+    def counting(mult, seeds, *rest):
         calls.append(seeds)
-        return closure(mult, seeds)
+        return closure(mult, seeds, *rest)
 
     monkeypatch.setattr(subgroups.kernels, "closure", counting)
     table = enumerate_classes(group)
