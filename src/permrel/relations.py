@@ -32,7 +32,10 @@ inside M.  The orbit of H has |M:N_M(H)| members, so the mark of K on
 M/H is |N_M(H):H| = |M| / (|orbit| |H|) times the number of members of
 the orbit that contain K, and induction sends an M-class to the G-class
 of its members.  Being hypo-elementary is a property of the subgroup,
-so an M-class is hypo-elementary exactly when its G-class is.
+so an M-class is hypo-elementary exactly when its G-class is.  None of
+this depends on the characteristic: each maximal view's order, class
+map and marks are kept once per group, and a lattice prime only picks
+the hypo-elementary positions from G's, memoised per lattice prime.
 
 One test serves every U/N, with o(u) the order of uN: U/N is
 p-hypo-elementary exactly when its Sylow p-subgroup is normal, that is
@@ -162,10 +165,14 @@ def _hypo_positions(subgroups, orders, normal_order, p):
 
 def hypo_class_indices(group, characteristic):
     """Positions of the p-hypo-elementary classes: the test of the
-    module docstring with N = 1, on the element orders."""
-    p = effective_prime(group, characteristic)
-    reps = [cls.representative.indices for cls in enumerate_classes(group).classes]
-    return _hypo_positions(reps, group.element_orders, 1, p)
+    module docstring with N = 1, on the element orders.  Memoised per
+    lattice prime."""
+    key = ("hypo", _lattice_prime(group, characteristic))
+    if key not in group._memo:
+        p = effective_prime(group, characteristic)
+        reps = [cls.representative.indices for cls in enumerate_classes(group).classes]
+        group._memo[key] = _hypo_positions(reps, group.element_orders, 1, p)
+    return group._memo[key]
 
 
 def _kernel_of(marks, hypo, modulus):
@@ -285,9 +292,9 @@ def quotient_view(table, marks, normal, p):
     ``table`` and marks ``marks``, with the hypo-elementary positions at
     the prime p."""
     group = table.group
-    kept = [
-        j for j, c in enumerate(table.classes) if c.representative.contains_subgroup(normal)
-    ]
+    # N is normal, so it lies in every member of a class or in none
+    first = np.searchsorted(table.class_of, np.arange(len(table.classes)))
+    kept = np.flatnonzero(table.members[np.ix_(first, normal.indices)].all(axis=1)).tolist()
     reps = [table.classes[j].representative.indices for j in kept]
     return SubquotientView(
         order=group.order // normal.order,
@@ -297,6 +304,19 @@ def quotient_view(table, marks, normal, p):
         marks=[[marks[a][b] for b in kept] for a in kept],
         hypo=_hypo_positions(reps, orders_modulo(group, normal), normal.order, p),
     )
+
+
+def _maximal_views(table):
+    """(order, class_map, marks) of the view of each maximal class, the
+    marks as an int32 array (a mark is at most |M|), kept once per group."""
+    group = table.group
+    if "maximal_views" not in group._memo:
+        none = np.zeros(len(table.classes), dtype=bool)
+        views = [maximal_view(table, none, table.classes[i]) for i in table.maximal_classes()]
+        group._memo["maximal_views"] = [
+            (v.order, v.class_map, np.asarray(v.marks, dtype=np.int32)) for v in views
+        ]
+    return group._memo["maximal_views"]
 
 
 def imprimitive_lattice(group, characteristic):
@@ -318,18 +338,22 @@ def imprimitive_lattice(group, characteristic):
     k = len(table.classes)
     hypo = np.zeros(k, dtype=bool)
     hypo[list(hypo_class_indices(group, characteristic))] = True
-    views = [maximal_view(table, hypo, table.classes[i]) for i in table.maximal_classes()]
-    views += [
-        quotient_view(table, marks, normal, p)
-        for normal in minimal_normal_subgroups(group)
-    ]
+
+    def view_kernels():
+        for order, class_map, m in _maximal_views(table):
+            positions = tuple(np.flatnonzero(hypo[class_map]).tolist())
+            yield _kernel_of(m.tolist(), positions, order), class_map
+        for normal in minimal_normal_subgroups(group):
+            view = quotient_view(table, marks, normal, p)
+            yield _kernel_of(view.marks, view.hypo, view.order), view.class_map
+
     columns = []
-    for view in views:
-        for col in _kernel_of(view.marks, view.hypo, view.order).columns():
+    for basis, class_map in view_kernels():
+        for col in basis.columns():
             out = [0] * k
             for t, c in enumerate(col):
                 if c:
-                    out[view.class_map[t]] += c
+                    out[class_map[t]] += c
             columns.append(tuple(out))
     # the HNF is canonical, so duplicate and zero columns only cost time
     columns = sorted(set(columns) - {(0,) * k})

@@ -99,7 +99,9 @@ class IntMatrix:
         return [self.data[i][j] for i in range(self.rows)]
 
     def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+        if not self.rows:
+            return [[] for _ in range(self.cols)]
+        return [list(col) for col in zip(*self.data)]
 
     def mul(self, other):
         if self.cols != other.rows:

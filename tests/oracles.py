@@ -157,6 +157,19 @@ def closure_by_products(mult, seeds):
         member[fresh] = True
 
 
+def coset_reps_by_full_scan(mult, members):
+    """Left coset representatives of H, identity coset first, from a
+    scan over every element of G."""
+    n = mult.shape[0]
+    visited = np.zeros(n, dtype=bool)
+    reps = []
+    for g in range(n):
+        if not visited[g]:
+            reps.append(g)
+            visited[mult[g, members]] = True
+    return np.asarray(reps, dtype=np.int32)
+
+
 def enumerate_classes_by_every_extension(group):
     """Subgroup classes with no shortcuts: every class representative H
     is extended by every g outside H, closing all of H plus g.  The
@@ -265,6 +278,14 @@ def _subquotient_class_map(group, table, h, h_group, n_sub):
         for cls in enumerate_classes(q_group).classes
     ]
     return q_group, class_map
+
+
+def classes_containing_by_loop(table, normal):
+    """Positions of the classes of ``table`` whose representative
+    contains the subgroup ``normal``, one class at a time."""
+    return [
+        j for j, c in enumerate(table.classes) if c.representative.contains_subgroup(normal)
+    ]
 
 
 def imprimitive_lattice_by_sweep(group, characteristic):

@@ -18,7 +18,7 @@ from permrel.perm import generate, parse_cycles
 from permrel.presets import CORPUS_NAMES, preset_group
 from permrel.subgroups import Subgroup, enumerate_classes
 
-from oracles import permutation_groups
+from oracles import coset_reps_by_full_scan, permutation_groups
 
 
 def _groups():
@@ -246,6 +246,56 @@ def test_coset_reps_match_first_unseen(case):
     members = np.asarray(_bfs_closure(group, seeds), dtype=np.int32)
     got = _kernels.coset_reps(group.mult, members)
     assert got.tolist() == _first_unseen_reps(group, members)
+
+
+def _assert_coset_reps_match_full_scan(group, members):
+    # H itself, and N_G(H), which is all of G for a normal H
+    norm = _kernels.normalizer_members(group.mult, group.inv, members, members)
+    for sub in (members, norm):
+        got = _kernels.coset_reps(group.mult, sub)
+        assert got.dtype == np.int32
+        assert got.tolist() == coset_reps_by_full_scan(group.mult, sub).tolist()
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_coset_reps_match_full_scan_on_corpus(name):
+    group = preset_group(name)
+    for cls in enumerate_classes(group).classes:
+        _assert_coset_reps_match_full_scan(group, cls.representative.indices)
+
+
+@given(group_and_seeds())
+@settings(max_examples=60, deadline=None)
+def test_coset_reps_match_full_scan(case):
+    group, seeds = case
+    members = np.asarray(_bfs_closure(group, seeds), dtype=np.int32)
+    _assert_coset_reps_match_full_scan(group, members)
+
+
+class _RowCountingTable:
+    """A ``mult`` table that counts the coset rows ``coset_reps`` reads."""
+
+    def __init__(self, mult):
+        self.mult = mult
+        self.shape = mult.shape
+        self.reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.mult[index]
+
+
+@pytest.mark.parametrize("name", ("S4", "C2xC2xC2xC2", "A5"))
+def test_coset_reps_stop_at_the_last_coset(name):
+    # the scan reads no coset after the |G:H|-th representative, so the
+    # whole group, its own normalizer, costs no read at all
+    group = preset_group(name)
+    for cls in enumerate_classes(group).classes:
+        for sub in (cls.representative, cls.normalizer):
+            table = _RowCountingTable(group.mult)
+            reps = _kernels.coset_reps(table, sub.indices)
+            assert reps.size * sub.order == group.order
+            assert table.reads == reps.size - 1
 
 
 @given(group_and_seeds(seed_sets=2))

@@ -44,6 +44,7 @@ from permrel.zlattice import IntMatrix
 
 from oracles import (
     LADDER_NAMES,
+    classes_containing_by_loop,
     imprimitive_lattice_by_subquotient_groups,
     imprimitive_lattice_by_sweep,
     kernel_basis_by_two_hnfs,
@@ -336,6 +337,26 @@ def test_quotient_views_match_quotient_groups(name):
             assert list(view.hypo) == expected, (name, char)
 
 
+def _assert_quotient_views_keep_the_classes_containing_n(group):
+    table = enumerate_classes(group)
+    marks = marks_table(group, table).m
+    p = effective_prime(group, 0)
+    for normal in normal_subgroups(group):
+        view = quotient_view(table, marks, normal, p)
+        assert view.class_map.tolist() == classes_containing_by_loop(table, normal)
+
+
+@pytest.mark.parametrize("name", VIEW_CASES)
+def test_quotient_view_classes_match_containment_loop(name):
+    _assert_quotient_views_keep_the_classes_containing_n(_view_case(name))
+
+
+@given(permutation_groups())
+@settings(max_examples=40, deadline=None)
+def test_quotient_view_classes_match_containment_loop_on_random_groups(group):
+    _assert_quotient_views_keep_the_classes_containing_n(group)
+
+
 def _count_calls(monkeypatch, fname, record, home="permrel.subgroups"):
     # wrap the function in every permrel module that holds it
     original = getattr(sys.modules[home], fname)
@@ -458,6 +479,58 @@ def test_coprime_characteristics_reuse_the_lattices(monkeypatch):
     # at 2 every class of the 2-group and of its views is hypo-elementary,
     # so each kernel is zero before triangular_kernel is reached
     assert calls["triangular_kernel"] == 0, calls
+
+
+def _assert_lattices_independent_of_char_order(group):
+    up, down = _cold_copy(group), _cold_copy(group)
+    chars = (0, 2, 3, 5, 7)
+    first = {char: imprimitive_lattice(up, char) for char in chars}
+    for char in reversed(chars):
+        assert imprimitive_lattice(down, char) == first[char], char
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_imprimitive_lattice_independent_of_char_order(name):
+    _assert_lattices_independent_of_char_order(preset_group(name))
+
+
+@given(permutation_groups())
+@settings(max_examples=40, deadline=None)
+def test_imprimitive_lattice_independent_of_char_order_on_random_groups(group):
+    _assert_lattices_independent_of_char_order(group)
+
+
+@pytest.mark.parametrize("name", ("S4", "A5", "C5xQ8", "C2xC2xC2xC2", "D8xS3"))
+def test_views_and_hypo_classes_are_built_once(monkeypatch, name):
+    # the maximal views are kept once per group, and the hypo-elementary
+    # classes of G once per lattice prime, whatever the characteristics
+    group = _cold_copy(preset_group(name))
+    views, hypo = [], []
+    for fname, record in (("maximal_view", views.append), ("_hypo_positions", hypo.append)):
+        original = getattr(relations, fname)
+
+        def counting(*args, _original=original, _record=record):
+            _record(args)
+            return _original(*args)
+
+        monkeypatch.setattr(relations, fname, counting)
+    for char in CORPUS_CHARACTERISTICS:
+        prim(group, char)
+    table = enumerate_classes(group)
+    maximal = table.maximal_classes()
+    assert sorted(table.class_index_of(args[2].representative) for args in views) == list(maximal)
+    primes = {relations._lattice_prime(group, char) for char in CORPUS_CHARACTERISTICS}
+    assert len([args for args in hypo if args[2] == 1]) == len(primes)
+    # what the group keeps: order, class map and int32 marks per view
+    kept = group._memo["maximal_views"]
+    assert len(kept) == len(maximal)
+    for (order, class_map, marks), i in zip(kept, maximal):
+        assert marks.dtype == np.int32
+        assert order == table.classes[i].order
+        none = np.zeros(len(table.classes), dtype=bool)
+        view = maximal_view(table, none, table.classes[i])
+        assert marks.tolist() == view.marks
+        assert class_map.tolist() == view.class_map.tolist()
 
 
 def test_lattice_memo_still_checks_the_characteristic():

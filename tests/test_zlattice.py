@@ -146,6 +146,25 @@ def test_snf_certificate_matrices():
     assert dec.u.mul(m).mul(dec.v).data == dec.d.data
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (3, 2)])
+def test_columns_match_column_by_column(rows, cols):
+    m = IntMatrix([[(-1) ** j * (3 * i + j) for j in range(cols)] for i in range(rows)],
+                  cols=cols)
+    columns = m.columns()
+    assert columns == [m.column(j) for j in range(m.cols)]
+    assert len(columns) == cols and all(len(c) == rows for c in columns)
+    assert all(type(c) is list for c in columns)
+
+
+@given(st.integers(0, 4).flatmap(
+    lambda k: st.lists(st.lists(st.integers(-9, 9), min_size=k, max_size=k), max_size=4)
+))
+@settings(max_examples=60, deadline=None)
+def test_columns_match_column_by_column_on_random_matrices(data):
+    m = IntMatrix(data)
+    assert m.columns() == [m.column(j) for j in range(m.cols)]
+
+
 def test_kernel_of_ones_row():
     basis = triangular_kernel(IntMatrix([[1, 1, 1]]), [0], 1)
     assert basis.cols == 2
