@@ -225,10 +225,7 @@ def _cmd_kernel(args, stream):
         "effective_prime": effective_prime(group, char),
         "rank": kernel.rank,
         "hypo_class_labels": [labels[i] for i in kernel.hypo_classes],
-        "basis": [
-            _element_json(table, kernel.basis.column(j))
-            for j in range(kernel.basis.cols)
-        ],
+        "basis": [_element_json(table, col) for col in kernel.basis.columns()],
     }
     oracle = {
         "source": "rank",

@@ -94,7 +94,6 @@ from .zlattice import (
     IntMatrix,
     _from_rows,
     hnf,
-    hstack,
     quotient_invariants,
     triangular_kernel,
 )
@@ -184,7 +183,7 @@ def _kernel_of(marks, hypo, modulus):
     lower triangular with a positive diagonal."""
     k = len(marks)
     if len(hypo) == k:
-        return IntMatrix.from_columns([], rows=k)
+        return _from_rows([[] for _ in range(k)], 0)
     rows = [[marks[h][u] for h in range(k)] for u in hypo]
     basis = triangular_kernel(_from_rows(rows, k), hypo, modulus)
     if basis.cols != k - len(hypo):
@@ -454,17 +453,14 @@ def _extract_generator(table, kernel):
     if basis.cols == 0:
         return None
     last = basis.rows - 1
-    candidates = []
-    for j in range(basis.cols):
-        col = basis.column(j)
-        if abs(col[last]) == 1:
-            if col[last] == -1:
-                col = [-v for v in col]
-            candidates.append(col)
-    if candidates:
-        winner = min(candidates)
-        return BurnsideElement(table, winner)
     cols = basis.columns()
+    candidates = [
+        col if col[last] == 1 else [-v for v in col]
+        for col in cols
+        if abs(col[last]) == 1
+    ]
+    if candidates:
+        return BurnsideElement(table, min(candidates))
     g = 0
     combo = [0] * basis.rows
     for col in cols:
@@ -695,6 +691,8 @@ def generates_quotient(group, characteristic, element):
     _check_group(group, element)
     kernel = brauer_kernel(group, characteristic)
     imprim = imprimitive_lattice(group, characteristic)
-    column = IntMatrix.from_columns([list(element.coeffs)])
-    free_rank, torsion = quotient_invariants(kernel.basis, hstack(imprim, column))
+    stacked = _from_rows(
+        [row + [v] for row, v in zip(imprim.data, element.coeffs)], imprim.cols + 1
+    )
+    free_rank, torsion = quotient_invariants(kernel.basis, stacked)
     return free_rank == 0 and not torsion

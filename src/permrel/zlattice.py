@@ -19,10 +19,11 @@ trailed at the right end.
 One routine, ``_echelon``, brings a list of columns into that shape on
 chosen coordinates.  Inside this module a column is sparse, a dict
 {coordinate: nonzero int}, so a column update touches only the support
-of the pivot column; ``IntMatrix`` stays dense at the public boundary.
-A transform rides along as trailing coordinates: each column of M
-carries its identity column below it, so every column operation on M
-is also applied to T (H. Cohen, *A Course in Computational Algebraic
+of the pivot column.  The certificates are checked on these columns,
+and an ``IntMatrix`` is built only for a value a public function
+returns.  A transform rides along as trailing coordinates: each column
+of M carries its identity column below it, so every column operation on
+M is also applied to T (H. Cohen, *A Course in Computational Algebraic
 Number Theory*, section 2.4).  ``hnf`` splits the result into H and T;
 ``snf`` alternates a column pass, with V below A, and a row pass, with
 U beside A, until A is diagonal (R. Kannan and A. Bachem, SIAM J.
@@ -103,14 +104,6 @@ class IntMatrix:
             return [[] for _ in range(self.cols)]
         return [list(col) for col in zip(*self.data)]
 
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        return IntMatrix(
-            _mat_mul_data(self.data, other.data, self.rows, self.cols, other.cols),
-            cols=other.cols,
-        )
-
     def is_zero(self):
         return all(v == 0 for row in self.data for v in row)
 
@@ -130,20 +123,6 @@ class IntMatrix:
         return "IntMatrix(%r)" % (self.data,) if self.rows else (
             "IntMatrix([], cols=%d)" % self.cols
         )
-
-
-def _mat_mul_data(p, q, m, k, n):
-    out = [[0] * n for _ in range(m)]
-    for i in range(m):
-        pi = p[i]
-        oi = out[i]
-        for t in range(k):
-            v = pi[t]
-            if v:
-                qt = q[t]
-                for j in range(n):
-                    oi[j] += v * qt[j]
-    return out
 
 
 def _dense(col, n):
@@ -327,37 +306,41 @@ def snf(m):
         u = [_split(row, ncols)[1] for row in rows]
         cols = _beside(rows, v)
     parts = [_split(row, ncols) for row in rows]
-    d = IntMatrix([_dense(a, ncols) for a, _ in parts], cols=ncols)
-    um = IntMatrix([_dense(w, nrows) for _, w in parts], cols=nrows)
-    vm = _from_sparse(v, ncols)
-    factors = [rows[k][k] for k in range(min(nrows, ncols)) if rows[k].get(k)]
-    _check_smith(m, um, d, vm, factors)
-    return SmithDecomposition(um, d, vm, tuple(factors))
+    d, u = [a for a, _ in parts], [w for _, w in parts]
+    _check_smith(_sparse_columns(m), d, u, v)
+    factors = tuple(d[k][k] for k in range(min(nrows, ncols)) if d[k].get(k))
+    return SmithDecomposition(
+        _from_rows([_dense(w, nrows) for w in u], nrows),
+        _from_rows([_dense(a, ncols) for a in d], ncols),
+        _from_sparse(v, ncols),
+        factors,
+    )
 
 
-def _check_smith(m, u, d, v, factors):
-    if u.mul(m).mul(v) != d:
-        raise InternalCheckError("smith form certificate failed")
-    for i in range(d.rows):
-        for j in range(d.cols):
-            if i != j and d.data[i][j]:
-                raise InternalCheckError("smith form is not diagonal")
-    seen_zero = False
-    prev = None
-    for k in range(min(d.rows, d.cols)):
-        val = d.data[k][k]
-        if val == 0:
-            seen_zero = True
-            continue
-        if seen_zero:
+def _check_smith(m_cols, d, u, v):
+    """Prove U M V = D, with D diagonal and its nonzero entries a
+    positive divisibility chain ahead of its zeros.  M and V are given
+    by their sparse columns, D and U by their sparse rows."""
+    if any(j != i for i, row in enumerate(d) for j in row):
+        raise InternalCheckError("smith form is not diagonal")
+    u_cols = _beside(u, [{} for _ in u])
+    for j, col in enumerate(v):
+        diag = {j: d[j][j]} if j < len(d) and j in d[j] else {}
+        if _apply(u_cols, _apply(m_cols, col)) != diag:
+            raise InternalCheckError("smith form certificate failed")
+    prev = 1
+    for k in range(min(len(d), len(v))):
+        val = d[k].get(k, 0)
+        if not val:
+            prev = 0
+        elif not prev:
             raise InternalCheckError("zero precedes a nonzero invariant factor")
-        if val < 0:
+        elif val < 0:
             raise InternalCheckError("negative invariant factor")
-        if prev is not None and val % prev:
+        elif val % prev:
             raise InternalCheckError("invariant factor divisibility chain broken")
-        prev = val
-    if list(factors) != [d.data[k][k] for k in range(min(d.rows, d.cols)) if d.data[k][k]]:
-        raise InternalCheckError("invariant factor list mismatch")
+        else:
+            prev = val
 
 
 def triangular_kernel(m, pivots, modulus):
@@ -482,44 +465,31 @@ def _unit_kernel(m):
     return _from_rows(data, len(rest))
 
 
-def _echelon_solve(h_cols, pivot_rows, vector):
-    """Solve H y = vector for integer y, where H is a column echelon
-    matrix given by columns with strictly increasing pivot rows.
+def _echelon_basis(m):
+    """A basis of M's column lattice in echelon shape, as sparse columns,
+    with the pivot row of each: M's own nonzero columns when they come
+    first and their pivot rows strictly increase, and otherwise those of
+    M's Hermite form."""
+    cols = _sparse_columns(m)
+    n = sum(1 for col in cols if col)
+    pivots = [min(col) for col in cols[:n] if col]
+    if len(pivots) == n and all(a < b for a, b in zip(pivots, pivots[1:])):
+        return cols[:n], pivots
+    return _echelon_basis(hnf(m)[0])
 
-    Returns the coefficient list, or None when no integer solution
-    exists.
-    """
-    residual = list(vector)
-    coeffs = [0] * len(h_cols)
-    for idx, (col, prow) in enumerate(zip(h_cols, pivot_rows)):
-        q, r = divmod(residual[prow], col[prow])
-        if r:
-            return None
-        coeffs[idx] = q
+
+def _solve(basis, pivots, col):
+    """The sparse y with sum y_j basis[j] = col, for ``_echelon_basis``'s
+    basis and pivots, or None when no integer y exists.  ``col`` is
+    reduced in place; a remainder left at a pivot row stays there, as
+    the later columns are zero on it."""
+    y = {}
+    for j, (b, p) in enumerate(zip(basis, pivots)):
+        q = col.get(p, 0) // b[p]
         if q:
-            for i in range(len(residual)):
-                residual[i] -= q * col[i]
-    if any(residual):
-        return None
-    return coeffs
-
-
-def _echelon_data(m):
-    """A basis of M's column lattice in echelon shape, with the pivot
-    row of each column: M's own nonzero columns when they come first and
-    their pivot rows strictly increase, and otherwise those of M's
-    Hermite form."""
-    cols = []
-    pivot_rows = []
-    for j, col in enumerate(m.columns()):
-        prow = next((i for i, val in enumerate(col) if val), None)
-        if prow is None:
-            continue
-        if len(cols) < j or (pivot_rows and prow <= pivot_rows[-1]):
-            return _echelon_data(hnf(m)[0])
-        cols.append(col)
-        pivot_rows.append(prow)
-    return cols, pivot_rows
+            _addmul(col, q, b)
+            y[j] = q
+    return None if col else y
 
 
 def quotient_invariants(ambient, sub):
@@ -534,26 +504,11 @@ def quotient_invariants(ambient, sub):
     """
     if ambient.rows != sub.rows:
         raise ValueError("lattices live in different ambient dimensions")
-    cols, pivot_rows = _echelon_data(ambient)
-    rank = len(cols)
-    coord_columns = []
-    for j in range(sub.cols):
-        coeffs = _echelon_solve(cols, pivot_rows, sub.column(j))
-        if coeffs is None:
-            raise InternalCheckError("sublattice is not contained in the ambient lattice")
-        coord_columns.append(coeffs)
-    if not coord_columns:
-        return rank, ()
-    coords = IntMatrix.from_columns(coord_columns, rows=rank)
-    dec = snf(coords)
-    sub_rank = len(dec.invariant_factors)
-    torsion = tuple(f for f in dec.invariant_factors if f > 1)
-    return rank - sub_rank, torsion
-
-
-def hstack(left, right):
-    """Concatenate two matrices with equal row counts side by side."""
-    if left.rows != right.rows:
-        raise ValueError("row count mismatch in hstack")
-    data = [left.data[i] + right.data[i] for i in range(left.rows)]
-    return IntMatrix(data, cols=left.cols + right.cols)
+    basis, pivots = _echelon_basis(ambient)
+    coords = [_solve(basis, pivots, col) for col in _sparse_columns(sub)]
+    if None in coords:
+        raise InternalCheckError("sublattice is not contained in the ambient lattice")
+    if not coords:
+        return len(basis), ()
+    factors = snf(_from_sparse(coords, len(basis))).invariant_factors
+    return len(basis) - len(factors), tuple(f for f in factors if f > 1)

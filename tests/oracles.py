@@ -50,7 +50,7 @@ from permrel.subgroups import (
     quotient,
     subgroup_as_group,
 )
-from permrel.zlattice import IntMatrix, _as_int, _echelon_data, _echelon_solve, hnf, snf
+from permrel.zlattice import IntMatrix, _as_int, hnf, snf
 
 
 @st.composite
@@ -356,14 +356,52 @@ def kernel_basis_by_two_hnfs(m):
     return hnf(IntMatrix.from_columns(kernel, rows=m.cols))[0]
 
 
+def mat_mul(a, b):
+    """The dense product A * B of two IntMatrix values."""
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch in matrix product")
+    cols = b.columns()
+    return IntMatrix(
+        [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.data],
+        cols=b.cols,
+    )
+
+
+def echelon_solve(h_cols, pivot_rows, vector):
+    """Solve H y = vector for integer y, where H is a column echelon
+    matrix given by dense columns with strictly increasing pivot rows.
+
+    Returns the coefficient list, or None when no integer solution
+    exists.
+    """
+    residual = list(vector)
+    coeffs = [0] * len(h_cols)
+    for idx, (col, prow) in enumerate(zip(h_cols, pivot_rows)):
+        q, r = divmod(residual[prow], col[prow])
+        if r:
+            return None
+        coeffs[idx] = q
+        if q:
+            for i in range(len(residual)):
+                residual[i] -= q * col[i]
+    if any(residual):
+        return None
+    return coeffs
+
+
+def hermite_echelon(m):
+    """The nonzero columns of M's Hermite form, dense, with their pivot
+    rows."""
+    cols = [c for c in hnf(m)[0].columns() if any(c)]
+    return cols, [next(i for i, v in enumerate(c) if v) for c in cols]
+
+
 def quotient_invariants_by_hnf(ambient, sub):
     """The invariants of the quotient of the column lattice of ``ambient``
     by that of ``sub``, with the ambient lattice always put in Hermite
     form before the sub columns are solved in it."""
-    h, _ = hnf(ambient)
-    cols = [c for c in h.columns() if any(c)]
-    pivot_rows = [next(i for i, v in enumerate(c) if v) for c in cols]
-    coords = [_echelon_solve(cols, pivot_rows, c) for c in sub.columns()]
+    cols, pivot_rows = hermite_echelon(ambient)
+    coords = [echelon_solve(cols, pivot_rows, c) for c in sub.columns()]
     if any(c is None for c in coords):
         raise InternalCheckError("sublattice is not contained in the ambient lattice")
     if not coords:
@@ -586,8 +624,7 @@ def lattice_contains(basis, vector):
     vec = [_as_int(v) for v in vector]
     if len(vec) != basis.rows:
         raise ValueError("vector length does not match lattice dimension")
-    cols, pivot_rows = _echelon_data(basis)
-    return _echelon_solve(cols, pivot_rows, vec) is not None
+    return echelon_solve(*hermite_echelon(basis), vec) is not None
 
 
 # the prediction ladder's differential cases: the corpus, and larger

@@ -584,6 +584,25 @@ def test_a4_prim_char5():
     assert generates_quotient(a4, 5, report.generator)
 
 
+def test_generates_quotient_rejects_what_spans_too_little():
+    # S3 at char 0: K/L = Z, with L = 0 and K spanned by one relation
+    s3 = _s3()
+    table = enumerate_classes(s3)
+    (relation,) = brauer_kernel(s3, 0).elements(table)
+    assert imprimitive_lattice(s3, 0).cols == 0
+    assert generates_quotient(s3, 0, relation)
+    assert not generates_quotient(s3, 0, BurnsideElement.zero(table))
+    assert not generates_quotient(s3, 0, 2 * relation)
+    # A4 at char 5: K/L = Z, with L spanned by one induced column
+    a4 = _a4()
+    table = enumerate_classes(a4)
+    generator = prim(a4, 5).generator
+    (induced,) = [BurnsideElement(table, c) for c in imprimitive_lattice(a4, 5).columns()]
+    assert generates_quotient(a4, 5, generator + induced)
+    assert not generates_quotient(a4, 5, 2 * generator + induced)
+    assert not generates_quotient(a4, 5, induced)
+
+
 def test_s4_prim_values():
     s4 = _s4()
     r5 = prim(s4, 5)

@@ -2,8 +2,10 @@
 
 Property tests check Smith invariants against an independent
 determinantal-divisor oracle (gcd of k x k minors, cofactor expansion),
-the sparse echelon against the dense one it replaced, and the
-triangular-block kernel against two Hermite passes.
+the sparse echelon and solve against the dense ones they replaced, and
+the triangular-block kernel against two Hermite passes.  The Smith
+certificate is fed corrupted copies of correct data, one piece at a
+time.
 """
 
 import math
@@ -19,16 +21,17 @@ from permrel.errors import InternalCheckError
 from permrel.zlattice import (
     IntMatrix,
     hnf,
-    hstack,
     quotient_invariants,
     snf,
     triangular_kernel,
 )
 
 from oracles import (
+    echelon_solve,
     hnf_by_dense_echelon,
     kernel_basis_by_two_hnfs,
     lattice_contains,
+    mat_mul,
     quotient_invariants_by_hnf,
     snf_by_dense_echelon,
 )
@@ -143,7 +146,69 @@ def test_snf_worked_example():
 def test_snf_certificate_matrices():
     m = IntMatrix([[4, 6, 2], [2, 0, 8]])
     dec = snf(m)
-    assert dec.u.mul(m).mul(dec.v).data == dec.d.data
+    assert mat_mul(mat_mul(dec.u, m), dec.v).data == dec.d.data
+
+
+# rank 2 with invariant factors (1, 6): D = diag(1, 6, 0)
+_SMITH_M = IntMatrix([[2, 0, 2], [0, 3, 3], [2, 3, 5]])
+
+
+def _smith_data(m):
+    """``_check_smith``'s arguments for ``snf(m)``: M's and V's sparse
+    columns, and D's and U's sparse rows."""
+    dec = snf(m)
+    d, u = ([{j: x for j, x in enumerate(row) if x} for row in a.data] for a in (dec.d, dec.u))
+    return zlattice._sparse_columns(m), d, u, zlattice._sparse_columns(dec.v)
+
+
+def _bump(vectors, i, j, delta):
+    vectors[i][j] = vectors[i].get(j, 0) + delta
+    if not vectors[i][j]:
+        del vectors[i][j]
+
+
+def _swap_diagonal(d, u, v, a, b):
+    # P U M V P = P D P: the product still holds, with D's entries a and
+    # b traded
+    u[a], u[b] = u[b], u[a]
+    v[a], v[b] = v[b], v[a]
+    da, db = d[a].get(a), d[b].get(b)
+    d[a], d[b] = ({a: db} if db else {}), ({b: da} if da else {})
+
+
+def _add_row_1_to_row_0(d, u, v):
+    # E U M V = E D: the product still holds, and D gains entry (0, 1)
+    zlattice._addmul(u[0], -1, u[1])
+    zlattice._addmul(d[0], -1, d[1])
+
+
+def _negate_row_0(d, u, v):
+    u[0] = {t: -x for t, x in u[0].items()}
+    d[0] = {0: -d[0][0]}
+
+
+_SMITH_MUTANTS = {
+    "u_entry_plus_1": (lambda d, u, v: _bump(u, 0, 0, 1), "certificate failed"),
+    "u_entry_minus_1": (lambda d, u, v: _bump(u, 0, 0, -1), "certificate failed"),
+    "v_entry_plus_1": (lambda d, u, v: _bump(v, 0, 0, 1), "certificate failed"),
+    "v_entry_minus_1": (lambda d, u, v: _bump(v, 0, 0, -1), "certificate failed"),
+    "off_diagonal": (_add_row_1_to_row_0, "not diagonal"),
+    "zero_first": (lambda d, u, v: _swap_diagonal(d, u, v, 1, 2), "zero precedes"),
+    "negative": (_negate_row_0, "negative"),
+    "chain_broken": (lambda d, u, v: _swap_diagonal(d, u, v, 0, 1), "divisibility"),
+}
+
+
+@pytest.mark.parametrize(
+    "mutate, message", list(_SMITH_MUTANTS.values()), ids=list(_SMITH_MUTANTS)
+)
+def test_check_smith_rejects_each_mutant(mutate, message):
+    assert snf(_SMITH_M).invariant_factors == (1, 6)
+    m_cols, d, u, v = _smith_data(_SMITH_M)
+    zlattice._check_smith(m_cols, d, u, v)
+    mutate(d, u, v)
+    with pytest.raises(InternalCheckError, match=message):
+        zlattice._check_smith(m_cols, d, u, v)
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (3, 2)])
@@ -225,12 +290,6 @@ def test_lattice_contains():
     assert not lattice_contains(basis, [1, 0])
 
 
-def test_hstack():
-    a = IntMatrix([[1], [2]])
-    b = IntMatrix([[3], [4]])
-    assert hstack(a, b).data == [[1, 3], [2, 4]]
-
-
 def test_empty_kernel():
     basis = triangular_kernel(IntMatrix.identity(3), [0, 1, 2], 1)
     assert basis.cols == 0
@@ -258,7 +317,7 @@ def test_snf_transforms_are_unimodular(data):
     dec = snf(m)
     assert abs(determinant(dec.u)) == 1
     assert abs(determinant(dec.v)) == 1
-    assert dec.u.mul(m).mul(dec.v) == dec.d
+    assert mat_mul(mat_mul(dec.u, m), dec.v) == dec.d
 
 
 @given(small_matrix)
@@ -295,7 +354,7 @@ def test_kernel_rank_and_membership(case):
     basis = triangular_kernel(m, pivots, modulus)
     assert basis.cols == m.cols - rational_rank(m)
     for col in basis.columns():
-        image = m.mul(IntMatrix.from_columns([col]))
+        image = mat_mul(m, IntMatrix.from_columns([col]))
         assert image.is_zero()
 
 
@@ -318,7 +377,7 @@ def test_kernel_saturation(case):
         if any(v % 2 for v in col):
             continue
         halved = [v // 2 for v in col]
-        image = m.mul(IntMatrix.from_columns([halved]))
+        image = mat_mul(m, IntMatrix.from_columns([halved]))
         if image.is_zero():
             assert lattice_contains(basis, halved)
 
@@ -423,9 +482,30 @@ def test_quotient_invariants_take_an_echelon_ambient_as_it_is(ambient, coeffs):
         assert quotient_invariants(ambient, sub) == expected
 
 
-@given(small_matrix, _coeff_rows)
+def _invariants_or_not_contained(invariants, ambient, sub):
+    try:
+        return invariants(ambient, sub)
+    except InternalCheckError:
+        return "not contained"
+
+
+@given(small_matrix, _coeff_rows, st.data())
 @settings(max_examples=150, deadline=None)
-def test_quotient_invariants_match_the_hermite_path(data, coeffs):
+def test_quotient_invariants_match_the_hermite_path(data, coeffs, draw):
+    # the ambient is mostly not in echelon shape, so its Hermite form is
+    # taken; the extra column is mostly not in its lattice
     ambient = IntMatrix(data)
     sub = _sub_of(ambient, coeffs)
     assert quotient_invariants(ambient, sub) == quotient_invariants_by_hnf(ambient, sub)
+    extra = draw.draw(st.lists(st.integers(-9, 9), min_size=ambient.rows, max_size=ambient.rows))
+    wider = IntMatrix.from_columns(sub.columns() + [extra], rows=ambient.rows)
+    assert _invariants_or_not_contained(
+        quotient_invariants, ambient, wider
+    ) == _invariants_or_not_contained(quotient_invariants_by_hnf, ambient, wider)
+    basis, pivots = zlattice._echelon_basis(ambient)
+    dense = [zlattice._dense(b, ambient.rows) for b in basis]
+    for col in wider.columns():
+        y = zlattice._solve(basis, pivots, {i: v for i, v in enumerate(col) if v})
+        assert (y if y is None else zlattice._dense(y, len(basis))) == echelon_solve(
+            dense, pivots, col
+        )
