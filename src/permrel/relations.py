@@ -35,7 +35,13 @@ of its members.  Being hypo-elementary is a property of the subgroup,
 so an M-class is hypo-elementary exactly when its G-class is.  None of
 this depends on the characteristic: each maximal view's order, class
 map and marks are kept once per group, and a lattice prime only picks
-the hypo-elementary positions from G's, memoised per lattice prime.
+the hypo-elementary positions from G's.
+
+G is the view G/1: ``quotient_kernel`` serves ``brauer_kernel`` and
+every G/N.  It reads G's marks lists at the classes over N, only in the
+hypo-elementary columns, and not at all when every class is
+hypo-elementary; those come from one mask, memoised per (N, lattice
+prime).
 
 One test serves every U/N, with o(u) the order of uN: U/N is
 p-hypo-elementary exactly when its Sylow p-subgroup is normal, that is
@@ -47,7 +53,6 @@ subquotient's own effective prime would, so G's serves them all.
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -145,53 +150,75 @@ class KernelBasis:
         return [BurnsideElement(table, col) for col in self.basis.columns()]
 
 
-def _hypo_positions(subgroups, orders, normal_order, p):
-    """Positions of the subgroups U, given as index arrays that contain
-    N, with U/N p-hypo-elementary; ``orders[u]`` is the order of uN and
-    ``normal_order`` is |N|.  The module docstring states the test."""
-    p_elements = kernels.value_mask(orders, lambda o: p_part(o, p) == o)
-    out = []
-    for i, u in enumerate(subgroups):
-        size = u.size // normal_order
-        sylow = p_part(size, p)
-        if (
-            np.count_nonzero(p_elements[u]) == normal_order * sylow
-            and (orders[u] == size // sylow).any()
-        ):
-            out.append(i)
-    return tuple(out)
+def _classes_over(table, normal):
+    """Positions of G's classes whose members contain the normal N."""
+    # N is normal, so it lies in every member of a class or in none
+    first = np.searchsorted(table.class_of, np.arange(len(table.classes)))
+    return np.flatnonzero(table.members[first[:, None], normal.indices].all(axis=1))
 
 
-def hypo_class_indices(group, characteristic):
-    """Positions of the p-hypo-elementary classes: the test of the
-    module docstring with N = 1, on the element orders.  Memoised per
-    lattice prime."""
-    key = ("hypo", _lattice_prime(group, characteristic))
+def _hypo_mask(table, normal, p):
+    """Mask over the classes that contain the normal N, in the order of
+    ``_classes_over``, of those whose U has U/N p-hypo-elementary, by
+    the test of the module docstring.  Memoised per (N, lattice prime)."""
+    group = table.group
+    # a normal N is the only member of its class
+    key = ("hypo", table.class_index_of(normal), _lattice_prime(group, p))
     if key not in group._memo:
-        p = effective_prime(group, characteristic)
-        reps = [cls.representative.indices for cls in enumerate_classes(group).classes]
-        group._memo[key] = _hypo_positions(reps, group.element_orders, 1, p)
+        orders, n = orders_modulo(group, normal), normal.order
+        p_elements = kernels.value_mask(orders, lambda o: p_part(o, p) == o)
+        mask = []
+        for j in _classes_over(table, normal):
+            u = table.classes[j].representative.indices
+            size = u.size // n
+            sylow = p_part(size, p)
+            mask.append(
+                np.count_nonzero(p_elements[u]) == n * sylow
+                and bool((orders[u] == size // sylow).any())
+            )
+        group._memo[key] = np.array(mask, dtype=bool)
     return group._memo[key]
 
 
-def _kernel_of(marks, hypo, modulus):
+def hypo_class_indices(group, characteristic):
+    """Positions of the p-hypo-elementary classes: ``_hypo_mask`` with
+    N = 1, the representative of G's first class."""
+    table = enumerate_classes(group)
+    p = effective_prime(group, characteristic)
+    return tuple(np.flatnonzero(_hypo_mask(table, table.classes[0].representative, p)).tolist())
+
+
+def _kernel_of(rows, k, hypo, modulus):
     """``brauer_kernel``'s basis and rank check, for a group of order
-    ``modulus`` with the table of marks ``marks`` (a list of rows) and
-    the hypo-elementary positions ``hypo``.  With every class
-    hypo-elementary the kernel is zero, and no rows are copied:
-    ``count_marks`` already proved the table (for a quotient view, G's)
+    ``modulus`` with k classes and the hypo-elementary positions
+    ``hypo``.  ``rows`` yields the column of its table of marks at each
+    hypo position, one row of the matrix each.  With every class
+    hypo-elementary the kernel is zero, and ``rows`` is never read:
+    ``count_marks`` already proved the table (for a quotient, G's)
     lower triangular with a positive diagonal."""
-    k = len(marks)
     if len(hypo) == k:
         return _from_rows([[] for _ in range(k)], 0)
-    rows = [[marks[h][u] for h in range(k)] for u in hypo]
-    basis = triangular_kernel(_from_rows(rows, k), hypo, modulus)
+    basis = triangular_kernel(_from_rows(list(rows), k), hypo, modulus)
     if basis.cols != k - len(hypo):
         raise InternalCheckError(
             "kernel rank %d differs from the non-hypo class count %d"
             % (basis.cols, k - len(hypo))
         )
     return basis
+
+
+def quotient_kernel(table, normal, p):
+    """The kernel of G/N at the prime p for the normal N, read off G's
+    class table ``table`` and marks, and the positions ``over`` of G's
+    classes that contain N.  Class i of G/N holds U/N for the U in G's
+    class over[i], and its marks are G's; G itself is G/1."""
+    group = table.group
+    over = _classes_over(table, normal)
+    hypo = np.flatnonzero(_hypo_mask(table, normal, p)).tolist()
+    marks = marks_table(group, table).m
+    at = over.tolist()
+    rows = ([marks[a][c] for a in at] for c in over[hypo].tolist())
+    return _kernel_of(rows, len(at), hypo, group.order // normal.order), over
 
 
 def brauer_kernel(group, characteristic):
@@ -211,12 +238,13 @@ def brauer_kernel(group, characteristic):
     if cached is not None:
         return replace(cached, characteristic=characteristic)
     table = enumerate_classes(group)
-    hypo = hypo_class_indices(group, characteristic)
+    p = effective_prime(group, characteristic)
+    basis, _ = quotient_kernel(table, table.classes[0].representative, p)
     result = KernelBasis(
         group=group,
         characteristic=characteristic,
-        basis=_kernel_of(marks_table(group, table).m, hypo, group.order),
-        hypo_classes=hypo,
+        basis=basis,
+        hypo_classes=hypo_class_indices(group, characteristic),
     )
     group._memo[key] = result
     return result
@@ -235,25 +263,11 @@ def verify_relation(group, characteristic, element):
     return all(marks[i] == 0 for i in hypo)
 
 
-class SubquotientView(NamedTuple):
-    """A subquotient H/N of G read off G's class table.  Class t of H/N
-    holds U/N for the subgroup U of G given by the index array
-    representatives[t], has class_sizes[t] members and lies in the
-    G-class class_map[t]; ``marks`` is the table of marks of H/N,
-    ``hypo`` its hypo-elementary positions and ``order`` is |H/N|."""
-
-    order: int
-    representatives: list
-    class_sizes: np.ndarray
-    class_map: np.ndarray
-    marks: list
-    hypo: tuple
-
-
-def maximal_view(table, hypo, cls):
+def maximal_view(table, cls):
     """The representative M of the class ``cls`` as a view of G's class
-    table ``table``, with ``hypo`` the mask of G's hypo-elementary
-    classes.
+    table ``table``: the G-class of each M-class and the table of marks
+    of M, as int32 arrays (a mark is at most |M|), and the index array
+    of each M-class representative.
 
     The M-classes are the M-orbits on the rows of ``table.members``
     inside M, merged along ``cls.generators``.  The classes are sorted
@@ -275,45 +289,18 @@ def maximal_view(table, hypo, cls):
         raise InternalCheckError("an M-orbit does not divide |M| by its order")
     reps = [np.flatnonzero(inside[r]).astype(np.int32) for r in roots]
     marks = count_marks(inside, position[orbit_of], weights, reps, sub.order // orders)
-    class_map = table.class_of[rows[roots]]
-    return SubquotientView(
-        order=sub.order,
-        representatives=reps,
-        class_sizes=sizes,
-        class_map=class_map,
-        marks=marks.tolist(),
-        hypo=tuple(np.flatnonzero(hypo[class_map]).tolist()),
-    )
-
-
-def quotient_view(table, marks, normal, p):
-    """G/N for the normal subgroup N as a view of G's class table
-    ``table`` and marks ``marks``, with the hypo-elementary positions at
-    the prime p."""
-    group = table.group
-    # N is normal, so it lies in every member of a class or in none
-    first = np.searchsorted(table.class_of, np.arange(len(table.classes)))
-    kept = np.flatnonzero(table.members[np.ix_(first, normal.indices)].all(axis=1)).tolist()
-    reps = [table.classes[j].representative.indices for j in kept]
-    return SubquotientView(
-        order=group.order // normal.order,
-        representatives=reps,
-        class_sizes=np.asarray([table.classes[j].class_size for j in kept]),
-        class_map=np.asarray(kept),
-        marks=[[marks[a][b] for b in kept] for a in kept],
-        hypo=_hypo_positions(reps, orders_modulo(group, normal), normal.order, p),
-    )
+    class_map = table.class_of[rows[roots]].astype(np.int32)
+    return class_map, marks.astype(np.int32), reps
 
 
 def _maximal_views(table):
-    """(order, class_map, marks) of the view of each maximal class, the
-    marks as an int32 array (a mark is at most |M|), kept once per group."""
+    """(order, class_map, marks) of the view of each maximal class,
+    kept once per group."""
     group = table.group
     if "maximal_views" not in group._memo:
-        none = np.zeros(len(table.classes), dtype=bool)
-        views = [maximal_view(table, none, table.classes[i]) for i in table.maximal_classes()]
         group._memo["maximal_views"] = [
-            (v.order, v.class_map, np.asarray(v.marks, dtype=np.int32)) for v in views
+            (table.classes[i].order, *maximal_view(table, table.classes[i])[:2])
+            for i in table.maximal_classes()
         ]
     return group._memo["maximal_views"]
 
@@ -333,18 +320,16 @@ def imprimitive_lattice(group, characteristic):
         return cached
     p = effective_prime(group, characteristic)
     table = enumerate_classes(group)
-    marks = marks_table(group, table).m
     k = len(table.classes)
-    hypo = np.zeros(k, dtype=bool)
-    hypo[list(hypo_class_indices(group, characteristic))] = True
+    hypo = _hypo_mask(table, table.classes[0].representative, p)
 
     def view_kernels():
-        for order, class_map, m in _maximal_views(table):
-            positions = tuple(np.flatnonzero(hypo[class_map]).tolist())
-            yield _kernel_of(m.tolist(), positions, order), class_map
+        for order, class_map, marks in _maximal_views(table):
+            positions = np.flatnonzero(hypo[class_map]).tolist()
+            rows = (marks[:, u].tolist() for u in positions)
+            yield _kernel_of(rows, len(class_map), positions, order), class_map
         for normal in minimal_normal_subgroups(group):
-            view = quotient_view(table, marks, normal, p)
-            yield _kernel_of(view.marks, view.hypo, view.order), view.class_map
+            yield quotient_kernel(table, normal, p)
 
     columns = []
     for basis, class_map in view_kernels():

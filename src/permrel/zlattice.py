@@ -153,12 +153,10 @@ def _sparse_columns(m):
     return [{i: v for i, v in enumerate(col) if v} for col in m.columns()]
 
 
-def _with_identity(m):
-    """M's sparse columns, column j with the identity entry at m.rows + j."""
-    cols = _sparse_columns(m)
-    for j, col in enumerate(cols):
-        col[m.rows + j] = 1
-    return cols
+def _with_identity(m_cols, n):
+    """Copies of the sparse columns ``m_cols`` of an n-row M, column j
+    with the identity entry at n + j."""
+    return [{**col, n + j: 1} for j, col in enumerate(m_cols)]
 
 
 def _split(col, n):
@@ -257,10 +255,10 @@ def hnf(m):
     echelon shape described in the module docstring.  The identity
     H == M * T is re-verified before returning.
     """
-    cols = _with_identity(m)
+    m_cols = _sparse_columns(m)
+    cols = _with_identity(m_cols, m.rows)
     _echelon(cols, range(m.rows))
     parts = [_split(c, m.rows) for c in cols]
-    m_cols = _sparse_columns(m)
     if any(_apply(m_cols, t) != h for h, t in parts):
         raise InternalCheckError("hermite form certificate failed")
     h = _from_sparse([h for h, _ in parts], m.rows)
@@ -285,7 +283,8 @@ def snf(m):
     off-diagonal zeros are all re-verified before returning.
     """
     nrows, ncols = m.rows, m.cols
-    cols = _with_identity(m)  # columns of A over V
+    m_cols = _sparse_columns(m)
+    cols = _with_identity(m_cols, nrows)  # columns of A over V
     u = [{i: 1} for i in range(nrows)]
     while True:
         _echelon(cols, range(nrows))
@@ -307,7 +306,7 @@ def snf(m):
         cols = _beside(rows, v)
     parts = [_split(row, ncols) for row in rows]
     d, u = [a for a, _ in parts], [w for _, w in parts]
-    _check_smith(_sparse_columns(m), d, u, v)
+    _check_smith(m_cols, d, u, v)
     factors = tuple(d[k][k] for k in range(min(nrows, ncols)) if d[k].get(k))
     return SmithDecomposition(
         _from_rows([_dense(w, nrows) for w in u], nrows),

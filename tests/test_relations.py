@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from permrel import relations, zlattice
 from permrel.burnside import BurnsideElement, induct, mark_vector, marks_table
-from permrel.classify import main_case_classify
+from permrel.classify import main_case_classify, quotient_is_p_hypo_elementary
 from permrel.constructions import affine_group, frobenius_group
 from permrel.errors import InputError, PermrelError
 from permrel.perm import generate, parse_cycles
@@ -26,7 +26,7 @@ from permrel.relations import (
     maximal_view,
     predict_prim,
     prim,
-    quotient_view,
+    quotient_kernel,
     theta_highdim,
     theta_mn,
     theta_qk,
@@ -36,6 +36,7 @@ from permrel.subgroups import (
     Subgroup,
     enumerate_classes,
     is_minimal_normal,
+    minimal_normal_subgroups,
     normal_subgroups,
     quotient,
     subgroup_as_group,
@@ -281,7 +282,7 @@ def _hypo_mask(group, char):
 @pytest.mark.parametrize("name", VIEW_CASES)
 def test_maximal_views_match_subgroup_groups(name):
     # each view class goes to the class of subgroup_as_group(M) holding
-    # its representative; sizes, marks, induction and hypo classes agree
+    # its representative; marks, induction and hypo classes agree
     group = _view_case(name)
     table = enumerate_classes(group)
     for i in table.maximal_classes():
@@ -289,31 +290,38 @@ def test_maximal_views_match_subgroup_groups(name):
         m_group = subgroup_as_group(sub)
         m_table = enumerate_classes(m_group)
         m_marks = marks_table(m_group, m_table).m
-        views = {char: maximal_view(table, _hypo_mask(group, char), table.classes[i])
-                 for char in CORPUS_CHARACTERISTICS}
-        view = views[0]
+        class_map, marks, reps = maximal_view(table, table.classes[i])
         place = [
             m_table.class_index_of(Subgroup(m_group, np.searchsorted(sub.indices, rep)))
-            for rep in view.representatives
+            for rep in reps
         ]
         assert sorted(place) == list(range(len(m_table))), name
-        assert [int(s) for s in view.class_sizes] == [
-            m_table.classes[t].class_size for t in place
-        ]
-        assert view.marks == [[m_marks[a][b] for b in place] for a in place], name
+        assert marks.tolist() == [[m_marks[a][b] for b in place] for a in place], name
         induced = [
             induct(m_table, table, BurnsideElement.basis(m_table, t)).coeffs.index(1)
             for t in place
         ]
-        assert view.class_map.tolist() == induced, name
-        assert view.order == m_group.order
-        for char, v in views.items():
+        assert class_map.tolist() == induced, name
+        for char in CORPUS_CHARACTERISTICS:
             expected = sorted(place.index(t) for t in hypo_class_indices(m_group, char))
-            assert list(v.hypo) == expected, (name, char)
+            hypo = np.flatnonzero(_hypo_mask(group, char)[class_map]).tolist()
+            assert hypo == expected, (name, char)
+
+
+def _in_view_coordinates(basis, place, rows):
+    # the columns of a basis over the quotient group's classes, with
+    # class t moved to the view position place[t]
+    data = [None] * rows
+    for t, row in zip(place, basis.data):
+        data[t] = row
+    return IntMatrix(data, cols=basis.cols)
 
 
 @pytest.mark.parametrize("name", VIEW_CASES)
 def test_quotient_views_match_quotient_groups(name):
+    # G/N read off G: its classes are G's classes over N, its marks G's
+    # marks there, its hypo classes _hypo_mask's, and its kernel the
+    # quotient group's, up to the order of the coordinates
     group = _view_case(name)
     table = enumerate_classes(group)
     marks = marks_table(group, table).m
@@ -324,26 +332,29 @@ def test_quotient_views_match_quotient_groups(name):
         q_table = enumerate_classes(quot.group)
         q_marks = marks_table(quot.group, q_table).m
         for char in CORPUS_CHARACTERISTICS:
-            view = quotient_view(table, marks, normal, effective_prime(group, char))
-            in_g = view.class_map.tolist()
+            p = effective_prime(group, char)
+            basis, over = quotient_kernel(table, normal, p)
+            in_g = over.tolist()
             place = [
                 in_g.index(table.class_index_of(quot.preimage(c.representative)))
                 for c in q_table.classes
             ]
             assert sorted(place) == list(range(len(q_table))), name
-            assert view.marks == [[q_marks[a][b] for b in place] for a in place]
-            assert view.order == quot.group.order
+            assert [[marks[in_g[a]][in_g[b]] for b in place] for a in place] == q_marks
             expected = sorted(place[t] for t in hypo_class_indices(quot.group, char))
-            assert list(view.hypo) == expected, (name, char)
+            hypo = np.flatnonzero(relations._hypo_mask(table, normal, p)).tolist()
+            assert hypo == expected, (name, char)
+            q_basis = brauer_kernel(quot.group, char).basis
+            moved = _in_view_coordinates(q_basis, place, len(in_g))
+            assert basis.cols == q_basis.cols, (name, char)
+            assert zlattice.hnf(basis)[0] == zlattice.hnf(moved)[0], (name, char)
 
 
 def _assert_quotient_views_keep_the_classes_containing_n(group):
     table = enumerate_classes(group)
-    marks = marks_table(group, table).m
-    p = effective_prime(group, 0)
     for normal in normal_subgroups(group):
-        view = quotient_view(table, marks, normal, p)
-        assert view.class_map.tolist() == classes_containing_by_loop(table, normal)
+        over = relations._classes_over(table, normal)
+        assert over.tolist() == classes_containing_by_loop(table, normal)
 
 
 @pytest.mark.parametrize("name", VIEW_CASES)
@@ -355,6 +366,43 @@ def test_quotient_view_classes_match_containment_loop(name):
 @settings(max_examples=40, deadline=None)
 def test_quotient_view_classes_match_containment_loop_on_random_groups(group):
     _assert_quotient_views_keep_the_classes_containing_n(group)
+
+
+@given(permutation_groups(), st.sampled_from(CORPUS_CHARACTERISTICS))
+@settings(max_examples=40, deadline=None)
+def test_hypo_mask_matches_quotient_groups_for_every_normal_subgroup(group, char):
+    # for every normal N, not only the minimal ones: the mask at the
+    # classes over N is the quotient group's hypo classes, and at G's
+    # own class it is classify's predicate on G/N
+    table = enumerate_classes(group)
+    p = effective_prime(group, char)
+    for normal in normal_subgroups(group):
+        mask = relations._hypo_mask(table, normal, p)
+        over = relations._classes_over(table, normal).tolist()
+        quot = quotient(group, normal)
+        place = [
+            over.index(table.class_index_of(quot.preimage(c.representative)))
+            for c in enumerate_classes(quot.group).classes
+        ]
+        expected = sorted(place[t] for t in hypo_class_indices(quot.group, char))
+        assert np.flatnonzero(mask).tolist() == expected
+        assert over[-1] == len(table.classes) - 1
+        assert bool(mask[-1]) == quotient_is_p_hypo_elementary(group, normal, p)
+
+
+class _RowsUnread(list):
+    def __getitem__(self, index):
+        raise AssertionError("a marks row was read")
+
+
+def test_all_hypo_views_read_no_marks_rows():
+    # C2^4 at char 2: every class of every view is hypo-elementary, so
+    # every view kernel is zero and no row of G's marks is read
+    group = _cold_copy(preset_group("C2xC2xC2xC2"))
+    table = enumerate_classes(group)
+    marks = marks_table(group, table)
+    marks.m = _RowsUnread(marks.m)
+    assert imprimitive_lattice(group, 2).cols == 0
 
 
 def _count_calls(monkeypatch, fname, record, home="permrel.subgroups"):
@@ -503,10 +551,11 @@ def test_imprimitive_lattice_independent_of_char_order_on_random_groups(group):
 @pytest.mark.parametrize("name", ("S4", "A5", "C5xQ8", "C2xC2xC2xC2", "D8xS3"))
 def test_views_and_hypo_classes_are_built_once(monkeypatch, name):
     # the maximal views are kept once per group, and the hypo-elementary
-    # classes of G once per lattice prime, whatever the characteristics
+    # classes over each N (1 or minimal normal) once per lattice prime,
+    # whatever the characteristics
     group = _cold_copy(preset_group(name))
     views, hypo = [], []
-    for fname, record in (("maximal_view", views.append), ("_hypo_positions", hypo.append)):
+    for fname, record in (("maximal_view", views.append), ("orders_modulo", hypo.append)):
         original = getattr(relations, fname)
 
         def counting(*args, _original=original, _record=record):
@@ -518,19 +567,20 @@ def test_views_and_hypo_classes_are_built_once(monkeypatch, name):
         prim(group, char)
     table = enumerate_classes(group)
     maximal = table.maximal_classes()
-    assert sorted(table.class_index_of(args[2].representative) for args in views) == list(maximal)
+    assert sorted(table.class_index_of(args[1].representative) for args in views) == list(maximal)
     primes = {relations._lattice_prime(group, char) for char in CORPUS_CHARACTERISTICS}
-    assert len([args for args in hypo if args[2] == 1]) == len(primes)
+    assert len([args for args in hypo if args[1].is_trivial()]) == len(primes)
+    normals = [table.classes[0].representative] + minimal_normal_subgroups(group)
+    assert len(hypo) == len(primes) * len(normals)
     # what the group keeps: order, class map and int32 marks per view
     kept = group._memo["maximal_views"]
     assert len(kept) == len(maximal)
     for (order, class_map, marks), i in zip(kept, maximal):
         assert marks.dtype == np.int32
         assert order == table.classes[i].order
-        none = np.zeros(len(table.classes), dtype=bool)
-        view = maximal_view(table, none, table.classes[i])
-        assert marks.tolist() == view.marks
-        assert class_map.tolist() == view.class_map.tolist()
+        view_map, view_marks, _ = maximal_view(table, table.classes[i])
+        assert marks.tolist() == view_marks.tolist()
+        assert class_map.tolist() == view_map.tolist()
 
 
 def test_lattice_memo_still_checks_the_characteristic():
