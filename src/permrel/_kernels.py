@@ -31,6 +31,22 @@ def value_mask(values, keep):
     return chosen[values]
 
 
+def power_orders(mult, mask):
+    """For each element g, the least k >= 1 with g^k in ``mask``: the
+    order of g when ``mask`` holds the identity alone, and the order of
+    gN in G/N when it is a normal N.  Only the powers of the elements
+    not yet resolved are stepped."""
+    orders = np.zeros(len(mult), dtype=np.int64)
+    todo = np.arange(len(mult))
+    power, k = todo, 1  # power[t] is todo[t]^k
+    while todo.size:
+        hit = mask[power]
+        orders[todo[hit]] = k
+        todo, power = todo[~hit], power[~hit]
+        power, k = mult[power, todo], k + 1
+    return orders
+
+
 def closure(mult, seeds, start=None):
     """Subgroup K generated by ``seeds``, as a sorted index array.
 

@@ -112,13 +112,7 @@ def orders_modulo(group, normal):
         return group.element_orders
     key = ("orders_modulo", normal.key)
     if key not in group._memo:
-        everything = np.arange(group.order)
-        orders = np.zeros(group.order, dtype=np.int64)
-        power, k = everything, 1  # power[g] is g^k
-        while not orders.all():
-            orders[(orders == 0) & normal.mask[power]] = k
-            power, k = group.mult[power, everything], k + 1
-        group._memo[key] = orders
+        group._memo[key] = kernels.power_orders(group.mult, normal.mask)
     return group._memo[key]
 
 

@@ -11,7 +11,8 @@ import re
 
 import numpy as np
 
-from .errors import CapExceeded, InputError
+from . import _kernels as kernels
+from .errors import CapExceeded, InputError, InternalCheckError
 
 DEFAULT_ELEMENT_CAP = 10000
 
@@ -30,6 +31,13 @@ class Permutation:
                 raise InputError("image list %r is not a permutation" % (images,))
             seen[v] = True
         object.__setattr__(self, "images", images)
+
+    @classmethod
+    def _of(cls, images):
+        """The permutation with the image tuple ``images``, known to be one."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
@@ -166,9 +174,12 @@ def cycle_string(p):
 def generate(degree, generators, element_cap=DEFAULT_ELEMENT_CAP):
     """Close a generator list into a Group, or raise CapExceeded.
 
-    Elements are enumerated by breadth first closure and then sorted
-    lexicographically by image tuple.
+    Elements are enumerated by breadth first closure, one level at a
+    time as an int array, and then sorted lexicographically by image
+    tuple.
     """
+    if degree < 1:
+        raise InputError("group degree must be at least 1, not %d" % degree)
     gens = list(generators)
     for g in gens:
         if g.degree != degree:
@@ -176,25 +187,28 @@ def generate(degree, generators, element_cap=DEFAULT_ELEMENT_CAP):
                 "generator degree %d does not match group degree %d"
                 % (g.degree, degree)
             )
-    elements = {identity(degree).images}
-    frontier = list(elements)
-    gen_images = [g.images for g in gens]
-    while frontier:
+    gen_images = np.array([g.images for g in gens], dtype=np.int32).reshape(len(gens), degree)
+    key = np.dtype((np.void, 4 * degree))
+    frontier = np.arange(degree, dtype=np.int32)[None, :]
+    seen = set(frontier.view(key).ravel().tolist())
+    levels = [frontier]
+    while frontier.size:
+        # row (s, x) is generator s composed with frontier element x
+        products = np.ascontiguousarray(gen_images[:, frontier]).reshape(-1, degree)
         fresh = []
-        for images in frontier:
-            for gimg in gen_images:
-                prod = tuple(gimg[v] for v in images)
-                if prod not in elements:
-                    elements.add(prod)
-                    fresh.append(prod)
-                    if len(elements) > element_cap:
-                        raise CapExceeded(
-                            "group closure exceeded the element cap of %d"
-                            % element_cap
-                        )
-        frontier = fresh
-    perms = tuple(Permutation(images) for images in sorted(elements))
-    return Group(degree, tuple(gens), perms)
+        for i, row in enumerate(products.view(key).ravel().tolist()):
+            if row not in seen:
+                seen.add(row)
+                fresh.append(i)
+        if fresh and len(seen) > element_cap:
+            raise CapExceeded(
+                "group closure exceeded the element cap of %d" % element_cap
+            )
+        frontier = products[fresh]
+        levels.append(frontier)
+    rows = np.concatenate(levels)
+    rows = rows[np.lexsort(rows.T[::-1])].tolist()
+    return Group(degree, tuple(gens), tuple(Permutation._of(tuple(r)) for r in rows))
 
 
 class Group:
@@ -246,14 +260,36 @@ class Group:
 
     @property
     def mult(self):
-        """int32 table with mult[i, j] = index of elements[i] * elements[j]."""
+        """int32 table with mult[i, j] = index of elements[i] * elements[j].
+
+        Built along a breadth-first walk of the Cayley graph from the
+        identity: when y = s * x for a generator s, row y is row s
+        gathered at row x, since s * x * e_j = s * (x * e_j).  Only the
+        generators' rows are looked up by image.
+        """
         if self._mult is None:
             n = self.order
             images = self._images()
+            steps = [
+                self._indices_of(images, np.asarray(g.images)[images]).astype(np.int32)
+                for g in self.generators
+            ]
+            step_lists = [step.tolist() for step in steps]
             table = np.empty((n, n), dtype=np.int32)
-            for i in range(n):
-                # row i composes elements[i] with every element at once
-                table[i] = self._indices_of(images, images[i][images])
+            table[0] = np.arange(n)
+            reached = [True] + [False] * (n - 1)
+            walk = [0]
+            for x in walk:
+                for step, targets in zip(steps, step_lists):
+                    y = targets[x]
+                    if not reached[y]:
+                        reached[y] = True
+                        step.take(table[x], out=table[y])
+                        walk.append(y)
+            if len(walk) != n:
+                raise InternalCheckError(
+                    "the generators reach %d of the %d group elements" % (len(walk), n)
+                )
             self._mult = table
         return self._mult
 
@@ -267,10 +303,11 @@ class Group:
 
     @property
     def element_orders(self):
+        """int64 order of each element, read off ``mult``."""
         if self._orders is None:
-            self._orders = np.array(
-                [p.order() for p in self.elements], dtype=np.int64
-            )
+            identity_only = np.zeros(self.order, dtype=bool)
+            identity_only[0] = True
+            self._orders = kernels.power_orders(self.mult, identity_only)
         return self._orders
 
     def conjugate_indices(self, g_index, indices):

@@ -40,8 +40,8 @@ the hypo-elementary positions from G's.
 G is the view G/1: ``quotient_kernel`` serves ``brauer_kernel`` and
 every G/N.  It reads G's marks lists at the classes over N, only in the
 hypo-elementary columns, and not at all when every class is
-hypo-elementary; those come from one mask, memoised per (N, lattice
-prime).
+hypo-elementary; those come from one mask per (N, lattice prime),
+memoised only for G itself.
 
 One test serves every U/N, with o(u) the order of uN: U/N is
 p-hypo-elementary exactly when its Sylow p-subgroup is normal, that is
@@ -157,27 +157,38 @@ def _classes_over(table, normal):
     return np.flatnonzero(table.members[first[:, None], normal.indices].all(axis=1))
 
 
-def _hypo_mask(table, normal, p):
-    """Mask over the classes that contain the normal N, in the order of
-    ``_classes_over``, of those whose U has U/N p-hypo-elementary, by
-    the test of the module docstring.  Memoised per (N, lattice prime)."""
+def _hypo_mask(table, normal, p, over):
+    """Mask over the classes ``over`` that contain the normal N (from
+    ``_classes_over``) of those whose U has U/N p-hypo-elementary, by the
+    test of the module docstring.  Memoised per lattice prime for N = 1
+    alone: G's own mask is read again by ``brauer_kernel``,
+    ``imprimitive_lattice`` and ``verify_relation``, while the mask over
+    a minimal normal N is read once per lattice prime, by the memoised
+    ``imprimitive_lattice``."""
     group = table.group
-    # a normal N is the only member of its class
-    key = ("hypo", table.class_index_of(normal), _lattice_prime(group, p))
-    if key not in group._memo:
-        orders, n = orders_modulo(group, normal), normal.order
-        p_elements = kernels.value_mask(orders, lambda o: p_part(o, p) == o)
-        mask = []
-        for j in _classes_over(table, normal):
-            u = table.classes[j].representative.indices
-            size = u.size // n
-            sylow = p_part(size, p)
-            mask.append(
-                np.count_nonzero(p_elements[u]) == n * sylow
-                and bool((orders[u] == size // sylow).any())
-            )
-        group._memo[key] = np.array(mask, dtype=bool)
-    return group._memo[key]
+    key = ("hypo", _lattice_prime(group, p))
+    if normal.is_trivial() and key in group._memo:
+        return group._memo[key]
+    orders, n = orders_modulo(group, normal), normal.order
+    p_elements = kernels.value_mask(orders, lambda o: p_part(o, p) == o)
+    mask = []
+    for j in over:
+        u = table.classes[j].representative.indices
+        size = u.size // n
+        sylow = p_part(size, p)
+        mask.append(
+            np.count_nonzero(p_elements[u]) == n * sylow
+            and bool((orders[u] == size // sylow).any())
+        )
+    mask = np.array(mask, dtype=bool)
+    if normal.is_trivial():
+        group._memo[key] = mask
+    return mask
+
+
+def _own_hypo_mask(table, p):
+    """``_hypo_mask`` of G itself, G/1: over all of G's classes."""
+    return _hypo_mask(table, table.classes[0].representative, p, range(len(table.classes)))
 
 
 def hypo_class_indices(group, characteristic):
@@ -185,7 +196,7 @@ def hypo_class_indices(group, characteristic):
     N = 1, the representative of G's first class."""
     table = enumerate_classes(group)
     p = effective_prime(group, characteristic)
-    return tuple(np.flatnonzero(_hypo_mask(table, table.classes[0].representative, p)).tolist())
+    return tuple(np.flatnonzero(_own_hypo_mask(table, p)).tolist())
 
 
 def _kernel_of(rows, k, hypo, modulus):
@@ -214,7 +225,7 @@ def quotient_kernel(table, normal, p):
     class over[i], and its marks are G's; G itself is G/1."""
     group = table.group
     over = _classes_over(table, normal)
-    hypo = np.flatnonzero(_hypo_mask(table, normal, p)).tolist()
+    hypo = np.flatnonzero(_hypo_mask(table, normal, p, over)).tolist()
     marks = marks_table(group, table).m
     at = over.tolist()
     rows = ([marks[a][c] for a in at] for c in over[hypo].tolist())
@@ -321,7 +332,7 @@ def imprimitive_lattice(group, characteristic):
     p = effective_prime(group, characteristic)
     table = enumerate_classes(group)
     k = len(table.classes)
-    hypo = _hypo_mask(table, table.classes[0].representative, p)
+    hypo = _own_hypo_mask(table, p)
 
     def view_kernels():
         for order, class_map, marks in _maximal_views(table):

@@ -75,6 +75,42 @@ def relabelled(group, seed):
     return generate(group.degree, gens)
 
 
+def elements_by_closure(degree, generators):
+    """The sorted image tuples of the group the generators generate,
+    closed one composition at a time on tuples."""
+    elements = {tuple(range(degree))}
+    frontier = list(elements)
+    while frontier:
+        fresh = []
+        for images in frontier:
+            for gen in generators:
+                prod = tuple(gen.images[v] for v in images)
+                if prod not in elements:
+                    elements.add(prod)
+                    fresh.append(prod)
+        frontier = fresh
+    return sorted(elements)
+
+
+def mult_rows_by_lookup(group, rows):
+    """The rows ``rows`` of ``group.mult``, each looked up by image: row i
+    composes elements[i] with every element at once and binary-searches
+    the products among the sorted element images."""
+    images = group._images()
+    table = np.empty((len(rows), group.order), dtype=np.int32)
+    for t, i in enumerate(rows):
+        table[t] = group._indices_of(images, images[i][images])
+    return table
+
+
+def inverses_by_lookup(group):
+    return np.array([group.index(p.inverse()) for p in group.elements], dtype=np.int32)
+
+
+def element_orders_by_permutation(group):
+    return np.array([p.order() for p in group.elements], dtype=np.int64)
+
+
 def marks_table_by_fixed_points(group, table):
     """The table of marks entry by entry: the fixed points of each class
     representative K on each coset space G/H, zero where |K| > |H|."""

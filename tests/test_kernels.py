@@ -16,7 +16,7 @@ from permrel import _kernels
 from permrel.errors import InternalCheckError
 from permrel.perm import generate, parse_cycles
 from permrel.presets import CORPUS_NAMES, preset_group
-from permrel.subgroups import Subgroup, enumerate_classes
+from permrel.subgroups import Subgroup, enumerate_classes, normal_subgroups
 
 from oracles import coset_reps_by_full_scan, permutation_groups
 
@@ -373,3 +373,18 @@ def test_prim_and_main_cases_never_import_numpy_ma():
     )
     before, after = out.stdout.split()
     assert before == "True" or after == "False"
+
+
+@given(permutation_groups())
+@settings(max_examples=40, deadline=None)
+def test_power_orders_modulo_every_normal_subgroup(group):
+    # the least k >= 1 with g^k in N, by multiplying permutations
+    for normal in normal_subgroups(group):
+        members = {group.elements[i] for i in normal.indices.tolist()}
+        expected = []
+        for g in group.elements:
+            power, k = g, 1
+            while power not in members:
+                power, k = power * g, k + 1
+            expected.append(k)
+        assert _kernels.power_orders(group.mult, normal.mask).tolist() == expected

@@ -2,9 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from permrel.errors import CapExceeded, InputError
+from oracles import (
+    element_orders_by_permutation,
+    elements_by_closure,
+    inverses_by_lookup,
+    mult_rows_by_lookup,
+    relabelled,
+)
+from permrel.errors import CapExceeded, InputError, InternalCheckError
 from permrel.perm import (
+    Group,
     Permutation,
     compose,
     cycle_string,
@@ -13,7 +23,15 @@ from permrel.perm import (
     identity,
     parse_cycles,
 )
-from permrel.presets import preset_group
+from permrel.presets import CORPUS_NAMES, preset_group
+
+# the benchmark's ladders, plus the largest presets the tests build
+WORKLOAD_NAMES = (
+    "A6", "C19:C18", "S5", "C2xC2xC2xC2", "D8xS3", "S4xC2", "C2xC2xC2xC2xC2",
+)
+TABLE_PRESETS = tuple(dict.fromkeys(
+    CORPUS_NAMES + WORKLOAD_NAMES + ("S6", "C2xC2xC2xC2xC2xC2", "D8xD8")
+))
 
 
 def test_permutation_validates_bijection():
@@ -69,6 +87,19 @@ def test_generate_s3():
     assert images == sorted(set(images))
 
 
+def test_generate_rejects_degree_zero():
+    with pytest.raises(InputError):
+        generate(0, [])
+
+
+def test_generate_cap_is_on_the_group_order():
+    gens = [parse_cycles(5, "(0 1)"), parse_cycles(5, "(0 1 2 3 4)")]
+    assert generate(5, gens, element_cap=120).order == 120
+    with pytest.raises(CapExceeded, match="^group closure exceeded the element cap of 119$"):
+        generate(5, gens, element_cap=119)
+    assert generate(3, [identity(3)], element_cap=0).order == 1
+
+
 def test_generate_respects_cap():
     with pytest.raises(CapExceeded):
         generate(5, [parse_cycles(5, "(0 1)"), parse_cycles(5, "(0 1 2 3 4)")],
@@ -105,3 +136,51 @@ def test_conjugate_indices_sorted():
         conj = g.conjugate_indices(gi, sub)
         assert list(conj) == sorted(conj)
         assert len(conj) == len(sub)
+
+
+def _assert_tables_match_oracles(group):
+    mult, inv, orders = group.mult, group.inv, group.element_orders
+    assert (mult.dtype, inv.dtype, orders.dtype) == (np.int32, np.int32, np.int64)
+    assert np.array_equal(mult, mult_rows_by_lookup(group, range(group.order)))
+    assert np.array_equal(inv, inverses_by_lookup(group))
+    assert np.array_equal(orders, element_orders_by_permutation(group))
+
+
+@pytest.mark.parametrize("name", TABLE_PRESETS)
+def test_tables_match_lookup_oracle_on_presets(name):
+    _assert_tables_match_oracles(preset_group(name))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_tables_match_lookup_oracle_on_relabelled_workload_groups(name, seed):
+    _assert_tables_match_oracles(relabelled(preset_group(name), seed))
+
+
+@st.composite
+def generator_lists(draw, max_degree=6):
+    """A degree and one to three random permutations of it, shuffled in
+    with repeats of them and the identity."""
+    degree = draw(st.integers(1, max_degree))
+    perms = st.permutations(range(degree)).map(Permutation)
+    gens = draw(st.lists(perms, min_size=1, max_size=3))
+    extra = draw(st.lists(st.sampled_from(gens + [identity(degree)]), min_size=1, max_size=3))
+    return degree, draw(st.permutations(gens + extra))
+
+
+@given(generator_lists())
+@settings(max_examples=60, deadline=None)
+def test_generate_and_tables_match_oracles_on_random_generator_lists(degree_and_gens):
+    degree, gens = degree_and_gens
+    group = generate(degree, gens)
+    assert [p.images for p in group.elements] == elements_by_closure(degree, gens)
+    group.mult
+    assert group._inv is None  # mult and inv stay separate lazy builds
+    _assert_tables_match_oracles(group)
+
+
+def test_walk_raises_when_the_generators_do_not_generate_the_group():
+    s3 = generate(3, [parse_cycles(3, "(0 1)"), parse_cycles(3, "(0 1 2)")])
+    for gens in ([parse_cycles(3, "(0 1 2)")], [parse_cycles(3, "(0 1)")], []):
+        with pytest.raises(InternalCheckError, match="reach"):
+            Group(3, gens, s3.elements).mult

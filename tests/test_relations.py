@@ -342,7 +342,7 @@ def test_quotient_views_match_quotient_groups(name):
             assert sorted(place) == list(range(len(q_table))), name
             assert [[marks[in_g[a]][in_g[b]] for b in place] for a in place] == q_marks
             expected = sorted(place[t] for t in hypo_class_indices(quot.group, char))
-            hypo = np.flatnonzero(relations._hypo_mask(table, normal, p)).tolist()
+            hypo = np.flatnonzero(relations._hypo_mask(table, normal, p, over)).tolist()
             assert hypo == expected, (name, char)
             q_basis = brauer_kernel(quot.group, char).basis
             moved = _in_view_coordinates(q_basis, place, len(in_g))
@@ -377,8 +377,8 @@ def test_hypo_mask_matches_quotient_groups_for_every_normal_subgroup(group, char
     table = enumerate_classes(group)
     p = effective_prime(group, char)
     for normal in normal_subgroups(group):
-        mask = relations._hypo_mask(table, normal, p)
         over = relations._classes_over(table, normal).tolist()
+        mask = relations._hypo_mask(table, normal, p, over)
         quot = quotient(group, normal)
         place = [
             over.index(table.class_index_of(quot.preimage(c.representative)))
