@@ -33,9 +33,9 @@ M/H is |N_M(H):H| = |M| / (|orbit| |H|) times the number of members of
 the orbit that contain K, and induction sends an M-class to the G-class
 of its members.  Being hypo-elementary is a property of the subgroup,
 so an M-class is hypo-elementary exactly when its G-class is.  None of
-this depends on the characteristic: each maximal view's order, class
-map and marks are kept once per group, and a lattice prime only picks
-the hypo-elementary positions from G's.
+this depends on the characteristic: each maximal view's class map and
+marks are kept once per group, and a lattice prime only picks the
+hypo-elementary positions from G's.
 
 G is the view G/1: ``quotient_kernel`` serves ``brauer_kernel`` and
 every G/N.  It reads G's marks lists at the classes over N, only in the
@@ -80,13 +80,11 @@ from .constructions import (
 )
 from .errors import InputError, InternalCheckError
 from .numtheory import (
-    element_of_order,
     is_prime,
     p_part,
     smallest_prime_not_dividing,
     xgcd,
 )
-from .perm import Permutation
 from .subgroups import (
     Subgroup,
     conjugation_orbits,
@@ -99,8 +97,8 @@ from .zlattice import (
     IntMatrix,
     _from_rows,
     hnf,
+    kernel_basis,
     quotient_invariants,
-    triangular_kernel,
 )
 
 PREDICTION_SOURCES = (
@@ -199,17 +197,17 @@ def hypo_class_indices(group, characteristic):
     return tuple(np.flatnonzero(_own_hypo_mask(table, p)).tolist())
 
 
-def _kernel_of(rows, k, hypo, modulus):
-    """``brauer_kernel``'s basis and rank check, for a group of order
-    ``modulus`` with k classes and the hypo-elementary positions
-    ``hypo``.  ``rows`` yields the column of its table of marks at each
-    hypo position, one row of the matrix each.  With every class
-    hypo-elementary the kernel is zero, and ``rows`` is never read:
-    ``count_marks`` already proved the table (for a quotient, G's)
-    lower triangular with a positive diagonal."""
+def _kernel_of(rows, k, hypo):
+    """``brauer_kernel``'s basis and rank check, for a group with k
+    classes and the hypo-elementary positions ``hypo``.  ``rows`` yields
+    the column of its table of marks at each hypo position, one row of
+    the matrix each.  ``count_marks`` already proved the table (for a
+    quotient, G's) lower triangular with a positive diagonal, so the
+    rows are independent.  With every class hypo-elementary the kernel
+    is zero, and ``rows`` is never read."""
     if len(hypo) == k:
         return _from_rows([[] for _ in range(k)], 0)
-    basis = triangular_kernel(_from_rows(list(rows), k), hypo, modulus)
+    basis = kernel_basis(_from_rows(list(rows), k))
     if basis.cols != k - len(hypo):
         raise InternalCheckError(
             "kernel rank %d differs from the non-hypo class count %d"
@@ -229,7 +227,7 @@ def quotient_kernel(table, normal, p):
     marks = marks_table(group, table).m
     at = over.tolist()
     rows = ([marks[a][c] for a in at] for c in over[hypo].tolist())
-    return _kernel_of(rows, len(at), hypo, group.order // normal.order), over
+    return _kernel_of(rows, len(at), hypo), over
 
 
 def brauer_kernel(group, characteristic):
@@ -237,12 +235,11 @@ def brauer_kernel(group, characteristic):
     hypo-elementary class.
 
     The marks at the hypo-elementary classes R of the [G/H] with H in R
-    form an upper triangular block A with diagonal |N_G(H):H|.  R is
-    closed under subgroups, so A^-1 is a block of the inverse table of
-    marks and |G| A^-1 is integral: the kernel comes from
-    ``triangular_kernel`` modulo |G|, and is zero without any echelon
-    when every class is hypo-elementary.  The rank must equal the number
-    of non-hypo-elementary classes; a mismatch raises InternalCheckError.
+    form an upper triangular block with diagonal |N_G(H):H|, so the
+    kernel, from ``kernel_basis``, has rank the number of
+    non-hypo-elementary classes; a mismatch raises InternalCheckError.
+    It is zero without any echelon when every class is
+    hypo-elementary.
     """
     key = ("brauer_kernel", _lattice_prime(group, characteristic))
     cached = group._memo.get(key)
@@ -305,12 +302,12 @@ def maximal_view(table, cls):
 
 
 def _maximal_views(table):
-    """(order, class_map, marks) of the view of each maximal class,
-    kept once per group."""
+    """(class_map, marks) of the view of each maximal class, kept once
+    per group."""
     group = table.group
     if "maximal_views" not in group._memo:
         group._memo["maximal_views"] = [
-            (table.classes[i].order, *maximal_view(table, table.classes[i])[:2])
+            maximal_view(table, table.classes[i])[:2]
             for i in table.maximal_classes()
         ]
     return group._memo["maximal_views"]
@@ -335,10 +332,10 @@ def imprimitive_lattice(group, characteristic):
     hypo = _own_hypo_mask(table, p)
 
     def view_kernels():
-        for order, class_map, marks in _maximal_views(table):
+        for class_map, marks in _maximal_views(table):
             positions = np.flatnonzero(hypo[class_map]).tolist()
             rows = (marks[:, u].tolist() for u in positions)
-            yield _kernel_of(rows, len(class_map), positions, order), class_map
+            yield _kernel_of(rows, len(class_map), positions), class_map
         for normal in minimal_normal_subgroups(group):
             yield quotient_kernel(table, normal, p)
 
@@ -559,8 +556,7 @@ def theta_mn(l, m, n, alpha, beta, characteristic, multiplier=None):
     _validate_theta_characteristic(l, characteristic)
     group = frobenius_group(l, m * n, multiplier=multiplier)
     table = enumerate_classes(group)
-    t_idx = group.index(_translation_perm(group, l))
-    s_idx = group.index(_scaling_perm(group, l, m * n, multiplier))
+    t_idx, s_idx = map(group.index, group.generators)
     c_full = Subgroup.generated(group, [s_idx])
     c_n = Subgroup.generated(group, [_power_indices(group, s_idx, m)])
     c_m = Subgroup.generated(group, [_power_indices(group, s_idx, n)])
@@ -596,8 +592,7 @@ def theta_qk(l, q, k, characteristic, multiplier=None):
     order = q ** (k + 1)
     group = frobenius_group(l, order, multiplier=multiplier)
     table = enumerate_classes(group)
-    t_idx = group.index(_translation_perm(group, l))
-    s_idx = group.index(_scaling_perm(group, l, order, multiplier))
+    t_idx, s_idx = map(group.index, group.generators)
     c_small = Subgroup.generated(group, [_power_indices(group, s_idx, q)])
     c_big = Subgroup.generated(group, [s_idx])
     ln_small = Subgroup.generated(group, [t_idx, _power_indices(group, s_idx, q)])
@@ -613,17 +608,6 @@ def theta_qk(l, q, k, characteristic, multiplier=None):
     if not verify_relation(group, characteristic, element):
         raise InternalCheckError("constructed relation has nonzero hypo marks")
     return element
-
-
-def _translation_perm(group, l):
-    return Permutation([(x + 1) % l for x in range(l)])
-
-
-def _scaling_perm(group, l, order, multiplier):
-    a = multiplier if multiplier is not None else element_of_order(order, l)
-    if a is None:
-        raise InputError("no unit of order %d modulo %d" % (order, l))
-    return Permutation([x * a % l for x in range(l)])
 
 
 def theta_highdim(l, matrices, characteristic):

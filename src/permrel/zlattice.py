@@ -29,18 +29,10 @@ Number Theory*, section 2.4).  ``hnf`` splits the result into H and T;
 U beside A, until A is diagonal (R. Kannan and A. Bachem, SIAM J.
 Comput. 8, 1979).
 
-``triangular_kernel`` finds {x : M x = 0} when M has a square upper
-triangular block A with nonzero diagonal, and B is M on the other
-columns.  It first reads the Hermite basis off one elimination modulo a
-prime (its docstring gives the argument).  When that fails, a kernel
-vector is fixed by its part y outside A, through x_A = -A^-1 B y, so
-the kernel is the lift of the lattice L = {y : C y = 0 mod d} with
-C = d A^-1 B, for any d that makes C integral.  L contains d Z^(k-r), so
-it is found by one echelon of C modulo d beside the columns d e_i (P.
-Domich, R. Kannan and L. Trotter, Math. Oper. Res. 12, 1987).  For the
-marks of a group G at its hypo-elementary classes, d = |G| serves: A^-1
-is a block of the inverse table of marks, whose denominators divide |G|
-(D. Gluck, Illinois J. Math. 25, 1981; T. Yoshida, J. Algebra 80, 1983).
+``kernel_basis`` finds {x : M x = 0}.  It first reads the Hermite
+basis off one elimination modulo a prime (its docstring gives the
+argument), and otherwise off the same echelon ``hnf`` runs: the columns
+of T past the rank of H.
 """
 
 import operator
@@ -342,16 +334,9 @@ def _check_smith(m_cols, d, u, v):
             prev = val
 
 
-def triangular_kernel(m, pivots, modulus):
+def kernel_basis(m):
     """Basis of the integer kernel {x : M x = 0}, as Hermite-reduced
     matrix columns.
-
-    The columns ``pivots`` of M, one per row and taken in row order,
-    must form an upper triangular block A with nonzero diagonal, and
-    ``modulus`` must be a positive d with d * A^-1 B integral, where B
-    is M on the remaining columns.  Only the lattice route below reads
-    them: there a block that is not triangular, or a remainder in the
-    back-substitution for d * A^-1 B, raises InternalCheckError.
 
     First, a Gauss-Jordan elimination of M modulo the prime Q takes
     pivot columns N from the right.  Each other coordinate p gives the
@@ -363,57 +348,23 @@ def triangular_kernel(m, pivots, modulus):
     integral kernel vectors equal to the identity on P, span every
     integral kernel vector (x minus the sum of x_p (e_p - W_p) is a
     kernel vector supported on N, hence 0).  So they are the unique
-    Hermite basis, with unit pivots.  A non-unit pivot (W is not
-    integral), an entry of W past Q/2 or a prime that divides det M_N
-    fails that test, and the basis comes from the lattice L of the
-    module docstring, each column checked against M x = 0.
+    Hermite basis, with unit pivots.  A rank below r, a non-unit pivot
+    (W is not integral), an entry of W past Q/2 or a prime that divides
+    det M_N fails that test.  Then the basis is the columns of T past
+    the rank of H = M * T, which span the kernel as T is unimodular,
+    brought into Hermite shape, each checked against M x = 0.
     """
-    r, k = m.rows, m.cols
-    modulus = _as_int(modulus)
-    if len(set(pivots)) != r or modulus < 1:
-        raise ValueError("need one distinct pivot column per row and a positive modulus")
     basis = _unit_kernel(m)
     if basis is not None:
         return basis
-    a = [[row[p] for p in pivots] for row in m.data]
-    if any(not a[i][i] or any(a[i][:i]) for i in range(r)):
-        raise InternalCheckError("pivot block is not upper triangular")
-    rest = sorted(set(range(k)) - set(pivots))
-    # C = d A^-1 B by back-substitution in A, one row at a time
-    c_rows = [None] * r
-    for i in reversed(range(r)):
-        acc = [modulus * m.data[i][n] for n in rest]
-        for j in range(i + 1, r):
-            if a[i][j]:
-                v, below = a[i][j], c_rows[j]
-                acc = [x - v * y for x, y in zip(acc, below)]
-        if any(x % a[i][i] for x in acc):
-            raise InternalCheckError("modulus * A^-1 B is not integral")
-        c_rows[i] = [x // a[i][i] for x in acc]
-    # L: the columns (C mod d over y) beside d e_i, echeloned on C's rows;
-    # the columns past the rank vanish there, and their y parts span L
-    c_cols = [{i: row[n] for i, row in enumerate(c_rows) if row[n]} for n in range(len(rest))]
-    cols = []
-    for n, z in enumerate(c_cols):
-        col = {i: v % modulus for i, v in z.items() if v % modulus}
-        col[r + n] = 1
-        cols.append(col)
-    cols += [{i: modulus} for i in range(r)]
-    rank = _echelon(cols, range(r))
-    # lift each y of L to x with x_A = -C y / d; a floor here would be
-    # caught by the M x = 0 check below
-    kernel = []
-    for col in cols[rank:]:
-        y = {n - r: v for n, v in col.items()}
-        x = {rest[n]: v for n, v in y.items()}
-        for i, v in _apply(c_cols, y).items():
-            x[pivots[i]] = -v // modulus
-        kernel.append(x)
-    _echelon(kernel, range(k))
     m_cols = _sparse_columns(m)
+    cols = _with_identity(m_cols, m.rows)
+    rank = _echelon(cols, range(m.rows))
+    kernel = [_split(col, m.rows)[1] for col in cols[rank:]]
+    _echelon(kernel, range(m.cols))
     if any(_apply(m_cols, x) for x in kernel):
         raise InternalCheckError("kernel basis column fails M x = 0")
-    return _from_sparse(kernel, k)
+    return _from_sparse(kernel, m.cols)
 
 
 # Q: below 2^31, so a product of two residues fits in int64, and so does
@@ -422,10 +373,11 @@ _PRIME = 2**31 - 1
 
 
 def _unit_kernel(m):
-    """``triangular_kernel``'s basis by elimination modulo Q, or None."""
+    """``kernel_basis``'s unit-pivot basis by elimination modulo Q, or
+    None."""
     r, k = m.rows, m.cols
     q = _PRIME
-    if r and r * q * max(max(map(max, m.data)), -min(map(min, m.data))) >= 2**63:
+    if r and k and r * q * max(max(map(max, m.data)), -min(map(min, m.data))) >= 2**63:
         return None
     mat = np.array(m.data, dtype=np.int64).reshape(r, k)
     red = mat % q

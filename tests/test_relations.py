@@ -205,6 +205,45 @@ def test_marks_kernels_take_the_modular_route(monkeypatch):
     assert fallbacks == []
 
 
+def _lattices(group, chars, kernel_only=False):
+    out = {}
+    for char in chars:
+        basis = brauer_kernel(group, char).basis
+        out[char] = basis if kernel_only else (basis, imprimitive_lattice(group, char))
+    return out
+
+
+def _assert_echelon_route_matches(group, chars, kernel_only=False):
+    # no real input reaches the echelon route, so it is forced here
+    unit = _lattices(_cold_copy(group), chars, kernel_only)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zlattice, "_unit_kernel", lambda m: None)
+        assert _lattices(_cold_copy(group), chars, kernel_only) == unit
+
+
+# the corpus, and the groups of the big-order and many-classes workloads
+# at the characteristics they are benchmarked at
+ECHELON_ROUTE_CASES = [(name, CORPUS_CHARACTERISTICS, False) for name in CORPUS_NAMES]
+ECHELON_ROUTE_CASES += [
+    (name, CORPUS_CHARACTERISTICS, False)
+    for name in ("A6", "C19:C18", "C2xC2xC2xC2", "D8xS3", "S4xC2")
+]
+ECHELON_ROUTE_CASES += [("C2xC2xC2xC2xC2", (0, 3), True)]
+
+
+@pytest.mark.parametrize(
+    "name, chars, kernel_only", ECHELON_ROUTE_CASES, ids=[c[0] for c in ECHELON_ROUTE_CASES]
+)
+def test_echelon_route_matches_the_unit_route(name, chars, kernel_only):
+    _assert_echelon_route_matches(preset_group(name), chars, kernel_only)
+
+
+@given(permutation_groups(), st.sampled_from(CORPUS_CHARACTERISTICS))
+@settings(max_examples=40, deadline=None)
+def test_echelon_route_matches_the_unit_route_on_random_groups(group, char):
+    _assert_echelon_route_matches(group, (char,))
+
+
 def test_c2_5_kernel_at_its_own_prime_is_zero_and_quick():
     # every class of a 2-group is 2-hypo-elementary: the kernel is zero,
     # and the 374 x 374 marks block needs no echelon
@@ -509,7 +548,7 @@ def test_shared_lattices_match_cold_groups(name):
 def test_coprime_characteristics_reuse_the_lattices(monkeypatch):
     group = _cold_copy(preset_group("C2xC2xC2xC2"))
     prim(group, 0)
-    names = ("triangular_kernel", "hnf", "quotient_invariants")
+    names = ("kernel_basis", "hnf", "quotient_invariants")
     calls = dict.fromkeys(names, 0)
     for fname in names:
         original = getattr(relations, fname)
@@ -525,8 +564,8 @@ def test_coprime_characteristics_reuse_the_lattices(monkeypatch):
     prim(group, 2)  # 2 divides |G|: a lattice of its own
     assert calls["hnf"] > 0 and calls["quotient_invariants"] > 0, calls
     # at 2 every class of the 2-group and of its views is hypo-elementary,
-    # so each kernel is zero before triangular_kernel is reached
-    assert calls["triangular_kernel"] == 0, calls
+    # so each kernel is zero before kernel_basis is reached
+    assert calls["kernel_basis"] == 0, calls
 
 
 def _assert_lattices_independent_of_char_order(group):
@@ -572,12 +611,11 @@ def test_views_and_hypo_classes_are_built_once(monkeypatch, name):
     assert len([args for args in hypo if args[1].is_trivial()]) == len(primes)
     normals = [table.classes[0].representative] + minimal_normal_subgroups(group)
     assert len(hypo) == len(primes) * len(normals)
-    # what the group keeps: order, class map and int32 marks per view
+    # what the group keeps: class map and int32 marks per view
     kept = group._memo["maximal_views"]
     assert len(kept) == len(maximal)
-    for (order, class_map, marks), i in zip(kept, maximal):
+    for (class_map, marks), i in zip(kept, maximal):
         assert marks.dtype == np.int32
-        assert order == table.classes[i].order
         view_map, view_marks, _ = maximal_view(table, table.classes[i])
         assert marks.tolist() == view_marks.tolist()
         assert class_map.tolist() == view_map.tolist()

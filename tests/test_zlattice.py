@@ -3,7 +3,7 @@
 Property tests check Smith invariants against an independent
 determinantal-divisor oracle (gcd of k x k minors, cofactor expansion),
 the sparse echelon and solve against the dense ones they replaced, and
-the triangular-block kernel against two Hermite passes.  The Smith
+the kernel, by either route, against two Hermite passes.  The Smith
 certificate is fed corrupted copies of correct data, one piece at a
 time.
 """
@@ -21,9 +21,9 @@ from permrel.errors import InternalCheckError
 from permrel.zlattice import (
     IntMatrix,
     hnf,
+    kernel_basis,
     quotient_invariants,
     snf,
-    triangular_kernel,
 )
 
 from oracles import (
@@ -112,21 +112,38 @@ sparse_matrix = st.integers(1, 6).flatmap(
 
 @st.composite
 def triangular_led(draw):
-    """(M, pivots, d): the columns ``pivots`` of M, placed at random,
-    form an upper triangular block with nonzero diagonal, and d is the
-    product of the diagonal's absolute values, so d * A^-1 is integral."""
+    """A matrix M with a square upper triangular block of nonzero
+    diagonal on columns placed at random, as the marks at the
+    hypo-elementary classes have."""
     r = draw(st.integers(1, 4))
     k = r + draw(st.integers(0, 4))
     pivots = draw(st.permutations(range(k)))[:r]
     entry = st.integers(-9, 9)
     data = [[draw(entry) for _ in range(k)] for _ in range(r)]
-    modulus = 1
     for i, p in enumerate(pivots):
         data[i][p] = draw(entry.filter(bool))
-        modulus *= abs(data[i][p])
         for below in range(i + 1, r):
             data[below][p] = 0
-    return IntMatrix(data), pivots, modulus
+    return IntMatrix(data)
+
+
+@st.composite
+def any_shape(draw):
+    """An r x k matrix with r and k from 0 to 4, each row past the first
+    an integer combination of the rows above it half of the time, so
+    zero rows, zero columns and rank deficiency are all common."""
+    r, k = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    data = []
+    for _ in range(r):
+        if data and draw(st.booleans()):
+            coeffs = [draw(st.integers(-2, 2)) for _ in data]
+            data.append([sum(c * row[t] for c, row in zip(coeffs, data)) for t in range(k)])
+        else:
+            data.append([draw(st.integers(-9, 9)) for _ in range(k)])
+    return IntMatrix(data, cols=k)
+
+
+kernel_input = st.one_of(triangular_led(), any_shape(), small_matrix.map(IntMatrix))
 
 
 def test_hnf_worked_example():
@@ -231,7 +248,7 @@ def test_columns_match_column_by_column_on_random_matrices(data):
 
 
 def test_kernel_of_ones_row():
-    basis = triangular_kernel(IntMatrix([[1, 1, 1]]), [0], 1)
+    basis = kernel_basis(IntMatrix([[1, 1, 1]]))
     assert basis.cols == 2
     for col in basis.columns():
         assert sum(col) == 0
@@ -240,29 +257,25 @@ def test_kernel_of_ones_row():
 def test_kernel_cyclic_rows_matrix():
     # the 3 x 4 marks rows of the cyclic classes of a group of order 6
     m = IntMatrix([[6, 3, 2, 1], [0, 1, 0, 1], [0, 0, 2, 1]])
-    basis = triangular_kernel(m, [0, 1, 2], 6)
+    basis = kernel_basis(m)
     assert basis.columns() == [[1, -2, -1, 2]]
 
 
-def test_triangular_kernel_rejects_a_small_modulus(monkeypatch):
-    # 1 * A^-1 B = 1/2 is not integral; on the lattice route the
-    # back-substitution says so before the M x = 0 certificate could
+def test_kernel_certificate_rejects_a_pivot_column(monkeypatch):
+    # an echelon that reports one pivot too few hands a column of T with
+    # M T_j != 0 to the kernel; the M x = 0 check rejects it
     monkeypatch.setattr(zlattice, "_unit_kernel", lambda m: None)
-    with pytest.raises(InternalCheckError, match="not integral"):
-        triangular_kernel(IntMatrix([[2, 1]]), [0], 1)
+    echelon = zlattice._echelon
+    calls = []
 
+    def short(cols, rows):
+        calls.append(cols)
+        rank = echelon(cols, rows)
+        return rank - 1 if len(calls) == 1 else rank
 
-def test_triangular_kernel_rejects_bad_pivots_or_modulus():
-    m = IntMatrix([[1, 1, 1], [0, 1, 1]])
-    for pivots, modulus in (([0], 1), ([0, 0], 1), ([0, 1], 0)):
-        with pytest.raises(ValueError):
-            triangular_kernel(m, pivots, modulus)
-
-
-def test_triangular_kernel_rejects_a_block_that_is_not_triangular(monkeypatch):
-    monkeypatch.setattr(zlattice, "_unit_kernel", lambda m: None)
-    with pytest.raises(InternalCheckError, match="not upper triangular"):
-        triangular_kernel(IntMatrix([[1, 0, 1], [1, 1, 1]]), [0, 1], 1)
+    monkeypatch.setattr(zlattice, "_echelon", short)
+    with pytest.raises(InternalCheckError, match="fails M x = 0"):
+        kernel_basis(IntMatrix([[1, 1, 1]]))
 
 
 def test_quotient_invariants_diagonal():
@@ -291,7 +304,7 @@ def test_lattice_contains():
 
 
 def test_empty_kernel():
-    basis = triangular_kernel(IntMatrix.identity(3), [0, 1, 2], 1)
+    basis = kernel_basis(IntMatrix.identity(3))
     assert basis.cols == 0
     assert basis.rows == 3
 
@@ -347,30 +360,28 @@ def test_snf_matches_dense_echelon(data):
     assert (dec.u, dec.d, dec.v) == snf_by_dense_echelon(m)
 
 
-@given(triangular_led())
-@settings(max_examples=120, deadline=None)
-def test_kernel_rank_and_membership(case):
-    m, pivots, modulus = case
-    basis = triangular_kernel(m, pivots, modulus)
+@given(kernel_input)
+@settings(max_examples=150, deadline=None)
+def test_kernel_rank_and_membership(m):
+    basis = kernel_basis(m)
+    assert basis.rows == m.cols
     assert basis.cols == m.cols - rational_rank(m)
     for col in basis.columns():
         image = mat_mul(m, IntMatrix.from_columns([col]))
         assert image.is_zero()
 
 
-@given(triangular_led())
-@settings(max_examples=120, deadline=None)
-def test_kernel_matches_two_hnfs(case):
-    m, pivots, modulus = case
-    assert triangular_kernel(m, pivots, modulus) == kernel_basis_by_two_hnfs(m)
+@given(kernel_input)
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_two_hnfs(m):
+    assert kernel_basis(m) == kernel_basis_by_two_hnfs(m)
 
 
-@given(triangular_led())
-@settings(max_examples=80, deadline=None)
-def test_kernel_saturation(case):
+@given(kernel_input)
+@settings(max_examples=100, deadline=None)
+def test_kernel_saturation(m):
     # any rational kernel vector scaled to integers must lie in the basis span
-    m, pivots, modulus = case
-    basis = triangular_kernel(m, pivots, modulus)
+    basis = kernel_basis(m)
     for col in basis.columns():
         doubled = [2 * v for v in col]
         assert lattice_contains(basis, doubled)
@@ -382,8 +393,9 @@ def test_kernel_saturation(case):
             assert lattice_contains(basis, halved)
 
 
-def _count_lattice_route(monkeypatch):
-    # the modular route gives up, with None, exactly when L is used
+def _count_echelon_route(monkeypatch):
+    # the modular route gives up, with None, exactly when the echelon
+    # route is taken
     calls = []
     original = zlattice._unit_kernel
 
@@ -398,10 +410,11 @@ def _count_lattice_route(monkeypatch):
 
 
 def test_kernel_with_a_non_unit_pivot_takes_the_lattice_route(monkeypatch):
-    # x_0 + 2 x_2 = 0: the Hermite basis has the pivot 2 at coordinate 0
+    # x_0 + 2 x_2 = 0: the Hermite basis has the pivot 2 at coordinate 0,
+    # so the modular route gives up and the echelon route answers
     m = IntMatrix([[1, 0, 2]])
-    calls = _count_lattice_route(monkeypatch)
-    basis = triangular_kernel(m, [0], 2)
+    calls = _count_echelon_route(monkeypatch)
+    basis = kernel_basis(m)
     assert len(calls) == 1
     assert basis.columns() == [[2, 0, -1], [0, 1, 0]]
     assert basis == kernel_basis_by_two_hnfs(m)
@@ -409,37 +422,57 @@ def test_kernel_with_a_non_unit_pivot_takes_the_lattice_route(monkeypatch):
 
 def test_kernel_certificate_rejects_a_wrapped_residue(monkeypatch):
     # W = M_N^-1 M_P = 5 is read as -1 modulo 3; the exact product
-    # M_N W = M_P rejects it, and the lattice route answers
+    # M_N W = M_P rejects it, and the echelon route answers
     m = IntMatrix([[5, 1]])
-    calls = _count_lattice_route(monkeypatch)
-    assert triangular_kernel(m, [0], 5).columns() == [[1, -5]]
+    calls = _count_echelon_route(monkeypatch)
+    assert kernel_basis(m).columns() == [[1, -5]]
     assert calls == []
     monkeypatch.setattr(zlattice, "_PRIME", 3)
-    assert triangular_kernel(m, [0], 5).columns() == [[1, -5]]
+    assert kernel_basis(m).columns() == [[1, -5]]
     assert len(calls) == 1
 
 
 def test_kernel_of_a_matrix_with_no_rows():
-    assert triangular_kernel(IntMatrix([], cols=3), [], 1) == IntMatrix.identity(3)
+    assert kernel_basis(IntMatrix([], cols=3)) == IntMatrix.identity(3)
 
 
-@given(triangular_led(), st.sampled_from((2, 3, 5, 7)))
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_kernel_of_a_matrix_with_no_columns(rows):
+    # Z^0 has the empty basis: no columns, over no coordinates
+    m = IntMatrix([[] for _ in range(rows)], cols=0)
+    assert zlattice._unit_kernel(m) is None
+    basis = kernel_basis(m)
+    assert (basis.rows, basis.cols) == (0, 0)
+    assert basis == kernel_basis_by_two_hnfs(m)
+
+
+def test_rank_deficient_kernel_takes_the_echelon_route(monkeypatch):
+    # the second row is twice the first: the modular route finds one
+    # pivot for two rows and gives up
+    m = IntMatrix([[1, 2, 3], [2, 4, 6]])
+    calls = _count_echelon_route(monkeypatch)
+    basis = kernel_basis(m)
+    assert len(calls) == 1
+    assert basis.columns() == [[1, 1, -1], [0, 3, -2]]
+    assert basis == kernel_basis_by_two_hnfs(m)
+
+
+@given(kernel_input, st.sampled_from((2, 3, 5, 7)))
 @settings(max_examples=120, deadline=None)
-def test_kernel_matches_two_hnfs_modulo_a_small_prime(case, prime):
+def test_kernel_matches_two_hnfs_modulo_a_small_prime(m, prime):
     # small primes lose rank and wrap residues; the certificate catches both
-    m, pivots, modulus = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zlattice, "_PRIME", prime)
-        assert triangular_kernel(m, pivots, modulus) == kernel_basis_by_two_hnfs(m)
+        assert kernel_basis(m) == kernel_basis_by_two_hnfs(m)
 
 
-@given(triangular_led())
-@settings(max_examples=120, deadline=None)
-def test_lattice_route_alone_matches_two_hnfs(case):
-    m, pivots, modulus = case
+@given(kernel_input)
+@settings(max_examples=150, deadline=None)
+def test_lattice_route_alone_matches_two_hnfs(m):
+    # with the modular route off, the echelon route answers every shape
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zlattice, "_unit_kernel", lambda m: None)
-        assert triangular_kernel(m, pivots, modulus) == kernel_basis_by_two_hnfs(m)
+        assert kernel_basis(m) == kernel_basis_by_two_hnfs(m)
 
 
 @st.composite
