@@ -49,8 +49,46 @@ holds all its p-elements, and some element has order |U/N|_p'.  In U
 that reads #{u : o(u) a power of p} = |N| |U/N|_p and some o(u) =
 |U/N|_p'.  A prime not dividing |U/N| selects the cyclic U/N, as the
 subquotient's own effective prime would, so G's serves them all.
+
+The primitive quotient K/L, for K the kernel of rank r and L the
+imprimitive lattice, is read off a local certificate; x_G denotes the
+coefficient of x at [G/G], which is its mark at G.  If G is
+hypo-elementary, so is every subquotient, and K = L = 0.  Otherwise:
+
+Lemma.  For every x in K, |G| x = x_G w modulo L, where w is in K and
+has mark |G| at G and 0 at every other class.  Proof: for H <= G,
+z_H = sum over U <= H of |U| mu(U, H) [H/U] has mark |H| at H and 0 at
+every other subgroup of H (Gluck, Illinois J. Math. 25, 1981; Yoshida,
+J. Algebra 80, 1983).  Take w = z_G, in K as G is not hypo-elementary.
+For a proper H that is not hypo-elementary, z_H lies in the kernel of
+H, so Ind_H^G z_H lies in L; its mark is |N_G(H)| on the class of H and
+0 elsewhere.  Marks separate the elements of Q (x) B(G), and x in K has
+mark 0 at every hypo-elementary class, so |G| x is the sum of x_G w and
+of the |G| / |N_G(H)| phi_H(x) Ind_H^G z_H over the classes of proper H
+that are not hypo-elementary, each an integer multiple of an element of
+L (Dress, Math. Z. 110, 1969; tom Dieck, LNM 766, 1979).
+
+Consequences.  Let t be the gcd of y_G over L, or any multiple of it.
+Induced generators have y_G = 0, so only the inflated ones count.
+- If t = 0, L lies in {x_G = 0} while w_G = |G|, so K/L has free rank
+  1, and an x of finite order modulo L has x_G = 0, so |G| x is in L.
+  Otherwise some y in L has y_G = t, so t w is in L and |G| t kills
+  K/L.  Either way each torsion prime divides |G| t, or |G| if t = 0.
+- If K's Hermite basis is the identity on r coordinates P, restriction
+  to P maps K onto Z^r, so K/L (x) F_l has dimension r - rank_l(L|P),
+  which exceeds the free rank f exactly when K/L has l-torsion.
+- With no torsion, L = K when f = 0.  When f = 1, L lies in K0 = K and
+  {x_G = 0}; K/K0 is Z, so K0/L, a subgroup of K/L = Z with quotient Z,
+  is 0 and L = K0.  K's basis B has unit pivots on P, so B y has its
+  first nonzero coordinate, y_j, at the j-th coordinate of P for the
+  first j with y_j != 0: B carries the Hermite basis of ker(g), g being
+  B's row at G, to that of K0.
+A prime that shows torsion, or a kernel without a unit basis, takes the
+exact route: the Hermite form of every generator (``hnf``) and the
+Smith form of K/L (``quotient_invariants``).
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -82,6 +120,7 @@ from .errors import InputError, InternalCheckError
 from .numtheory import (
     is_prime,
     p_part,
+    prime_factors,
     smallest_prime_not_dividing,
     xgcd,
 )
@@ -96,6 +135,9 @@ from .subgroups import (
 from .zlattice import (
     IntMatrix,
     _from_rows,
+    _int64,
+    _rank_reaches,
+    _unit_rows,
     hnf,
     kernel_basis,
     quotient_invariants,
@@ -313,34 +355,79 @@ def _maximal_views(table):
     return group._memo["maximal_views"]
 
 
-def imprimitive_lattice(group, characteristic):
-    """Lattice spanned by all induced-inflated kernels of proper
-    subquotients, as a Hermite-reduced column matrix over the class
-    basis of the group.
+def _view_kernels(table, hypo):
+    """(kernel, class_map) of each maximal view, for G's hypo-elementary
+    mask ``hypo``."""
+    for class_map, marks in _maximal_views(table):
+        positions = np.flatnonzero(hypo[class_map]).tolist()
+        rows = (marks[:, u].tolist() for u in positions)
+        yield _kernel_of(rows, len(class_map), positions), class_map
 
-    Only the maximal subgroups and the quotients by minimal normal
-    subgroups are visited, each as a view of the group's own class
-    table and marks; the module docstring says why that suffices.
-    """
-    key = ("imprimitive", _lattice_prime(group, characteristic))
-    cached = group._memo.get(key)
-    if cached is not None:
-        return cached
-    p = effective_prime(group, characteristic)
-    table = enumerate_classes(group)
-    k = len(table.classes)
-    hypo = _own_hypo_mask(table, p)
 
-    def view_kernels():
-        for class_map, marks in _maximal_views(table):
-            positions = np.flatnonzero(hypo[class_map]).tolist()
-            rows = (marks[:, u].tolist() for u in positions)
-            yield _kernel_of(rows, len(class_map), positions), class_map
-        for normal in minimal_normal_subgroups(group):
-            yield quotient_kernel(table, normal, p)
+def _certified_lattice(table, kernel, hypo, quotients, views, seen):
+    """(free rank, Hermite basis of L) by the certificate of the module
+    docstring, or None when a prime shows torsion or the certificate
+    does not apply.  It takes the generators from the kernels of
+    ``quotients`` until t != 0, then from those of ``views``, then from
+    the other quotients, and stops once every rank is complete; each
+    kernel it takes goes to ``seen``."""
+    group = table.group
+    k, r = kernel.rows, kernel.cols
+    if r == 0:
+        return 0, kernel
+    unit = _unit_rows(kernel)
+    if unit is None:
+        return None
+    slot = np.full(k, r)  # each class's position in P, or r
+    slot[unit] = np.arange(r)
+    at_hypo = np.flatnonzero(hypo).tolist()
+    marks = np.array([[row[c] for c in at_hypo] for row in marks_table(group, table).m])
 
+    def generators(basis, class_map):
+        # the columns of basis moved to G, checked to satisfy M x = 0,
+        # restricted to P, one per row
+        seen.append((basis, class_map))
+        b = _int64(basis, len(class_map) * group.order)
+        if b is None:
+            return None
+        if (marks[class_map][:, :, None] * b[:, None, :]).sum(axis=0).any():
+            raise InternalCheckError("an imprimitive generator is not in the kernel")
+        moved = np.zeros((r + 1, basis.cols), dtype=np.int64)
+        np.add.at(moved, slot[class_map], b)
+        return moved[:r].T
+
+    first, t = [], 0
+    for basis, over in quotients:
+        first.append(generators(basis, over))
+        if first[-1] is None:
+            return None
+        t = math.gcd(t, *basis.data[-1])  # G's class is over's last
+        if t:
+            break
+    free_rank = 0 if t else 1
+    target = r - free_rank
+    rest = itertools.starmap(generators, itertools.chain(views, quotients))
+    blocks = itertools.chain(first, rest)
+    pivots = {ell: {} for ell in prime_factors(group.order * (t or 1))}
+    primes = list(pivots) if target else []
+    while primes:
+        rows = next(blocks, None)
+        if rows is None:
+            return None
+        primes = [ell for ell in primes if not _rank_reaches(ell, rows, pivots[ell], target)]
+    if not free_rank:
+        return 0, kernel
+    h = kernel_basis(_from_rows([kernel.data[-1]], r)).columns()
+    h = [[(j, c) for j, c in enumerate(col) if c] for col in h]
+    data = [[sum(row[j] * c for j, c in col) for col in h] for row in kernel.data]
+    return 1, _from_rows(data, r - 1)
+
+
+def _lattice_by_hnf(k, kernels):
+    """The Hermite basis of the columns of ``kernels``, moved to G's k
+    classes by their class maps."""
     columns = []
-    for basis, class_map in view_kernels():
+    for basis, class_map in kernels:
         for col in basis.columns():
             out = [0] * k
             for t, c in enumerate(col):
@@ -352,7 +439,38 @@ def imprimitive_lattice(group, characteristic):
     stacked = _from_rows([[c[i] for c in columns] for i in range(k)], len(columns))
     reduced, _ = hnf(stacked)
     rank = sum(any(col) for col in zip(*reduced.data))  # zero columns trail
-    result = _from_rows([row[:rank] for row in reduced.data], rank)
+    return _from_rows([row[:rank] for row in reduced.data], rank)
+
+
+def imprimitive_lattice(group, characteristic):
+    """Lattice spanned by all induced-inflated kernels of proper
+    subquotients, as a Hermite-reduced column matrix over the class
+    basis of the group.
+
+    Only the maximal subgroups and the quotients by minimal normal
+    subgroups are visited, each as a view of the group's own class
+    table and marks; the module docstring says why that suffices, and
+    how the certificate finds the lattice, and K/L's invariants, which
+    it keeps for ``prim``.
+    """
+    lattice_prime = _lattice_prime(group, characteristic)
+    key = ("imprimitive", lattice_prime)
+    cached = group._memo.get(key)
+    if cached is not None:
+        return cached
+    p = effective_prime(group, characteristic)
+    table = enumerate_classes(group)
+    kernel = brauer_kernel(group, characteristic).basis
+    hypo = _own_hypo_mask(table, p)
+    quotients = (quotient_kernel(table, normal, p) for normal in minimal_normal_subgroups(group))
+    views, seen = _view_kernels(table, hypo), []
+    certified = _certified_lattice(table, kernel, hypo, quotients, views, seen)
+    if certified is None:
+        kernels = itertools.chain(seen, views, quotients)
+        result = _lattice_by_hnf(len(table.classes), kernels)
+    else:
+        free_rank, result = certified
+        group._memo[("prim_invariants", lattice_prime)] = (free_rank, ())
     group._memo[key] = result
     return result
 
@@ -477,9 +595,11 @@ def _extract_generator(table, kernel):
 def prim(group, characteristic):
     """The primitive quotient: kernel modulo the imprimitive sublattice.
 
-    When the structural prediction covers the group, the computed
-    invariants must match it exactly; disagreement raises
-    InternalCheckError.
+    Its invariants come with the lattice from ``imprimitive_lattice``'s
+    certificate, or, when that shows torsion, from the Smith form of
+    ``quotient_invariants``.  When the structural prediction covers the
+    group, the computed invariants must match it exactly; disagreement
+    raises InternalCheckError.
     """
     cached = group._memo.get(("prim", characteristic))
     if cached is not None:
@@ -667,12 +787,30 @@ def theta_highdim(l, matrices, characteristic):
 
 def generates_quotient(group, characteristic, element):
     """True when the element together with the imprimitive lattice spans
-    the whole kernel, i.e. its residue generates the primitive quotient."""
+    the whole kernel, i.e. its residue generates the primitive quotient.
+
+    The certificate of the module docstring asks this of L + Zx: with t
+    the gcd of y_G over L, read off L's Hermite basis, t' = gcd(t, x_G)
+    must be nonzero and the rank modulo each prime of |G| t' must reach
+    r.  Without a unit basis of K, or for x outside K, the quotient
+    invariants decide (and reject an x outside K).
+    """
     _check_group(group, element)
-    kernel = brauer_kernel(group, characteristic)
+    kernel = brauer_kernel(group, characteristic).basis
     imprim = imprimitive_lattice(group, characteristic)
-    stacked = _from_rows(
-        [row + [v] for row, v in zip(imprim.data, element.coeffs)], imprim.cols + 1
-    )
-    free_rank, torsion = quotient_invariants(kernel.basis, stacked)
+    unit, r = _unit_rows(kernel), kernel.cols
+    x = list(element.coeffs)
+    if unit is not None and verify_relation(group, characteristic, element):
+        if not r:
+            return True  # K = 0
+        t = math.gcd(x[-1], *imprim.data[-1])
+        if not t:
+            return False
+        columns = imprim.columns() + [x]
+        return all(
+            _rank_reaches(ell, np.array([[c[i] % ell for i in unit] for c in columns]), {}, r)
+            for ell in prime_factors(group.order * t)
+        )
+    stacked = _from_rows([row + [v] for row, v in zip(imprim.data, x)], imprim.cols + 1)
+    free_rank, torsion = quotient_invariants(kernel, stacked)
     return free_rank == 0 and not torsion

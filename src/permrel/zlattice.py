@@ -3,10 +3,12 @@ lattice membership, and quotient invariants.
 
 All arithmetic is exact.  Python integers carry it, since the entries
 of normal-form computations routinely exceed 64 bits even for small
-inputs; numpy serves only an elimination modulo a prime whose answer is
-then proved over the integers.  Every normal form is certified before it
-is returned; a failed certificate raises InternalCheckError rather than
-letting a wrong lattice leak into callers.
+inputs.  numpy serves only eliminations modulo a prime: the kernel's,
+whose answer is then proved over the integers, and the ranks modulo a
+prime that the certificate in ``relations`` reads.  Every normal form
+is certified before it is returned; a failed certificate raises
+InternalCheckError rather than letting a wrong lattice leak into
+callers.
 
 Conventions.  Matrices act on column vectors.  A lattice is given by a
 matrix whose columns generate it.  Hermite form is the column-style
@@ -68,10 +70,6 @@ class IntMatrix:
         self.data = rows
 
     @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_columns(cls, columns, rows=None):
         """Build from an iterable of column vectors (all the same length)."""
         columns = [list(c) for c in columns]
@@ -88,16 +86,10 @@ class IntMatrix:
             raise ValueError("rows does not match column height")
         return cls([[c[i] for c in columns] for i in range(height)], cols=len(columns))
 
-    def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
-
     def columns(self):
         if not self.rows:
             return [[] for _ in range(self.cols)]
         return [list(col) for col in zip(*self.data)]
-
-    def is_zero(self):
-        return all(v == 0 for row in self.data for v in row)
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
@@ -377,9 +369,9 @@ def _unit_kernel(m):
     None."""
     r, k = m.rows, m.cols
     q = _PRIME
-    if r and k and r * q * max(max(map(max, m.data)), -min(map(min, m.data))) >= 2**63:
+    mat = _int64(m, r * q)
+    if mat is None:
         return None
-    mat = np.array(m.data, dtype=np.int64).reshape(r, k)
     red = mat % q
     free = list(range(r))  # rows without a pivot, in order
     pivot_cols = [None] * r
@@ -414,6 +406,60 @@ def _unit_kernel(m):
     for n, row in zip(pivot_cols, neg.tolist()):
         data[n] = row
     return _from_rows(data, len(rest))
+
+
+def _unit_rows(basis):
+    """The rows P on which the Hermite basis ``basis`` is the identity,
+    each column's first nonzero one, or None when they are not."""
+    rows = []
+    for i, row in enumerate(basis.data):
+        j = len(rows)
+        if j < basis.cols and row[j]:
+            if row[j] != 1 or row.count(0) != basis.cols - 1:
+                return None
+            rows.append(i)
+    return rows if len(rows) == basis.cols else None
+
+
+def _int64(matrix, scale):
+    """``matrix`` as an int64 array, or None when an entry times
+    ``scale`` reaches 2^63."""
+    data = matrix.data
+    if matrix.rows and matrix.cols:
+        if max(max(map(max, data)), -min(map(min, data))) * scale >= 2**63:
+            return None
+    return np.array(data, dtype=np.int64).reshape(matrix.rows, matrix.cols)
+
+
+def _rank_reaches(ell, rows, pivots, target):
+    """Add the rows of the int64 array ``rows``, modulo the prime ell, to
+    the echelon basis ``pivots`` (leading coordinate -> row) until it has
+    ``target`` rows; whether it has.  Modulo 2 a row is one Python int,
+    its bits the coordinates, so adding rows is XOR and the lowest set
+    bit leads."""
+    if ell == 2:
+        for packed in np.packbits(rows % 2, axis=1):
+            v = int.from_bytes(packed.tobytes(), "big")
+            while v and (low := v & -v) in pivots:
+                v ^= pivots[low]
+            if v:
+                pivots[low] = v
+                if len(pivots) == target:
+                    return True
+        return False
+    for v in (rows % ell).tolist():
+        for i in range(len(v)):
+            if not v[i]:
+                continue
+            if i not in pivots:
+                inverse = pow(v[i], -1, ell)
+                pivots[i] = [a * inverse % ell for a in v]
+                if len(pivots) == target:
+                    return True
+                break
+            c = v[i]
+            v = [(a - c * b) % ell for a, b in zip(v, pivots[i])]
+    return False
 
 
 def _echelon_basis(m):

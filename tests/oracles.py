@@ -35,9 +35,13 @@ from permrel.perm import Permutation, generate
 from permrel.presets import CORPUS_NAMES
 from permrel.relations import (
     Prediction,
+    _kernel_of,
+    _maximal_views,
+    _own_hypo_mask,
     _validate_theta_characteristic,
     brauer_kernel,
     effective_prime,
+    quotient_kernel,
     verify_relation,
 )
 from permrel.subgroups import (
@@ -46,11 +50,12 @@ from permrel.subgroups import (
     SubgroupClassTable,
     enumerate_classes,
     is_minimal_normal,
+    minimal_normal_subgroups,
     normal_subgroups,
     quotient,
     subgroup_as_group,
 )
-from permrel.zlattice import IntMatrix, _as_int, hnf, snf
+from permrel.zlattice import IntMatrix, _as_int, hnf, quotient_invariants, snf
 
 
 @st.composite
@@ -350,7 +355,7 @@ def imprimitive_lattice_by_sweep(group, characteristic):
                 columns.append(out)
     columns.sort()
     reduced, _ = hnf(IntMatrix.from_columns(columns, rows=k))
-    kept = [reduced.column(j) for j in range(reduced.cols) if any(reduced.column(j))]
+    kept = [col for col in reduced.columns() if any(col)]
     return IntMatrix.from_columns(kept, rows=k)
 
 
@@ -377,8 +382,70 @@ def imprimitive_lattice_by_subquotient_groups(group, characteristic):
             columns.append(list(inflate(q_table, table, x, quot).coeffs))
     columns.sort()
     reduced, _ = hnf(IntMatrix.from_columns(columns, rows=k))
-    kept = [reduced.column(j) for j in range(reduced.cols) if any(reduced.column(j))]
+    kept = [col for col in reduced.columns() if any(col)]
     return IntMatrix.from_columns(kept, rows=k)
+
+
+def imprimitive_lattice_by_hnf(group, characteristic):
+    """The imprimitive lattice by the exact route alone: the kernel of
+    every maximal view and of every G/N, N minimal normal, moved to G's
+    classes, and the Hermite form of all those columns with the zero
+    columns dropped."""
+    p = effective_prime(group, characteristic)
+    table = enumerate_classes(group)
+    k = len(table.classes)
+    hypo = _own_hypo_mask(table, p)
+    kernels = [quotient_kernel(table, normal, p) for normal in minimal_normal_subgroups(group)]
+    for class_map, marks in _maximal_views(table):
+        positions = np.flatnonzero(hypo[class_map]).tolist()
+        rows = [marks[:, u].tolist() for u in positions]
+        kernels.append((_kernel_of(rows, len(class_map), positions), class_map))
+    columns = []
+    for basis, class_map in kernels:
+        for col in basis.columns():
+            out = [0] * k
+            for idx, coeff in enumerate(col):
+                out[class_map[idx]] += coeff
+            columns.append(out)
+    columns.sort()
+    reduced, _ = hnf(IntMatrix.from_columns(columns, rows=k))
+    kept = [col for col in reduced.columns() if any(col)]
+    return IntMatrix.from_columns(kept, rows=k)
+
+
+def prim_invariants_by_snf(group, characteristic):
+    """(free rank, torsion) of K/L from the Smith form of
+    ``imprimitive_lattice_by_hnf`` in the kernel."""
+    kernel = brauer_kernel(group, characteristic).basis
+    return quotient_invariants(kernel, imprimitive_lattice_by_hnf(group, characteristic))
+
+
+def generates_quotient_by_snf(group, characteristic, element):
+    """Whether L + Zx is the kernel, from the Smith form of the columns
+    of ``imprimitive_lattice_by_hnf`` and x in the kernel."""
+    kernel = brauer_kernel(group, characteristic).basis
+    imprim = imprimitive_lattice_by_hnf(group, characteristic)
+    stacked = IntMatrix.from_columns(imprim.columns() + [list(element.coeffs)], rows=kernel.rows)
+    return quotient_invariants(kernel, stacked) == (0, ())
+
+
+def rank_modulo_by_elimination(rows, ell):
+    """The rank of the integer ``rows`` modulo the prime ell, by row
+    reduction on lists of residues."""
+    rows = [[v % ell for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], ell - 2, ell)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                c = rows[i][col] * inverse
+                rows[i] = [(a - c * b) % ell for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def kernel_basis_by_two_hnfs(m):

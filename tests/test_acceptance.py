@@ -70,7 +70,7 @@ def test_criterion_02_s3_basis():
         group = GROUPS["S3"]
         kernel = brauer_kernel(group, 5)
         assert kernel.rank == 1
-        assert kernel.basis.column(0) == [1, -2, -1, 2]
+        assert kernel.basis.columns()[0] == [1, -2, -1, 2]
         table = enumerate_classes(group)
         element = BurnsideElement(table, [1, -2, -1, 2])
         report = prim(group, 5)
@@ -241,8 +241,8 @@ def test_criterion_08_imprimitive_columns_are_relations():
             table = enumerate_classes(group)
             for char in CORPUS_CHARACTERISTICS:
                 imprim = imprimitive_lattice(group, char)
-                for j in range(imprim.cols):
-                    element = BurnsideElement(table, imprim.column(j))
+                for j, col in enumerate(imprim.columns()):
+                    element = BurnsideElement(table, col)
                     assert verify_relation(group, char, element), \
                         (name, char, j)
 

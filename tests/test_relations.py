@@ -14,7 +14,7 @@ from permrel import relations, zlattice
 from permrel.burnside import BurnsideElement, induct, mark_vector, marks_table
 from permrel.classify import main_case_classify, quotient_is_p_hypo_elementary
 from permrel.constructions import affine_group, frobenius_group
-from permrel.errors import InputError, PermrelError
+from permrel.errors import InputError, InternalCheckError, PermrelError
 from permrel.perm import generate, parse_cycles
 from permrel.presets import CORPUS_CHARACTERISTICS, CORPUS_NAMES, preset_group
 from permrel.relations import (
@@ -46,6 +46,8 @@ from permrel.zlattice import IntMatrix
 from oracles import (
     LADDER_NAMES,
     classes_containing_by_loop,
+    generates_quotient_by_snf,
+    imprimitive_lattice_by_hnf,
     imprimitive_lattice_by_subquotient_groups,
     imprimitive_lattice_by_sweep,
     kernel_basis_by_two_hnfs,
@@ -53,6 +55,7 @@ from oracles import (
     matrix_of_stabilizer_element,
     permutation_groups,
     predict_prim_by_quotient_groups,
+    prim_invariants_by_snf,
     relabelled,
     subgroup_is_p_hypo_elementary,
     theta_highdim_by_functional_orbits,
@@ -89,7 +92,7 @@ def test_s3_kernel_characteristic_zero():
     kernel = brauer_kernel(s3, 0)
     assert kernel.hypo_classes == (0, 1, 2)
     assert kernel.rank == 1
-    assert kernel.basis.column(0) == [1, -2, -1, 2]
+    assert kernel.basis.columns()[0] == [1, -2, -1, 2]
 
 
 def test_s3_kernel_vanishes_at_own_prime():
@@ -126,8 +129,8 @@ def test_imprimitive_columns_lie_in_kernel():
         for char in (0, 5):
             kernel = brauer_kernel(group, char)
             imprim = imprimitive_lattice(group, char)
-            for j in range(imprim.cols):
-                assert lattice_contains(kernel.basis, imprim.column(j))
+            for col in imprim.columns():
+                assert lattice_contains(kernel.basis, col)
 
 
 def _hypo_by_subgroup_scan(group, char):
@@ -310,6 +313,119 @@ def test_imprimitive_lattice_matches_subquotient_groups(name):
 def test_imprimitive_lattice_matches_subquotient_groups_on_random_groups(group, char):
     expected = imprimitive_lattice_by_subquotient_groups(group, char)
     assert imprimitive_lattice(group, char) == expected
+
+
+def _assert_certificate_matches_exact_route(group, elements=False):
+    # the lattice, the invariants and (optionally) generates_quotient on
+    # kernel columns, the generator and combinations of both, against
+    # the Hermite and Smith forms of every generator, once per lattice prime
+    checked, exact = _cold_copy(group), _cold_copy(group)
+    expected = {}
+    for char in CORPUS_CHARACTERISTICS:
+        prime = relations._lattice_prime(exact, char)
+        if prime not in expected:
+            expected[prime] = (
+                imprimitive_lattice_by_hnf(exact, char), prim_invariants_by_snf(exact, char)
+            )
+        report = prim(checked, char)
+        assert imprimitive_lattice(checked, char) == expected[prime][0], char
+        assert (report.free_rank, report.torsion) == expected[prime][1], char
+        if not elements:
+            continue
+        table = enumerate_classes(checked)
+        candidates = report.kernel.elements(table) + [BurnsideElement.zero(table)]
+        if report.generator is not None:
+            candidates += [report.generator, 2 * report.generator]
+            candidates += [report.generator + x for x in candidates[:2]]
+        for x in candidates:
+            answer = generates_quotient(checked, char, x)
+            assert answer == generates_quotient_by_snf(exact, char, x), (char, x.coeffs)
+
+
+EXACT_ROUTE_NAMES = (
+    "A6", "C19:C18", "C2xC2xC2xC2", "D8xS3", "S4xC2", "C2xC2xC2xC2xC2", "D8xD8", "C3xS3", "S6",
+)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_certificate_matches_exact_route_on_corpus(name):
+    _assert_certificate_matches_exact_route(preset_group(name), elements=True)
+
+
+@pytest.mark.parametrize("name", EXACT_ROUTE_NAMES)
+def test_certificate_matches_exact_route(name):
+    _assert_certificate_matches_exact_route(preset_group(name))
+
+
+@given(permutation_groups())
+@settings(max_examples=40, deadline=None)
+def test_certificate_matches_exact_route_on_random_groups(group):
+    _assert_certificate_matches_exact_route(group, elements=True)
+
+
+def test_certificate_skips_hnf_and_snf_without_torsion(monkeypatch):
+    # D8 and S4 at characteristic 0 have torsion Z/2 and take the exact
+    # route; C2^4 and D8xS3 have none, and neither hnf nor snf runs
+    calls = []
+    for fname in ("hnf", "quotient_invariants"):
+        original = getattr(relations, fname)
+
+        def counting(*args, _fname=fname, _original=original):
+            calls.append(_fname)
+            return _original(*args)
+
+        monkeypatch.setattr(relations, fname, counting)
+    for name in ("C2xC2xC2xC2", "D8xS3"):
+        group = _cold_copy(preset_group(name))
+        for char in CORPUS_CHARACTERISTICS:
+            prim(group, char)
+        assert calls == [], name
+    for name in ("D8", "S4"):
+        prim(_cold_copy(preset_group(name)), 0)
+        assert calls == ["hnf", "quotient_invariants"], name
+        calls.clear()
+
+
+@pytest.mark.parametrize("name, char", [("C2xC2xC2xC2", 0), ("D8xS3", 3), ("A5", 0), ("S4", 0)])
+def test_ranks_read_the_generators_on_p(monkeypatch, name, char):
+    # every row the ranks take is an element of L restricted to the r
+    # coordinates P on which K's basis is the identity
+    group = _cold_copy(preset_group(name))
+    kernel = brauer_kernel(group, char).basis
+    unit = zlattice._unit_rows(kernel)
+    exact = imprimitive_lattice_by_hnf(_cold_copy(group), char)
+    on_p = IntMatrix([[col[i] for col in exact.columns()] for i in unit], cols=exact.cols)
+    taken = []
+    original = relations._rank_reaches
+
+    def recording(ell, rows, pivots, target):
+        taken.append(rows)
+        return original(ell, rows, pivots, target)
+
+    monkeypatch.setattr(relations, "_rank_reaches", recording)
+    imprimitive_lattice(group, char)
+    assert taken
+    for rows in taken:
+        assert rows.shape[1] == len(unit) == kernel.cols
+        for row in rows.tolist():
+            assert lattice_contains(on_p, row)
+
+
+def test_a_generator_outside_the_kernel_is_rejected(monkeypatch):
+    # the column e_0 of a view, its trivial class, induces to [G/1],
+    # whose mark at the trivial class is |G|: the M x = 0 check must
+    # catch it
+    group = _cold_copy(preset_group("A4"))
+    real = relations._view_kernels
+
+    def with_a_stray_column(table, hypo):
+        class_map = relations._maximal_views(table)[0][0]
+        yield IntMatrix([[1]] + [[0]] * (len(class_map) - 1)), class_map
+        yield from real(table, hypo)
+
+    monkeypatch.setattr(relations, "_view_kernels", with_a_stray_column)
+    with pytest.raises(InternalCheckError):
+        imprimitive_lattice(group, 5)
 
 
 def _hypo_mask(group, char):
@@ -546,9 +662,7 @@ def test_shared_lattices_match_cold_groups(name):
 
 
 def test_coprime_characteristics_reuse_the_lattices(monkeypatch):
-    group = _cold_copy(preset_group("C2xC2xC2xC2"))
-    prim(group, 0)
-    names = ("kernel_basis", "hnf", "quotient_invariants")
+    names = ("kernel_basis", "hnf", "quotient_invariants", "_certified_lattice")
     calls = dict.fromkeys(names, 0)
     for fname in names:
         original = getattr(relations, fname)
@@ -558,14 +672,26 @@ def test_coprime_characteristics_reuse_the_lattices(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(relations, fname, counting)
+    group = _cold_copy(preset_group("C2xC2xC2xC2"))
+    prim(group, 0)
+    assert calls["_certified_lattice"] == 1 and calls["hnf"] == 0, calls
+    calls.update(dict.fromkeys(names, 0))
     for char in (3, 5, 7):
         assert prim(group, char).characteristic == char
     assert calls == dict.fromkeys(names, 0)
     prim(group, 2)  # 2 divides |G|: a lattice of its own
-    assert calls["hnf"] > 0 and calls["quotient_invariants"] > 0, calls
     # at 2 every class of the 2-group and of its views is hypo-elementary,
-    # so each kernel is zero before kernel_basis is reached
-    assert calls["kernel_basis"] == 0, calls
+    # so the kernel is zero before kernel_basis is reached, and so is L
+    assert calls == {**dict.fromkeys(names, 0), "_certified_lattice": 1}, calls
+    # S4 has Z/2 torsion at 0: the lattice of the exact route is reused too
+    group = _cold_copy(preset_group("S4"))
+    calls.update(dict.fromkeys(names, 0))
+    prim(group, 0)
+    assert calls["hnf"] > 0 and calls["quotient_invariants"] > 0, calls
+    calls.update(dict.fromkeys(names, 0))
+    for char in (5, 7):
+        assert prim(group, char).characteristic == char
+    assert calls == dict.fromkeys(names, 0)
 
 
 def _assert_lattices_independent_of_char_order(group):
@@ -590,8 +716,11 @@ def test_imprimitive_lattice_independent_of_char_order_on_random_groups(group):
 @pytest.mark.parametrize("name", ("S4", "A5", "C5xQ8", "C2xC2xC2xC2", "D8xS3"))
 def test_views_and_hypo_classes_are_built_once(monkeypatch, name):
     # the maximal views are kept once per group, and the hypo-elementary
-    # classes over each N (1 or minimal normal) once per lattice prime,
-    # whatever the characteristics
+    # classes over N = 1 once per lattice prime, whatever the
+    # characteristics; the certificate takes the quotients by minimal
+    # normal N only until t != 0 (S4 at 0 takes the exact route, with
+    # the kernels the certificate took), and over each N the classes
+    # are built at most once per lattice prime
     group = _cold_copy(preset_group(name))
     views, hypo = [], []
     for fname, record in (("maximal_view", views.append), ("orders_modulo", hypo.append)):
@@ -602,15 +731,23 @@ def test_views_and_hypo_classes_are_built_once(monkeypatch, name):
             return _original(*args)
 
         monkeypatch.setattr(relations, fname, counting)
+    built = []  # (lattice prime, N) of each mask
     for char in CORPUS_CHARACTERISTICS:
         prim(group, char)
+        prime = relations._lattice_prime(group, char)
+        built += [(prime, args[1].indices.tobytes()) for args in hypo]
+        hypo.clear()
     table = enumerate_classes(group)
     maximal = table.maximal_classes()
+    # C5xQ8's ranks complete on its quotients, so no view is built
+    # until asked for here
+    relations._maximal_views(table)
     assert sorted(table.class_index_of(args[1].representative) for args in views) == list(maximal)
     primes = {relations._lattice_prime(group, char) for char in CORPUS_CHARACTERISTICS}
-    assert len([args for args in hypo if args[1].is_trivial()]) == len(primes)
-    normals = [table.classes[0].representative] + minimal_normal_subgroups(group)
-    assert len(hypo) == len(primes) * len(normals)
+    trivial = table.classes[0].representative.indices.tobytes()
+    assert sorted(prime for prime, normal in built if normal == trivial) == sorted(primes)
+    normals = {n.indices.tobytes() for n in minimal_normal_subgroups(group)} | {trivial}
+    assert len(set(built)) == len(built) and {normal for _, normal in built} <= normals
     # what the group keeps: class map and int32 marks per view
     kept = group._memo["maximal_views"]
     assert len(kept) == len(maximal)

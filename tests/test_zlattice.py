@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,8 +34,13 @@ from oracles import (
     lattice_contains,
     mat_mul,
     quotient_invariants_by_hnf,
+    rank_modulo_by_elimination,
     snf_by_dense_echelon,
 )
+
+
+def identity(n):
+    return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def minor_det(data, row_idx, col_idx):
@@ -233,7 +239,7 @@ def test_columns_match_column_by_column(rows, cols):
     m = IntMatrix([[(-1) ** j * (3 * i + j) for j in range(cols)] for i in range(rows)],
                   cols=cols)
     columns = m.columns()
-    assert columns == [m.column(j) for j in range(m.cols)]
+    assert columns == [[row[j] for row in m.data] for j in range(m.cols)]
     assert len(columns) == cols and all(len(c) == rows for c in columns)
     assert all(type(c) is list for c in columns)
 
@@ -244,7 +250,7 @@ def test_columns_match_column_by_column(rows, cols):
 @settings(max_examples=60, deadline=None)
 def test_columns_match_column_by_column_on_random_matrices(data):
     m = IntMatrix(data)
-    assert m.columns() == [m.column(j) for j in range(m.cols)]
+    assert m.columns() == [[row[j] for row in m.data] for j in range(m.cols)]
 
 
 def test_kernel_of_ones_row():
@@ -279,13 +285,13 @@ def test_kernel_certificate_rejects_a_pivot_column(monkeypatch):
 
 
 def test_quotient_invariants_diagonal():
-    ambient = IntMatrix.identity(2)
+    ambient = identity(2)
     sub = IntMatrix([[2, 0], [0, 3]])
     assert quotient_invariants(ambient, sub) == (0, (6,))
 
 
 def test_quotient_invariants_free_part():
-    ambient = IntMatrix.identity(3)
+    ambient = identity(3)
     sub = IntMatrix.from_columns([[2, 0, 0]], rows=3)
     assert quotient_invariants(ambient, sub) == (2, (2,))
 
@@ -304,7 +310,7 @@ def test_lattice_contains():
 
 
 def test_empty_kernel():
-    basis = kernel_basis(IntMatrix.identity(3))
+    basis = kernel_basis(identity(3))
     assert basis.cols == 0
     assert basis.rows == 3
 
@@ -368,7 +374,7 @@ def test_kernel_rank_and_membership(m):
     assert basis.cols == m.cols - rational_rank(m)
     for col in basis.columns():
         image = mat_mul(m, IntMatrix.from_columns([col]))
-        assert image.is_zero()
+        assert not any(map(any, image.data))
 
 
 @given(kernel_input)
@@ -389,7 +395,7 @@ def test_kernel_saturation(m):
             continue
         halved = [v // 2 for v in col]
         image = mat_mul(m, IntMatrix.from_columns([halved]))
-        if image.is_zero():
+        if not any(map(any, image.data)):
             assert lattice_contains(basis, halved)
 
 
@@ -432,8 +438,39 @@ def test_kernel_certificate_rejects_a_wrapped_residue(monkeypatch):
     assert len(calls) == 1
 
 
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-20, 20), min_size=n, max_size=n), max_size=14)
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_rank_reaches_the_rank_modulo_a_prime(ell, data):
+    # fed one block, or one row at a time into the same pivots, the
+    # echelon reaches the rank exactly and never one more
+    rank = rank_modulo_by_elimination(data, ell)
+    rows = np.array(data, dtype=np.int64).reshape(len(data), len(data[0]) if data else 1)
+    assert zlattice._rank_reaches(ell, rows, {}, rank + 1) is False
+    if rank:
+        assert zlattice._rank_reaches(ell, rows, {}, rank) is True
+        pivots = {}
+        reached = [
+            zlattice._rank_reaches(ell, rows[i:i + 1], pivots, rank) for i in range(len(data))
+        ]
+        assert reached.count(True) == 1 and len(pivots) == rank
+
+
+def test_unit_rows():
+    assert zlattice._unit_rows(IntMatrix([[1, 0], [5, 0], [0, 1], [3, -2]])) == [0, 2]
+    assert zlattice._unit_rows(IntMatrix([[0], [0]])) is None
+    assert zlattice._unit_rows(IntMatrix([[2, 0], [0, 1]])) is None  # a pivot is not 1
+    assert zlattice._unit_rows(IntMatrix([[1, 0], [0, 1], [1, 1]])) == [0, 1]
+    assert zlattice._unit_rows(IntMatrix([[1, 1], [0, 1]])) is None  # not the identity there
+    assert zlattice._unit_rows(IntMatrix([[], []])) == []
+
+
 def test_kernel_of_a_matrix_with_no_rows():
-    assert kernel_basis(IntMatrix([], cols=3)) == IntMatrix.identity(3)
+    assert kernel_basis(IntMatrix([], cols=3)) == identity(3)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
