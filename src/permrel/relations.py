@@ -143,6 +143,9 @@ from .zlattice import (
     quotient_invariants,
 )
 
+# entries, 8 bytes each, of one product in the M x = 0 check
+_CHECK_ENTRIES = 2**20
+
 PREDICTION_SOURCES = (
     "Hypo",
     "Thm2.9a",
@@ -390,8 +393,11 @@ def _certified_lattice(table, kernel, hypo, quotients, views, seen):
         b = _int64(basis, len(class_map) * group.order)
         if b is None:
             return None
-        if (marks[class_map][:, :, None] * b[:, None, :]).sum(axis=0).any():
-            raise InternalCheckError("an imprimitive generator is not in the kernel")
+        m = marks[class_map]
+        step = max(1, _CHECK_ENTRIES // (b.size or 1))  # hypo columns per product
+        for h in range(0, m.shape[1], step):
+            if (m[:, h:h + step, None] * b[:, None, :]).sum(axis=0).any():
+                raise InternalCheckError("an imprimitive generator is not in the kernel")
         moved = np.zeros((r + 1, basis.cols), dtype=np.int64)
         np.add.at(moved, slot[class_map], b)
         return moved[:r].T
@@ -450,29 +456,24 @@ def imprimitive_lattice(group, characteristic):
     Only the maximal subgroups and the quotients by minimal normal
     subgroups are visited, each as a view of the group's own class
     table and marks; the module docstring says why that suffices, and
-    how the certificate finds the lattice, and K/L's invariants, which
-    it keeps for ``prim``.
+    how the certificate finds the lattice.  Its memo entry pairs the
+    free rank of K/L that the certificate proved, None where the exact
+    route ran, with the lattice.
     """
-    lattice_prime = _lattice_prime(group, characteristic)
-    key = ("imprimitive", lattice_prime)
-    cached = group._memo.get(key)
-    if cached is not None:
-        return cached
-    p = effective_prime(group, characteristic)
-    table = enumerate_classes(group)
-    kernel = brauer_kernel(group, characteristic).basis
-    hypo = _own_hypo_mask(table, p)
-    quotients = (quotient_kernel(table, normal, p) for normal in minimal_normal_subgroups(group))
-    views, seen = _view_kernels(table, hypo), []
-    certified = _certified_lattice(table, kernel, hypo, quotients, views, seen)
-    if certified is None:
-        kernels = itertools.chain(seen, views, quotients)
-        result = _lattice_by_hnf(len(table.classes), kernels)
-    else:
-        free_rank, result = certified
-        group._memo[("prim_invariants", lattice_prime)] = (free_rank, ())
-    group._memo[key] = result
-    return result
+    key = ("imprimitive", _lattice_prime(group, characteristic))
+    if key not in group._memo:
+        p = effective_prime(group, characteristic)
+        table = enumerate_classes(group)
+        kernel = brauer_kernel(group, characteristic).basis
+        hypo = _own_hypo_mask(table, p)
+        quotients = (quotient_kernel(table, normal, p) for normal in minimal_normal_subgroups(group))
+        views, seen = _view_kernels(table, hypo), []
+        certified = _certified_lattice(table, kernel, hypo, quotients, views, seen)
+        if certified is None:
+            kernels = itertools.chain(seen, views, quotients)
+            certified = None, _lattice_by_hnf(len(table.classes), kernels)
+        group._memo[key] = certified
+    return group._memo[key][1]
 
 
 @dataclass
@@ -607,9 +608,14 @@ def prim(group, characteristic):
     table = enumerate_classes(group)
     kernel = brauer_kernel(group, characteristic)
     imprim = imprimitive_lattice(group, characteristic)
-    key = ("prim_invariants", _lattice_prime(group, characteristic))
+    lattice_prime = _lattice_prime(group, characteristic)
+    key = ("prim_invariants", lattice_prime)
     if key not in group._memo:
-        group._memo[key] = quotient_invariants(kernel.basis, imprim)
+        free_rank = group._memo[("imprimitive", lattice_prime)][0]
+        if free_rank is None:
+            group._memo[key] = quotient_invariants(kernel.basis, imprim)
+        else:
+            group._memo[key] = free_rank, ()
     free_rank, torsion = group._memo[key]
     generator = _extract_generator(table, kernel)
     prediction = predict_prim(group, characteristic)
@@ -789,28 +795,18 @@ def generates_quotient(group, characteristic, element):
     """True when the element together with the imprimitive lattice spans
     the whole kernel, i.e. its residue generates the primitive quotient.
 
-    The certificate of the module docstring asks this of L + Zx: with t
-    the gcd of y_G over L, read off L's Hermite basis, t' = gcd(t, x_G)
-    must be nonzero and the rank modulo each prime of |G| t' must reach
-    r.  Without a unit basis of K, or for x outside K, the quotient
-    invariants decide (and reject an x outside K).
+    Without torsion K/L is read off ``prim``'s free rank, as the module
+    docstring shows: L = K when it is 0, so every x in K generates, and
+    L = K and {x_G = 0} when it is 1, so x generates exactly when x_G
+    generates K's coordinates at G.  With torsion, or for x outside K,
+    the quotient invariants of L + Zx decide (and reject an x outside K).
     """
     _check_group(group, element)
-    kernel = brauer_kernel(group, characteristic).basis
-    imprim = imprimitive_lattice(group, characteristic)
-    unit, r = _unit_rows(kernel), kernel.cols
+    report = prim(group, characteristic)
+    kernel, imprim = report.kernel.basis, report.imprimitive
     x = list(element.coeffs)
-    if unit is not None and verify_relation(group, characteristic, element):
-        if not r:
-            return True  # K = 0
-        t = math.gcd(x[-1], *imprim.data[-1])
-        if not t:
-            return False
-        columns = imprim.columns() + [x]
-        return all(
-            _rank_reaches(ell, np.array([[c[i] % ell for i in unit] for c in columns]), {}, r)
-            for ell in prime_factors(group.order * t)
-        )
+    if not report.torsion and verify_relation(group, characteristic, element):
+        return not report.free_rank or abs(x[-1]) == math.gcd(*kernel.data[-1])
     stacked = _from_rows([row + [v] for row, v in zip(imprim.data, x)], imprim.cols + 1)
     free_rank, torsion = quotient_invariants(kernel, stacked)
     return free_rank == 0 and not torsion

@@ -428,6 +428,28 @@ def test_a_generator_outside_the_kernel_is_rejected(monkeypatch):
         imprimitive_lattice(group, 5)
 
 
+@pytest.mark.parametrize("entries", (1, relations._CHECK_ENTRIES))
+def test_the_kernel_check_reads_every_hypo_class(monkeypatch, entries):
+    # e_0 - |M| e_M in A4's view of its maximal C3 induces to
+    # [G/1] - 3 [G/C3], with mark 0 at the trivial class and at C2 but
+    # -3 at C3; the check must reach C3 also when it takes G's
+    # hypo-elementary classes one at a time
+    group = _cold_copy(preset_group("A4"))
+    real = relations._view_kernels
+
+    def with_a_stray_column(table, hypo):
+        class_map = relations._maximal_views(table)[0][0]
+        order = table.classes[table.maximal_classes()[0]].representative.order
+        column = [[1]] + [[0]] * (len(class_map) - 2) + [[-order]]
+        yield IntMatrix(column), class_map
+        yield from real(table, hypo)
+
+    monkeypatch.setattr(relations, "_CHECK_ENTRIES", entries)
+    monkeypatch.setattr(relations, "_view_kernels", with_a_stray_column)
+    with pytest.raises(InternalCheckError):
+        imprimitive_lattice(group, 5)
+
+
 def _hypo_mask(group, char):
     mask = np.zeros(len(enumerate_classes(group)), dtype=bool)
     mask[list(hypo_class_indices(group, char))] = True
