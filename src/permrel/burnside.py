@@ -10,8 +10,6 @@ it is lower triangular in the class order, its diagonal entry at H is
 #N_G(H)/#H, and its first column is the index [G:H].
 """
 
-from fractions import Fraction
-
 import numpy as np
 
 from . import _kernels as kernels
@@ -175,38 +173,29 @@ def mark_vector(x):
     return out
 
 
-def multiply(a, b):
-    """Product in the Burnside ring, via marks and back substitution.
+def _from_marks(table, marks):
+    """The element of ``table``'s Burnside ring with the given marks.
 
-    Marks are multiplicative, and the table of marks is triangular with
-    nonzero diagonal, so the product's coefficients solve a triangular
-    system.  A non-integer during back substitution means the table is
-    corrupt, and raises InternalCheckError.
+    The table of marks is lower triangular with nonzero diagonal, so
+    the coefficients solve a triangular system by back substitution.  A
+    remainder means no integral element has these marks, and raises
+    InternalCheckError.
     """
-    a._check_same(b)
-    marks = marks_table(a.table.group, a.table).m
-    k = len(a.coeffs)
-    va = mark_vector(a)
-    vb = mark_vector(b)
-    target = [x * y for x, y in zip(va, vb)]
+    m = marks_table(table.group, table).m
+    k = len(marks)
     coeffs = [0] * k
     for j in range(k - 1, -1, -1):
-        acc = Fraction(target[j])
-        for i in range(j + 1, k):
-            if coeffs[i] and marks[i][j]:
-                acc -= Fraction(coeffs[i] * marks[i][j])
-        val = acc / Fraction(marks[j][j])
-        if val.denominator != 1:
-            raise InternalCheckError("burnside product is not integral")
-        coeffs[j] = int(val)
-    return BurnsideElement(a.table, coeffs)
+        acc = marks[j] - sum(coeffs[i] * m[i][j] for i in range(j + 1, k) if coeffs[i])
+        coeffs[j], rem = divmod(acc, m[j][j])
+        if rem:
+            raise InternalCheckError("marks of no Burnside element")
+    return BurnsideElement(table, coeffs)
 
 
-def _class_of_perms(table, perms):
-    """Class index in ``table`` of the subgroup formed by ``perms``."""
-    group = table.group
-    indices = np.asarray(sorted(group.index(p) for p in perms), dtype=np.int32)
-    return table.class_index_of(Subgroup(group, indices))
+def multiply(a, b):
+    """Product in the Burnside ring: marks are multiplicative."""
+    a._check_same(b)
+    return _from_marks(a.table, [x * y for x, y in zip(mark_vector(a), mark_vector(b))])
 
 
 def _induction_map(table_h, table_g):
@@ -246,37 +235,13 @@ def induct(table_h, table_g, x):
 def restrict(table_g, table_h, x):
     """Restriction of Burnside elements along H <= G.
 
-    [G/U] restricted to H decomposes over the H\\G/U double cosets as
-    the disjoint union of H/(H meet gUg^-1).
+    The mark of Res x at K <= H is the mark of x at K, that is at K's
+    G-class; H acts on the same points as G, as for ``induct``.
     """
     if x.table is not table_g:
         raise InputError("element does not belong to the source table")
-    g_group = table_g.group
-    h_group = table_h.group
-    mult = g_group.mult
-    inv = g_group.inv
-    h_in_g = np.asarray(
-        sorted(g_group.index(p) for p in h_group.elements), dtype=np.int32
-    )
-    h_mask = np.zeros(g_group.order, dtype=bool)
-    h_mask[h_in_g] = True
-    out = [0] * len(table_h.classes)
-    for i, c in enumerate(x.coeffs):
-        if not c:
-            continue
-        u = table_g.classes[i].representative
-        visited = np.zeros(g_group.order, dtype=bool)
-        for g in range(g_group.order):
-            if visited[g]:
-                continue
-            # mark the double coset H g U
-            block = mult[np.ix_(h_in_g, mult[g, u.indices])]
-            visited[block.ravel()] = True
-            conj = mult[mult[g, u.indices], inv[g]]
-            stab_in_g = conj[h_mask[conj]]
-            stab_perms = [g_group.elements[s] for s in stab_in_g]
-            out[_class_of_perms(table_h, stab_perms)] += c
-    return BurnsideElement(table_h, out)
+    marks = mark_vector(x)
+    return _from_marks(table_h, [marks[c] for c in _induction_map(table_h, table_g)])
 
 
 def inflate(table_quotient, table_g, x, quotient_map):

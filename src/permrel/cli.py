@@ -39,6 +39,8 @@ def parse_group_spec(spec, element_cap=DEFAULT_ELEMENT_CAP):
     if kind == "perm":
         degree = _field(spec, "degree", int)
         gens = _field(spec, "generators", list)
+        if not all(isinstance(text, str) for text in gens):
+            raise InputError("group spec generators must be cycle strings")
         perms = [parse_cycles(degree, text) for text in gens]
         return generate(degree, perms, element_cap=element_cap)
     if kind == "semidirect":
@@ -177,9 +179,7 @@ def _cmd_classify(args, stream):
         "dress_pairs": [list(pair) for pair in report.dress_pairs],
     }
     if args.characteristic is not None:
-        char = _parse_characteristic(args.characteristic)
-        args.characteristic = char
-        p = effective_prime(group, char)
+        p = effective_prime(group, args.characteristic)
         result["effective_prime"] = p
         result["main_cases"] = [
             {"tag": match.tag, "witness": _jsonable(match.witness)}
@@ -208,8 +208,7 @@ def _cmd_marks(args, stream):
 
 def _cmd_kernel(args, stream):
     spec, group = _load_group(args)
-    char = _parse_characteristic(args.characteristic)
-    args.characteristic = char
+    char = args.characteristic
     table = enumerate_classes(group)
     kernel = brauer_kernel(group, char)
     labels = _class_labels(table)
@@ -239,8 +238,7 @@ def _cmd_kernel(args, stream):
 
 def _cmd_prim(args, stream):
     spec, group = _load_group(args)
-    char = _parse_characteristic(args.characteristic)
-    args.characteristic = char
+    char = args.characteristic
     table = enumerate_classes(group)
     report = prim(group, char)
     prediction = report.prediction
@@ -276,8 +274,7 @@ def _cmd_prim(args, stream):
 
 
 def _cmd_theta(args, stream):
-    char = _parse_characteristic(args.characteristic)
-    args.characteristic = char
+    char = args.characteristic
     if args.family == "mn":
         for name in ("l", "m", "n"):
             if getattr(args, name) is None:
@@ -475,6 +472,14 @@ def _build_parser():
     return parser
 
 
+_COMMANDS = {
+    "classify": _cmd_classify,
+    "marks": _cmd_marks,
+    "kernel": _cmd_kernel,
+    "prim": _cmd_prim,
+    "theta": _cmd_theta,
+    "corpus": _cmd_corpus,
+}
 _CSV_COMMANDS = ("marks", "kernel", "corpus")
 
 
@@ -492,19 +497,9 @@ def run_command(argv, stream=None):
             )
         if args.max_order is not None and args.max_order < 1:
             raise InputError("--max-order must be at least 1")
-        if args.command == "classify":
-            return _cmd_classify(args, stream)
-        if args.command == "marks":
-            return _cmd_marks(args, stream)
-        if args.command == "kernel":
-            return _cmd_kernel(args, stream)
-        if args.command == "prim":
-            return _cmd_prim(args, stream)
-        if args.command == "theta":
-            return _cmd_theta(args, stream)
-        if args.command == "corpus":
-            return _cmd_corpus(args, stream)
-        raise InputError("unknown command: %r" % args.command)
+        if getattr(args, "characteristic", None) is not None:
+            args.characteristic = _parse_characteristic(args.characteristic)
+        return _COMMANDS[args.command](args, stream)
     except PermrelError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code

@@ -3,10 +3,13 @@ cyclic, dihedral, symmetric, alternating, quaternion, affine
 semidirect products over a prime field, and direct products.
 """
 
+import numpy as np
+
 from .errors import InputError
 from .numtheory import element_of_order, is_prime
 from .perm import DEFAULT_ELEMENT_CAP, Permutation, from_cycles, generate
 from .subgroups import Subgroup
+from .zlattice import _rank_reaches
 
 
 def cyclic_group(n, element_cap=DEFAULT_ELEMENT_CAP):
@@ -140,26 +143,18 @@ def matrix_permutation(matrix, l, d):
     return Permutation(images)
 
 
-def _matrix_is_invertible(matrix, l, d):
-    a = [[matrix[i][j] % l for j in range(d)] for i in range(d)]
-    rank = 0
-    for col in range(d):
-        piv = None
-        for row in range(rank, d):
-            if a[row][col] % l:
-                piv = row
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][col], l - 2, l)
-        a[rank] = [(v * inv) % l for v in a[rank]]
-        for row in range(d):
-            if row != rank and a[row][col]:
-                factor = a[row][col]
-                a[row] = [(x - factor * y) % l for x, y in zip(a[row], a[rank])]
-        rank += 1
-    return rank == d
+def _is_square(matrix, d):
+    """Whether ``matrix`` is d lists of d integers."""
+    return (
+        isinstance(matrix, (list, tuple))
+        and len(matrix) == d
+        and all(
+            isinstance(row, (list, tuple))
+            and len(row) == d
+            and all(isinstance(v, int) for v in row)
+            for row in matrix
+        )
+    )
 
 
 _AFFINE_CACHE = {}
@@ -177,28 +172,22 @@ def affine_group(l, d, matrices, element_cap=DEFAULT_ELEMENT_CAP):
         raise InputError("l must be prime, got %d" % l)
     if d < 1:
         raise InputError("rank d must be at least 1")
-    cache_key = (
-        l,
-        d,
-        tuple(tuple(tuple(int(v) % l for v in row) for row in m) for m in matrices),
-    )
+    if not all(_is_square(matrix, d) for matrix in matrices):
+        raise InputError("matrices must be %d x %d, of integers" % (d, d))
+    residues = tuple(tuple(tuple(v % l for v in row) for row in m) for m in matrices)
+    cache_key = (l, d, residues)
     cached = _AFFINE_CACHE.get(cache_key)
     if cached is not None:
         return cached
-    mats = []
-    for matrix in matrices:
-        rows = [list(row) for row in matrix]
-        if len(rows) != d or any(len(r) != d for r in rows):
-            raise InputError("matrices must be %d x %d" % (d, d))
-        if not _matrix_is_invertible(rows, l, d):
-            raise InputError("matrix %r is singular modulo %d" % (rows, l))
-        mats.append(rows)
+    for matrix, rows in zip(matrices, residues):
+        if not _rank_reaches(l, np.array(rows, dtype=np.int64), {}, d):
+            raise InputError("matrix %r is singular modulo %d" % ([list(r) for r in matrix], l))
     gens = []
     for axis in range(d):
         shift = [0] * d
         shift[axis] = 1
         gens.append(translation_permutation(shift, l, d))
-    gens.extend(matrix_permutation(m, l, d) for m in mats)
+    gens.extend(matrix_permutation(m, l, d) for m in residues)
     group = generate(l ** d, gens, element_cap=element_cap)
 
     # W is generated by the d unit translations

@@ -7,6 +7,7 @@ identity, because the identity is the lexicographically smallest
 permutation of its degree.
 """
 
+import math
 import re
 
 import numpy as np
@@ -62,10 +63,7 @@ class Permutation:
         return all(i == v for i, v in enumerate(self.images))
 
     def order(self):
-        out = 1
-        for cyc in self.cycles():
-            out = out * len(cyc) // _gcd(out, len(cyc))
-        return out
+        return math.lcm(*map(len, self.cycles()))
 
     def cycles(self):
         """Nontrivial cycles, each rotated to start at its least point."""
@@ -100,12 +98,6 @@ class Permutation:
 
     def __str__(self):
         return cycle_string(self)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def identity(degree):

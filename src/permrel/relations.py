@@ -368,8 +368,8 @@ def _view_kernels(table, hypo):
 
 
 def _certified_lattice(table, kernel, hypo, quotients, views, seen):
-    """(free rank, Hermite basis of L) by the certificate of the module
-    docstring, or None when a prime shows torsion or the certificate
+    """(free rank, torsion, Hermite basis of L) by the certificate of the
+    module docstring, or None when a prime shows torsion or the certificate
     does not apply.  It takes the generators from the kernels of
     ``quotients`` until t != 0, then from those of ``views``, then from
     the other quotients, and stops once every rank is complete; each
@@ -377,7 +377,7 @@ def _certified_lattice(table, kernel, hypo, quotients, views, seen):
     group = table.group
     k, r = kernel.rows, kernel.cols
     if r == 0:
-        return 0, kernel
+        return 0, (), kernel
     unit = _unit_rows(kernel)
     if unit is None:
         return None
@@ -422,11 +422,11 @@ def _certified_lattice(table, kernel, hypo, quotients, views, seen):
             return None
         primes = [ell for ell in primes if not _rank_reaches(ell, rows, pivots[ell], target)]
     if not free_rank:
-        return 0, kernel
+        return 0, (), kernel
     h = kernel_basis(_from_rows([kernel.data[-1]], r)).columns()
     h = [[(j, c) for j, c in enumerate(col) if c] for col in h]
     data = [[sum(row[j] * c for j, c in col) for col in h] for row in kernel.data]
-    return 1, _from_rows(data, r - 1)
+    return 1, (), _from_rows(data, r - 1)
 
 
 def _lattice_by_hnf(k, kernels):
@@ -456,9 +456,9 @@ def imprimitive_lattice(group, characteristic):
     Only the maximal subgroups and the quotients by minimal normal
     subgroups are visited, each as a view of the group's own class
     table and marks; the module docstring says why that suffices, and
-    how the certificate finds the lattice.  Its memo entry pairs the
-    free rank of K/L that the certificate proved, None where the exact
-    route ran, with the lattice.
+    how the certificate finds the lattice.  Its memo entry holds the
+    free rank and torsion of K/L with the lattice: the certificate's,
+    or, after the exact route, those of ``quotient_invariants``.
     """
     key = ("imprimitive", _lattice_prime(group, characteristic))
     if key not in group._memo:
@@ -471,9 +471,10 @@ def imprimitive_lattice(group, characteristic):
         certified = _certified_lattice(table, kernel, hypo, quotients, views, seen)
         if certified is None:
             kernels = itertools.chain(seen, views, quotients)
-            certified = None, _lattice_by_hnf(len(table.classes), kernels)
+            lattice = _lattice_by_hnf(len(table.classes), kernels)
+            certified = *quotient_invariants(kernel, lattice), lattice
         group._memo[key] = certified
-    return group._memo[key][1]
+    return group._memo[key][2]
 
 
 @dataclass
@@ -557,38 +558,35 @@ def _extract_generator(table, kernel):
     group, when one exists.
 
     Preference order: the Hermite basis column whose last coordinate is
-    a unit and whose entry list is lexicographically least; otherwise an
-    extended-gcd combination of basis columns when the last coordinates
-    are coprime; otherwise None.
+    a unit and whose entry list, times that unit, is lexicographically
+    least; otherwise an extended-gcd combination of basis columns when
+    the last coordinates are coprime; otherwise None.
     """
-    basis = kernel.basis
-    if basis.cols == 0:
+    data = kernel.basis.data
+    at_g = data[-1]
+    if not kernel.basis.cols or math.gcd(*at_g) != 1:
         return None
-    last = basis.rows - 1
-    cols = basis.columns()
-    candidates = [
-        col if col[last] == 1 else [-v for v in col]
-        for col in cols
-        if abs(col[last]) == 1
-    ]
-    if candidates:
-        return BurnsideElement(table, min(candidates))
-    g = 0
-    combo = [0] * basis.rows
-    for col in cols:
-        coeff = col[last]
-        if coeff == 0:
-            continue
-        new_g, x, y = xgcd(g, coeff)
-        combo = [x * a + y * b for a, b in zip(combo, col)]
-        g = new_g
-        if g == 1:
+    # the unit columns, each times its unit, filtered row by row to the least
+    units = [j for j, c in enumerate(at_g) if c == 1 or c == -1]
+    for row in data:
+        if len(units) < 2:
             break
-    if g != 1:
-        return None
-    if combo[last] == -1:
-        combo = [-v for v in combo]
-    if combo[last] != 1:
+        signed = [row[j] * at_g[j] for j in units]
+        least = min(signed)
+        units = [j for j, v in zip(units, signed) if v == least]
+    if units:
+        j = units[0]
+        return BurnsideElement(table, [at_g[j] * row[j] for row in data])
+    g, coeffs = 0, {}  # the coefficient of each basis column
+    for j, c in enumerate(at_g):
+        if c:
+            g, x, y = xgcd(g, c)
+            coeffs = {i: x * a for i, a in coeffs.items()}
+            coeffs[j] = y
+            if g == 1:
+                break
+    combo = [sum(a * row[j] for j, a in coeffs.items()) for row in data]
+    if combo[-1] != 1:
         raise InternalCheckError("generator extraction lost the unit coefficient")
     return BurnsideElement(table, combo)
 
@@ -596,11 +594,10 @@ def _extract_generator(table, kernel):
 def prim(group, characteristic):
     """The primitive quotient: kernel modulo the imprimitive sublattice.
 
-    Its invariants come with the lattice from ``imprimitive_lattice``'s
-    certificate, or, when that shows torsion, from the Smith form of
-    ``quotient_invariants``.  When the structural prediction covers the
-    group, the computed invariants must match it exactly; disagreement
-    raises InternalCheckError.
+    Its invariants are those ``imprimitive_lattice`` keeps with the
+    lattice.  When the structural prediction covers the group, the
+    computed invariants must match it exactly; disagreement raises
+    InternalCheckError.
     """
     cached = group._memo.get(("prim", characteristic))
     if cached is not None:
@@ -608,15 +605,7 @@ def prim(group, characteristic):
     table = enumerate_classes(group)
     kernel = brauer_kernel(group, characteristic)
     imprim = imprimitive_lattice(group, characteristic)
-    lattice_prime = _lattice_prime(group, characteristic)
-    key = ("prim_invariants", lattice_prime)
-    if key not in group._memo:
-        free_rank = group._memo[("imprimitive", lattice_prime)][0]
-        if free_rank is None:
-            group._memo[key] = quotient_invariants(kernel.basis, imprim)
-        else:
-            group._memo[key] = free_rank, ()
-    free_rank, torsion = group._memo[key]
+    free_rank, torsion, _ = group._memo[("imprimitive", _lattice_prime(group, characteristic))]
     generator = _extract_generator(table, kernel)
     prediction = predict_prim(group, characteristic)
     if prediction.covered:

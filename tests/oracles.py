@@ -8,7 +8,13 @@ import numpy as np
 from hypothesis import strategies as st
 
 from permrel import _kernels
-from permrel.burnside import element_from_subgroups, fixed_points, induct, inflate
+from permrel.burnside import (
+    BurnsideElement,
+    element_from_subgroups,
+    fixed_points,
+    induct,
+    inflate,
+)
 from permrel.classify import (
     DressDecomposition,
     DressSection,
@@ -30,7 +36,7 @@ from permrel.classify import (
 )
 from permrel.constructions import affine_group, decode_vector, encode_vector
 from permrel.errors import InputError, InternalCheckError
-from permrel.numtheory import p_part, prime_factors, prime_to_p_part
+from permrel.numtheory import p_part, prime_factors, prime_to_p_part, xgcd
 from permrel.perm import Permutation, generate
 from permrel.presets import CORPUS_NAMES
 from permrel.relations import (
@@ -427,6 +433,43 @@ def generates_quotient_by_snf(group, characteristic, element):
     imprim = imprimitive_lattice_by_hnf(group, characteristic)
     stacked = IntMatrix.from_columns(imprim.columns() + [list(element.coeffs)], rows=kernel.rows)
     return quotient_invariants(kernel, stacked) == (0, ())
+
+
+def extract_generator_by_columns(table, kernel):
+    """``prim``'s generator from whole columns: the least of the Hermite
+    basis columns with a unit last coordinate, each times that unit, or
+    else the extended-gcd combination of all columns, built column by
+    column; None when the last coordinates are not coprime."""
+    basis = kernel.basis
+    if basis.cols == 0:
+        return None
+    last = basis.rows - 1
+    cols = basis.columns()
+    candidates = [
+        col if col[last] == 1 else [-v for v in col]
+        for col in cols
+        if abs(col[last]) == 1
+    ]
+    if candidates:
+        return BurnsideElement(table, min(candidates))
+    g = 0
+    combo = [0] * basis.rows
+    for col in cols:
+        coeff = col[last]
+        if coeff == 0:
+            continue
+        new_g, x, y = xgcd(g, coeff)
+        combo = [x * a + y * b for a, b in zip(combo, col)]
+        g = new_g
+        if g == 1:
+            break
+    if g != 1:
+        return None
+    if combo[last] == -1:
+        combo = [-v for v in combo]
+    if combo[last] != 1:
+        raise InternalCheckError("generator extraction lost the unit coefficient")
+    return BurnsideElement(table, combo)
 
 
 def rank_modulo_by_elimination(rows, ell):

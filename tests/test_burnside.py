@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from permrel.burnside import (
     BurnsideElement,
+    _from_marks,
     element_from_subgroups,
     fixed_points,
     induct,
@@ -15,7 +16,7 @@ from permrel.burnside import (
     multiply,
     restrict,
 )
-from permrel.errors import InputError
+from permrel.errors import InputError, InternalCheckError
 from permrel.perm import generate, parse_cycles
 from permrel.presets import CORPUS_NAMES, preset_group
 from permrel.subgroups import (
@@ -125,6 +126,14 @@ def test_multiply_s3_transitive_square():
     b_c2 = BurnsideElement.basis(table, 1)
     square = multiply(b_c2, b_c2)
     assert square.coeffs == (1, 1, 0, 0)
+
+
+def test_marks_of_no_element_are_rejected():
+    # (1, 0, 0, 0) are the marks of 1/6 [S3/1]: no integral solution
+    table = enumerate_classes(_s3())
+    assert _from_marks(table, [6, 0, 0, 0]).coeffs == (1, 0, 0, 0)
+    with pytest.raises(InternalCheckError):
+        _from_marks(table, [1, 0, 0, 0])
 
 
 def test_multiply_identity_and_zero():

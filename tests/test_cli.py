@@ -259,6 +259,24 @@ def test_spec_rejects_malformed():
         parse_group_spec({"type": "product", "parts": []})
 
 
+@pytest.mark.parametrize("spec", [
+    {"type": "semidirect", "l": 3, "d": 2, "matrices": [[[0, 2.5], [1, 0]]]},
+    {"type": "semidirect", "l": 3, "d": 2, "matrices": [[[0, "a"], [1, 0]]]},
+    {"type": "semidirect", "l": 3, "d": 2, "matrices": [[0, 2]]},
+    {"type": "semidirect", "l": 3, "d": 2, "matrices": [[[0, 2], [1, 0], [1, 1]]]},
+    {"type": "semidirect", "l": 3, "d": 2, "matrices": [[[0, 2], [1]]]},
+    {"type": "perm", "degree": 3, "generators": [5]},
+], ids=["float", "string", "flat", "tall", "ragged", "int-generator"])
+def test_malformed_spec_entry_is_an_input_error(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, text = _run(["classify", "--group", str(path)])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(InputError):
+        parse_group_spec(spec)
+
+
 def test_product_and_semidirect_specs(specdir):
     report = _run_json(["classify", "--group", str(specdir / "prod.json")])
     assert report["result"]["order"] == 18

@@ -4,6 +4,7 @@ constructions, checked against independently computed values."""
 import random
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from permrel.zlattice import IntMatrix
 from oracles import (
     LADDER_NAMES,
     classes_containing_by_loop,
+    extract_generator_by_columns,
     generates_quotient_by_snf,
     imprimitive_lattice_by_hnf,
     imprimitive_lattice_by_subquotient_groups,
@@ -898,6 +900,52 @@ def test_prim_no_unit_generator_cases():
     assert report.generator is None
 
 
+def _coeffs(element):
+    return None if element is None else element.coeffs
+
+
+@pytest.mark.parametrize(
+    "name",
+    CORPUS_NAMES + ("A6", "C19:C18", "C2xC2xC2xC2", "D8xS3", "S4xC2", "C2xC2xC2xC2xC2"),
+)
+def test_generator_matches_columns_oracle(name):
+    group = preset_group(name)
+    table = enumerate_classes(group)
+    for char in CORPUS_CHARACTERISTICS:
+        kernel = brauer_kernel(group, char)
+        want = extract_generator_by_columns(table, kernel)
+        assert _coeffs(relations._extract_generator(table, kernel)) == _coeffs(want), char
+
+
+@given(permutation_groups(), st.sampled_from(CORPUS_CHARACTERISTICS))
+@settings(max_examples=40, deadline=None)
+def test_generator_matches_columns_oracle_on_random_groups(group, char):
+    table = enumerate_classes(group)
+    kernel = brauer_kernel(group, char)
+    want = extract_generator_by_columns(table, kernel)
+    assert _coeffs(relations._extract_generator(table, kernel)) == _coeffs(want)
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda k: st.lists(
+            st.lists(st.sampled_from((-3, -2, -1, -1, 0, 1, 1, 2, 4, 6)), min_size=k, max_size=k),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_generator_matches_columns_oracle_on_any_columns(columns):
+    # ties, unit entries of both signs and combinations of non-units,
+    # on columns no kernel need have; a stand-in table gives the length
+    k = len(columns[0])
+    table = SimpleNamespace(classes=[None] * k)
+    kernel = SimpleNamespace(basis=IntMatrix.from_columns(columns, rows=k))
+    want = extract_generator_by_columns(table, kernel)
+    assert _coeffs(relations._extract_generator(table, kernel)) == _coeffs(want)
+
+
 def test_predictions_match_computation_on_products():
     # C3 x S3 matches the two line semidirect shape on paper, but the
     # prediction ladder routes it through the quotient trichotomy first;
@@ -1122,6 +1170,18 @@ THETA_HIGHDIM_CASES = [
     (3, 2, [[[2, 0], [0, 1]], [[1, 0], [0, 2]]]),
     (2, 2, []),
 ]
+
+
+@pytest.mark.parametrize("l,mats", [
+    (2, [[[1, 1], [1, 1]]]),
+    (3, [[[1, 2], [2, 1]]]),
+    (3, [[[3, 0], [0, 1]]]),
+    (5, [[[5]]]),
+    (3, [[[0, 2], [1, 0]], [[1, 1], [1, 1]]]),
+])
+def test_affine_group_rejects_a_singular_matrix(l, mats):
+    with pytest.raises(InputError, match="singular modulo %d" % l):
+        affine_group(l, len(mats[0]), mats)
 
 
 @pytest.mark.parametrize("l,d,mats", THETA_HIGHDIM_CASES + [
