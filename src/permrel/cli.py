@@ -282,11 +282,12 @@ def _cmd_theta(args, stream):
         if (args.alpha is None) != (args.beta is None):
             raise InputError("--alpha and --beta must be given together")
         if args.alpha is None:
-            g, alpha, _ = xgcd(args.m, args.n)
-            if g != 1:
-                raise InputError("m and n must be coprime")
-            alpha %= args.n
-            beta = (1 - alpha * args.m) // args.n
+            # alpha*m + beta*n = gcd(m, n) with the least alpha >= 0;
+            # theta_mn rejects m and n unless they are coprime and > 1
+            _, alpha, beta = xgcd(args.m, args.n)
+            if args.n > 0:
+                shift, alpha = divmod(alpha, args.n)
+                beta += shift * args.m
         else:
             alpha, beta = args.alpha, args.beta
         element = theta_mn(args.l, args.m, args.n, alpha, beta, char)

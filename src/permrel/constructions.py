@@ -1,11 +1,15 @@
 """Builders for the permutation groups used throughout the package:
 cyclic, dihedral, symmetric, alternating, quaternion, affine
 semidirect products over a prime field, and direct products.
+
+Every affine group is built by ``affine_group``, from the maps
+x -> A*x + b of (Z/l)^d.  The Frobenius group C_l x| C_m is its d = 1
+case, with one 1 x 1 matrix of order m.
 """
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CapExceeded, InputError
 from .numtheory import element_of_order, is_prime
 from .perm import DEFAULT_ELEMENT_CAP, Permutation, from_cycles, generate
 from .subgroups import Subgroup
@@ -68,42 +72,21 @@ def quaternion_group(element_cap=DEFAULT_ELEMENT_CAP):
     return generate(8, [i, j], element_cap=element_cap)
 
 
-_FROBENIUS_CACHE = {}
-
-
-def frobenius_group(l, m, multiplier=None, element_cap=DEFAULT_ELEMENT_CAP):
+def frobenius_group(l, m, element_cap=DEFAULT_ELEMENT_CAP):
     """The group of maps x -> a*x + b on Z/l with a in the order-m
     subgroup of the units; faithful of order l*m.
 
-    ``multiplier`` overrides the default choice of the least unit of
-    multiplicative order exactly m.  Identical parameters return the
-    identical group object, so elements built over it in separate calls
-    live in one Burnside ring.
+    This is ``affine_group`` at d = 1, generated by x -> x + 1 and
+    x -> a*x for the least unit a of order m.  (Z/l)* is cyclic, so it
+    has one subgroup of each order and any other such unit gives the
+    same group.
     """
     if not is_prime(l):
         raise InputError("l must be prime, got %d" % l)
     if m < 1 or (l - 1) % m:
         raise InputError("m must divide l - 1 for a faithful action")
-    if multiplier is None:
-        multiplier = element_of_order(m, l)
-        if multiplier is None:
-            raise InputError("no unit of order %d modulo %d" % (m, l))
-    else:
-        multiplier %= l
-    key = (l, m, multiplier)
-    cached = _FROBENIUS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    gens = [Permutation([(x + 1) % l for x in range(l)])]
-    if m > 1:
-        gens.append(Permutation([x * multiplier % l for x in range(l)]))
-    group = generate(l, gens, element_cap=element_cap)
-    if group.order != l * m:
-        raise InputError(
-            "multiplier %d does not have order %d modulo %d" % (multiplier, m, l)
-        )
-    _FROBENIUS_CACHE[key] = group
-    return group
+    matrices = [[[element_of_order(m, l)]]] if m > 1 else []
+    return affine_group(l, 1, matrices, element_cap)[0]
 
 
 def encode_vector(vec, l):
@@ -121,26 +104,12 @@ def decode_vector(point, l, d):
     return tuple(out)
 
 
-def translation_permutation(shift, l, d):
-    n = l ** d
-    images = []
-    for point in range(n):
-        vec = decode_vector(point, l, d)
-        moved = tuple((a + b) % l for a, b in zip(vec, shift))
-        images.append(encode_vector(moved, l))
-    return Permutation(images)
-
-
-def matrix_permutation(matrix, l, d):
-    n = l ** d
-    images = []
-    for point in range(n):
-        vec = decode_vector(point, l, d)
-        moved = tuple(
-            sum(matrix[i][j] * vec[j] for j in range(d)) % l for i in range(d)
-        )
-        images.append(encode_vector(moved, l))
-    return Permutation(images)
+def _affine_permutation(matrix, shift, l):
+    """The permutation x -> matrix*x + shift of (Z/l)^d, on points
+    numbered as by ``encode_vector``."""
+    powers = l ** np.arange(len(matrix))
+    vectors = np.arange(l ** len(matrix))[:, None] // powers % l
+    return Permutation((vectors @ np.transpose(matrix) + shift) % l @ powers)
 
 
 def _is_square(matrix, d):
@@ -166,7 +135,9 @@ def affine_group(l, d, matrices, element_cap=DEFAULT_ELEMENT_CAP):
 
     Returns (group, module, stabilizer): the translation subgroup and
     the stabilizer of the origin (the linear parts).  Identical
-    parameters return the identical group object.
+    parameters return the identical group object, so elements built
+    over it in separate calls live in one Burnside ring; a cached group
+    larger than ``element_cap`` raises CapExceeded, as building it would.
     """
     if not is_prime(l):
         raise InputError("l must be prime, got %d" % l)
@@ -178,16 +149,15 @@ def affine_group(l, d, matrices, element_cap=DEFAULT_ELEMENT_CAP):
     cache_key = (l, d, residues)
     cached = _AFFINE_CACHE.get(cache_key)
     if cached is not None:
+        if cached[0].order > element_cap:
+            raise CapExceeded("group closure exceeded the element cap of %d" % element_cap)
         return cached
     for matrix, rows in zip(matrices, residues):
         if not _rank_reaches(l, np.array(rows, dtype=np.int64), {}, d):
             raise InputError("matrix %r is singular modulo %d" % ([list(r) for r in matrix], l))
-    gens = []
-    for axis in range(d):
-        shift = [0] * d
-        shift[axis] = 1
-        gens.append(translation_permutation(shift, l, d))
-    gens.extend(matrix_permutation(m, l, d) for m in residues)
+    eye = np.eye(d, dtype=np.int64)
+    gens = [_affine_permutation(eye, shift, l) for shift in eye]
+    gens.extend(_affine_permutation(m, 0, l) for m in residues)
     group = generate(l ** d, gens, element_cap=element_cap)
 
     # W is generated by the d unit translations

@@ -4,8 +4,6 @@ Everything here runs at trial-division scale; group orders in this
 package stay small enough that nothing faster is warranted.
 """
 
-import math
-
 
 def is_prime(n):
     if n < 2:
@@ -65,29 +63,17 @@ def smallest_prime_not_dividing(n):
     return p
 
 
-def multiplicative_order(a, modulus):
-    """Order of ``a`` in (Z/modulus)*; requires gcd(a, modulus) == 1."""
-    a %= modulus
-    if math.gcd(a, modulus) != 1:
-        raise ValueError("element is not invertible modulo %d" % modulus)
-    order = 1
-    x = a
-    while x != 1:
-        x = x * a % modulus
-        order += 1
-    return order
-
-
 def element_of_order(order, l):
     """Least residue in (Z/l)* of multiplicative order exactly ``order``.
 
-    Returns None when (Z/l)* has no element of that order, which for
-    prime ``l`` happens exactly when ``order`` does not divide ``l - 1``.
+    a has that order when a^order = 1 and a^(order/q) != 1 for each
+    prime q dividing it.  Returns None when (Z/l)* has no element of
+    that order, which for prime ``l`` happens exactly when ``order``
+    does not divide ``l - 1``.
     """
+    primes = prime_factors(order)
     for a in range(1, l):
-        if math.gcd(a, l) != 1:
-            continue
-        if multiplicative_order(a, l) == order:
+        if pow(a, order, l) == 1 and all(pow(a, order // q, l) != 1 for q in primes):
             return a
     return None
 

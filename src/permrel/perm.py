@@ -199,7 +199,8 @@ def generate(degree, generators, element_cap=DEFAULT_ELEMENT_CAP):
         frontier = products[fresh]
         levels.append(frontier)
     rows = np.concatenate(levels)
-    rows = rows[np.lexsort(rows.T[::-1])].tolist()
+    # the order of Group._indices_of: big-endian bytes sort as the images
+    rows = rows[np.argsort(rows.astype(">i4").view(key).ravel())].tolist()
     return Group(degree, tuple(gens), tuple(Permutation._of(tuple(r)) for r in rows))
 
 

@@ -655,7 +655,30 @@ def _validate_theta_characteristic(l, characteristic):
         raise InputError("characteristic must be 0 or a prime number")
 
 
-def theta_mn(l, m, n, alpha, beta, characteristic, multiplier=None):
+def _verified_relation(group, characteristic, pairs):
+    """The element sum c [G/H] over the (H, c) ``pairs``, verified to lie
+    in the kernel."""
+    element = element_from_subgroups(enumerate_classes(group), pairs)
+    if not verify_relation(group, characteristic, element):
+        raise InternalCheckError("constructed relation has nonzero hypo marks")
+    return element
+
+
+def _frobenius_relation(l, order, characteristic, terms):
+    """The verified sum over the (e, c, with_t) ``terms`` of c [G/<s^e>],
+    or c [G/<t, s^e>] when with_t, in G = C_l x| C_order = <t, s> with t
+    the translation and s the multiplication."""
+    _validate_theta_characteristic(l, characteristic)
+    group = frobenius_group(l, order)
+    t_idx, s_idx = map(group.index, group.generators)
+    pairs = []
+    for e, c, with_t in terms:
+        power = _power_indices(group, s_idx, e)
+        pairs.append((Subgroup.generated(group, [t_idx, power] if with_t else [power]), c))
+    return _verified_relation(group, characteristic, pairs)
+
+
+def theta_mn(l, m, n, alpha, beta, characteristic):
     """Generator relation for C_l x| C_mn with m, n coprime and > 1.
 
     The element is G - C + alpha(C_n - C_l x| C_n) + beta(C_m - C_l x| C_m)
@@ -668,32 +691,14 @@ def theta_mn(l, m, n, alpha, beta, characteristic, multiplier=None):
         raise InputError("m and n must be coprime")
     if alpha * m + beta * n != 1:
         raise InputError("alpha*m + beta*n must equal 1")
-    _validate_theta_characteristic(l, characteristic)
-    group = frobenius_group(l, m * n, multiplier=multiplier)
-    table = enumerate_classes(group)
-    t_idx, s_idx = map(group.index, group.generators)
-    c_full = Subgroup.generated(group, [s_idx])
-    c_n = Subgroup.generated(group, [_power_indices(group, s_idx, m)])
-    c_m = Subgroup.generated(group, [_power_indices(group, s_idx, n)])
-    ln_part = Subgroup.generated(group, [t_idx, _power_indices(group, s_idx, m)])
-    lm_part = Subgroup.generated(group, [t_idx, _power_indices(group, s_idx, n)])
-    element = element_from_subgroups(
-        table,
-        [
-            (Subgroup.full(group), 1),
-            (c_full, -1),
-            (c_n, alpha),
-            (ln_part, -alpha),
-            (c_m, beta),
-            (lm_part, -beta),
-        ],
-    )
-    if not verify_relation(group, characteristic, element):
-        raise InternalCheckError("constructed relation has nonzero hypo marks")
-    return element
+    return _frobenius_relation(l, m * n, characteristic, [
+        (1, 1, True), (1, -1, False),
+        (m, alpha, False), (m, -alpha, True),
+        (n, beta, False), (n, -beta, True),
+    ])
 
 
-def theta_qk(l, q, k, characteristic, multiplier=None):
+def theta_qk(l, q, k, characteristic):
     """Generator relation for C_l x| C_{q^(k+1)} with q prime.
 
     The element is C_{q^k} - q*C - (C_l x| C_{q^k}) + q*G, verified to
@@ -703,26 +708,9 @@ def theta_qk(l, q, k, characteristic, multiplier=None):
         raise InputError("q must be prime")
     if k < 0:
         raise InputError("k must be nonnegative")
-    _validate_theta_characteristic(l, characteristic)
-    order = q ** (k + 1)
-    group = frobenius_group(l, order, multiplier=multiplier)
-    table = enumerate_classes(group)
-    t_idx, s_idx = map(group.index, group.generators)
-    c_small = Subgroup.generated(group, [_power_indices(group, s_idx, q)])
-    c_big = Subgroup.generated(group, [s_idx])
-    ln_small = Subgroup.generated(group, [t_idx, _power_indices(group, s_idx, q)])
-    element = element_from_subgroups(
-        table,
-        [
-            (c_small, 1),
-            (c_big, -q),
-            (ln_small, -1),
-            (Subgroup.full(group), q),
-        ],
-    )
-    if not verify_relation(group, characteristic, element):
-        raise InternalCheckError("constructed relation has nonzero hypo marks")
-    return element
+    return _frobenius_relation(l, q ** (k + 1), characteristic, [
+        (q, 1, False), (1, -q, False), (q, -1, True), (1, q, True),
+    ])
 
 
 def theta_highdim(l, matrices, characteristic):
@@ -774,10 +762,7 @@ def theta_highdim(l, matrices, characteristic):
             raise InternalCheckError("module product set is not split")
         pairs.append((Subgroup(group, un), 1))
         pairs.append((Subgroup(group, wn), -1))
-    element = element_from_subgroups(table, pairs)
-    if not verify_relation(group, characteristic, element):
-        raise InternalCheckError("constructed relation has nonzero hypo marks")
-    return element
+    return _verified_relation(group, characteristic, pairs)
 
 
 def generates_quotient(group, characteristic, element):

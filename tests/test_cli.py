@@ -161,6 +161,14 @@ def test_theta_mn_rejects_half_bezout():
     assert code == 1
 
 
+@pytest.mark.parametrize("m,n", [(1, 0), (0, 4), (2, 4), (2, -3)])
+def test_theta_mn_rejects_m_and_n_without_a_traceback(m, n, capsys):
+    code, text = _run(["theta", "--family", "mn", "--l", "7", "--m", str(m),
+                       "--n", str(n), "--char", "5"])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_theta_highdim_cli(specdir):
     report = _run_json(["theta", "--family", "highdim", "--group",
                         str(specdir / "aff.json"), "--char", "5"])

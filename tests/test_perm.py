@@ -1,5 +1,7 @@
 """Permutations, cycle notation, group generation, and Cayley tables."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,19 @@ def test_generate_s3():
     # elements are lexicographically sorted by image tuples and unique
     images = [p.images for p in g.elements]
     assert images == sorted(set(images))
+
+
+def test_generate_sorts_by_one_key_per_row():
+    # a key per point would make sorting the two rows of <(0 1)> at
+    # degree 30,000 take 30,000 index arrays, some 80 MB
+    tracemalloc.start()
+    try:
+        group = generate(30000, [parse_cycles(30000, "(0 1)")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group.order == 2
+    assert peak < 20 * 2**20, peak
 
 
 def test_generate_rejects_degree_zero():
