@@ -21,6 +21,11 @@ shape G = W x| D with W abelian, C_G(W) = W C_D(W), so D acts faithfully
 exactly when C_G(W) = W; and D is isomorphic to G/W, so the questions
 about D are asked of G/W.
 
+``main_case_classify`` and ``vector_semidirect_match`` are memoised per
+lattice prime (``_lattice_prime``): the ``relations`` module docstring
+shows that every prime not dividing |G| gives the same answers.  The
+public functions that take a prime p (and q) reject one that is not.
+
 ``dress_decomposition`` builds no subgroup as a group either: the
 subgroup classes of a subgroup S of G are its orbits on G's subgroups
 inside S, each represented by its least index list and sorted by
@@ -41,6 +46,7 @@ from .numtheory import (
     p_part,
     prime_factors,
     prime_to_p_part,
+    smallest_prime_not_dividing,
 )
 from .subgroups import (
     Subgroup,
@@ -50,6 +56,36 @@ from .subgroups import (
     is_minimal_normal,
     normal_subgroups,
 )
+
+
+def effective_prime(group, characteristic):
+    """The prime actually used for hypo-elementarity tests.
+
+    Characteristic 0 maps to the smallest prime not dividing the group
+    order; any such prime selects exactly the cyclic subquotients, so
+    the resulting lattices agree with the characteristic-0 ones.
+    """
+    if characteristic == 0:
+        return smallest_prime_not_dividing(group.order)
+    if not is_prime(characteristic):
+        raise InputError("characteristic must be 0 or a prime number")
+    return characteristic
+
+
+def _lattice_prime(group, characteristic):
+    """The key under which the answers for ``group`` at this characteristic
+    are memoised: the prime when it divides the order, else 0, as every
+    prime not dividing the order gives the same answers (``relations``
+    module docstring)."""
+    p = effective_prime(group, characteristic)
+    return p if group.order % p == 0 else 0
+
+
+def _require_primes(*primes):
+    """The guard of the public functions that take primes p (and q): a p
+    that is not prime would divide by 0 or, as 1, never leave ``p_part``."""
+    if not all(map(is_prime, primes)):
+        raise InputError("p and q must be prime numbers")
 
 
 def subgroup_is_cyclic(subgroup):
@@ -193,11 +229,13 @@ def quotient_dress_primes(group, normal, p):
 
 def p_core(group, p):
     """Largest normal p-subgroup."""
+    _require_primes(p)
     return quotient_p_core(group, Subgroup.trivial(group), p)
 
 
 def q_residual(group, q):
     """Smallest normal subgroup of q-power index (intersection of them all)."""
+    _require_primes(q)
     return quotient_q_residual(group, Subgroup.trivial(group), q)
 
 
@@ -236,6 +274,7 @@ def _least_hall_subgroup(table, sub, p):
 
 def is_p_hypo_elementary(group, p):
     """True when the quotient by the p-core is cyclic."""
+    _require_primes(p)
     return quotient_is_p_hypo_elementary(group, Subgroup.trivial(group), p)
 
 
@@ -246,12 +285,14 @@ def is_q_quasi_elementary(group, q):
 
 def is_pq_dress(group, p, q):
     """True when the quotient by the p-core is q-quasi-elementary."""
+    _require_primes(p, q)
     return quotient_is_pq_dress(group, Subgroup.trivial(group), p, q)
 
 
 def dress_primes(group, p):
     """The primes q for which a non-hypo-elementary group is (p,q)-Dress;
     ``quotient_dress_primes`` with N = 1."""
+    _require_primes(p)
     return quotient_dress_primes(group, Subgroup.trivial(group), p)
 
 
@@ -316,6 +357,7 @@ def dress_decomposition(group, p, q):
     assignment is verified to hit every subgroup class exactly once, and
     no N_G(U)-orbit to hold two H-classes.
     """
+    _require_primes(p, q)
     if q == p:
         raise InputError("dress_decomposition requires q different from p")
     if not is_soluble(group):
@@ -446,10 +488,10 @@ def vector_semidirect_match(group, p):
 
     W runs over the normal subgroups; faithfulness is one centralizer per
     W, and D's questions are asked of G/W (module docstring).  Returns a
-    witness dict or None, memoised per (group, p); callers must not
-    mutate the dict.
+    witness dict or None, memoised per group and lattice prime; callers
+    must not mutate the dict.
     """
-    key = ("vector_semidirect", p)
+    key = ("vector_semidirect", _lattice_prime(group, p))
     if key not in group._memo:
         group._memo[key] = _vector_semidirect_witness(group, p)
     return group._memo[key]
@@ -551,8 +593,17 @@ def main_case_classify(group, p):
     """All structural shapes of the classification matched by this group.
 
     Returned tags: QuasiElementary, VectorSemidirect, NonabelianSerre,
-    PPDress.  An empty list means no shape matched.
+    PPDress.  An empty list means no shape matched.  The list is memoised
+    per group and lattice prime; callers must not mutate it.
     """
+    _require_primes(p)
+    key = ("main_case", _lattice_prime(group, p))
+    if key not in group._memo:
+        group._memo[key] = _main_cases(group, p)
+    return group._memo[key]
+
+
+def _main_cases(group, p):
     matches = []
     matches.extend(_quasi_elementary_witness(group, p))
     vs = vector_semidirect_match(group, p)

@@ -9,8 +9,14 @@ characteristic-0 one while letting all code paths take a single prime
 argument.  Every prime not dividing the group order selects the cyclic
 subquotients, as 0 does, so the kernel, the imprimitive lattice and the
 quotient invariants are memoised per lattice prime: the characteristic
-when it divides the order, and 0 otherwise.  The prediction and its
-check against the computed quotient still run at every characteristic.
+when it divides the order, and 0 otherwise.  So are ``predict_prim``,
+``main_case_classify`` and ``vector_semidirect_match``: p reaches
+``classify`` only through ``quotient_p_core``, which returns N when p
+does not divide |G:N|, and through comparisons with primes that divide
+|G|: p = l for the prime l of a module W, p dividing |G| for the
+quasi-elementary case, and |G:M| a power of p for the q-residual at
+q = p, which holds only at M = G.  Each comes out the same for every p
+not dividing |G|, so every such p gives the answers of any other.
 
 The imprimitive lattice is spanned by Ind_H^G Inf_{H/N}^H of the kernel
 of every proper subquotient H/N.  Induction and inflation are
@@ -103,7 +109,9 @@ from .burnside import (
     marks_table,
 )
 from .classify import (
+    _lattice_prime,
     dress_primes,
+    effective_prime,
     is_p_hypo_elementary,
     orders_modulo,
     p_core,
@@ -121,7 +129,6 @@ from .numtheory import (
     is_prime,
     p_part,
     prime_factors,
-    smallest_prime_not_dividing,
     xgcd,
 )
 from .subgroups import (
@@ -155,27 +162,6 @@ PREDICTION_SOURCES = (
     "ThmMainB",
     "NotCovered",
 )
-
-
-def effective_prime(group, characteristic):
-    """The prime actually used for hypo-elementarity tests.
-
-    Characteristic 0 maps to the smallest prime not dividing the group
-    order; any such prime selects exactly the cyclic subquotients, so
-    the resulting lattices agree with the characteristic-0 ones.
-    """
-    if characteristic == 0:
-        return smallest_prime_not_dividing(group.order)
-    if not is_prime(characteristic):
-        raise InputError("characteristic must be 0 or a prime number")
-    return characteristic
-
-
-def _lattice_prime(group, characteristic):
-    """The key under which the lattices of ``group`` at this characteristic
-    are memoised: the prime when it divides the order, else 0."""
-    p = effective_prime(group, characteristic)
-    return p if group.order % p == 0 else 0
 
 
 @dataclass
@@ -497,9 +483,16 @@ def predict_prim(group, characteristic):
     have trivial primitive quotient; groups of the faithful module
     semidirect shape get Z or Z/q depending on the complement; anything
     else is NotCovered.  Every rung reads G's class table; no quotient
-    or complement is built as a group.
+    or complement is built as a group.  The prediction is memoised per
+    lattice prime.
     """
-    p = effective_prime(group, characteristic)
+    key = ("prediction", _lattice_prime(group, characteristic))
+    if key not in group._memo:
+        group._memo[key] = _predict(group, effective_prime(group, characteristic))
+    return group._memo[key]
+
+
+def _predict(group, p):
     if is_p_hypo_elementary(group, p):
         return Prediction(source="Hypo", free_rank=0, torsion=())
     qs = dress_primes(group, p)

@@ -29,6 +29,13 @@ are known before the first one (Dimino's algorithm likewise starts from
 H, and adds whole cosets of it; Butler, *Fundamental Algorithms for
 Permutation Groups*, 1991).
 
+A class is registered from the member K an extension closed, with the
+generators it was closed from: N_G(K) is read off them, the class is
+K's conjugates by a transversal of N_G(K), taken in one gather and one
+row sort, and its representative, the least of them, takes the
+generators along, conjugated by the same element.  A normal K is a
+class of one.
+
 The masks of the registered subgroups are kept packed, eight elements to
 a byte, in one block per order with each class's rows in key order, and
 copied once into the table, which unpacks them as ``members`` when first
@@ -76,6 +83,16 @@ class Subgroup:
         self._mask = None
         self._gens = None
         self._transversal = None
+
+    @classmethod
+    def _closed(cls, ambient, indices):
+        """The subgroup with the sorted int32 ``indices`` that a closure, a
+        normalizer or a conjugate of either returned, taken as it is:
+        ``closure`` already checked that the size divides |G|."""
+        sub = cls.__new__(cls)
+        sub.ambient, sub.indices = ambient, indices
+        sub._mask = sub._gens = sub._transversal = None
+        return sub
 
     @classmethod
     def generated(cls, ambient, indices):
@@ -301,6 +318,7 @@ def enumerate_classes(group):
     sub_to_class = {}
     records = []  # (indices, normalizer_indices, member keys, generators, first row)
     queue = deque()  # (representative, generators of it)
+    cyclic = {}  # g -> the powers 1, g, g^2, ... of each g tried so far
     # the packed masks of the registered subgroups of each order: the
     # first used[order] rows of blocks[order], each class's rows in key order
     width = (n + 7) // 8
@@ -316,37 +334,38 @@ def enumerate_classes(group):
         if key in sub_to_class:
             return
         norm = kernels.normalizer_members(mult, inv, indices, gens)
-        reps = kernels.coset_reps(mult, norm)
-        orbit = []
-        seen = set()
-        for t in reps:
-            conj = group.conjugate_indices(t, indices)
-            ckey = conj.tobytes()
-            if ckey in seen:
-                raise InternalCheckError("normalizer transversal repeated a conjugate")
-            seen.add(ckey)
-            orbit.append((conj, t))
-        if len(orbit) * norm.size != n:
+        if norm.size == n:  # H is normal: its class is {H}
+            orbit = indices[None]
+            # a copy: the caller overwrites its seeds for the next extension
+            canon, canon_norm, canon_gens = indices, norm, np.sort(gens)
+        else:
+            # H conjugated by each representative t, one row tHt^-1 each
+            reps = kernels.coset_reps(mult, norm)
+            orbit = np.sort(mult[mult[reps[:, None], indices], inv[reps][:, None]], axis=1)
+            # the stored normalizer and the generators must belong to the
+            # stored representative, so conjugate them by the same element
+            least = np.lexsort(orbit.T[::-1])[0]
+            canon, t0 = orbit[least].copy(), reps[least]
+            canon_norm = group.conjugate_indices(t0, norm)
+            canon_gens = group.conjugate_indices(t0, gens)
+        keys = [row.tobytes() for row in orbit]
+        if len(set(keys)) < len(keys):
+            raise InternalCheckError("normalizer transversal repeated a conjugate")
+        if len(keys) * norm.size != n:
             raise InternalCheckError("orbit size violates orbit-stabilizer counting")
-        if total + len(orbit) > SUBGROUP_CAP:
+        if total + len(keys) > SUBGROUP_CAP:
             raise CapExceeded(
                 "subgroup enumeration exceeded the cap of %d" % SUBGROUP_CAP
             )
-        # the stored normalizer and the generators must belong to the
-        # stored representative, so conjugate them by the same element
-        canon, t0 = min(orbit, key=lambda pair: pair[0].tolist())
-        canon_norm = group.conjugate_indices(t0, norm)
-        canon_gens = group.conjugate_indices(t0, gens)
         inside = np.zeros(n, dtype=bool)
         inside[canon] = True
         if not inside[canon_gens].all():
             raise InternalCheckError("generators left the class representative")
-        cid = len(records)
-        keys = sorted(conj.tobytes() for conj, _ in orbit)
+        by_key = sorted(range(len(keys)), key=keys.__getitem__)
+        keys = [keys[i] for i in by_key]
+        sub_to_class.update(dict.fromkeys(keys, len(records)))
         rows = np.zeros((len(keys), n), dtype=bool)
-        for row, key in enumerate(keys):
-            sub_to_class[key] = cid
-            rows[row, np.frombuffer(key, dtype=np.int32)] = True
+        rows[np.arange(len(keys))[:, None], orbit[by_key]] = True
         size = indices.size
         first = used.get(size, 0)
         block = blocks.get(size)
@@ -357,7 +376,7 @@ def enumerate_classes(group):
             blocks[size] = block = grown
         block[first:first + len(keys)] = np.packbits(rows, axis=1)
         used[size] = first + len(keys)
-        total += len(orbit)
+        total += len(keys)
         records.append((canon, canon_norm, keys, canon_gens, first))
         if canon.size < n:
             queue.append((canon, canon_gens))
@@ -385,9 +404,12 @@ def enumerate_classes(group):
             # |H| x |H| block is at most a quarter of the mult table)
             done[mult[mult[base, g][:, None], base]] = True
             # the search grows from H<g>, which lies inside <H, g>
-            powers = [0, int(g)]
-            for _ in range(orders[g] - 2):
-                powers.append(int(mult[powers[-1], g]))
+            powers = cyclic.get(g)
+            if powers is None:
+                powers = [0, int(g)]
+                for _ in range(orders[g] - 2):
+                    powers.append(int(mult[powers[-1], g]))
+                powers = cyclic[g] = np.array(powers, dtype=np.int32)
             start = np.zeros(n, dtype=bool)
             start[mult[base[:, None], powers]] = True
             seeds[-1] = g
@@ -405,10 +427,10 @@ def enumerate_classes(group):
     for pos, (indices, norm, keys, gens, first) in enumerate(records):
         classes.append(
             SubgroupClass(
-                representative=full if indices.size == n else Subgroup(group, indices),
+                representative=full if indices.size == n else Subgroup._closed(group, indices),
                 order=int(indices.size),
                 class_size=len(keys),
-                normalizer=full if norm.size == n else Subgroup(group, norm),
+                normalizer=full if norm.size == n else Subgroup._closed(group, norm),
                 generators=gens,
             )
         )

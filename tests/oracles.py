@@ -273,6 +273,76 @@ def enumerate_classes_by_every_extension(group):
     return SubgroupClassTable(group, classes, sub_to_class, np.packbits(members, axis=1))
 
 
+def enumerate_classes_by_transversals(group):
+    """``enumerate_classes`` with every class registered the slow way: H
+    conjugated by each element of a transversal of N_G(H) with
+    ``conjugate_indices``, a normal H included, and the representative the
+    least conjugate.  The extensions, their order and the skips are those
+    of ``enumerate_classes``, so the two tables must be equal, the
+    generators each class carries included; the subgroups of each order
+    are kept as plain masks, and each closure starts from the identity."""
+    mult, inv, n = group.mult, group.inv, group.order
+    primes = prime_factors(n)
+    not_zuppo = np.array([len(prime_factors(int(o))) != 1 for o in group.element_orders])
+    sub_to_class = {}
+    masks = {}  # order -> the masks of the registered subgroups of that order
+    records = []  # (representative, normalizer, member keys, generators)
+    queue = deque()
+
+    def register(indices, gens):
+        if indices.tobytes() in sub_to_class:
+            return
+        norm = _kernels.normalizer_members(mult, inv, indices, gens)
+        orbit = [(group.conjugate_indices(t, indices), t)
+                 for t in coset_reps_by_full_scan(mult, norm)]
+        canon, t0 = min(orbit, key=lambda pair: pair[0].tolist())
+        for conj, _ in orbit:
+            sub_to_class[conj.tobytes()] = len(records)
+            mask = np.zeros(n, dtype=bool)
+            mask[conj] = True
+            masks.setdefault(conj.size, []).append(mask)
+        gens = group.conjugate_indices(t0, gens)
+        keys = sorted(conj.tobytes() for conj, _ in orbit)
+        records.append((canon, group.conjugate_indices(t0, norm), keys, gens))
+        if canon.size < n:
+            queue.append((canon, gens))
+
+    register(np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32))
+    while queue:
+        base, gens = queue.popleft()
+        done = not_zuppo.copy()
+        done[base] = True
+        for p in primes:
+            for mask in masks.get(base.size * p, ()):
+                if mask[base].all():
+                    done |= mask
+        for g in range(n):
+            if done[g]:
+                continue
+            done[mult[mult[base, g][:, None], base]] = True
+            seeds = np.append(gens, np.int32(g))
+            closed = closure_by_products(mult, seeds)
+            if closed.size // base.size in primes:
+                done[closed] = True
+            register(closed, seeds)
+
+    records.sort(key=lambda record: (record[0].size, record[0].tolist()))
+    classes, sub_to_class = [], {}
+    for pos, (indices, norm, keys, gens) in enumerate(records):
+        classes.append(SubgroupClass(
+            representative=Subgroup(group, indices),
+            order=int(indices.size),
+            class_size=len(keys),
+            normalizer=Subgroup(group, norm),
+            generators=gens,
+        ))
+        sub_to_class.update(dict.fromkeys(keys, pos))
+    members = np.zeros((len(sub_to_class), n), dtype=bool)
+    for row, key in enumerate(sub_to_class):
+        members[row, np.frombuffer(key, dtype=np.int32)] = True
+    return SubgroupClassTable(group, classes, sub_to_class, np.packbits(members, axis=1))
+
+
 def translation_module_by_points(group, l, d):
     """The elements of an affine group on (Z/l)^d that move every point
     by the same vector, found by testing each element on each point."""

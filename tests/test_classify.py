@@ -463,3 +463,25 @@ def test_coprime_prime_reads_no_class_table():
     assert not is_p_hypo_elementary(group, 7)
     assert p_core(group, 7).is_trivial()
     assert "class_table" not in group._memo
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, -2])
+def test_prime_arguments_must_be_prime(p):
+    # p = 1 never left p_part, and p = 0 divided by zero
+    group = generate(4, [parse_cycles(4, "(0 1 2 3)"), parse_cycles(4, "(0 1)")])
+    calls = (
+        lambda: p_core(group, p),
+        lambda: q_residual(group, p),
+        lambda: is_p_hypo_elementary(group, p),
+        lambda: is_q_quasi_elementary(group, p),
+        lambda: is_pq_dress(group, p, 2),
+        lambda: is_pq_dress(group, 2, p),
+        lambda: dress_primes(group, p),
+        lambda: dress_decomposition(group, p, 3),
+        lambda: dress_decomposition(group, 2, p),
+        lambda: main_case_classify(group, p),
+    )
+    for call in calls:
+        with pytest.raises(InputError, match="prime"):
+            call()
+    assert not any(isinstance(key, tuple) and key[0] == "main_case" for key in group._memo)

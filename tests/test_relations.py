@@ -54,6 +54,7 @@ from oracles import (
     imprimitive_lattice_by_sweep,
     kernel_basis_by_two_hnfs,
     lattice_contains,
+    main_case_classify_by_groups,
     matrix_of_stabilizer_element,
     permutation_groups,
     predict_prim_by_quotient_groups,
@@ -631,11 +632,18 @@ def test_prediction_ladder_builds_no_group_but_g(monkeypatch):
 
 
 def _assert_predictions_match_quotient_groups(group):
-    for char in CORPUS_CHARACTERISTICS:
-        assert predict_prim(group, char) == predict_prim_by_quotient_groups(group, char), char
+    # one fresh copy answers every characteristic, so those coprime to
+    # |G| read the memo entry the first of them filled
+    fresh = _cold_copy(group)
+    for char in (0, 2, 3, 5, 7, 11, 13):
+        assert predict_prim(fresh, char) == predict_prim_by_quotient_groups(group, char), char
+        p = effective_prime(group, char)
+        found = [(m.tag, m.witness) for m in main_case_classify(fresh, p)]
+        expected = [(m.tag, m.witness) for m in main_case_classify_by_groups(group, p)]
+        assert found == expected, char
 
 
-@pytest.mark.parametrize("name", LADDER_NAMES)
+@pytest.mark.parametrize("name", LADDER_NAMES + ("A6", "C19:C18", "C2xC2xC2xC2"))
 def test_predictions_match_quotient_groups(name):
     _assert_predictions_match_quotient_groups(preset_group(name))
 

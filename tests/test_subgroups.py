@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from permrel import _kernels
 from permrel import subgroups
 from permrel.errors import CapExceeded, InputError
-from permrel.perm import Permutation, generate, parse_cycles
+from permrel.perm import Group, Permutation, generate, parse_cycles
 from permrel.presets import CORPUS_NAMES, preset_group
 from permrel.subgroups import (
     Subgroup,
@@ -30,6 +30,7 @@ from oracles import (
     class_orbit_by_conjugation,
     closure_by_products,
     enumerate_classes_by_every_extension,
+    enumerate_classes_by_transversals,
     permutation_groups,
 )
 
@@ -259,6 +260,57 @@ def test_enumeration_matches_every_extension_on_random_groups(group):
     _assert_same_table(
         enumerate_classes(group), enumerate_classes_by_every_extension(group)
     )
+
+
+def _assert_equal_tables(got, want):
+    """Equal classes, normalizers and carried generators, the same key
+    map in the same order, and equal membership rows."""
+    def rows(table):
+        return [
+            (cls.representative.key, cls.order, cls.class_size, cls.normalizer.key,
+             cls.generators.dtype, cls.generators.tobytes())
+            for cls in table.classes
+        ]
+
+    assert rows(got) == rows(want)
+    assert list(got.sub_to_class.items()) == list(want.sub_to_class.items())
+    assert np.array_equal(got.members, want.members)
+
+
+WORKLOAD_PRESETS = ("A6", "C19:C18", "C2xC2xC2xC2", "C2xC2xC2xC2xC2", "D8xS3", "S4xC2")
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + WORKLOAD_PRESETS + ("D8xD8",))
+def test_enumeration_matches_transversal_registration(name):
+    group = preset_group(name)
+    _assert_equal_tables(enumerate_classes(group), enumerate_classes_by_transversals(group))
+
+
+@given(permutation_groups())
+@settings(max_examples=40, deadline=None)
+def test_enumeration_matches_transversal_registration_on_random_groups(group):
+    _assert_equal_tables(enumerate_classes(group), enumerate_classes_by_transversals(group))
+
+
+def test_a_class_of_one_conjugates_nothing(monkeypatch):
+    # every subgroup of C2^5 is normal, so no class needs a transversal
+    calls = []
+    coset_reps, conjugate_indices = subgroups.kernels.coset_reps, Group.conjugate_indices
+
+    def counting_reps(*args):
+        calls.append("coset_reps")
+        return coset_reps(*args)
+
+    def counting_conjugates(self, *args):
+        calls.append("conjugate_indices")
+        return conjugate_indices(self, *args)
+
+    monkeypatch.setattr(subgroups.kernels, "coset_reps", counting_reps)
+    monkeypatch.setattr(Group, "conjugate_indices", counting_conjugates)
+    preset = preset_group("C2xC2xC2xC2xC2")
+    table = enumerate_classes(generate(preset.degree, preset.generators))  # nothing cached
+    assert calls == []
+    assert len(table.classes) == len(table.sub_to_class) == 374
 
 
 def _assert_generators_and_row_order(table):
