@@ -204,9 +204,7 @@ def _induction_map(table_h, table_g):
     maps = table_h._class_maps
     if table_g not in maps:
         g_group = table_g.group
-        parent = np.asarray(
-            [g_group.index(p) for p in table_h.group.elements], dtype=np.int32
-        )
+        parent = g_group._indices_of(table_h.group.images)
         maps[table_g] = [
             table_g.class_index_of(
                 Subgroup(g_group, parent[cls.representative.indices])

@@ -50,9 +50,11 @@ from .numtheory import (
 )
 from .subgroups import (
     Subgroup,
+    _generators_commute,
     centralizer_indices,
     conjugation_orbits,
     enumerate_classes,
+    is_abelian,
     is_minimal_normal,
     normal_subgroups,
 )
@@ -95,15 +97,6 @@ def subgroup_is_cyclic(subgroup):
 
 def is_cyclic(group):
     return subgroup_is_cyclic(Subgroup.full(group))
-
-
-def _generators_commute(group, gens):
-    block = group.mult[np.ix_(gens, gens)]
-    return bool((block == block.T).all())
-
-
-def is_abelian(group):
-    return _generators_commute(group, [group.index(g) for g in group.generators])
 
 
 def derived_subgroup(subgroup):

@@ -162,8 +162,7 @@ def affine_group(l, d, matrices, element_cap=DEFAULT_ELEMENT_CAP):
 
     # W is generated by the d unit translations
     module = Subgroup.generated(group, [group.index(gen) for gen in gens[:d]])
-    origin_stab = [idx for idx, perm in enumerate(group.elements) if perm.images[0] == 0]
-    stabilizer = Subgroup(group, origin_stab)
+    stabilizer = Subgroup(group, np.flatnonzero(group.images[:, 0] == 0))
     if module.order != l ** d:
         raise InputError("translation subgroup has unexpected order")
     if module.order * stabilizer.order != group.order:

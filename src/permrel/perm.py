@@ -1,8 +1,8 @@
 """Permutations on {0, ..., degree-1} and concrete permutation groups.
 
-A Group stores its full sorted element list plus lazily built int32
-multiplication and inverse tables; those tables are what every other
-module indexes into.  Element 0 of any group built here is always the
+A Group stores its elements as one array of image rows, sorted, plus
+lazily built int32 multiplication and inverse tables; those tables are
+what every other module indexes into.  Element 0 is always the
 identity, because the identity is the lexicographically smallest
 permutation of its degree.
 """
@@ -32,13 +32,6 @@ class Permutation:
                 raise InputError("image list %r is not a permutation" % (images,))
             seen[v] = True
         object.__setattr__(self, "images", images)
-
-    @classmethod
-    def _of(cls, images):
-        """The permutation with the image tuple ``images``, known to be one."""
-        perm = object.__new__(cls)
-        object.__setattr__(perm, "images", images)
-        return perm
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
@@ -193,63 +186,79 @@ def generate(degree, generators, element_cap=DEFAULT_ELEMENT_CAP):
                 seen.add(row)
                 fresh.append(i)
         if fresh and len(seen) > element_cap:
-            raise CapExceeded(
-                "group closure exceeded the element cap of %d" % element_cap
-            )
+            raise CapExceeded("group closure exceeded the element cap of %d" % element_cap)
         frontier = products[fresh]
         levels.append(frontier)
-    rows = np.concatenate(levels)
-    # the order of Group._indices_of: big-endian bytes sort as the images
-    rows = rows[np.argsort(rows.astype(">i4").view(key).ravel())].tolist()
-    return Group(degree, tuple(gens), tuple(Permutation._of(tuple(r)) for r in rows))
+    del seen  # from here on, at most two arrays of the group's size live at once
+    rows = np.concatenate(levels, dtype=">i4")
+    del levels
+    # sorted as Group.images must be: big-endian bytes sort as the images
+    rows = rows[np.argsort(rows.view(key).ravel())]
+    return Group(degree, gens, rows)
 
 
 class Group:
-    """A finite permutation group with precomputed element list.
+    """A finite permutation group, its elements one sorted image array.
 
-    Construct through ``generate`` (or the preset builders); the
-    constructor itself trusts its inputs.  ``elements[0]`` is always the
-    identity.
+    ``images`` is an order x degree big-endian int32 array whose rows
+    strictly increase, row 0 the identity; the constructor checks both.
+    ``mult`` proves that every row is a product of the generators, each
+    product found by an exact lookup.  Construct through ``generate``
+    (or the preset builders).
     """
 
-    __slots__ = ("degree", "generators", "elements", "_index", "_mult", "_inv",
+    __slots__ = ("degree", "generators", "images", "_elements", "_mult", "_inv",
                  "_orders", "_memo")
 
-    def __init__(self, degree, generators, elements):
+    def __init__(self, degree, generators, images):
+        images = np.ascontiguousarray(images, dtype=">i4")
+        if images.ndim != 2 or images.shape[1] != degree or not images.size:
+            raise InputError("group images must be a nonempty order x %d array" % degree)
+        keys = images.view(np.dtype((np.void, 4 * degree))).ravel().tolist()
+        if keys[0] != np.arange(degree, dtype=np.int32).astype(">i4").tobytes():
+            raise InputError("group element list must start with the identity")
+        if keys != sorted(set(keys)):
+            raise InputError("group element list must strictly increase")
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = tuple(elements)
-        if not self.elements or not self.elements[0].is_identity():
-            raise InputError("group element list must start with the identity")
-        self._index = {p.images: i for i, p in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise InputError("duplicate elements in group list")
-        self._mult = None
-        self._inv = None
-        self._orders = None
+        self.images = images
+        self._elements = self._mult = self._inv = self._orders = None
         self._memo = {}
 
     @property
     def order(self):
-        return len(self.elements)
+        return len(self.images)
+
+    @property
+    def elements(self):
+        """The elements as Permutations, built when first read."""
+        if self._elements is None:
+            self._elements = self._perms(slice(None))
+        return self._elements
+
+    def _perms(self, indices):
+        """The elements at ``indices`` as Permutations."""
+        return tuple(map(Permutation, self.images[indices].tolist()))
 
     def index(self, perm):
-        try:
-            return self._index[perm.images]
-        except KeyError:
-            raise InputError("permutation %s is not an element of this group" % perm)
+        return int(self._indices_of(perm.images)[0])
 
-    def _images(self):
-        return np.array([p.images for p in self.elements], dtype=">i4")
-
-    def _indices_of(self, images, rows):
-        """Element indices of the image ``rows``, given the element images."""
-        # Elements are sorted by image tuple, and the big-endian bytes of
-        # non-negative ints compare in the same order, so each row viewed
+    def _indices_of(self, rows):
+        """Element indices of the image ``rows``, or InputError for a row
+        of another degree or one that is no element."""
+        # The rows of ``images`` strictly increase, and the big-endian bytes
+        # of non-negative ints compare in the same order, so each row viewed
         # as one 4*degree-byte key binary-searches to its element's index.
-        key = np.dtype((np.void, 4 * self.degree))
+        # Searching all but the last key keeps every hit inside the array.
         rows = np.ascontiguousarray(rows, dtype=">i4")
-        return np.searchsorted(images.view(key).ravel(), rows.view(key).ravel())
+        if rows.shape[-1] != self.degree:
+            raise InputError("a permutation of another degree is not an element of this group")
+        key = np.dtype((np.void, 4 * self.degree))
+        hay, needles = self.images.view(key).ravel(), rows.view(key).ravel()
+        at = np.searchsorted(hay[:-1], needles)
+        if hay[at].tobytes() != needles.tobytes():
+            raise InputError("a permutation is not an element of this group")
+        return at
 
     @property
     def mult(self):
@@ -262,9 +271,8 @@ class Group:
         """
         if self._mult is None:
             n = self.order
-            images = self._images()
             steps = [
-                self._indices_of(images, np.asarray(g.images)[images]).astype(np.int32)
+                self._indices_of(np.asarray(g.images)[self.images]).astype(np.int32)
                 for g in self.generators
             ]
             step_lists = [step.tolist() for step in steps]
@@ -289,9 +297,8 @@ class Group:
     @property
     def inv(self):
         if self._inv is None:
-            images = self._images()
-            inverses = np.argsort(images, axis=1)
-            self._inv = self._indices_of(images, inverses).astype(np.int32)
+            inverses = np.argsort(self.images, axis=1)
+            self._inv = self._indices_of(inverses).astype(np.int32)
         return self._inv
 
     @property

@@ -34,7 +34,8 @@ generators it was closed from: N_G(K) is read off them, the class is
 K's conjugates by a transversal of N_G(K), taken in one gather and one
 row sort, and its representative, the least of them, takes the
 generators along, conjugated by the same element.  A normal K is a
-class of one.
+class of one; in an abelian G, found by one commutation test of its
+generators, every K is, and no normalizer is computed.
 
 The masks of the registered subgroups are kept packed, eight elements to
 a byte, in one block per order with each class's rows in key order, and
@@ -150,11 +151,8 @@ class Subgroup:
             self._gens = np.asarray(gens, dtype=np.int32)
         return self._gens
 
-    def perms(self):
-        return tuple(self.ambient.elements[i] for i in self.indices)
-
     def generators(self):
-        return tuple(self.ambient.elements[i] for i in self.generator_indices)
+        return self.ambient._perms(self.generator_indices)
 
     def contains_subgroup(self, other):
         return bool(self.mask[other.indices].all())
@@ -299,6 +297,15 @@ def conjugation_orbits(table, sub, gens):
         label = merged
 
 
+def _generators_commute(group, gens):
+    block = group.mult[np.ix_(gens, gens)]
+    return bool((block == block.T).all())
+
+
+def is_abelian(group):
+    return _generators_commute(group, [group.index(g) for g in group.generators])
+
+
 def enumerate_classes(group):
     """Enumerate all subgroups of ``group`` up to conjugacy.
 
@@ -314,6 +321,8 @@ def enumerate_classes(group):
     primes = prime_factors(n)
     orders = group.element_orders
     zuppos = kernels.value_mask(orders, lambda o: len(prime_factors(o)) == 1)
+    # in an abelian G every subgroup is normal: G is each one's normalizer
+    abelian, everything = is_abelian(group), np.arange(n, dtype=np.int32)
 
     sub_to_class = {}
     records = []  # (indices, normalizer_indices, member keys, generators, first row)
@@ -333,7 +342,7 @@ def enumerate_classes(group):
         key = indices.tobytes()
         if key in sub_to_class:
             return
-        norm = kernels.normalizer_members(mult, inv, indices, gens)
+        norm = everything if abelian else kernels.normalizer_members(mult, inv, indices, gens)
         if norm.size == n:  # H is normal: its class is {H}
             orbit = indices[None]
             # a copy: the caller overwrites its seeds for the next extension
@@ -446,12 +455,8 @@ def enumerate_classes(group):
 
 def is_normal(group, subgroup):
     # conjugation by generators suffices to test normality
-    for g in group.generators:
-        gi = group.index(g)
-        conj = group.conjugate_indices(gi, subgroup.indices)
-        if conj.tobytes() != subgroup.key:
-            return False
-    return True
+    return all(group.conjugate_indices(group.index(g), subgroup.indices).tobytes() == subgroup.key
+               for g in group.generators)
 
 
 def normal_subgroups(group):
@@ -510,23 +515,15 @@ def quotient(group, normal):
     for c, r in enumerate(reps):
         coset_of[mult[r, normal.indices]] = c
     degree = int(reps.size)
-
-    def images_of(g_index):
-        return coset_of[mult[g_index, reps]]
-
-    gen_perms = []
-    for g in group.generators:
-        gen_perms.append(Permutation(images_of(group.index(g))))
+    images = coset_of[mult[:, reps]]  # row g: the coset of g r, for each rep r
+    gen_perms = [Permutation(images[group.index(g)]) for g in group.generators]
     q = generate(degree, gen_perms, element_cap=max(degree, 1))
     if q.order * normal.order != n:
         raise InternalCheckError("quotient order does not match index")
+    q_index_of = q._indices_of(images)
 
-    q_index_of = np.empty(n, dtype=np.int32)
-    for gi in range(n):
-        q_index_of[gi] = q._index[tuple(int(v) for v in images_of(gi))]
-
-    def project(perm):
-        return Permutation(images_of(group.index(perm)))
+    def project(perm):  # one row, so the memo does not keep ``images``
+        return Permutation(coset_of[mult[group.index(perm), reps]])
 
     def preimage(subgroup_of_q):
         if subgroup_of_q.ambient is not q:
@@ -554,9 +551,7 @@ def subgroup_as_group(subgroup):
     cached = ambient._memo.get(("as_group", subgroup.key))
     if cached is not None:
         return cached
-    perms = subgroup.perms()
-    gens = subgroup.generators()
-    grp = Group(ambient.degree, gens, perms)
+    grp = Group(ambient.degree, subgroup.generators(), ambient.images[subgroup.indices])
     grp._memo["parent_indices"] = subgroup.indices
     ambient._memo[("as_group", subgroup.key)] = grp
     return grp

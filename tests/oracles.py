@@ -107,10 +107,10 @@ def mult_rows_by_lookup(group, rows):
     """The rows ``rows`` of ``group.mult``, each looked up by image: row i
     composes elements[i] with every element at once and binary-searches
     the products among the sorted element images."""
-    images = group._images()
+    images = group.images
     table = np.empty((len(rows), group.order), dtype=np.int32)
     for t, i in enumerate(rows):
-        table[t] = group._indices_of(images, images[i][images])
+        table[t] = group._indices_of(images[i][images])
     return table
 
 

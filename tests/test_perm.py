@@ -140,6 +140,34 @@ def test_group_index_lookup():
         assert g.index(p) == i
     with pytest.raises(InputError):
         g.index(parse_cycles(3, "(0 1)"))
+    # six points would split into two rows of three; (0 1 2) is in g
+    with pytest.raises(InputError, match="another degree"):
+        g.index(from_cycles(6, [(0, 1, 2)]))
+    # a non-member past every element searches to the end of the rows
+    flip = generate(3, [parse_cycles(3, "(0 1)")])
+    with pytest.raises(InputError, match="not an element"):
+        flip.index(parse_cycles(3, "(0 2 1)"))
+
+
+def test_group_checks_its_image_rows():
+    s3 = generate(3, [parse_cycles(3, "(0 1)"), parse_cycles(3, "(0 1 2)")])
+    assert np.array_equal(Group(3, s3.generators, s3.images.tolist()).mult, s3.mult)
+    for rows, problem in (
+        ([0, 2, 1, 3, 4, 5], "strictly increase"),
+        ([0, 1, 1, 2, 3, 4, 5], "strictly increase"),
+        ([1, 2, 3, 4, 5], "start with the identity"),
+        ([], "nonempty"),
+    ):
+        with pytest.raises(InputError, match=problem):
+            Group(3, s3.generators, s3.images[rows])
+    with pytest.raises(InputError, match="nonempty"):
+        Group(2, s3.generators, s3.images)
+    # a row that is no permutation is caught where it is first used
+    bogus = Group(3, s3.generators, [[0, 1, 2], [1, 1, 1]])
+    with pytest.raises(InputError, match="not a permutation"):
+        bogus.elements
+    with pytest.raises(InputError, match="not an element"):
+        bogus.mult
 
 
 def test_conjugate_indices_sorted():
@@ -198,4 +226,4 @@ def test_walk_raises_when_the_generators_do_not_generate_the_group():
     s3 = generate(3, [parse_cycles(3, "(0 1)"), parse_cycles(3, "(0 1 2)")])
     for gens in ([parse_cycles(3, "(0 1 2)")], [parse_cycles(3, "(0 1)")], []):
         with pytest.raises(InternalCheckError, match="reach"):
-            Group(3, gens, s3.elements).mult
+            Group(3, gens, s3.images).mult
