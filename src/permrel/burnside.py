@@ -93,13 +93,23 @@ def fixed_points(group, h, k):
 
 
 class MarksTable:
-    """Table of marks: entry [i][j] is the mark of class j on [G/H_i]."""
+    """Table of marks: entry [i][j] is the mark of class j on [G/H_i].
 
-    __slots__ = ("table", "m")
+    ``array`` holds it as one int64 array; ``m``, the same entries as
+    lists of ints, is built when first read."""
 
-    def __init__(self, table, m):
+    __slots__ = ("table", "array", "_m")
+
+    def __init__(self, table, array):
         self.table = table
-        self.m = m
+        self.array = array
+        self._m = None
+
+    @property
+    def m(self):
+        if self._m is None:
+            self._m = self.array.tolist()
+        return self._m
 
 
 def marks_table(group, table=None):
@@ -129,7 +139,7 @@ def marks_table(group, table=None):
         [c.generators for c in classes],
         group.order // orders,
     )
-    result = MarksTable(table, m.tolist())
+    result = MarksTable(table, m)
     group._memo["marks"] = result
     return result
 
@@ -162,15 +172,9 @@ def count_marks(members, class_of, weights, tests, index):
 def mark_vector(x):
     """All marks of a Burnside element, one integer per subgroup class."""
     marks = marks_table(x.table.group, x.table)
-    k = len(x.coeffs)
-    out = []
-    for j in range(k):
-        total = 0
-        for i, c in enumerate(x.coeffs):
-            if c:
-                total += c * marks.m[i][j]
-        out.append(total)
-    return out
+    terms = [(i, c) for i, c in enumerate(x.coeffs) if c]
+    rows = marks.array[[i for i, _ in terms]].tolist()  # only the rows it needs
+    return [sum(c * row[j] for (_, c), row in zip(terms, rows)) for j in range(len(x.coeffs))]
 
 
 def _from_marks(table, marks):

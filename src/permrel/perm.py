@@ -200,8 +200,9 @@ def generate(degree, generators, element_cap=DEFAULT_ELEMENT_CAP):
 class Group:
     """A finite permutation group, its elements one sorted image array.
 
-    ``images`` is an order x degree big-endian int32 array whose rows
-    strictly increase, row 0 the identity; the constructor checks both.
+    ``images`` is an order x degree big-endian int32 array of
+    permutations whose rows strictly increase, row 0 the identity; the
+    constructor checks all three.
     ``mult`` proves that every row is a product of the generators, each
     product found by an exact lookup.  Construct through ``generate``
     (or the preset builders).
@@ -214,6 +215,16 @@ class Group:
         images = np.ascontiguousarray(images, dtype=">i4")
         if images.ndim != 2 or images.shape[1] != degree or not images.size:
             raise InputError("group images must be a nonempty order x %d array" % degree)
+        # a row is a permutation exactly when it is the inverse of its
+        # inverse, each inverse an argsort as ``inv`` computes it; blocks
+        # of rows keep the int64 argsorts small
+        block = max(1, 2**20 // degree)
+        for start in range(0, len(images), block):
+            rows = twice = images[start:start + block]
+            for _ in range(2):
+                twice = np.ascontiguousarray(np.argsort(twice, axis=1), dtype=">i4")
+            if twice.tobytes() != rows.tobytes():
+                raise InputError("a group image row is not a permutation of 0..%d" % (degree - 1))
         keys = images.view(np.dtype((np.void, 4 * degree))).ravel().tolist()
         if keys[0] != np.arange(degree, dtype=np.int32).astype(">i4").tobytes():
             raise InputError("group element list must start with the identity")

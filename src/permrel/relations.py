@@ -44,10 +44,13 @@ marks are kept once per group, and a lattice prime only picks the
 hypo-elementary positions from G's.
 
 G is the view G/1: ``quotient_kernel`` serves ``brauer_kernel`` and
-every G/N.  It reads G's marks lists at the classes over N, only in the
-hypo-elementary columns, and not at all when every class is
+every G/N.  Its int64 block is G's marks at the classes over N, in the
+hypo-elementary rows only, and none when every class is
 hypo-elementary; those come from one mask per (N, lattice prime),
-memoised only for G itself.
+memoised only for G itself.  A kernel stays ``_unit_kernel``'s
+(P, N, W), which the certificate reads as it is.  One lattice
+computation solves each distinct block once, while each view and
+quotient moves its own columns and passes its own M x = 0 check.
 
 One test serves every U/N, with o(u) the order of uN: U/N is
 p-hypo-elementary exactly when its Sylow p-subgroup is normal, that is
@@ -140,11 +143,12 @@ from .subgroups import (
     normal_subgroups,
 )
 from .zlattice import (
+    _PRIME,
     IntMatrix,
+    _basis_matrix,
+    _block_kernel,
     _from_rows,
-    _int64,
     _rank_reaches,
-    _unit_rows,
     hnf,
     kernel_basis,
     quotient_invariants,
@@ -190,10 +194,7 @@ def _hypo_mask(table, normal, p, over):
     """Mask over the classes ``over`` that contain the normal N (from
     ``_classes_over``) of those whose U has U/N p-hypo-elementary, by the
     test of the module docstring.  Memoised per lattice prime for N = 1
-    alone: G's own mask is read again by ``brauer_kernel``,
-    ``imprimitive_lattice`` and ``verify_relation``, while the mask over
-    a minimal normal N is read once per lattice prime, by the memoised
-    ``imprimitive_lattice``."""
+    alone, the one mask read again at the same lattice prime."""
     group = table.group
     key = ("hypo", _lattice_prime(group, p))
     if normal.is_trivial() and key in group._memo:
@@ -228,37 +229,26 @@ def hypo_class_indices(group, characteristic):
     return tuple(np.flatnonzero(_own_hypo_mask(table, p)).tolist())
 
 
-def _kernel_of(rows, k, hypo):
-    """``brauer_kernel``'s basis and rank check, for a group with k
-    classes and the hypo-elementary positions ``hypo``.  ``rows`` yields
-    the column of its table of marks at each hypo position, one row of
-    the matrix each.  ``count_marks`` already proved the table (for a
-    quotient, G's) lower triangular with a positive diagonal, so the
-    rows are independent.  With every class hypo-elementary the kernel
-    is zero, and ``rows`` is never read."""
-    if len(hypo) == k:
-        return _from_rows([[] for _ in range(k)], 0)
-    basis = kernel_basis(_from_rows(list(rows), k))
-    if basis.cols != k - len(hypo):
-        raise InternalCheckError(
-            "kernel rank %d differs from the non-hypo class count %d"
-            % (basis.cols, k - len(hypo))
-        )
-    return basis
+def _kernel_of(marks_t, hypo, over, solved):
+    """``_block_kernel`` of the marks ``marks_t``, transposed, at the
+    classes ``over``, in the rows of the hypo mask ``hypo``: independent,
+    as ``count_marks`` proved the marks triangular with a positive
+    diagonal.  With every class hypo-elementary the kernel is zero, and
+    ``marks_t`` is never read."""
+    k = len(over)
+    if hypo.all():
+        return np.arange(0), np.arange(k), np.zeros((k, 0), dtype=np.int64)
+    return _block_kernel(np.asarray(marks_t[np.ix_(over[hypo], over)], dtype=np.int64), solved)
 
 
-def quotient_kernel(table, normal, p):
+def quotient_kernel(table, normal, p, solved):
     """The kernel of G/N at the prime p for the normal N, read off G's
     class table ``table`` and marks, and the positions ``over`` of G's
     classes that contain N.  Class i of G/N holds U/N for the U in G's
     class over[i], and its marks are G's; G itself is G/1."""
-    group = table.group
     over = _classes_over(table, normal)
-    hypo = np.flatnonzero(_hypo_mask(table, normal, p, over)).tolist()
-    marks = marks_table(group, table).m
-    at = over.tolist()
-    rows = ([marks[a][c] for a in at] for c in over[hypo].tolist())
-    return _kernel_of(rows, len(at), hypo), over
+    hypo = _hypo_mask(table, normal, p, over)
+    return _kernel_of(marks_table(table.group, table).array.T, hypo, over, solved), over
 
 
 def brauer_kernel(group, characteristic):
@@ -273,19 +263,18 @@ def brauer_kernel(group, characteristic):
     hypo-elementary.
     """
     key = ("brauer_kernel", _lattice_prime(group, characteristic))
-    cached = group._memo.get(key)
-    if cached is not None:
-        return replace(cached, characteristic=characteristic)
+    if key in group._memo:
+        return replace(group._memo[key][0], characteristic=characteristic)
     table = enumerate_classes(group)
     p = effective_prime(group, characteristic)
-    basis, _ = quotient_kernel(table, table.classes[0].representative, p)
+    found, over = quotient_kernel(table, table.classes[0].representative, p, {})
     result = KernelBasis(
         group=group,
         characteristic=characteristic,
-        basis=basis,
+        basis=_basis_matrix(found, len(over)),
         hypo_classes=hypo_class_indices(group, characteristic),
     )
-    group._memo[key] = result
+    group._memo[key] = result, None if isinstance(found, IntMatrix) else found[0]
     return result
 
 
@@ -344,56 +333,54 @@ def _maximal_views(table):
     return group._memo["maximal_views"]
 
 
-def _view_kernels(table, hypo):
+def _view_kernels(table, hypo, solved):
     """(kernel, class_map) of each maximal view, for G's hypo-elementary
     mask ``hypo``."""
     for class_map, marks in _maximal_views(table):
-        positions = np.flatnonzero(hypo[class_map]).tolist()
-        rows = (marks[:, u].tolist() for u in positions)
-        yield _kernel_of(rows, len(class_map), positions), class_map
+        yield _kernel_of(marks.T, hypo[class_map], np.arange(len(class_map)), solved), class_map
 
 
-def _certified_lattice(table, kernel, hypo, quotients, views, seen):
+def _certified_lattice(table, kernel, unit, hypo, quotients, views, seen):
     """(free rank, torsion, Hermite basis of L) by the certificate of the
     module docstring, or None when a prime shows torsion or the certificate
-    does not apply.  It takes the generators from the kernels of
-    ``quotients`` until t != 0, then from those of ``views``, then from
-    the other quotients, and stops once every rank is complete; each
-    kernel it takes goes to ``seen``."""
+    does not apply; ``unit`` is K's P, or None.  It takes the generators
+    from the kernels of ``quotients`` until t != 0, then from those of
+    ``views``, then from the other quotients, and stops once every rank
+    is complete; each kernel it takes goes to ``seen``."""
     group = table.group
     k, r = kernel.rows, kernel.cols
     if r == 0:
         return 0, (), kernel
-    unit = _unit_rows(kernel)
     if unit is None:
         return None
     slot = np.full(k, r)  # each class's position in P, or r
     slot[unit] = np.arange(r)
-    at_hypo = np.flatnonzero(hypo).tolist()
-    marks = np.array([[row[c] for c in at_hypo] for row in marks_table(group, table).m])
+    marks = marks_table(group, table).array[:, hypo]
 
-    def generators(basis, class_map):
-        # the columns of basis moved to G, checked to satisfy M x = 0,
-        # restricted to P, one per row
-        seen.append((basis, class_map))
-        b = _int64(basis, len(class_map) * group.order)
-        if b is None:
+    def generators(found, class_map):
+        # the columns moved to G, checked to satisfy M x = 0, restricted
+        # to P, one per row; marks are at most |G| and |W| at most Q/2
+        seen.append((found, class_map))
+        if isinstance(found, IntMatrix) or len(class_map) * group.order * _PRIME >= 2**63:
             return None
-        m = marks[class_map]
-        step = max(1, _CHECK_ENTRIES // (b.size or 1))  # hypo columns per product
-        for h in range(0, m.shape[1], step):
-            if (m[:, h:h + step, None] * b[:, None, :]).sum(axis=0).any():
+        at_p, at_n, w = class_map[found[0]], class_map[found[1]], found[2]
+        step = max(1, _CHECK_ENTRIES // (w.size or 1))  # hypo columns per product
+        for h in range(0, marks.shape[1], step):
+            product = (marks[at_n, h:h + step, None] * w[:, None, :]).sum(axis=0)
+            if (product + marks[at_p, h:h + step].T).any():
                 raise InternalCheckError("an imprimitive generator is not in the kernel")
-        moved = np.zeros((r + 1, basis.cols), dtype=np.int64)
-        np.add.at(moved, slot[class_map], b)
+        moved = np.zeros((r + 1, w.shape[1]), dtype=np.int64)
+        np.add.at(moved, slot[at_n], w)
+        moved[slot[at_p], np.arange(w.shape[1])] += 1
         return moved[:r].T
 
     first, t = [], 0
-    for basis, over in quotients:
-        first.append(generators(basis, over))
+    for found, over in quotients:
+        first.append(generators(found, over))
         if first[-1] is None:
             return None
-        t = math.gcd(t, *basis.data[-1])  # G's class is over's last
+        at_g = found[2][found[1] == len(over) - 1]  # at G, over's last: W's row or e_j
+        t = math.gcd(t, *at_g[0].tolist()) if len(at_g) else 1
         if t:
             break
     free_rank = 0 if t else 1
@@ -419,8 +406,8 @@ def _lattice_by_hnf(k, kernels):
     """The Hermite basis of the columns of ``kernels``, moved to G's k
     classes by their class maps."""
     columns = []
-    for basis, class_map in kernels:
-        for col in basis.columns():
+    for found, class_map in kernels:
+        for col in _basis_matrix(found, len(class_map)).columns():
             out = [0] * k
             for t, c in enumerate(col):
                 if c:
@@ -451,10 +438,12 @@ def imprimitive_lattice(group, characteristic):
         p = effective_prime(group, characteristic)
         table = enumerate_classes(group)
         kernel = brauer_kernel(group, characteristic).basis
+        unit = group._memo[("brauer_kernel", key[1])][1]
         hypo = _own_hypo_mask(table, p)
-        quotients = (quotient_kernel(table, normal, p) for normal in minimal_normal_subgroups(group))
-        views, seen = _view_kernels(table, hypo), []
-        certified = _certified_lattice(table, kernel, hypo, quotients, views, seen)
+        solved = {}
+        quotients = (quotient_kernel(table, n, p, solved) for n in minimal_normal_subgroups(group))
+        views, seen = _view_kernels(table, hypo, solved), []
+        certified = _certified_lattice(table, kernel, unit, hypo, quotients, views, seen)
         if certified is None:
             kernels = itertools.chain(seen, views, quotients)
             lattice = _lattice_by_hnf(len(table.classes), kernels)

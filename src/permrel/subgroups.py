@@ -45,6 +45,7 @@ orbit-least, and ``sub_to_class`` and the rows of ``members`` in
 (class position, key) order, whatever the order of discovery.
 """
 
+import math
 from collections import deque
 from typing import NamedTuple
 
@@ -419,6 +420,8 @@ def enumerate_classes(group):
                 for _ in range(orders[g] - 2):
                     powers.append(int(mult[powers[-1], g]))
                 powers = cyclic[g] = np.array(powers, dtype=np.int32)
+            # <H, g^k> = <H, g> for each k prime to the order of g
+            done[[p for k, p in enumerate(powers) if math.gcd(k, powers.size) == 1]] = True
             start = np.zeros(n, dtype=bool)
             start[mult[base[:, None], powers]] = True
             seeds[-1] = g

@@ -34,7 +34,13 @@ Comput. 8, 1979).
 ``kernel_basis`` finds {x : M x = 0}.  It first reads the Hermite
 basis off one elimination modulo a prime (its docstring gives the
 argument), and otherwise off the same echelon ``hnf`` runs: the columns
-of T past the rank of H.
+of T past the rank of H.  The elimination, ``_unit_kernel``, takes an
+int64 array and returns the basis as (P, N, W): the identity on the
+coordinates P, and the rows W, each entry at most Q/2, on the pivot
+coordinates N.  ``relations`` passes its int64 marks blocks to
+``_block_kernel``, which solves each distinct block once per memo the
+caller keeps and returns that triple as it is; an ``IntMatrix`` is
+built only for a value a public function returns.
 """
 
 import operator
@@ -346,9 +352,14 @@ def kernel_basis(m):
     the rank of H = M * T, which span the kernel as T is unimodular,
     brought into Hermite shape, each checked against M x = 0.
     """
-    basis = _unit_kernel(m)
-    if basis is not None:
-        return basis
+    mat = _int64(m)
+    unit = None if mat is None else _unit_kernel(mat)
+    return _echelon_kernel(m) if unit is None else _basis_matrix(unit, m.cols)
+
+
+def _echelon_kernel(m):
+    """``kernel_basis``'s basis read off the transform of the echelon
+    ``hnf`` runs."""
     m_cols = _sparse_columns(m)
     cols = _with_identity(m_cols, m.rows)
     rank = _echelon(cols, range(m.rows))
@@ -364,13 +375,14 @@ def kernel_basis(m):
 _PRIME = 2**31 - 1
 
 
-def _unit_kernel(m):
-    """``kernel_basis``'s unit-pivot basis by elimination modulo Q, or
-    None."""
-    r, k = m.rows, m.cols
+def _unit_kernel(mat):
+    """``kernel_basis``'s unit-pivot basis of the int64 array M by
+    elimination modulo Q, or None.  The basis is returned as (P, N, W):
+    it is the identity on the coordinates P, and on N[i], the pivot of
+    row i of M, it is the row W[i], with |W| <= Q/2."""
+    r, k = mat.shape
     q = _PRIME
-    mat = _int64(m, r * q)
-    if mat is None:
+    if mat.size and max(int(mat.max()), -int(mat.min())) * r * q >= 2**63:
         return None
     red = mat % q
     free = list(range(r))  # rows without a pivot, in order
@@ -391,7 +403,7 @@ def _unit_kernel(m):
         pivot_cols[s] = n
     if free:
         return None
-    rest = sorted(set(range(k)) - set(pivot_cols))
+    rest = np.delete(np.arange(k), pivot_cols)
     neg = (q - red[:, rest]) % q  # -W, lifted below
     neg[neg > q // 2] -= q
     check = mat[:, rest]  # M_P + M_N (-W) must vanish
@@ -399,34 +411,47 @@ def _unit_kernel(m):
         check += np.multiply.outer(mat[:, n], row)
     if check.any():
         return None
+    return rest, np.array(pivot_cols, dtype=np.intp), neg
+
+
+def _block_kernel(block, solved):
+    """The kernel of the int64 array ``block``, whose rows are
+    independent, solved once per memo ``solved`` (keyed by the block's
+    shape and bytes): (P, N, W) from ``_unit_kernel``, which proves the
+    rank itself with a pivot in every row, or else the IntMatrix of
+    ``_echelon_kernel``, whose rank is checked."""
+    key = block.shape, block.tobytes()
+    if key not in solved:
+        solved[key] = _unit_kernel(block)
+        if solved[key] is None:
+            r, k = block.shape
+            solved[key] = basis = _echelon_kernel(_from_rows(block.tolist(), k))
+            if basis.cols != k - r:
+                raise InternalCheckError(
+                    "kernel rank %d differs from %d columns less %d rows" % (basis.cols, k, r)
+                )
+    return solved[key]
+
+
+def _basis_matrix(found, k):
+    """The k-row IntMatrix of a basis from ``_block_kernel``."""
+    if isinstance(found, IntMatrix):
+        return found
+    rest, pivot_cols, neg = found
     data = [None] * k
-    for j, p in enumerate(rest):
+    for j, p in enumerate(rest.tolist()):
         data[p] = [0] * len(rest)
         data[p][j] = 1
-    for n, row in zip(pivot_cols, neg.tolist()):
+    for n, row in zip(pivot_cols.tolist(), neg.tolist()):
         data[n] = row
     return _from_rows(data, len(rest))
 
 
-def _unit_rows(basis):
-    """The rows P on which the Hermite basis ``basis`` is the identity,
-    each column's first nonzero one, or None when they are not."""
-    rows = []
-    for i, row in enumerate(basis.data):
-        j = len(rows)
-        if j < basis.cols and row[j]:
-            if row[j] != 1 or row.count(0) != basis.cols - 1:
-                return None
-            rows.append(i)
-    return rows if len(rows) == basis.cols else None
-
-
-def _int64(matrix, scale):
-    """``matrix`` as an int64 array, or None when an entry times
-    ``scale`` reaches 2^63."""
+def _int64(matrix):
+    """``matrix`` as an int64 array, or None when an entry does not fit."""
     data = matrix.data
     if matrix.rows and matrix.cols:
-        if max(max(map(max, data)), -min(map(min, data))) * scale >= 2**63:
+        if max(max(map(max, data)), -min(map(min, data))) >= 2**63:
             return None
     return np.array(data, dtype=np.int64).reshape(matrix.rows, matrix.cols)
 
@@ -435,15 +460,16 @@ def _rank_reaches(ell, rows, pivots, target):
     """Add the rows of the int64 array ``rows``, modulo the prime ell, to
     the echelon basis ``pivots`` (leading coordinate -> row) until it has
     ``target`` rows; whether it has.  Modulo 2 a row is one Python int,
-    its bits the coordinates, so adding rows is XOR and the lowest set
-    bit leads."""
+    its bits the coordinates, so adding rows is XOR and the highest set
+    bit, which ``bit_length`` reads without a pass over the row, leads."""
     if ell == 2:
+        get = pivots.get
         for packed in np.packbits(rows % 2, axis=1):
             v = int.from_bytes(packed.tobytes(), "big")
-            while v and (low := v & -v) in pivots:
-                v ^= pivots[low]
+            while (pivot := get(v.bit_length())) is not None:
+                v ^= pivot
             if v:
-                pivots[low] = v
+                pivots[v.bit_length()] = v
                 if len(pivots) == target:
                     return True
         return False

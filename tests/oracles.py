@@ -14,6 +14,7 @@ from permrel.burnside import (
     fixed_points,
     induct,
     inflate,
+    marks_table,
 )
 from permrel.classify import (
     DressDecomposition,
@@ -41,13 +42,13 @@ from permrel.perm import Permutation, generate
 from permrel.presets import CORPUS_NAMES
 from permrel.relations import (
     Prediction,
-    _kernel_of,
+    _classes_over,
+    _hypo_mask,
     _maximal_views,
     _own_hypo_mask,
     _validate_theta_characteristic,
     brauer_kernel,
     effective_prime,
-    quotient_kernel,
     verify_relation,
 )
 from permrel.subgroups import (
@@ -61,7 +62,7 @@ from permrel.subgroups import (
     quotient,
     subgroup_as_group,
 )
-from permrel.zlattice import IntMatrix, _as_int, hnf, quotient_invariants, snf
+from permrel.zlattice import IntMatrix, _as_int, hnf, kernel_basis, quotient_invariants, snf
 
 
 @st.composite
@@ -466,16 +467,23 @@ def imprimitive_lattice_by_hnf(group, characteristic):
     """The imprimitive lattice by the exact route alone: the kernel of
     every maximal view and of every G/N, N minimal normal, moved to G's
     classes, and the Hermite form of all those columns with the zero
-    columns dropped."""
+    columns dropped.  Each kernel is ``kernel_basis`` of its marks rows,
+    read as lists, with no memo shared between them."""
     p = effective_prime(group, characteristic)
     table = enumerate_classes(group)
     k = len(table.classes)
     hypo = _own_hypo_mask(table, p)
-    kernels = [quotient_kernel(table, normal, p) for normal in minimal_normal_subgroups(group)]
-    for class_map, marks in _maximal_views(table):
+    marks = marks_table(group, table).m
+    kernels = []
+    for normal in minimal_normal_subgroups(group):
+        over = _classes_over(table, normal).tolist()
+        at = np.flatnonzero(_hypo_mask(table, normal, p, over)).tolist()
+        rows = [[marks[a][over[c]] for a in over] for c in at]
+        kernels.append((kernel_basis(IntMatrix(rows, cols=len(over))), over))
+    for class_map, view_marks in _maximal_views(table):
         positions = np.flatnonzero(hypo[class_map]).tolist()
-        rows = [marks[:, u].tolist() for u in positions]
-        kernels.append((_kernel_of(rows, len(class_map), positions), class_map))
+        rows = [view_marks[:, u].tolist() for u in positions]
+        kernels.append((kernel_basis(IntMatrix(rows, cols=len(class_map))), class_map))
     columns = []
     for basis, class_map in kernels:
         for col in basis.columns():
@@ -570,6 +578,63 @@ def kernel_basis_by_two_hnfs(m):
     if not kernel:
         return IntMatrix.from_columns([], rows=m.cols)
     return hnf(IntMatrix.from_columns(kernel, rows=m.cols))[0]
+
+
+def unit_kernel_by_lists(m, prime=2**31 - 1):
+    """The unit-pivot Hermite kernel basis of the IntMatrix M, or None:
+    the elimination modulo ``prime`` that ``zlattice._unit_kernel`` runs,
+    on Python lists, with the basis returned as an IntMatrix."""
+    r, k = m.rows, m.cols
+    q = prime
+    if r and k and max(max(map(max, m.data)), -min(map(min, m.data))) * r * q >= 2**63:
+        return None
+    mat = np.array(m.data, dtype=np.int64).reshape(r, k)
+    red = mat % q
+    free = list(range(r))  # rows without a pivot, in order
+    pivot_cols = [None] * r
+    for n in range(k - 1, -1, -1):
+        if not free:
+            break
+        x = red[:, n].tolist()
+        s = next((i for i in free if x[i]), None)
+        if s is None:
+            continue
+        inv = pow(x[s], q - 2, q)
+        x[s] -= 1
+        red -= np.multiply.outer([v * inv % q for v in x], red[s])
+        red %= q
+        free.remove(s)
+        pivot_cols[s] = n
+    if free:
+        return None
+    rest = sorted(set(range(k)) - set(pivot_cols))
+    neg = (q - red[:, rest]) % q
+    neg[neg > q // 2] -= q
+    check = mat[:, rest]
+    for n, row in zip(pivot_cols, neg):
+        check += np.multiply.outer(mat[:, n], row)
+    if check.any():
+        return None
+    data = [None] * k
+    for j, p in enumerate(rest):
+        data[p] = [0] * len(rest)
+        data[p][j] = 1
+    for n, row in zip(pivot_cols, neg.tolist()):
+        data[n] = row
+    return IntMatrix(data, cols=len(rest))
+
+
+def unit_rows(basis):
+    """The rows P on which the Hermite basis ``basis`` is the identity,
+    each column's first nonzero one, or None when they are not."""
+    rows = []
+    for i, row in enumerate(basis.data):
+        j = len(rows)
+        if j < basis.cols and row[j]:
+            if row[j] != 1 or row.count(0) != basis.cols - 1:
+                return None
+            rows.append(i)
+    return rows if len(rows) == basis.cols else None
 
 
 def mat_mul(a, b):

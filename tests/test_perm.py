@@ -162,12 +162,32 @@ def test_group_checks_its_image_rows():
             Group(3, s3.generators, s3.images[rows])
     with pytest.raises(InputError, match="nonempty"):
         Group(2, s3.generators, s3.images)
-    # a row that is no permutation is caught where it is first used
-    bogus = Group(3, s3.generators, [[0, 1, 2], [1, 1, 1]])
-    with pytest.raises(InputError, match="not a permutation"):
-        bogus.elements
-    with pytest.raises(InputError, match="not an element"):
-        bogus.mult
+    # a row that is no permutation is caught by the constructor: a
+    # repeated image, or an image past the degree or below 0
+    for bogus in ([1, 1, 1], [5, 5, 5], [-1, 0, 1], [0, 1, 3]):
+        with pytest.raises(InputError, match="not a permutation"):
+            Group(3, s3.generators, [[0, 1, 2], bogus])
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda d: st.lists(st.integers(-1, d), min_size=d, max_size=d).map(lambda row: (d, row))
+))
+@settings(max_examples=100, deadline=None)
+def test_group_accepts_exactly_the_permutation_rows(degree_and_row):
+    # the identity and one more row: a Group exactly when the row is a
+    # permutation other than the identity
+    degree, row = degree_and_row
+    identity_row = list(range(degree))
+    try:
+        Permutation(row)
+        is_permutation = True
+    except InputError:
+        is_permutation = False
+    if not is_permutation:
+        with pytest.raises(InputError, match="not a permutation"):
+            Group(degree, [], [identity_row, row])
+    elif row != identity_row:
+        assert Group(degree, [], [identity_row, row]).order == 2
 
 
 def test_conjugate_indices_sorted():

@@ -63,6 +63,8 @@ from oracles import (
     subgroup_is_p_hypo_elementary,
     theta_highdim_by_functional_orbits,
     translation_module_by_points,
+    unit_kernel_by_lists,
+    unit_rows,
 )
 
 
@@ -177,17 +179,23 @@ KERNEL_CASES += [("C2xC2xC2xC2xC2", (0, 3)), ("S4xC2", (2, 3)), ("D8xS3", (2, 3)
 
 @pytest.mark.parametrize("name, chars", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
 def test_kernel_basis_matches_two_hnfs(name, chars):
+    # the array route of brauer_kernel against two Hermite forms and the
+    # list route it replaced
     group = preset_group(name)
     for char in chars:
-        expected = kernel_basis_by_two_hnfs(_hypo_marks_rows(group, char))
+        rows = _hypo_marks_rows(group, char)
+        expected = kernel_basis_by_two_hnfs(rows)
         assert brauer_kernel(group, char).basis == expected, (name, char)
+        assert unit_kernel_by_lists(rows) == expected, (name, char)
 
 
 @given(permutation_groups(), st.sampled_from((0, 2, 3, 5, 7)))
 @settings(max_examples=40, deadline=None)
 def test_kernel_basis_matches_two_hnfs_on_random_groups(group, char):
-    expected = kernel_basis_by_two_hnfs(_hypo_marks_rows(group, char))
+    rows = _hypo_marks_rows(group, char)
+    expected = kernel_basis_by_two_hnfs(rows)
     assert brauer_kernel(group, char).basis == expected
+    assert unit_kernel_by_lists(rows) == expected
 
 
 def test_marks_kernels_take_the_modular_route(monkeypatch):
@@ -395,7 +403,7 @@ def test_ranks_read_the_generators_on_p(monkeypatch, name, char):
     # coordinates P on which K's basis is the identity
     group = _cold_copy(preset_group(name))
     kernel = brauer_kernel(group, char).basis
-    unit = zlattice._unit_rows(kernel)
+    unit = unit_rows(kernel)
     exact = imprimitive_lattice_by_hnf(_cold_copy(group), char)
     on_p = IntMatrix([[col[i] for col in exact.columns()] for i in unit], cols=exact.cols)
     taken = []
@@ -414,6 +422,14 @@ def test_ranks_read_the_generators_on_p(monkeypatch, name, char):
             assert lattice_contains(on_p, row)
 
 
+def _stray_column(k, last):
+    # e_0 + last e_(k-1) over a view's k classes, as _kernel_of returns a
+    # basis: the identity on P = {0}, and the rows W on N = {1, ..., k-1}
+    w = np.zeros((k - 1, 1), dtype=np.int64)
+    w[-1, 0] = last
+    return np.array([0]), np.arange(1, k), w
+
+
 def test_a_generator_outside_the_kernel_is_rejected(monkeypatch):
     # the column e_0 of a view, its trivial class, induces to [G/1],
     # whose mark at the trivial class is |G|: the M x = 0 check must
@@ -421,10 +437,10 @@ def test_a_generator_outside_the_kernel_is_rejected(monkeypatch):
     group = _cold_copy(preset_group("A4"))
     real = relations._view_kernels
 
-    def with_a_stray_column(table, hypo):
+    def with_a_stray_column(table, hypo, solved):
         class_map = relations._maximal_views(table)[0][0]
-        yield IntMatrix([[1]] + [[0]] * (len(class_map) - 1)), class_map
-        yield from real(table, hypo)
+        yield _stray_column(len(class_map), 0), class_map
+        yield from real(table, hypo, solved)
 
     monkeypatch.setattr(relations, "_view_kernels", with_a_stray_column)
     with pytest.raises(InternalCheckError):
@@ -440,17 +456,80 @@ def test_the_kernel_check_reads_every_hypo_class(monkeypatch, entries):
     group = _cold_copy(preset_group("A4"))
     real = relations._view_kernels
 
-    def with_a_stray_column(table, hypo):
+    def with_a_stray_column(table, hypo, solved):
         class_map = relations._maximal_views(table)[0][0]
         order = table.classes[table.maximal_classes()[0]].representative.order
-        column = [[1]] + [[0]] * (len(class_map) - 2) + [[-order]]
-        yield IntMatrix(column), class_map
-        yield from real(table, hypo)
+        yield _stray_column(len(class_map), -order), class_map
+        yield from real(table, hypo, solved)
 
     monkeypatch.setattr(relations, "_CHECK_ENTRIES", entries)
     monkeypatch.setattr(relations, "_view_kernels", with_a_stray_column)
     with pytest.raises(InternalCheckError):
         imprimitive_lattice(group, 5)
+
+
+def _count_kernel_work(monkeypatch):
+    # (requests, blocks solved): calls of _kernel_of, and of the unit
+    # route behind the memo of _block_kernel
+    requests, solved = [], []
+    for module, fname, record in (
+        (relations, "_kernel_of", requests), (zlattice, "_unit_kernel", solved)
+    ):
+        original = getattr(module, fname)
+
+        def counting(*args, _original=original, _record=record):
+            _record.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(module, fname, counting)
+    return requests, solved
+
+
+def test_each_distinct_kernel_block_is_solved_once(monkeypatch):
+    # C2^4 at char 0: G's kernel and 19 views and quotients, every one of
+    # which is C2^3 with the same marks block, so two blocks are solved
+    group = _cold_copy(preset_group("C2xC2xC2xC2"))
+    expected = imprimitive_lattice_by_hnf(_cold_copy(group), 0)
+    requests, solved = _count_kernel_work(monkeypatch)
+    assert imprimitive_lattice(group, 0) == expected
+    assert (len(requests), len(solved)) == (20, 2)
+    keys = {(block.shape, block.tobytes()) for (block,) in solved}
+    assert len(keys) == 2
+    # 3 does not divide |G|, so char 0's lattice is read back; the block
+    # memo lives on one lattice computation, so a cold copy solves again
+    requests.clear()
+    solved.clear()
+    imprimitive_lattice(group, 3)
+    assert requests == solved == []
+    imprimitive_lattice(_cold_copy(group), 3)
+    assert len(solved) == 2
+
+
+class _ShapeKeyed(dict):
+    # a memo that tells blocks apart by their shape alone
+    def __contains__(self, key):
+        return dict.__contains__(self, key[0])
+
+    def __getitem__(self, key):
+        return dict.__getitem__(self, key[0])
+
+    def __setitem__(self, key, value):
+        dict.__setitem__(self, key[0], value)
+
+
+@pytest.mark.parametrize("char", (0, 2, 3, 5))
+def test_a_memo_keyed_by_shape_alone_is_caught(monkeypatch, char):
+    # C7:C6's views and quotients have marks blocks of one shape but
+    # different entries at these characteristics: a memo keyed by shape
+    # alone hands one the kernel of another, which fails its own M x = 0
+    # check
+    memo = _ShapeKeyed()
+    real = relations._kernel_of
+    monkeypatch.setattr(
+        relations, "_kernel_of", lambda marks_t, hypo, over, solved: real(marks_t, hypo, over, memo)
+    )
+    with pytest.raises(InternalCheckError, match="not in the kernel"):
+        imprimitive_lattice(_cold_copy(preset_group("C7:C6")), char)
 
 
 def _hypo_mask(group, char):
@@ -513,7 +592,8 @@ def test_quotient_views_match_quotient_groups(name):
         q_marks = marks_table(quot.group, q_table).m
         for char in CORPUS_CHARACTERISTICS:
             p = effective_prime(group, char)
-            basis, over = quotient_kernel(table, normal, p)
+            found, over = quotient_kernel(table, normal, p, {})
+            basis = zlattice._basis_matrix(found, len(over))
             in_g = over.tolist()
             place = [
                 in_g.index(table.class_index_of(quot.preimage(c.representative)))
@@ -575,13 +655,20 @@ class _RowsUnread(list):
         raise AssertionError("a marks row was read")
 
 
+class _ArrayUnread(np.ndarray):
+    def __getitem__(self, index):
+        raise AssertionError("a mark was read")
+
+
 def test_all_hypo_views_read_no_marks_rows():
     # C2^4 at char 2: every class of every view is hypo-elementary, so
-    # every view kernel is zero and no row of G's marks is read
+    # every view kernel is zero and no mark of G is read, from the array
+    # or from the lists
     group = _cold_copy(preset_group("C2xC2xC2xC2"))
     table = enumerate_classes(group)
     marks = marks_table(group, table)
-    marks.m = _RowsUnread(marks.m)
+    marks.array = marks.array.view(_ArrayUnread)
+    marks._m = _RowsUnread(range(len(table)))
     assert imprimitive_lattice(group, 2).cols == 0
 
 
@@ -694,7 +781,7 @@ def test_shared_lattices_match_cold_groups(name):
 
 
 def test_coprime_characteristics_reuse_the_lattices(monkeypatch):
-    names = ("kernel_basis", "hnf", "quotient_invariants", "_certified_lattice")
+    names = ("kernel_basis", "_block_kernel", "hnf", "quotient_invariants", "_certified_lattice")
     calls = dict.fromkeys(names, 0)
     for fname in names:
         original = getattr(relations, fname)
@@ -713,7 +800,7 @@ def test_coprime_characteristics_reuse_the_lattices(monkeypatch):
     assert calls == dict.fromkeys(names, 0)
     prim(group, 2)  # 2 divides |G|: a lattice of its own
     # at 2 every class of the 2-group and of its views is hypo-elementary,
-    # so the kernel is zero before kernel_basis is reached, and so is L
+    # so the kernel is zero before any route is reached, and so is L
     assert calls == {**dict.fromkeys(names, 0), "_certified_lattice": 1}, calls
     # S4 has Z/2 torsion at 0: the lattice of the exact route is reused too
     group = _cold_copy(preset_group("S4"))

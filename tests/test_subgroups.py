@@ -397,6 +397,25 @@ def test_skips_cut_the_closures_of_c19_c18(monkeypatch):
     assert closures < 300 and subgroup_count == 102
 
 
+def test_coprime_powers_cut_the_closures_of_c19_c18(monkeypatch):
+    # <H, g^k> = <H, g> for k prime to the order of g: 274 closures
+    # without that skip, 138 with it, and the same class table
+    preset = preset_group("C19:C18")
+    group = generate(preset.degree, preset.generators)
+    closure = subgroups.kernels.closure
+    calls = []
+
+    def counting(mult, seeds, *rest):
+        calls.append(seeds)
+        return closure(mult, seeds, *rest)
+
+    monkeypatch.setattr(subgroups.kernels, "closure", counting)
+    table = enumerate_classes(group)
+    assert len(calls) <= 140 and len(table.sub_to_class) == 102
+    monkeypatch.undo()
+    _assert_equal_tables(table, enumerate_classes_by_transversals(group))
+
+
 def _assert_centralizers_match_loop(group):
     """Centralizers of each class's generators, of its members and of
     nothing, in G and in the class's normalizer."""

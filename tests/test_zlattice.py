@@ -36,6 +36,8 @@ from oracles import (
     quotient_invariants_by_hnf,
     rank_modulo_by_elimination,
     snf_by_dense_echelon,
+    unit_kernel_by_lists,
+    unit_rows,
 )
 
 
@@ -461,12 +463,63 @@ def test_rank_reaches_the_rank_modulo_a_prime(ell, data):
 
 
 def test_unit_rows():
-    assert zlattice._unit_rows(IntMatrix([[1, 0], [5, 0], [0, 1], [3, -2]])) == [0, 2]
-    assert zlattice._unit_rows(IntMatrix([[0], [0]])) is None
-    assert zlattice._unit_rows(IntMatrix([[2, 0], [0, 1]])) is None  # a pivot is not 1
-    assert zlattice._unit_rows(IntMatrix([[1, 0], [0, 1], [1, 1]])) == [0, 1]
-    assert zlattice._unit_rows(IntMatrix([[1, 1], [0, 1]])) is None  # not the identity there
-    assert zlattice._unit_rows(IntMatrix([[], []])) == []
+    # the oracle that reads P off a basis, against which the array
+    # route's P is checked
+    assert unit_rows(IntMatrix([[1, 0], [5, 0], [0, 1], [3, -2]])) == [0, 2]
+    assert unit_rows(IntMatrix([[0], [0]])) is None
+    assert unit_rows(IntMatrix([[2, 0], [0, 1]])) is None  # a pivot is not 1
+    assert unit_rows(IntMatrix([[1, 0], [0, 1], [1, 1]])) == [0, 1]
+    assert unit_rows(IntMatrix([[1, 1], [0, 1]])) is None  # not the identity there
+    assert unit_rows(IntMatrix([[], []])) == []
+
+
+def _array_route(m):
+    # _unit_kernel's (P, N, W) as an IntMatrix, or None; P must be the
+    # rows on which that basis is the identity, and N the others
+    mat = zlattice._int64(m)
+    unit = None if mat is None else zlattice._unit_kernel(mat)
+    if unit is None:
+        return None
+    basis = zlattice._basis_matrix(unit, m.cols)
+    assert unit[0].tolist() == unit_rows(basis)
+    assert sorted(unit[0].tolist() + unit[1].tolist()) == list(range(m.cols))
+    assert unit[2].dtype == np.int64 and np.all(np.abs(unit[2]) <= zlattice._PRIME // 2)
+    return basis
+
+
+def assert_array_route_matches_lists(m):
+    basis = _array_route(m)
+    assert basis == unit_kernel_by_lists(m, zlattice._PRIME)
+    if basis is not None:
+        assert basis == kernel_basis_by_two_hnfs(m)
+
+
+@given(kernel_input)
+@settings(max_examples=200, deadline=None)
+def test_array_route_matches_the_list_route(m):
+    assert_array_route_matches_lists(m)
+
+
+@given(kernel_input, st.sampled_from((2, 3, 5, 7)))
+@settings(max_examples=120, deadline=None)
+def test_array_route_matches_the_list_route_modulo_a_small_prime(m, prime):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zlattice, "_PRIME", prime)
+        assert_array_route_matches_lists(m)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("over", [0, 1])
+def test_array_route_at_the_int64_guard(rows, over):
+    # entries e with e r Q just below 2^63 take the modular route, and
+    # one more gives up on both routes; the echelon route still answers.
+    # M = e [u | v | I] has the unit basis with W = -[u | v]
+    top = (2**63 - 1) // (rows * zlattice._PRIME) + over
+    m = IntMatrix([[top, (-1) ** i * top] + [top * (i == j) for j in range(rows)]
+                   for i in range(rows)])
+    assert_array_route_matches_lists(m)
+    assert (_array_route(m) is None) == bool(over)
+    assert kernel_basis(m) == kernel_basis_by_two_hnfs(m)
 
 
 def test_kernel_of_a_matrix_with_no_rows():
@@ -477,7 +530,7 @@ def test_kernel_of_a_matrix_with_no_rows():
 def test_kernel_of_a_matrix_with_no_columns(rows):
     # Z^0 has the empty basis: no columns, over no coordinates
     m = IntMatrix([[] for _ in range(rows)], cols=0)
-    assert zlattice._unit_kernel(m) is None
+    assert zlattice._unit_kernel(zlattice._int64(m)) is None
     basis = kernel_basis(m)
     assert (basis.rows, basis.cols) == (0, 0)
     assert basis == kernel_basis_by_two_hnfs(m)
