@@ -47,38 +47,41 @@ def power_orders(mult, mask):
     return orders
 
 
-def closure(mult, seeds, start=None):
-    """Subgroup K generated by ``seeds``, as a sorted index array.
+def closure(mult, seeds, base=None, left=None):
+    """The subgroup K = <H, seeds> for the subgroup H = ``base`` (the
+    identity alone by default), as a sorted int32 index array.
 
-    Breadth-first from ``start``, a sorted index array that holds the
-    identity and lies inside K (the identity alone by default): each
-    round multiplies only the elements found in the previous round by
-    the seeds, so building K takes |K| * |seeds| products plus one pass
-    over an n-long mask per round.  The search reaches start * K = K,
-    as in a finite group the products of the seeds already give the
-    whole subgroup; a start that knows more of K needs fewer rounds.
-    Past n/2 elements K is the whole group, by Lagrange.  A result whose
-    size does not divide n (a start outside K) raises InternalCheckError.
+    The search grows a set X inside K by whole left cosets zH, one gather
+    each (Dimino's coset growth; Butler, *Fundamental Algorithms for
+    Permutation Groups*, 1991).  X H = X, so X is K once X s lies in X
+    for each seed s: each round multiplies only the newest cosets by the
+    seeds, and a product z outside X adds zH.  ``left``, a subgroup L of
+    K, makes X a union of double cosets LzH, from LH on; as L X = X, the
+    rounds still multiply only the cosets zH.  Past n/2 elements K is G,
+    by Lagrange.  A result whose size does not divide n (a base or left
+    that is no subgroup) raises InternalCheckError.  Indices are intp,
+    which numpy gathers and scatters fastest.
     """
     n = mult.shape[0]
-    gens = np.asarray(seeds, dtype=np.int32)
-    frontier = np.zeros(1, dtype=np.int32) if start is None else start
+    gens = np.asarray(seeds, dtype=np.intp)
+    base = np.zeros(1, dtype=np.intp) if base is None else np.asarray(base, dtype=np.intp)
     member = np.zeros(n, dtype=bool)
-    member[frontier] = True
-    size = frontier.size
-    while frontier.size and gens.size:
-        if 2 * size > n:
-            return np.arange(n, dtype=np.int32)
+    member[base if left is None else mult[left[:, None], base].astype(np.intp)] = True
+    size, cosets = np.count_nonzero(member), base
+    while 2 * size <= n:
         reached = np.zeros(n, dtype=bool)
-        reached[mult[frontier[:, None], gens]] = True
-        fresh = reached > member  # reached, and not a member yet
-        member |= fresh
-        frontier = fresh.nonzero()[0]
-        size += frontier.size
-    if n % size:
-        raise InternalCheckError("a closure of %d elements in a group of order %d"
-                                 % (size, n))
-    return member.nonzero()[0].astype(np.int32)
+        reached[mult[cosets[:, None], gens].astype(np.intp)] = True
+        fresh = (reached > member).nonzero()[0]  # reached, and not a member yet
+        if not fresh.size:
+            if n % size:
+                raise InternalCheckError("a closure of %d elements in a group of order %d"
+                                         % (size, n))
+            return member.nonzero()[0].astype(np.int32)
+        if base.size > 1:
+            fresh = mult[fresh[:, None], base].astype(np.intp)  # row i: the coset z_i H
+        member[fresh if left is None else mult[left[:, None, None], fresh].astype(np.intp)] = True
+        cosets, size = fresh.ravel(), np.count_nonzero(member)
+    return np.arange(n, dtype=np.int32)
 
 
 def normalizer_members(mult, inv, members, gens):

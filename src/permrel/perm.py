@@ -215,15 +215,19 @@ class Group:
         images = np.ascontiguousarray(images, dtype=">i4")
         if images.ndim != 2 or images.shape[1] != degree or not images.size:
             raise InputError("group images must be a nonempty order x %d array" % degree)
-        # a row is a permutation exactly when it is the inverse of its
-        # inverse, each inverse an argsort as ``inv`` computes it; blocks
-        # of rows keep the int64 argsorts small
+        # a row is a permutation exactly when, scattered into a mask, its
+        # entries hit every point; read unsigned, a negative entry cannot
+        # wrap, and like one past the degree it fails the bounds check and
+        # leaves its row short (blocks of rows keep the masks small)
         block = max(1, 2**20 // degree)
         for start in range(0, len(images), block):
-            rows = twice = images[start:start + block]
-            for _ in range(2):
-                twice = np.ascontiguousarray(np.argsort(twice, axis=1), dtype=">i4")
-            if twice.tobytes() != rows.tobytes():
+            rows = images[start:start + block]
+            hit = np.zeros(rows.shape, dtype=bool)
+            try:
+                hit[np.arange(len(rows))[:, None], rows.view(">u4")] = True
+            except IndexError:
+                pass
+            if np.count_nonzero(hit) < hit.size:
                 raise InputError("a group image row is not a permutation of 0..%d" % (degree - 1))
         keys = images.view(np.dtype((np.void, 4 * degree))).ravel().tolist()
         if keys[0] != np.arange(degree, dtype=np.int32).astype(">i4").tobytes():

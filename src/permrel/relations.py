@@ -193,24 +193,20 @@ def _classes_over(table, normal):
 def _hypo_mask(table, normal, p, over):
     """Mask over the classes ``over`` that contain the normal N (from
     ``_classes_over``) of those whose U has U/N p-hypo-elementary, by the
-    test of the module docstring.  Memoised per lattice prime for N = 1
-    alone, the one mask read again at the same lattice prime."""
+    test of the module docstring on each class's first row of
+    ``table.members``.  Memoised per lattice prime for N = 1 alone, the
+    one mask read again at the same lattice prime."""
     group = table.group
     key = ("hypo", _lattice_prime(group, p))
     if normal.is_trivial() and key in group._memo:
         return group._memo[key]
     orders, n = orders_modulo(group, normal), normal.order
     p_elements = kernels.value_mask(orders, lambda o: p_part(o, p) == o)
-    mask = []
-    for j in over:
-        u = table.classes[j].representative.indices
-        size = u.size // n
-        sylow = p_part(size, p)
-        mask.append(
-            np.count_nonzero(p_elements[u]) == n * sylow
-            and bool((orders[u] == size // sylow).any())
-        )
-    mask = np.array(mask, dtype=bool)
+    rows = table.members[np.searchsorted(table.class_of, over)]
+    sizes = np.count_nonzero(rows, axis=1) // n  # |U/N|
+    sylow = np.array([p_part(size, p) for size in sizes.tolist()], dtype=np.int64)
+    mask = ((np.count_nonzero(rows & p_elements, axis=1) == n * sylow)
+            & (rows & (orders == (sizes // sylow)[:, None])).any(axis=1))
     if normal.is_trivial():
         group._memo[key] = mask
     return mask

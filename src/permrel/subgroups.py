@@ -20,14 +20,10 @@ of powers of itself of prime-power order), so some zuppo z of K' lies
 outside H and <H, z> = K'; the skips pass z over only when <H, z> is
 already registered.  Registering K' registers its class, K included.
 
-The closure of <H, g> does not start from the identity: its search
-grows from the set H<g> of products hg^k, which lies inside <H, g> as
-both factors do, and holds the identity.  Right products of a start S
-inside a group K by K's generators reach exactly S K = K, so the result
-is the same; it only needs fewer rounds, since H and the powers of g
-are known before the first one (Dimino's algorithm likewise starts from
-H, and adds whole cosets of it; Butler, *Fundamental Algorithms for
-Permutation Groups*, 1991).
+The closure of <H, g> grows by whole cosets of H, not by elements: from
+<g>H it adds double cosets <g> z H, and since their right products by H
+and left ones by g stay inside, each round multiplies only the cosets zH
+added last, by the powers of g (Dimino's algorithm; ``_kernels.closure``).
 
 A class is registered from the member K an extension closed, with the
 generators it was closed from: N_G(K) is read off them, the class is
@@ -136,7 +132,8 @@ class Subgroup:
     @property
     def generator_indices(self):
         """A small generating set, found greedily along the index order;
-        each step's closure grows from the one before, which it contains."""
+        each step closes <C, g> by cosets of the subgroup C the steps
+        before generated."""
         if self._gens is None:
             mult = self.ambient.mult
             covered = np.zeros(1, dtype=np.int32)
@@ -144,9 +141,7 @@ class Subgroup:
             for idx in self.indices:
                 if idx not in covered:
                     gens.append(int(idx))
-                    covered = kernels.closure(
-                        mult, np.asarray(gens, dtype=np.int32), start=covered
-                    )
+                    covered = kernels.closure(mult, [idx], covered)
                     if covered.size == self.indices.size:
                         break
             self._gens = np.asarray(gens, dtype=np.int32)
@@ -328,7 +323,7 @@ def enumerate_classes(group):
     sub_to_class = {}
     records = []  # (indices, normalizer_indices, member keys, generators, first row)
     queue = deque()  # (representative, generators of it)
-    cyclic = {}  # g -> the powers 1, g, g^2, ... of each g tried so far
+    cyclic = {}  # each g tried -> its powers 1, g, g^2, ... and those g^k, k prime to |g|
     # the packed masks of the registered subgroups of each order: the
     # first used[order] rows of blocks[order], each class's rows in key order
     width = (n + 7) // 8
@@ -407,25 +402,26 @@ def enumerate_classes(group):
                 done |= _unpack(over, n).any(axis=0)
         # the last seed is each g in turn; neither closure nor register keeps seeds
         seeds = np.append(gens, np.int32(0))
+        rows = base.astype(np.intp)
         for g in np.flatnonzero(~done):
             if done[g]:
                 continue
             # <H, g> = <H, hgh'>: one extension per double coset HgH (the
             # |H| x |H| block is at most a quarter of the mult table)
-            done[mult[mult[base, g][:, None], base]] = True
-            # the search grows from H<g>, which lies inside <H, g>
-            powers = cyclic.get(g)
-            if powers is None:
+            done[mult[mult[rows, g][:, None], rows].astype(np.intp)] = True
+            if g not in cyclic:
                 powers = [0, int(g)]
                 for _ in range(orders[g] - 2):
                     powers.append(int(mult[powers[-1], g]))
-                powers = cyclic[g] = np.array(powers, dtype=np.int32)
-            # <H, g^k> = <H, g> for each k prime to the order of g
-            done[[p for k, p in enumerate(powers) if math.gcd(k, powers.size) == 1]] = True
-            start = np.zeros(n, dtype=bool)
-            start[mult[base[:, None], powers]] = True
+                # <H, g^k> = <H, g> for each k prime to the order of g
+                coprime = [p for k, p in enumerate(powers) if math.gcd(k, len(powers)) == 1]
+                cyclic[g] = np.array(powers, dtype=np.intp), np.array(coprime, dtype=np.intp)
+            powers, coprime = cyclic[g]
+            done[coprime] = True
             seeds[-1] = g
-            closed = kernels.closure(mult, seeds, start.nonzero()[0])
+            # the search grows by double cosets <g> z H from <g>H; multiplying
+            # by every power of g, not by g alone, takes fewer rounds
+            closed = kernels.closure(mult, powers[1:], rows, powers)
             if closed.size // base.size in primes:
                 done[closed] = True
             register(closed, seeds)

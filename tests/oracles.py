@@ -31,6 +31,7 @@ from permrel.classify import (
     is_pq_dress,
     is_q_quasi_elementary,
     is_soluble,
+    orders_modulo,
     p_core,
     q_residual,
     two_factor_decomposition,
@@ -203,6 +204,32 @@ def closure_by_products(mult, seeds):
         if fresh.size == 0:
             return members.astype(np.int32)
         member[fresh] = True
+
+
+def closure_by_bfs(mult, seeds, start=None):
+    """Subgroup K generated by ``seeds``, breadth-first from ``start``, a
+    sorted index array inside K holding the identity (the identity alone
+    by default): each round multiplies the elements found in the round
+    before by every seed.  Past n/2 elements K is G, by Lagrange."""
+    n = mult.shape[0]
+    gens = np.asarray(seeds, dtype=np.int32)
+    frontier = np.zeros(1, dtype=np.int32) if start is None else start
+    member = np.zeros(n, dtype=bool)
+    member[frontier] = True
+    size = frontier.size
+    while frontier.size and gens.size:
+        if 2 * size > n:
+            return np.arange(n, dtype=np.int32)
+        reached = np.zeros(n, dtype=bool)
+        reached[mult[frontier[:, None], gens]] = True
+        fresh = reached > member
+        member |= fresh
+        frontier = fresh.nonzero()[0]
+        size += frontier.size
+    if n % size:
+        raise InternalCheckError("a closure of %d elements in a group of order %d"
+                                 % (size, n))
+    return member.nonzero()[0].astype(np.int32)
 
 
 def coset_reps_by_full_scan(mult, members):
@@ -396,6 +423,22 @@ def _subquotient_class_map(group, table, h, h_group, n_sub):
         for cls in enumerate_classes(q_group).classes
     ]
     return q_group, class_map
+
+
+def hypo_mask_by_loop(table, normal, p, over):
+    """``relations._hypo_mask``, unmemoised, one class representative at
+    a time: U/N is p-hypo-elementary when U holds |N| |U/N|_p elements u
+    with o(uN) a power of p, and one with o(uN) = |U/N|_p'."""
+    group = table.group
+    orders, n = orders_modulo(group, normal), normal.order
+    mask = []
+    for j in over:
+        u = table.classes[j].representative.indices
+        size = u.size // n
+        sylow = p_part(size, p)
+        p_count = sum(p_part(int(o), p) == o for o in orders[u])
+        mask.append(p_count == n * sylow and bool((orders[u] == size // sylow).any()))
+    return np.array(mask, dtype=bool)
 
 
 def classes_containing_by_loop(table, normal):

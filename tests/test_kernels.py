@@ -18,7 +18,12 @@ from permrel.perm import generate, parse_cycles
 from permrel.presets import CORPUS_NAMES, preset_group
 from permrel.subgroups import Subgroup, enumerate_classes, normal_subgroups
 
-from oracles import coset_reps_by_full_scan, permutation_groups
+from oracles import (
+    closure_by_bfs,
+    closure_by_products,
+    coset_reps_by_full_scan,
+    permutation_groups,
+)
 
 
 def _groups():
@@ -135,17 +140,19 @@ def test_closure_matches_bfs(case):
 @given(group_and_seeds(seed_sets=2))
 @settings(max_examples=60, deadline=None)
 def test_closure_from_generators_equals_closure_from_members(case):
-    # the enumeration extends H by g closing only H's generators and g
+    # <H, g> from H's generators and g, and by cosets of H from g alone
     group, h_seeds, extra = case
     h = Subgroup.generated(group, h_seeds)
     for g in extra:
+        want = _bfs_closure(group, np.append(h.indices, g))
         got = _kernels.closure(group.mult, np.append(h.generator_indices, g))
-        assert got.tolist() == _bfs_closure(group, np.append(h.indices, g))
+        assert got.tolist() == want
+        assert _kernels.closure(group.mult, [g], h.indices).tolist() == want
 
 
 class _CountingTable:
-    """A ``mult`` table that records the rows of each product block
-    read from it, one block per round of ``closure``."""
+    """A ``mult`` table that records the rows of each block read from
+    it: the products of one round of ``closure``, or the cosets it adds."""
 
     def __init__(self, mult):
         self.mult = mult
@@ -157,33 +164,42 @@ class _CountingTable:
         return self.mult[index]
 
 
+def _powers(group, g):
+    """1, g, g^2, ... up to the order of g: the enumeration's left."""
+    powers = [0]
+    while len(powers) == 1 or powers[-1] != 0:
+        powers.append(int(group.mult[powers[-1], g]))
+    return np.asarray(powers[:-1], dtype=np.intp)
+
+
 def _start_sets(group, h_seeds, g):
-    """The start sets <H, g> may grow from, each a sorted index array
-    inside <H, g> that holds the identity, by name."""
-    mult = group.mult
+    """The starts <H, g> may be closed from, by name: (base, left,
+    seeds), each base and left a subgroup inside <H, g>, and the seeds
+    generating <H, g> together with them."""
     h = np.asarray(_bfs_closure(group, h_seeds), dtype=np.int32)
     cyclic = np.asarray(_bfs_closure(group, [g]), dtype=np.int32)
-    double_coset = mult[mult[h, g][:, None], h]
+    powers = _powers(group, g)
+    both = np.append(h_seeds, g).astype(np.int32)
     return {
-        "1": np.zeros(1, dtype=np.int32),
-        "H": h,
-        "H u HgH": _kernels.sorted_unique(np.append(h, double_coset)),
-        "H<g>": _kernels.sorted_unique(mult[h[:, None], cyclic]),
-        "<H, g>": np.asarray(_bfs_closure(group, np.append(h_seeds, g)), dtype=np.int32),
+        "1": (None, None, both),
+        "H": (h, None, [g]),
+        "<g>": (cyclic, None, both),
+        "H, left <g>": (h, powers, [g]),
+        "H, left <g>, seeds its powers": (h, powers, powers[1:]),
+        "<H, g>": (np.asarray(_bfs_closure(group, both), dtype=np.int32), None, [g]),
     }
 
 
 def _assert_closures_from_start_sets(group, h_seeds, g):
-    seeds = np.append(h_seeds, g).astype(np.int32)
-    want = _bfs_closure(group, seeds)
-    for name, start in _start_sets(group, h_seeds, g).items():
+    want = _bfs_closure(group, np.append(h_seeds, g))
+    for name, (base, left, seeds) in _start_sets(group, h_seeds, g).items():
         table = _CountingTable(group.mult)
-        got = _kernels.closure(table, seeds, start)
+        got = _kernels.closure(table, seeds, base, left)
         assert got.dtype == np.int32
         assert got.tolist() == want, name
         if name == "<H, g>":
             # nothing is left to find: one round, or none past n/2
-            assert table.rows == ([start.size] if 2 * start.size <= group.order else [])
+            assert table.rows == ([base.size] if 2 * base.size <= group.order else [])
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -203,6 +219,42 @@ def test_closure_from_start_sets_matches_bfs(case):
         _assert_closures_from_start_sets(group, h_seeds, g)
 
 
+def test_closure_with_left_adds_every_left_translate_of_a_coset():
+    # in C19:C18, <H, g> for H of order 3 and g of order 9, with L = <g>:
+    # marking each new coset zH alone, not every g^j z H, misses elements
+    # of some <H, g> that only the translates lead to
+    group = preset_group("C19:C18")
+    mult = group.mult
+    for cls in enumerate_classes(group).classes:
+        if cls.order != 3:
+            continue
+        for g in np.flatnonzero(group.element_orders == 9):
+            got = _kernels.closure(mult, [g], cls.representative.indices, _powers(group, g))
+            want = closure_by_bfs(mult, np.append(cls.generators, g))
+            assert got.tolist() == want.tolist()
+
+
+@given(group_and_seeds(seed_sets=2))
+@settings(max_examples=60, deadline=None)
+def test_closure_matches_the_reference_searches(case):
+    # <H, seeds> by cosets of H against the breadth-first reference and
+    # the closure by products, for H = 1, a random H and H = G
+    group, h_seeds, seeds = case
+    mult, n = group.mult, group.order
+    want = closure_by_bfs(mult, np.append(h_seeds, seeds)).tolist()
+    assert closure_by_products(mult, np.append(h_seeds, seeds)).tolist() == want
+    h = closure_by_bfs(mult, h_seeds)
+    assert _kernels.closure(mult, seeds, h).tolist() == want
+    assert _kernels.closure(mult, np.append(h_seeds, seeds)).tolist() == want
+    assert _kernels.closure(mult, seeds, np.arange(n)).tolist() == list(range(n))
+    # the generators of G from H = 1 stop past n/2: no element multiplied
+    # after that, and each one multiplied once
+    gens = np.asarray([group.index(p) for p in group.generators], dtype=np.int32)
+    table = _CountingTable(mult)
+    assert _kernels.closure(table, gens).tolist() == list(range(n))
+    assert sum(table.rows) <= n // 2
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES + ("A6",))
 def test_closure_of_generators_of_g_stops_past_half(name):
     # a subgroup with more than n/2 elements is G, by Lagrange, so the
@@ -216,15 +268,14 @@ def test_closure_of_generators_of_g_stops_past_half(name):
 
 
 def test_closure_from_a_start_outside_the_subgroup_fails_the_order_check():
-    # K = <(0 1 2)> has index 8 in S4; a start with the identity and two
-    # more left coset representatives reaches three cosets, 9 elements,
-    # and 9 does not divide 24
+    # the base B = {1, (1 2 3), (0 1 2)} is no subgroup of S4: growing
+    # <B, (0 1 2)> by the sets zB stops at 9 elements, and 9 does not
+    # divide 24
     s4 = _groups()[0]
+    base = np.asarray(sorted(s4.index(parse_cycles(4, c)) for c in ("()", "(1 2 3)", "(0 1 2)")))
     seeds = np.asarray([s4.index(parse_cycles(4, "(0 1 2)"))], dtype=np.int32)
-    reps = _first_unseen_reps(s4, _bfs_closure(s4, seeds))
-    start = np.asarray(sorted(reps[:3]), dtype=np.int32)
-    with pytest.raises(InternalCheckError):
-        _kernels.closure(s4.mult, seeds, start)
+    with pytest.raises(InternalCheckError, match="closure of 9 elements"):
+        _kernels.closure(s4.mult, seeds, base)
 
 
 @given(group_and_seeds())

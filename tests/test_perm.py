@@ -169,6 +169,20 @@ def test_group_checks_its_image_rows():
             Group(3, s3.generators, [[0, 1, 2], bogus])
 
 
+@pytest.mark.parametrize("degree", (4, 2**19))
+def test_group_rejects_a_negative_entry_that_would_wrap(degree):
+    # -1 indexes the last point, so a scatter of [1, 0, 2, ..., -1] alone
+    # would see a permutation; at degree 2^19 the check takes two rows a
+    # block, and the bad row is the third
+    swap = np.arange(degree)
+    swap[:2] = 1, 0
+    for bad in (-1, degree):
+        row = swap.copy()
+        row[-1] = bad
+        with pytest.raises(InputError, match="not a permutation"):
+            Group(degree, [], [np.arange(degree), swap, row])
+
+
 @given(st.integers(1, 6).flatmap(
     lambda d: st.lists(st.integers(-1, d), min_size=d, max_size=d).map(lambda row: (d, row))
 ))

@@ -49,6 +49,7 @@ from oracles import (
     classes_containing_by_loop,
     extract_generator_by_columns,
     generates_quotient_by_snf,
+    hypo_mask_by_loop,
     imprimitive_lattice_by_hnf,
     imprimitive_lattice_by_subquotient_groups,
     imprimitive_lattice_by_sweep,
@@ -648,6 +649,23 @@ def test_hypo_mask_matches_quotient_groups_for_every_normal_subgroup(group, char
         assert np.flatnonzero(mask).tolist() == expected
         assert over[-1] == len(table.classes) - 1
         assert bool(mask[-1]) == quotient_is_p_hypo_elementary(group, normal, p)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + (
+    "A6", "C19:C18", "C2xC2xC2xC2", "D8xS3", "S4xC2", "C2xC2xC2xC2xC2"))
+def test_hypo_mask_matches_the_class_loop(name):
+    # one masked reduction over a member of each class against the loop
+    # over the class representatives, for G and each G/N, N minimal normal;
+    # each group is new, so no mask of G comes from the memo
+    for char in CORPUS_CHARACTERISTICS:
+        group = _cold_copy(preset_group(name))
+        table = enumerate_classes(group)
+        p = effective_prime(group, char)
+        for normal in [table.classes[0].representative] + minimal_normal_subgroups(group):
+            over = relations._classes_over(table, normal)
+            got = relations._hypo_mask(table, normal, p, over)
+            assert got.dtype == bool
+            assert got.tolist() == hypo_mask_by_loop(table, normal, p, over).tolist(), (name, char)
 
 
 class _RowsUnread(list):

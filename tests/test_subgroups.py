@@ -384,6 +384,22 @@ def _closures_to_enumerate(monkeypatch, name):
     return len(calls), len(table.sub_to_class)
 
 
+# (closures, subgroups) of each enumeration, as the breadth-first closure
+# from H<g> made them: growing <H, g> by cosets of H changes no try
+_CLOSURES = {
+    "C2xC2": (4, 5), "C6": (3, 4), "C12": (6, 6), "Q8": (5, 6), "D8": (10, 10),
+    "S3": (5, 6), "A4": (11, 10), "S4": (32, 30), "A5": (57, 59), "S5": (165, 156),
+    "C7:C6": (26, 26), "C5:C4": (17, 14), "C5xQ8": (14, 12), "C3^2:C4": (42, 38),
+    "A6": (461, 501), "C19:C18": (138, 102), "C2xC2xC2xC2": (66, 67), "D8xS3": (151, 120),
+    "S4xC2": (130, 98), "C2xC2xC2xC2xC2": (373, 374),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSURES))
+def test_closures_per_enumeration_are_pinned(monkeypatch, name):
+    assert _closures_to_enumerate(monkeypatch, name) == _CLOSURES[name]
+
+
 @pytest.mark.parametrize("name,closures", [("C2xC2xC2xC2", 66), ("C2xC2xC2xC2xC2", 373)])
 def test_prime_index_skip_closes_each_subgroup_once(monkeypatch, name, closures):
     # every subgroup but the trivial one costs exactly one closure
