@@ -106,16 +106,6 @@ def count_fixed(mult, inv, member_mask, transversal, kgens):
 
 
 def coset_reps(mult, members):
-    """Left coset representatives of H, identity coset first.  The scan
-    stops at the |G:H|-th representative: every later g is in a coset
-    already found."""
-    n = mult.shape[0]
-    visited = np.zeros(n, dtype=bool)
-    reps = []
-    for g in range(n):
-        if not visited[g]:
-            reps.append(g)
-            if len(reps) * members.size == n:
-                break
-            visited[mult[g, members]] = True
-    return np.asarray(reps, dtype=np.int32)
+    """Left coset representatives of H, identity coset first: the least
+    element of each coset gH, one n x |H| block of products."""
+    return sorted_unique(mult[:, members].min(axis=1))

@@ -119,8 +119,8 @@ def marks_table(group, table=None):
     the |N_G(H):H| cosets gnH with n in N_G(H) give the same conjugate,
     so the mark of K on G/H is |N_G(H):H| times the number of
     conjugates of H that contain K (Pfeiffer, 1997).  ``count_marks``
-    counts those for every class at once from the table's membership
-    matrix; testing K's generators suffices.
+    counts those for every class at once from the table's rows that hold
+    each K's generators, which suffices.
     """
     if table is None:
         table = enumerate_classes(group)
@@ -133,10 +133,9 @@ def marks_table(group, table=None):
     orders = np.asarray([c.order for c in classes], dtype=np.int64)
     weights = np.asarray([c.normalizer.order for c in classes], dtype=np.int64) // orders
     m = count_marks(
-        table.members,
+        table.containing([c.generators for c in classes]),
         table.class_of,
         weights,
-        [c.generators for c in classes],
         group.order // orders,
     )
     result = MarksTable(table, m)
@@ -144,27 +143,26 @@ def marks_table(group, table=None):
     return result
 
 
-def count_marks(members, class_of, weights, tests, index):
-    """A table of marks counted from subgroup membership.
+def count_marks(above, class_of, weights, index):
+    """A table of marks counted from subgroup containments.
 
-    Row r of ``members`` is the element mask of a subgroup in the class
-    ``class_of[r]``; ``weights[i]`` is |N(H_i):H_i|, ``tests[j]`` is a
-    set of elements generating K_j (all of K_j will do), and
-    ``index[i]`` is the index of H_i.  The mark of K_j on H_i is the
-    weight times the number of class-i rows containing K_j.  The table
-    must be lower triangular with diagonal ``weights`` and first column
-    ``index``; otherwise InternalCheckError is raised.
+    Row r of the bool matrix ``above`` is a subgroup in the class
+    ``class_of[r]``, true at column j when it contains K_j;
+    ``weights[i]`` is |N(H_i):H_i| and ``index[i]`` the index of H_i.
+    The mark of K_j on H_i is the weight times the number of class-i
+    rows containing K_j.  The table must be lower triangular with
+    diagonal ``weights`` and first column ``index``; otherwise
+    InternalCheckError is raised.
     """
     k = len(weights)
     m = np.zeros((k, k), dtype=np.int64)
-    for j, cols in enumerate(tests):
-        above = members[:, cols].all(axis=1)
-        m[:, j] = weights * np.bincount(class_of[above], minlength=k)
+    for j in range(k):
+        m[:, j] = weights * np.bincount(class_of[above[:, j]], minlength=k)
     if (m[:, 0] != index).any():
         raise InternalCheckError("mark on the trivial class must be the index")
     if (np.diagonal(m) != weights).any():
         raise InternalCheckError("diagonal mark disagrees with the normalizer")
-    if np.triu(m, 1).any():
+    if np.triu(m != 0, 1).any():
         raise InternalCheckError("table of marks is not lower triangular")
     return m
 

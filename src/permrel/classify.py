@@ -146,8 +146,10 @@ def orders_modulo(group, normal):
 
 
 def _normal_over(group, normal):
-    """The normal subgroups of ``group`` that contain ``normal``."""
-    return [m for m in normal_subgroups(group) if m.contains_subgroup(normal)]
+    """The normal subgroups of ``group`` that contain the normal ``normal``."""
+    table = enumerate_classes(group)
+    over = [table.classes[i] for i in table.classes_over(normal).tolist()]
+    return [c.representative for c in over if c.class_size == 1]
 
 
 def quotient_p_core(group, normal, p):
@@ -238,7 +240,7 @@ def frattini_subgroup(group):
         table = enumerate_classes(group)
         maximal = np.zeros(len(table.classes), dtype=bool)
         maximal[list(table.maximal_classes())] = True
-        rows = table.members[maximal[table.class_of]]
+        rows = table.unpacked(np.flatnonzero(maximal[table.class_of]))
         group._memo["frattini"] = Subgroup(group, np.flatnonzero(rows.all(axis=0)))
     return group._memo["frattini"]
 
@@ -258,11 +260,13 @@ def hall_p_complement(group, p):
 def _least_hall_subgroup(table, sub, p):
     """The subgroup of G inside ``sub`` of order |sub|_p' whose index
     list is lexicographically least, read off the class table ``table``."""
-    rows = table.members[~table.members[:, ~sub.mask].any(axis=1)]
-    rows = rows[np.count_nonzero(rows, axis=1) == prime_to_p_part(sub.order, p)]
+    rows = table.inside(sub)
+    orders = np.array([table.classes[i].order for i in table.class_of[rows].tolist()])
+    rows = rows[orders == prime_to_p_part(sub.order, p)]
     if not len(rows):
         raise InternalCheckError("soluble group is missing a Hall complement")
-    return Subgroup(table.group, min(np.flatnonzero(row).tolist() for row in rows))
+    bits = table.unpacked(rows, sub.indices)
+    return Subgroup(table.group, min(sub.indices[np.flatnonzero(row)].tolist() for row in bits))
 
 
 def is_p_hypo_elementary(group, p):
@@ -372,8 +376,8 @@ def dress_decomposition(group, p, q):
         fused = ng_label[np.searchsorted(ng_rows, rows[roots])]  # each H-class's N_G(U)-orbit
         if kernels.sorted_unique(fused).size < roots.size:
             raise InternalCheckError("normalizer fused two complement classes")
-        least = [min(np.flatnonzero(table.members[r]).tolist() for r in rows[label == root])
-                 for root in roots]
+        least = [min(hall.indices[np.flatnonzero(row)].tolist()
+                     for row in table.unpacked(rows[label == r], hall.indices)) for r in roots]
         reps = [Subgroup(group, v) for v in sorted(least, key=lambda v: (len(v), v))]
         for v_idx, v in enumerate(reps):
             product = kernels.sorted_unique(group.mult[np.ix_(u.indices, v.indices)])

@@ -183,27 +183,19 @@ class KernelBasis:
         return [BurnsideElement(table, col) for col in self.basis.columns()]
 
 
-def _classes_over(table, normal):
-    """Positions of G's classes whose members contain the normal N."""
-    # N is normal, so it lies in every member of a class or in none
-    first = np.searchsorted(table.class_of, np.arange(len(table.classes)))
-    return np.flatnonzero(table.members[first[:, None], normal.indices].all(axis=1))
-
-
 def _hypo_mask(table, normal, p, over):
-    """Mask over the classes ``over`` that contain the normal N (from
-    ``_classes_over``) of those whose U has U/N p-hypo-elementary, by the
-    test of the module docstring on each class's first row of
-    ``table.members``.  Memoised per lattice prime for N = 1 alone, the
-    one mask read again at the same lattice prime."""
+    """Mask over the classes ``over`` over the normal N (from
+    ``table.classes_over``) of those with U/N p-hypo-elementary, by the
+    module docstring's test on each class's first member.  Memoised per
+    lattice prime for N = 1 alone, the one mask read again at that prime."""
     group = table.group
     key = ("hypo", _lattice_prime(group, p))
     if normal.is_trivial() and key in group._memo:
         return group._memo[key]
     orders, n = orders_modulo(group, normal), normal.order
     p_elements = kernels.value_mask(orders, lambda o: p_part(o, p) == o)
-    rows = table.members[np.searchsorted(table.class_of, over)]
-    sizes = np.count_nonzero(rows, axis=1) // n  # |U/N|
+    rows = table.unpacked(np.searchsorted(table.class_of, over))
+    sizes = np.array([table.classes[i].order // n for i in over], dtype=np.int64)  # |U/N|
     sylow = np.array([p_part(size, p) for size in sizes.tolist()], dtype=np.int64)
     mask = ((np.count_nonzero(rows & p_elements, axis=1) == n * sylow)
             & (rows & (orders == (sizes // sylow)[:, None])).any(axis=1))
@@ -242,7 +234,7 @@ def quotient_kernel(table, normal, p, solved):
     class table ``table`` and marks, and the positions ``over`` of G's
     classes that contain N.  Class i of G/N holds U/N for the U in G's
     class over[i], and its marks are G's; G itself is G/1."""
-    over = _classes_over(table, normal)
+    over = table.classes_over(normal)
     hypo = _hypo_mask(table, normal, p, over)
     return _kernel_of(marks_table(table.group, table).array.T, hypo, over, solved), over
 
@@ -293,17 +285,17 @@ def maximal_view(table, cls):
     of M, as int32 arrays (a mark is at most |M|), and the index array
     of each M-class representative.
 
-    The M-classes are the M-orbits on the rows of ``table.members``
-    inside M, merged along ``cls.generators``.  The classes are sorted
-    by order, so the hypo-elementary block of the marks stays upper
-    triangular.
+    The M-classes are the M-orbits on G's subgroups inside M, merged
+    along ``cls.generators``; each has the order of its G-class.  The
+    classes are sorted by order, so the hypo-elementary block of the
+    marks stays upper triangular.
     """
     sub = cls.representative
     rows, label = conjugation_orbits(table, sub, cls.generators)
-    inside = table.members[rows]
     roots, orbit_of = np.unique(label, return_inverse=True)
     sizes = np.bincount(orbit_of)
-    orders = np.count_nonzero(inside[roots], axis=1)
+    class_map = table.class_of[rows[roots]]
+    orders = np.array([table.classes[i].order for i in class_map.tolist()], dtype=np.int64)
     ranked = np.argsort(orders, kind="stable")
     position = np.empty_like(ranked)
     position[ranked] = np.arange(ranked.size)
@@ -311,10 +303,10 @@ def maximal_view(table, cls):
     weights, rem = np.divmod(sub.order, sizes * orders)
     if rem.any():
         raise InternalCheckError("an M-orbit does not divide |M| by its order")
-    reps = [np.flatnonzero(inside[r]).astype(np.int32) for r in roots]
-    marks = count_marks(inside, position[orbit_of], weights, reps, sub.order // orders)
-    class_map = table.class_of[rows[roots]].astype(np.int32)
-    return class_map, marks.astype(np.int32), reps
+    reps = [sub.indices[np.flatnonzero(row)] for row in table.unpacked(rows[roots], sub.indices)]
+    marks = count_marks(table.containing(reps, rows), position[orbit_of], weights,
+                        sub.order // orders)
+    return class_map[ranked].astype(np.int32), marks.astype(np.int32), reps
 
 
 def _maximal_views(table):

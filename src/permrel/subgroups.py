@@ -35,9 +35,10 @@ generators, every K is, and no normalizer is computed.
 
 The masks of the registered subgroups are kept packed, eight elements to
 a byte, in one block per order with each class's rows in key order, and
-copied once into the table, which unpacks them as ``members`` when first
-asked.  The table is canonical: classes sorted, representatives
-orbit-least, and ``sub_to_class`` and the rows of ``members`` in
+copied once into the table, which never unpacks them whole: it answers
+which rows hold given elements, which lie inside a subgroup, and what
+chosen rows hold.  The table is canonical: classes sorted,
+representatives orbit-least, and ``sub_to_class`` and the packed rows in
 (class position, key) order, whatever the order of discovery.
 """
 
@@ -55,14 +56,17 @@ from .perm import Group, Permutation, generate
 # enumeration stops with CapExceeded past this many subgroups
 SUBGROUP_CAP = 5000
 
-# row b holds the bits of the byte b, high bit first as np.packbits packs
-# them; indexing it reads single bits or whole rows of a packed matrix
-_BITS = np.array([[b >> (7 - i) & 1 for i in range(8)] for b in range(256)], dtype=bool)
+# the bit of each of the eight positions in a byte, high bit first as
+# np.packbits packs them
+_BIT = (128 >> np.arange(8)).astype(np.uint8)
+_IDENTITY = np.zeros(1, dtype=np.int32)
 
 
-def _unpack(packed, count):
-    """The first ``count`` bits of each row of the uint8 array ``packed``."""
-    return _BITS[packed].reshape(len(packed), 8 * packed.shape[1])[:, :count]
+def _bits(packed, elements, rows=None):
+    """The bits of the element indices ``elements`` in the rows ``rows``
+    (all by default) of the packed uint8 matrix ``packed``, as bools."""
+    block = packed if rows is None else packed[rows]
+    return (block[:, elements >> 3] & _BIT[elements & 7]) != 0
 
 
 class Subgroup:
@@ -191,16 +195,16 @@ class SubgroupClassTable:
     ``sub_to_class`` maps the key of every individual subgroup to its
     class position, in (class position, key) order; row r of
     ``packed_members`` is the element mask of its r-th subgroup, packed
-    eight elements to a byte as by ``np.packbits``.
+    eight elements to a byte as by ``np.packbits``, and read only here.
     """
 
     def __init__(self, group, classes, sub_to_class, packed_members):
         self.group = group
         self.classes = classes
         self.sub_to_class = sub_to_class
-        self._packed = packed_members
-        self._members = None
-        self._class_of = None
+        self.packed_members = packed_members
+        self.class_of = np.fromiter(sub_to_class.values(), dtype=np.intp)  # of each row
+        self._over = {}  # normal subgroup key -> the classes over it
         self._class_maps = {}  # supergroup table -> its class of each of ours
 
     def __len__(self):
@@ -217,41 +221,51 @@ class SubgroupClassTable:
         except KeyError:
             raise InternalCheckError("subgroup missing from the class table")
 
-    @property
-    def members(self):
-        """Subgroup-by-element membership matrix, unpacked once: row r is
-        the element mask of the r-th subgroup of ``sub_to_class``."""
-        if self._members is None:
-            self._members = _unpack(self._packed, self.group.order)
-            self._packed = None
-        return self._members
+    def containing(self, tests, rows=None):
+        """One bool column per index array in ``tests``: which of the rows
+        ``rows`` (all by default) hold all of it, read off the rows
+        unpacked once; each test is led by the identity, so none is empty."""
+        sizes = [len(test) + 1 for test in tests]
+        cols = np.concatenate([part for test in tests for part in (_IDENTITY, test)])
+        on = kernels.sorted_unique(cols)
+        bits = _bits(self.packed_members, on, rows)[:, np.searchsorted(on, cols)]
+        return np.logical_and.reduceat(bits, np.cumsum(sizes) - sizes, axis=1)
 
-    @property
-    def class_of(self):
-        """Class position of each row of ``members``, built once."""
-        if self._class_of is None:
-            self._class_of = np.fromiter(self.sub_to_class.values(), dtype=np.intp)
-        return self._class_of
+    def inside(self, sub):
+        """Ascending positions of the rows of the subgroups inside the
+        subgroup ``sub``: those with no bit outside its packed mask."""
+        outside = ~np.packbits(sub.mask)
+        return np.flatnonzero(~(self.packed_members & outside).any(axis=1))
+
+    def unpacked(self, rows, on=None):
+        """The element masks of the rows ``rows``, one bool row each, on
+        every element of G or only on the sorted element indices ``on``."""
+        if on is None:
+            bits = np.unpackbits(self.packed_members[rows], axis=1, count=self.group.order)
+            return bits.view(bool)
+        return _bits(self.packed_members, on, rows)
+
+    def classes_over(self, normal):
+        """Positions of the classes whose members contain the normal N,
+        which lies in every member of a class or in none; kept per N."""
+        if normal.key not in self._over:
+            first = np.searchsorted(self.class_of, np.arange(len(self.classes)))
+            bits = _bits(self.packed_members, normal.indices, first)
+            self._over[normal.key] = np.flatnonzero(bits.all(axis=1))
+        return self._over[normal.key]
 
     def maximal_classes(self):
         """Positions of the classes of maximal subgroups.
 
         Walking down by order, a proper subgroup is maximal exactly when
-        no member of a larger maximal class, all of which are already
-        found, contains it.  The last class is the group itself.
+        no member of a larger maximal class, all already found, holds its
+        generators.  The last class is the group itself.
         """
+        above = self.containing([c.generators for c in self.classes])
         maximal = np.zeros(len(self.classes), dtype=bool)
         for i in range(len(self.classes) - 2, -1, -1):
-            rows = self.members[maximal[self.class_of]]
-            if not rows[:, self.classes[i].representative.indices].all(axis=1).any():
-                maximal[i] = True
+            maximal[i] = not above[maximal[self.class_of], i].any()
         return tuple(np.flatnonzero(maximal).tolist())
-
-
-def _row_keys(rows):
-    """One sortable bytes key per row of a boolean matrix."""
-    packed = np.ascontiguousarray(np.packbits(rows, axis=1))
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
 def conjugation_orbits(table, sub, gens):
@@ -259,24 +273,28 @@ def conjugation_orbits(table, sub, gens):
     element indices ``gens``, on the subgroups of G inside S, by
     conjugation.
 
-    Returns (rows, label): ``rows`` the positions in ``table.members``
-    of the subgroups inside S, ascending, and ``label[i]`` the least i'
-    with rows[i'] in the orbit of rows[i].  Conjugation by each
-    generator permutes those rows, found by looking up the conjugated
-    rows' keys; labels merge along these permutations until they are
-    stable.
+    Returns (rows, label): ``rows`` the positions in the table of the
+    subgroups inside S, ascending, and ``label[i]`` the least i' with
+    rows[i'] in the orbit of rows[i].  Conjugation by each generator
+    permutes those rows: their bits on S's elements are gathered along
+    the conjugation, packed on G's again, and looked up among the rows'
+    packed bytes; labels merge along these permutations until stable.
     """
     group = table.group
     mult = group.mult
-    rows = np.flatnonzero(~table.members[:, ~sub.mask].any(axis=1))
-    inside = table.members[rows]
-    keys = _row_keys(inside)
+    rows = table.inside(sub)
+    void = np.dtype((np.void, table.packed_members.shape[1]))
+    keys = table.packed_members[rows].view(void).ravel()
     by_key = np.argsort(keys)
     sorted_keys = keys[by_key]
+    inside = table.unpacked(rows, sub.indices)
+    image = np.zeros((len(rows), group.order), dtype=bool)
     images = []
     for g in gens:
         conj = mult[mult[group.inv[g]], g]  # conj[y] = g^-1 y g
-        image_keys = _row_keys(inside[:, conj])  # the rows of gUg^-1
+        # the rows of gUg^-1, on S's elements and then on G's
+        image[:, sub.indices] = inside[:, np.searchsorted(sub.indices, conj[sub.indices])]
+        image_keys = np.packbits(image, axis=1).view(void).ravel()
         pos = np.minimum(np.searchsorted(sorted_keys, image_keys), len(keys) - 1)
         if (sorted_keys[pos] != image_keys).any():
             raise InternalCheckError("a conjugate left the subgroups of S")
@@ -327,8 +345,6 @@ def enumerate_classes(group):
     # the packed masks of the registered subgroups of each order: the
     # first used[order] rows of blocks[order], each class's rows in key order
     width = (n + 7) // 8
-    # element i is bit bit[i] of byte byte[i] of a packed row
-    byte, bit = np.repeat(np.arange(width), 8)[:n], np.tile(np.arange(8), width)[:n]
     blocks = {}
     used = {}
     total = 0
@@ -393,13 +409,13 @@ def enumerate_classes(group):
         done = ~zuppos
         done[base] = True
         # every g in a registered K of prime index over H gives <H, g> = K;
-        # only H's bits of each packed row are read to find those K
+        # only the bits of H's generators are read to find those K
         for p in primes:
             over = blocks.get(base.size * p)
             if over is not None:
                 over = over[:used[base.size * p]]
-                over = over[_BITS[over[:, byte[base]], bit[base]].all(axis=1)]
-                done |= _unpack(over, n).any(axis=0)
+                over = over[_bits(over, gens).all(axis=1)]
+                done |= np.unpackbits(np.bitwise_or.reduce(over), count=n).view(bool)
         # the last seed is each g in turn; neither closure nor register keeps seeds
         seeds = np.append(gens, np.int32(0))
         rows = base.astype(np.intp)

@@ -43,7 +43,6 @@ from permrel.perm import Permutation, generate
 from permrel.presets import CORPUS_NAMES
 from permrel.relations import (
     Prediction,
-    _classes_over,
     _hypo_mask,
     _maximal_views,
     _own_hypo_mask,
@@ -245,13 +244,101 @@ def coset_reps_by_full_scan(mult, members):
     return np.asarray(reps, dtype=np.int32)
 
 
+def members_by_keys(sub_to_class, n):
+    """The subgroup-by-element bool matrix of a group of order ``n``: row r
+    the mask of the r-th key of ``sub_to_class``, read off the key."""
+    members = np.zeros((len(sub_to_class), n), dtype=bool)
+    for row, key in enumerate(sub_to_class):
+        members[row, np.frombuffer(key, dtype=np.int32)] = True
+    return members
+
+
+def maximal_classes_by_members(table, members):
+    """The maximal classes by the walk down the orders on the bool matrix
+    ``members``: a class is maximal when no member of a larger maximal
+    class holds all of its representative."""
+    maximal = np.zeros(len(table.classes), dtype=bool)
+    for i in range(len(table.classes) - 2, -1, -1):
+        rows = members[maximal[table.class_of]]
+        if not rows[:, table.classes[i].representative.indices].all(axis=1).any():
+            maximal[i] = True
+    return tuple(np.flatnonzero(maximal).tolist())
+
+
+def conjugation_orbits_by_members(table, members, sub, gens):
+    """``conjugation_orbits`` on the bool matrix ``members``: the rows
+    inside ``sub``, and each labelled by the least row of its orbit, found
+    by following the conjugations by ``gens`` from it, row by row."""
+    group = table.group
+    mult = group.mult
+    rows = np.flatnonzero(~members[:, ~sub.mask].any(axis=1))
+    inside = members[rows]
+    position = {row.tobytes(): i for i, row in enumerate(inside)}
+    conjs = [mult[mult[group.inv[g]], g] for g in gens]  # y -> g^-1 y g
+    label = [-1] * len(rows)
+    for start in range(len(rows)):
+        if label[start] < 0:
+            label[start], frontier = start, [start]
+            while frontier:
+                i = frontier.pop()
+                for conj in conjs:
+                    j = position[inside[i][conj].tobytes()]
+                    if label[j] < 0:
+                        label[j] = start
+                        frontier.append(j)
+    return rows, np.asarray(label)
+
+
+def marks_by_members(table, members):
+    """The table of marks counted on the bool matrix ``members``: the mark
+    of K_j on G/H_i is |N(H_i):H_i| times the class-i rows holding all
+    of K_j's representative."""
+    k = len(table.classes)
+    m = np.zeros((k, k), dtype=np.int64)
+    for j, cls in enumerate(table.classes):
+        above = table.class_of[members[:, cls.representative.indices].all(axis=1)]
+        for i, c in enumerate(table.classes):
+            m[i, j] = c.normalizer.order // c.order * int((above == i).sum())
+    return m
+
+
+def frattini_by_members(table, members):
+    """The meet of the rows of the maximal classes of the bool matrix."""
+    maximal = list(maximal_classes_by_members(table, members))
+    rows = members[np.isin(table.class_of, maximal)]
+    return np.flatnonzero(rows.all(axis=0)).tolist()
+
+
+def least_hall_subgroup_by_members(table, members, sub, p):
+    """The least index list among the rows of the bool matrix inside
+    ``sub`` with |sub|_p' elements."""
+    rows = members[~members[:, ~sub.mask].any(axis=1)]
+    rows = rows[rows.sum(axis=1) == prime_to_p_part(sub.order, p)]
+    return min(np.flatnonzero(row).tolist() for row in rows)
+
+
+def hypo_mask_by_members(table, members, normal, p, over):
+    """``_hypo_mask`` on the first row of the bool matrix of each class in
+    ``over``: |U/N| counted from the row, and the p-elements and the
+    element of order |U/N|_p' found among its bits."""
+    orders, n = orders_modulo(table.group, normal), normal.order
+    mask = []
+    for j in over:
+        row = members[np.searchsorted(table.class_of, j)]
+        size = int(row.sum()) // n
+        sylow = p_part(size, p)
+        p_count = sum(p_part(int(o), p) == o for o in orders[row])
+        mask.append(p_count == n * sylow and bool((orders[row] == size // sylow).any()))
+    return np.array(mask, dtype=bool)
+
+
 def enumerate_classes_by_every_extension(group):
     """Subgroup classes with no shortcuts: every class representative H
     is extended by every g outside H, closing all of H plus g.  The
     table is built like ``enumerate_classes`` builds it (classes sorted
     by order and indices, orbit-least representatives), but not cached;
     each class carries all of its representative as its generators, and
-    the rows of ``members`` follow ``sub_to_class`` in discovery order."""
+    the packed rows follow ``sub_to_class`` in discovery order."""
     mult = group.mult
     inv = group.inv
     n = group.order
@@ -295,10 +382,8 @@ def enumerate_classes_by_every_extension(group):
         for i in order
     ]
     sub_to_class = {key: position[cid] for key, cid in sub_to_class.items()}
-    members = np.zeros((len(sub_to_class), n), dtype=bool)
-    for row, key in enumerate(sub_to_class):
-        members[row, np.frombuffer(key, dtype=np.int32)] = True
-    return SubgroupClassTable(group, classes, sub_to_class, np.packbits(members, axis=1))
+    return SubgroupClassTable(group, classes, sub_to_class,
+                              np.packbits(members_by_keys(sub_to_class, n), axis=1))
 
 
 def enumerate_classes_by_transversals(group):
@@ -365,10 +450,8 @@ def enumerate_classes_by_transversals(group):
             generators=gens,
         ))
         sub_to_class.update(dict.fromkeys(keys, pos))
-    members = np.zeros((len(sub_to_class), n), dtype=bool)
-    for row, key in enumerate(sub_to_class):
-        members[row, np.frombuffer(key, dtype=np.int32)] = True
-    return SubgroupClassTable(group, classes, sub_to_class, np.packbits(members, axis=1))
+    return SubgroupClassTable(group, classes, sub_to_class,
+                              np.packbits(members_by_keys(sub_to_class, n), axis=1))
 
 
 def translation_module_by_points(group, l, d):
@@ -519,7 +602,7 @@ def imprimitive_lattice_by_hnf(group, characteristic):
     marks = marks_table(group, table).m
     kernels = []
     for normal in minimal_normal_subgroups(group):
-        over = _classes_over(table, normal).tolist()
+        over = table.classes_over(normal).tolist()
         at = np.flatnonzero(_hypo_mask(table, normal, p, over)).tolist()
         rows = [[marks[a][over[c]] for a in over] for c in at]
         kernels.append((kernel_basis(IntMatrix(rows, cols=len(over))), over))
@@ -972,7 +1055,7 @@ def p_core_by_sylow_intersection(group, p):
         return Subgroup.trivial(group)
     table = enumerate_classes(group)
     (sylow,) = [i for i, c in enumerate(table.classes) if c.order == p_part(group.order, p)]
-    rows = table.members[table.class_of == sylow]
+    rows = table.unpacked(np.flatnonzero(table.class_of == sylow))
     return Subgroup(group, np.flatnonzero(rows.all(axis=0)))
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from permrel import relations, zlattice
 from permrel.burnside import BurnsideElement, induct, mark_vector, marks_table
-from permrel.classify import main_case_classify, quotient_is_p_hypo_elementary
+from permrel.classify import _normal_over, main_case_classify, quotient_is_p_hypo_elementary
 from permrel.constructions import affine_group, frobenius_group
 from permrel.errors import InputError, InternalCheckError, PermrelError
 from permrel.perm import generate, parse_cycles
@@ -612,10 +612,14 @@ def test_quotient_views_match_quotient_groups(name):
 
 
 def _assert_quotient_views_keep_the_classes_containing_n(group):
+    # one reader serves the quotient views and classify's normal subgroups over N
     table = enumerate_classes(group)
     for normal in normal_subgroups(group):
-        over = relations._classes_over(table, normal)
-        assert over.tolist() == classes_containing_by_loop(table, normal)
+        over = table.classes_over(normal)
+        want = classes_containing_by_loop(table, normal)
+        assert over.tolist() == want
+        assert [m.key for m in _normal_over(group, normal)] == [
+            table.classes[j].representative.key for j in want if table.classes[j].class_size == 1]
 
 
 @pytest.mark.parametrize("name", VIEW_CASES)
@@ -638,7 +642,7 @@ def test_hypo_mask_matches_quotient_groups_for_every_normal_subgroup(group, char
     table = enumerate_classes(group)
     p = effective_prime(group, char)
     for normal in normal_subgroups(group):
-        over = relations._classes_over(table, normal).tolist()
+        over = table.classes_over(normal).tolist()
         mask = relations._hypo_mask(table, normal, p, over)
         quot = quotient(group, normal)
         place = [
@@ -662,7 +666,7 @@ def test_hypo_mask_matches_the_class_loop(name):
         table = enumerate_classes(group)
         p = effective_prime(group, char)
         for normal in [table.classes[0].representative] + minimal_normal_subgroups(group):
-            over = relations._classes_over(table, normal)
+            over = table.classes_over(normal)
             got = relations._hypo_mask(table, normal, p, over)
             assert got.dtype == bool
             assert got.tolist() == hypo_mask_by_loop(table, normal, p, over).tolist(), (name, char)

@@ -10,6 +10,10 @@ from hypothesis import given, settings
 
 from permrel import _kernels
 from permrel import subgroups
+from permrel.burnside import marks_table
+from permrel.classify import _least_hall_subgroup, frattini_subgroup, is_soluble
+from permrel.numtheory import prime_factors
+from permrel.relations import _hypo_mask, effective_prime
 from permrel.errors import CapExceeded, InputError
 from permrel.perm import Group, Permutation, generate, parse_cycles
 from permrel.presets import CORPUS_NAMES, preset_group
@@ -22,6 +26,7 @@ from permrel.subgroups import (
     minimal_normal_subgroups,
     normal_subgroups,
     quotient,
+    conjugation_orbits,
     subgroup_as_group,
 )
 
@@ -29,8 +34,15 @@ from oracles import (
     centralizer_indices_by_loop,
     class_orbit_by_conjugation,
     closure_by_products,
+    conjugation_orbits_by_members,
     enumerate_classes_by_every_extension,
     enumerate_classes_by_transversals,
+    frattini_by_members,
+    hypo_mask_by_members,
+    least_hall_subgroup_by_members,
+    marks_by_members,
+    maximal_classes_by_members,
+    members_by_keys,
     permutation_groups,
 )
 
@@ -76,7 +88,7 @@ def _assert_rows_are_orbits(table):
     representative under conjugation, and the representative is the
     least of them."""
     for idx, cls in enumerate(table.classes):
-        rows = table.members[table.class_of == idx]
+        rows = table.unpacked(np.flatnonzero(table.class_of == idx))
         got = sorted(np.flatnonzero(row).tolist() for row in rows)
         orbit = class_orbit_by_conjugation(table, idx)
         assert got == [sub.indices.tolist() for sub in orbit]
@@ -264,7 +276,7 @@ def test_enumeration_matches_every_extension_on_random_groups(group):
 
 def _assert_equal_tables(got, want):
     """Equal classes, normalizers and carried generators, the same key
-    map in the same order, and equal membership rows."""
+    map in the same order, and equal packed membership rows."""
     def rows(table):
         return [
             (cls.representative.key, cls.order, cls.class_size, cls.normalizer.key,
@@ -274,7 +286,7 @@ def _assert_equal_tables(got, want):
 
     assert rows(got) == rows(want)
     assert list(got.sub_to_class.items()) == list(want.sub_to_class.items())
-    assert np.array_equal(got.members, want.members)
+    assert np.array_equal(got.packed_members, want.packed_members)
 
 
 WORKLOAD_PRESETS = ("A6", "C19:C18", "C2xC2xC2xC2", "C2xC2xC2xC2xC2", "D8xS3", "S4xC2")
@@ -315,16 +327,16 @@ def test_a_class_of_one_conjugates_nothing(monkeypatch):
 
 def _assert_generators_and_row_order(table):
     """Each class's carried generators close to its representative, and
-    the rows of ``members`` follow ``sub_to_class`` in (class, key)
-    order."""
+    the packed rows follow ``sub_to_class`` in (class, key) order."""
     for cls in table.classes:
         assert cls.generators.dtype == np.int32
         closed = _kernels.closure(table.group.mult, cls.generators)
         assert closed.tobytes() == cls.representative.key
     keys = list(table.sub_to_class)
     assert keys == sorted(keys, key=lambda key: (table.sub_to_class[key], key))
-    assert table.members.shape == (len(keys), table.group.order)
-    for row, key in zip(table.members, keys):
+    rows = table.unpacked(np.arange(len(keys)))
+    assert rows.shape == (len(keys), table.group.order)
+    for row, key in zip(rows, keys):
         assert np.flatnonzero(row).astype(np.int32).tobytes() == key
 
 
@@ -489,3 +501,60 @@ def test_minimal_normal_subgroups_match_definition(name):
 @settings(max_examples=40, deadline=None)
 def test_minimal_normal_subgroups_match_definition_on_random_groups(group):
     _assert_minimal_normal_by_definition(group)
+
+
+def _assert_packed_readers_match_members(group):
+    """Every reader of the packed rows against its reference on the bool
+    matrix read off the keys: the maximal classes, the conjugation orbits
+    of the maximal classes and of each normalizer of a class of more than
+    one, the marks, the Frattini subgroup, the least Hall subgroups, and
+    the hypo-elementary masks over each normal subgroup."""
+    table = enumerate_classes(group)
+    members = members_by_keys(table.sub_to_class, group.order)
+    rows = np.arange(len(members))
+    assert np.array_equal(table.unpacked(rows), members)
+    maximal = table.maximal_classes()
+    assert maximal == maximal_classes_by_members(table, members)
+    actions = [(table.classes[i].representative, table.classes[i].generators) for i in maximal]
+    actions += [(c.normalizer, c.normalizer.generator_indices)
+                for c in table.classes if c.class_size > 1]
+    for sub, gens in actions:
+        got_rows, got_label = conjugation_orbits(table, sub, gens)
+        want_rows, want_label = conjugation_orbits_by_members(table, members, sub, gens)
+        assert got_rows.tolist() == want_rows.tolist()
+        assert got_label.tolist() == want_label.tolist()
+        on_sub = members[got_rows][:, sub.indices]
+        assert np.array_equal(table.unpacked(got_rows, sub.indices), on_sub)
+    assert np.array_equal(marks_table(group, table).array, marks_by_members(table, members))
+    assert frattini_subgroup(group).indices.tolist() == frattini_by_members(table, members)
+    if is_soluble(group):
+        subs = {c.normalizer.key: c.normalizer for c in table.classes}
+        for p in prime_factors(group.order):
+            for sub in subs.values():
+                got = _least_hall_subgroup(table, sub, p).indices.tolist()
+                assert got == least_hall_subgroup_by_members(table, members, sub, p)
+    for char in (0, 2, 3):
+        p = effective_prime(group, char)
+        for normal in normal_subgroups(group):
+            over = table.classes_over(normal)
+            got = _hypo_mask(table, normal, p, over)
+            assert got.tolist() == hypo_mask_by_members(table, members, normal, p, over).tolist()
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + WORKLOAD_PRESETS)
+def test_packed_readers_match_the_bool_matrix(name):
+    _assert_packed_readers_match_members(preset_group(name))
+
+
+@given(permutation_groups())
+@settings(max_examples=40, deadline=None)
+def test_packed_readers_match_the_bool_matrix_on_random_groups(group):
+    _assert_packed_readers_match_members(group)
+
+
+def test_the_table_keeps_no_unpacked_matrix():
+    # the packed rows are the table's one record of its subgroups
+    table = enumerate_classes(preset_group("S4"))
+    held = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
+    assert [a.dtype for a in held if a.ndim == 2] == [np.uint8]
+    assert not hasattr(table, "members")
