@@ -105,7 +105,24 @@ def count_fixed(mult, inv, member_mask, transversal, kgens):
     return int(member_mask[conj].all(axis=1).sum())
 
 
+# bytes of the int32 products in one block of ``coset_reps``
+_COSET_BLOCK_BYTES = 2**22
+
+
 def coset_reps(mult, members):
-    """Left coset representatives of H, identity coset first: the least
-    element of each coset gH, one n x |H| block of products."""
-    return sorted_unique(mult[:, members].min(axis=1))
+    """Left coset representatives of H, identity coset first: the g least
+    in g H.  They are read off ascending blocks of rows g of about 4 |G:H|
+    rows (or 2^16 products g H, below which a block's fixed cost outweighs
+    its gather), each of at most ``_COSET_BLOCK_BYTES`` of products, until
+    |G:H| are found, usually in the first block, as cosets spread over G."""
+    n, size = mult.shape[0], len(members)
+    step = max(1, min(_COSET_BLOCK_BYTES // (4 * size), max(4 * n, 2**16) // size))
+    reps, count = [], 0
+    for start in range(0, n, step):
+        least = mult[start:start + step, members].min(axis=1)
+        rows = np.arange(start, start + len(least), dtype=np.int32)
+        reps.append(rows[least == rows])
+        count += len(reps[-1])
+        if count * size >= n:
+            break
+    return np.concatenate(reps)

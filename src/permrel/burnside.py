@@ -1,13 +1,14 @@
 """The Burnside ring of a finite group in its mark coordinates.
 
 Elements are integer vectors over the subgroup-class basis [G/H].  The
-table of marks is built once per group by counting containments in the
-class table: the mark of K on G/H is |N_G(H):H| times the number of
-conjugates of H that contain K (G. Pfeiffer, "The subgroups of M24, or
-how to compute the table of marks of a finite group", Exp. Math. 6,
-1997).  It is checked against three structural facts on construction:
-it is lower triangular in the class order, its diagonal entry at H is
-#N_G(H)/#H, and its first column is the index [G:H].
+table of marks is one record per group, whose columns are counted from
+containments in the class table when a reader first asks for them: the
+mark of K on G/H is |N_G(H):H| times the number of conjugates of H that
+contain K (G. Pfeiffer, "The subgroups of M24, or how to compute the
+table of marks of a finite group", Exp. Math. 6, 1997).  Each column is
+checked against three structural facts when it is counted: it is zero
+above the diagonal in the class order, its diagonal entry at H is
+#N_G(H)/#H, and the trivial class's column is the index [G:H].
 """
 
 import numpy as np
@@ -15,6 +16,10 @@ import numpy as np
 from . import _kernels as kernels
 from .errors import InputError, InternalCheckError
 from .subgroups import Subgroup, enumerate_classes
+
+# a table with at most this many (class, row) containments is counted
+# whole at its first request, as one count costs less than several
+_WHOLE_ENTRIES = 2**16
 
 
 class BurnsideElement:
@@ -93,17 +98,60 @@ def fixed_points(group, h, k):
 
 
 class MarksTable:
-    """Table of marks: entry [i][j] is the mark of class j on [G/H_i].
+    """A table of marks, entry [i, j] the mark of class j on [G/H_i],
+    each column counted by ``count_marks`` when first asked for and kept.
 
-    ``array`` holds it as one int64 array; ``m``, the same entries as
-    lists of ints, is built when first read."""
+    Row t of ``rows`` of the class table ``table`` (all by default) is in
+    class ``class_of[t]``, and ``tests[j]`` generates K_j; ``weights`` and
+    ``index`` are as for ``count_marks``.  ``array`` is the whole table
+    as one int64 array, and ``m`` the same entries as lists of ints."""
 
-    __slots__ = ("table", "array", "_m")
+    __slots__ = ("table", "_rows", "_first", "_tests", "_weights", "_index", "_store",
+                 "_slot", "_whole", "_m")
 
-    def __init__(self, table, array):
-        self.table = table
-        self.array = array
+    def __init__(self, table, tests, weights, index, rows=None, class_of=None):
+        if rows is None:
+            class_of = table.class_of
+        else:
+            by_class = np.argsort(class_of, kind="stable")
+            rows, class_of = rows[by_class], class_of[by_class]
+        self.table, self._rows, self._tests = table, rows, tests
+        self._first = np.searchsorted(class_of, np.arange(len(weights)))  # each class's rows
+        self._weights, self._index = weights, index
+        self._store = np.zeros((len(weights), 0), dtype=np.int64)  # counted columns
+        self._slot = np.full(len(weights), -1)  # each column's place in the store, or -1
+        self._whole = len(weights) * len(class_of) <= _WHOLE_ENTRIES
         self._m = None
+
+    @property
+    def counted(self):
+        """How many columns have been counted."""
+        return self._store.shape[1]
+
+    def columns(self, cols):
+        """The columns ``cols``, as one k x len(cols) int64 array."""
+        cols = np.asarray(cols, dtype=np.intp)
+        self._count(cols[self._slot[cols] < 0])
+        return self._store[:, self._slot[cols]]
+
+    @property
+    def array(self):
+        self._count(np.flatnonzero(self._slot < 0))
+        return self._store
+
+    def _count(self, new):
+        """Count the columns ``new``, none counted yet, or every column of
+        a small table, in one pass, and put the store in class order once
+        it holds every column."""
+        if new.size:
+            new = np.flatnonzero(self._slot < 0) if self._whole else kernels.sorted_unique(new)
+            tests = [self._tests[j] for j in new.tolist()]
+            found = count_marks(self.table.containing(tests, self._rows), self._first,
+                                self._weights, self._index, new)
+            self._slot[new] = np.arange(self.counted, self.counted + new.size)
+            self._store = np.concatenate((self._store, found), axis=1)
+            if self.counted == len(self._slot):
+                self._store, self._slot = self._store[:, self._slot], np.arange(self.counted)
 
     @property
     def m(self):
@@ -113,14 +161,15 @@ class MarksTable:
 
 
 def marks_table(group, table=None):
-    """The table of marks of ``group``, cached on it.
+    """The table of marks of ``group``, cached on it, as a ``MarksTable``
+    whose columns are counted on demand.
 
     K lies in a conjugate gHg^-1 exactly when K fixes the coset gH, and
     the |N_G(H):H| cosets gnH with n in N_G(H) give the same conjugate,
     so the mark of K on G/H is |N_G(H):H| times the number of
     conjugates of H that contain K (Pfeiffer, 1997).  ``count_marks``
-    counts those for every class at once from the table's rows that hold
-    each K's generators, which suffices.
+    counts those from the table's rows that hold each K's generators,
+    which suffices.
     """
     if table is None:
         table = enumerate_classes(group)
@@ -132,47 +181,41 @@ def marks_table(group, table=None):
     classes = table.classes
     orders = np.asarray([c.order for c in classes], dtype=np.int64)
     weights = np.asarray([c.normalizer.order for c in classes], dtype=np.int64) // orders
-    m = count_marks(
-        table.containing([c.generators for c in classes]),
-        table.class_of,
-        weights,
-        group.order // orders,
-    )
-    result = MarksTable(table, m)
+    result = MarksTable(table, [c.generators for c in classes], weights, group.order // orders)
     group._memo["marks"] = result
     return result
 
 
-def count_marks(above, class_of, weights, index):
-    """A table of marks counted from subgroup containments.
+def count_marks(above, first, weights, index, cols):
+    """The columns ``cols`` of a table of marks, counted from subgroup
+    containments.
 
-    Row r of the bool matrix ``above`` is a subgroup in the class
-    ``class_of[r]``, true at column j when it contains K_j;
+    Row t of the bool matrix ``above`` is a subgroup, the rows of class
+    i from ``first[i]`` on, true at column c when it contains K_cols[c];
     ``weights[i]`` is |N(H_i):H_i| and ``index[i]`` the index of H_i.
     The mark of K_j on H_i is the weight times the number of class-i
-    rows containing K_j.  The table must be lower triangular with
-    diagonal ``weights`` and first column ``index``; otherwise
-    InternalCheckError is raised.
+    rows containing K_j.  Column j must be zero above the diagonal, with
+    ``weights[j]`` on it, and the trivial class's column must be
+    ``index``; otherwise InternalCheckError is raised.
     """
-    k = len(weights)
-    m = np.zeros((k, k), dtype=np.int64)
-    for j in range(k):
-        m[:, j] = weights * np.bincount(class_of[above[:, j]], minlength=k)
-    if (m[:, 0] != index).any():
+    m = weights[:, None] * np.add.reduceat(above, first, axis=0, dtype=np.int64)
+    if (m[:, cols == 0] != index[:, None]).any():
         raise InternalCheckError("mark on the trivial class must be the index")
-    if (np.diagonal(m) != weights).any():
+    if (m[cols, np.arange(len(cols))] != weights[cols]).any():
         raise InternalCheckError("diagonal mark disagrees with the normalizer")
-    if np.triu(m != 0, 1).any():
+    if ((m != 0) & (np.arange(len(weights))[:, None] < cols)).any():
         raise InternalCheckError("table of marks is not lower triangular")
     return m
 
 
-def mark_vector(x):
-    """All marks of a Burnside element, one integer per subgroup class."""
+def mark_vector(x, cols=None):
+    """The marks of a Burnside element at the classes ``cols``, all of
+    them by default, one integer per class."""
     marks = marks_table(x.table.group, x.table)
+    block = marks.array if cols is None else marks.columns(cols)
     terms = [(i, c) for i, c in enumerate(x.coeffs) if c]
-    rows = marks.array[[i for i, _ in terms]].tolist()  # only the rows it needs
-    return [sum(c * row[j] for (_, c), row in zip(terms, rows)) for j in range(len(x.coeffs))]
+    rows = block[[i for i, _ in terms]].tolist()  # only the rows it needs
+    return [sum(c * row[j] for (_, c), row in zip(terms, rows)) for j in range(block.shape[1])]
 
 
 def _from_marks(table, marks):

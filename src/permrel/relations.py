@@ -40,8 +40,11 @@ the orbit that contain K, and induction sends an M-class to the G-class
 of its members.  Being hypo-elementary is a property of the subgroup,
 so an M-class is hypo-elementary exactly when its G-class is.  None of
 this depends on the characteristic: each maximal view's class map and
-marks are kept once per group, and a lattice prime only picks the
-hypo-elementary positions from G's.
+table of marks are kept once per group, and a lattice prime only picks
+the hypo-elementary positions from G's.  Every table of marks, G's and
+each view's, counts a column only when a kernel, the certificate or
+``verify_relation`` first reads it, and those read only the
+hypo-elementary columns.
 
 G is the view G/1: ``quotient_kernel`` serves ``brauer_kernel`` and
 every G/N.  Its int64 block is G's marks at the classes over N, in the
@@ -106,7 +109,7 @@ import numpy as np
 from . import _kernels as kernels
 from .burnside import (
     BurnsideElement,
-    count_marks,
+    MarksTable,
     element_from_subgroups,
     mark_vector,
     marks_table,
@@ -217,16 +220,17 @@ def hypo_class_indices(group, characteristic):
     return tuple(np.flatnonzero(_own_hypo_mask(table, p)).tolist())
 
 
-def _kernel_of(marks_t, hypo, over, solved):
-    """``_block_kernel`` of the marks ``marks_t``, transposed, at the
-    classes ``over``, in the rows of the hypo mask ``hypo``: independent,
-    as ``count_marks`` proved the marks triangular with a positive
-    diagonal.  With every class hypo-elementary the kernel is zero, and
-    ``marks_t`` is never read."""
+def _kernel_of(marks, hypo, over, solved):
+    """``_block_kernel`` of the table of marks ``marks`` at the classes
+    ``over``, transposed, in the rows of the hypo mask ``hypo``: the only
+    columns it asks ``marks`` for.  Those rows are independent, as
+    ``count_marks`` proved each column zero above a positive diagonal.
+    With every class hypo-elementary the kernel is zero, and no column
+    is read."""
     k = len(over)
     if hypo.all():
         return np.arange(0), np.arange(k), np.zeros((k, 0), dtype=np.int64)
-    return _block_kernel(np.asarray(marks_t[np.ix_(over[hypo], over)], dtype=np.int64), solved)
+    return _block_kernel(marks.columns(over[hypo])[over].T, solved)
 
 
 def quotient_kernel(table, normal, p, solved):
@@ -236,7 +240,7 @@ def quotient_kernel(table, normal, p, solved):
     class over[i], and its marks are G's; G itself is G/1."""
     over = table.classes_over(normal)
     hypo = _hypo_mask(table, normal, p, over)
-    return _kernel_of(marks_table(table.group, table).array.T, hypo, over, solved), over
+    return _kernel_of(marks_table(table.group, table), hypo, over, solved), over
 
 
 def brauer_kernel(group, characteristic):
@@ -274,16 +278,14 @@ def _check_group(group, element):
 def verify_relation(group, characteristic, element):
     """True when the element's marks vanish on every hypo-elementary class."""
     _check_group(group, element)
-    hypo = hypo_class_indices(group, characteristic)
-    marks = mark_vector(element)
-    return all(marks[i] == 0 for i in hypo)
+    return not any(mark_vector(element, hypo_class_indices(group, characteristic)))
 
 
 def maximal_view(table, cls):
     """The representative M of the class ``cls`` as a view of G's class
-    table ``table``: the G-class of each M-class and the table of marks
-    of M, as int32 arrays (a mark is at most |M|), and the index array
-    of each M-class representative.
+    table ``table``: the G-class of each M-class, as an int32 array, the
+    table of marks of M, a ``MarksTable`` counted on G's rows inside M,
+    and the index array of each M-class representative.
 
     The M-classes are the M-orbits on G's subgroups inside M, merged
     along ``cls.generators``; each has the order of its G-class.  The
@@ -304,14 +306,13 @@ def maximal_view(table, cls):
     if rem.any():
         raise InternalCheckError("an M-orbit does not divide |M| by its order")
     reps = [sub.indices[np.flatnonzero(row)] for row in table.unpacked(rows[roots], sub.indices)]
-    marks = count_marks(table.containing(reps, rows), position[orbit_of], weights,
-                        sub.order // orders)
-    return class_map[ranked].astype(np.int32), marks.astype(np.int32), reps
+    marks = MarksTable(table, reps, weights, sub.order // orders, rows, position[orbit_of])
+    return class_map[ranked].astype(np.int32), marks, reps
 
 
 def _maximal_views(table):
     """(class_map, marks) of the view of each maximal class, kept once
-    per group."""
+    per group, each table of marks holding the columns read so far."""
     group = table.group
     if "maximal_views" not in group._memo:
         group._memo["maximal_views"] = [
@@ -325,7 +326,7 @@ def _view_kernels(table, hypo, solved):
     """(kernel, class_map) of each maximal view, for G's hypo-elementary
     mask ``hypo``."""
     for class_map, marks in _maximal_views(table):
-        yield _kernel_of(marks.T, hypo[class_map], np.arange(len(class_map)), solved), class_map
+        yield _kernel_of(marks, hypo[class_map], np.arange(len(class_map)), solved), class_map
 
 
 def _certified_lattice(table, kernel, unit, hypo, quotients, views, seen):
@@ -343,7 +344,7 @@ def _certified_lattice(table, kernel, unit, hypo, quotients, views, seen):
         return None
     slot = np.full(k, r)  # each class's position in P, or r
     slot[unit] = np.arange(r)
-    marks = marks_table(group, table).array[:, hypo]
+    marks = marks_table(group, table).columns(np.flatnonzero(hypo))
 
     def generators(found, class_map):
         # the columns moved to G, checked to satisfy M x = 0, restricted

@@ -60,6 +60,8 @@ SUBGROUP_CAP = 5000
 # np.packbits packs them
 _BIT = (128 >> np.arange(8)).astype(np.uint8)
 _IDENTITY = np.zeros(1, dtype=np.int32)
+# bools gathered at once by ``SubgroupClassTable.containing``
+_GATHER_BYTES = 2**22
 
 
 def _bits(packed, elements, rows=None):
@@ -223,13 +225,27 @@ class SubgroupClassTable:
 
     def containing(self, tests, rows=None):
         """One bool column per index array in ``tests``: which of the rows
-        ``rows`` (all by default) hold all of it, read off the rows
-        unpacked once; each test is led by the identity, so none is empty."""
-        sizes = [len(test) + 1 for test in tests]
-        cols = np.concatenate([part for test in tests for part in (_IDENTITY, test)])
-        on = kernels.sorted_unique(cols)
-        bits = _bits(self.packed_members, on, rows)[:, np.searchsorted(on, cols)]
-        return np.logical_and.reduceat(bits, np.cumsum(sizes) - sizes, axis=1)
+        ``rows`` (all by default) hold all of it.  The tests are gathered
+        in chunks of at most ``_GATHER_BYTES`` of bits, or one test, each
+        from the rows unpacked once; each test is led by the identity, so
+        none is empty."""
+        height = len(self.class_of) if rows is None else len(rows)
+        width = max(1, _GATHER_BYTES // max(1, height))  # gathered columns per chunk
+        chunks, used = [[]], 0
+        for j, test in enumerate(tests):
+            if chunks[-1] and used + len(test) + 1 > width:
+                chunks.append([])
+                used = 0
+            chunks[-1].append(j)
+            used += len(test) + 1
+        parts = []
+        for chunk in chunks:
+            cols = np.concatenate([part for j in chunk for part in (_IDENTITY, tests[j])])
+            on = kernels.sorted_unique(cols)
+            bits = _bits(self.packed_members, on, rows)[:, np.searchsorted(on, cols)]
+            starts = np.cumsum([0] + [len(tests[j]) + 1 for j in chunk[:-1]])
+            parts.append(np.logical_and.reduceat(bits, starts, axis=1))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     def inside(self, sub):
         """Ascending positions of the rows of the subgroups inside the

@@ -336,8 +336,9 @@ def kernel_basis(m):
     """Basis of the integer kernel {x : M x = 0}, as Hermite-reduced
     matrix columns.
 
-    First, a Gauss-Jordan elimination of M modulo the prime Q takes
-    pivot columns N from the right.  Each other coordinate p gives the
+    First, a Gauss-Jordan elimination of M modulo the prime Q, kept as
+    the r x r record of its row operations, takes pivot columns N from
+    the right.  Each other coordinate p gives the
     column e_p - W_p, with W = M_N^-1 M_P mod Q in residues of least
     absolute value; W_p is zero on each n in N below p, whose row had no
     pivot, hence a zero residue, when p was passed over.  The columns
@@ -379,37 +380,40 @@ def _unit_kernel(mat):
     """``kernel_basis``'s unit-pivot basis of the int64 array M by
     elimination modulo Q, or None.  The basis is returned as (P, N, W):
     it is the identity on the coordinates P, and on N[i], the pivot of
-    row i of M, it is the row W[i], with |W| <= Q/2."""
+    row i of M, it is the row W[i], with |W| <= Q/2.
+
+    The elimination keeps only the r x r record A of its row operations
+    modulo Q, so the reduced M is A M modulo Q: each column, right to
+    left, is one product A M[:, n], a pivot updates A alone, and W is
+    read off A M_P.  Each product, and M_N W, fits in int64 while
+    max |M| * r * Q does."""
     r, k = mat.shape
     q = _PRIME
     if mat.size and max(int(mat.max()), -int(mat.min())) * r * q >= 2**63:
         return None
-    red = mat % q
+    ops = np.eye(r, dtype=np.int64)
     free = list(range(r))  # rows without a pivot, in order
     pivot_cols = [None] * r
     for n in range(k - 1, -1, -1):
         if not free:
             break
-        x = red[:, n].tolist()
+        x = (ops @ mat[:, n] % q).tolist()
         s = next((i for i in free if x[i]), None)
         if s is None:
             continue
         # row s is scaled to 1 at n, and x[i] times it leaves row i
         inv = pow(x[s], q - 2, q)  # Q is prime
         x[s] -= 1
-        red -= np.multiply.outer([v * inv % q for v in x], red[s])
-        red %= q
+        ops -= np.multiply.outer([v * inv % q for v in x], ops[s])
+        ops %= q
         free.remove(s)
         pivot_cols[s] = n
     if free:
         return None
     rest = np.delete(np.arange(k), pivot_cols)
-    neg = (q - red[:, rest]) % q  # -W, lifted below
+    neg = -(ops @ mat[:, rest]) % q  # -W, lifted below
     neg[neg > q // 2] -= q
-    check = mat[:, rest]  # M_P + M_N (-W) must vanish
-    for n, row in zip(pivot_cols, neg):
-        check += np.multiply.outer(mat[:, n], row)
-    if check.any():
+    if (mat[:, rest] + mat[:, pivot_cols] @ neg).any():  # M_P + M_N (-W) must vanish
         return None
     return rest, np.array(pivot_cols, dtype=np.intp), neg
 

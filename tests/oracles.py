@@ -608,7 +608,7 @@ def imprimitive_lattice_by_hnf(group, characteristic):
         kernels.append((kernel_basis(IntMatrix(rows, cols=len(over))), over))
     for class_map, view_marks in _maximal_views(table):
         positions = np.flatnonzero(hypo[class_map]).tolist()
-        rows = [view_marks[:, u].tolist() for u in positions]
+        rows = view_marks.columns(positions).T.tolist()
         kernels.append((kernel_basis(IntMatrix(rows, cols=len(class_map))), class_map))
     columns = []
     for basis, class_map in kernels:
@@ -706,15 +706,15 @@ def kernel_basis_by_two_hnfs(m):
     return hnf(IntMatrix.from_columns(kernel, rows=m.cols))[0]
 
 
-def unit_kernel_by_lists(m, prime=2**31 - 1):
-    """The unit-pivot Hermite kernel basis of the IntMatrix M, or None:
-    the elimination modulo ``prime`` that ``zlattice._unit_kernel`` runs,
-    on Python lists, with the basis returned as an IntMatrix."""
-    r, k = m.rows, m.cols
+def unit_kernel_by_gauss_jordan(mat, prime=2**31 - 1):
+    """``zlattice._unit_kernel`` as it was before it kept a record of its
+    row operations: the Gauss-Jordan elimination of the int64 array M
+    modulo ``prime`` rewrites the whole r x k residue block at each pivot.
+    (P, N, W), or None."""
+    r, k = mat.shape
     q = prime
-    if r and k and max(max(map(max, m.data)), -min(map(min, m.data))) * r * q >= 2**63:
+    if mat.size and max(int(mat.max()), -int(mat.min())) * r * q >= 2**63:
         return None
-    mat = np.array(m.data, dtype=np.int64).reshape(r, k)
     red = mat % q
     free = list(range(r))  # rows without a pivot, in order
     pivot_cols = [None] * r
@@ -733,7 +733,7 @@ def unit_kernel_by_lists(m, prime=2**31 - 1):
         pivot_cols[s] = n
     if free:
         return None
-    rest = sorted(set(range(k)) - set(pivot_cols))
+    rest = np.delete(np.arange(k), pivot_cols)
     neg = (q - red[:, rest]) % q
     neg[neg > q // 2] -= q
     check = mat[:, rest]
@@ -741,6 +741,20 @@ def unit_kernel_by_lists(m, prime=2**31 - 1):
         check += np.multiply.outer(mat[:, n], row)
     if check.any():
         return None
+    return rest, np.array(pivot_cols, dtype=np.intp), neg
+
+
+def unit_kernel_by_lists(m, prime=2**31 - 1):
+    """The unit-pivot Hermite kernel basis of the IntMatrix M, or None:
+    ``unit_kernel_by_gauss_jordan`` of M, with the basis returned as an
+    IntMatrix built from lists."""
+    r, k = m.rows, m.cols
+    if r and k and max(max(map(max, m.data)), -min(map(min, m.data))) * r * prime >= 2**63:
+        return None
+    found = unit_kernel_by_gauss_jordan(np.array(m.data, dtype=np.int64).reshape(r, k), prime)
+    if found is None:
+        return None
+    rest, pivot_cols, neg = found[0].tolist(), found[1].tolist(), found[2]
     data = [None] * k
     for j, p in enumerate(rest):
         data[p] = [0] * len(rest)

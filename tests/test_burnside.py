@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from permrel import burnside
 from permrel.burnside import (
     BurnsideElement,
     _from_marks,
+    count_marks,
     element_from_subgroups,
     fixed_points,
     induct,
@@ -28,9 +31,13 @@ from permrel.subgroups import (
     subgroup_as_group,
 )
 
+from permrel.relations import maximal_view
+
 from oracles import (
     class_orbit_by_conjugation,
+    marks_by_members,
     marks_table_by_fixed_points,
+    members_by_keys,
     permutation_groups,
     relabelled,
 )
@@ -375,3 +382,78 @@ def test_element_from_subgroups_accumulates_conjugates():
     idx = table.classes.index(cls)
     assert x.coeffs[idx] == cls.class_size
     assert sum(abs(c) for c in x.coeffs) == cls.class_size
+
+
+@given(
+    st.sampled_from(("S4", "A5", "D8xS3", "C2xC2xC2xC2")),
+    st.lists(st.lists(st.integers(0, 10**6), max_size=8), max_size=5),
+    st.sampled_from((0, burnside._WHOLE_ENTRIES)),
+)
+@settings(max_examples=40, deadline=None)
+def test_marks_columns_on_demand_match_the_members_count(name, requests, whole_entries):
+    # G's columns, and a maximal view's, asked in random subsets and
+    # orders (repeats included): each request counts only the columns
+    # not counted yet, or, for a table small enough, all of them, and
+    # every answer is the whole table's
+    base = preset_group(name)
+    group = generate(base.degree, base.generators)  # a cold memo
+    table = enumerate_classes(group)
+    k = len(table)
+    whole = marks_by_members(table, members_by_keys(table.sub_to_class, group.order))
+    cls = table.classes[table.maximal_classes()[0]]
+    view_whole = maximal_view(table, cls)[1].array
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(burnside, "_WHOLE_ENTRIES", whole_entries)
+        marks, view = marks_table(group, table), maximal_view(table, cls)[1]
+    asked, view_asked = set(), set()
+    for request in requests:
+        cols = [j % k for j in request]
+        assert np.array_equal(marks.columns(cols), whole[:, cols])
+        asked.update(cols)
+        assert marks.counted == len(asked) or (whole_entries and asked and marks.counted == k)
+        view_cols = [j % len(view_whole) for j in request]
+        assert np.array_equal(view.columns(view_cols), view_whole[:, view_cols])
+        view_asked.update(view_cols)
+        assert view.counted == len(view_asked) or (
+            whole_entries and view_asked and view.counted == len(view_whole))
+    assert np.array_equal(marks.array, whole) and marks.counted == k
+    assert np.array_equal(view.array, view_whole)
+    assert marks.columns([k - 1, 0]).tolist() == whole[:, [k - 1, 0]].tolist()
+
+
+def _count_marks_inputs(name):
+    # count_marks's arguments for every column of a preset's table
+    group = preset_group(name)
+    table = enumerate_classes(group)
+    k = len(table)
+    orders = np.array([c.order for c in table.classes], dtype=np.int64)
+    weights = np.array([c.normalizer.order for c in table.classes], dtype=np.int64) // orders
+    above = table.containing([c.generators for c in table.classes])
+    first = np.searchsorted(table.class_of, np.arange(k))
+    return above, first, weights, group.order // orders, np.arange(k)
+
+
+@pytest.mark.parametrize("name", ("S4", "D8xS3"))
+def test_count_marks_checks_each_column(name):
+    # each corruption breaks one of the three facts alone, and the check
+    # of that fact must catch it: a wrong index, the class's own member
+    # missing from its diagonal, and a smaller subgroup above K_j
+    above, first, weights, index, cols = _count_marks_inputs(name)
+    assert np.array_equal(count_marks(above, first, weights, index, cols),
+                          marks_table(preset_group(name)).array)
+    wrong = index.copy()
+    wrong[1] += 1
+    with pytest.raises(InternalCheckError, match="index"):
+        count_marks(above, first, weights, wrong, cols)
+    j = len(cols) // 2
+    own = above.copy()
+    own[first[j]:, j] = False  # class j's rows and every larger one
+    with pytest.raises(InternalCheckError, match="diagonal"):
+        count_marks(own, first, weights, index, cols)
+    stray = above.copy()
+    stray[first[1], j] = True  # a member of class 1, smaller than K_j
+    with pytest.raises(InternalCheckError, match="lower triangular"):
+        count_marks(stray, first, weights, index, cols)
+    # the same checks on one column asked for alone
+    with pytest.raises(InternalCheckError, match="lower triangular"):
+        count_marks(stray[:, [j]], first, weights, index, cols[[j]])

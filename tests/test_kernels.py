@@ -333,7 +333,9 @@ class _RowCountingTable:
 
     def __getitem__(self, index):
         self.reads += 1
-        return self.mult[index]
+        block = self.mult[index]
+        self.largest = max(getattr(self, "largest", 0), block.nbytes)
+        return block
 
 
 @pytest.mark.parametrize("name", ("S4", "C2xC2xC2xC2", "A5"))
@@ -347,6 +349,21 @@ def test_coset_reps_read_one_block(name):
             reps = _kernels.coset_reps(table, sub.indices)
             assert reps.size * sub.order == group.order
             assert table.reads == 1
+
+
+@pytest.mark.parametrize("block_bytes", (1, 64, 1000))
+@pytest.mark.parametrize("name", ("S4", "A5", "D8xS3", "C3^2:C4"))
+def test_coset_reps_in_bounded_blocks_match_full_scan(monkeypatch, name, block_bytes):
+    # each block of products holds at most the budget, or one coset when
+    # a coset alone exceeds it; the representatives are the scan's
+    monkeypatch.setattr(_kernels, "_COSET_BLOCK_BYTES", block_bytes)
+    group = preset_group(name)
+    for cls in enumerate_classes(group).classes:
+        for sub in (cls.representative, cls.normalizer):
+            table = _RowCountingTable(group.mult)
+            got = _kernels.coset_reps(table, sub.indices)
+            assert got.tolist() == coset_reps_by_full_scan(group.mult, sub.indices).tolist()
+            assert table.largest <= max(block_bytes, 4 * sub.order)
 
 
 @given(group_and_seeds(seed_sets=2))

@@ -271,12 +271,44 @@ def test_c2_5_kernel_at_its_own_prime_is_zero_and_quick():
     assert len(kernel.hypo_classes) == 374
 
 
+def test_c2_5_at_char_0_counts_only_the_columns_read(monkeypatch):
+    # G's kernel counts its 32 hypo-elementary (cyclic) columns; prim and
+    # generates_quotient add only those that the quotient kernels the
+    # certificate takes read, the classes over N with U/N cyclic; each
+    # maximal view, C2^4 with 67 classes, is counted whole at once
+    group = _cold_copy(preset_group("C2xC2xC2xC2xC2"))
+    table = enumerate_classes(group)
+    marks = marks_table(group, table)
+    kernel = brauer_kernel(group, 0)
+    assert marks.counted == len(kernel.hypo_classes) == 32
+    normals = []
+    real = relations.quotient_kernel
+    monkeypatch.setattr(relations, "quotient_kernel",
+                        lambda table, normal, p, solved: normals.append(normal)
+                        or real(table, normal, p, solved))
+    report = prim(group, 0)
+    x = BurnsideElement(table, kernel.basis.columns()[0])
+    assert generates_quotient(group, 0, x)
+    p = effective_prime(group, 0)
+    read = set(kernel.hypo_classes)
+    for normal in normals:
+        over = table.classes_over(normal)
+        read.update(over[hypo_mask_by_loop(table, normal, p, over)].tolist())
+    assert set(np.flatnonzero(marks._slot >= 0).tolist()) == read
+    assert marks.counted == len(read) < len(table)
+    hypo = relations._own_hypo_mask(table, p)
+    views = group._memo["maximal_views"]
+    assert len(views) == 31 and report.imprimitive.cols == 342
+    assert all(np.count_nonzero(hypo[class_map]) == 16 and view.counted == len(class_map) == 67
+               for class_map, view in views)
+
+
 def test_c2_6_marks_quick_and_kernel_at_two_is_zero():
     # 2,825 classes, all of them 2-hypo-elementary
     group = preset_group("C2xC2xC2xC2xC2xC2")
     table = enumerate_classes(group)
     start = time.perf_counter()
-    marks_table(group, table)
+    marks_table(group, table).array  # every column, counted at once
     assert time.perf_counter() - start < 10.0
     kernel = brauer_kernel(group, 2)
     assert kernel.rank == 0
@@ -556,7 +588,7 @@ def test_maximal_views_match_subgroup_groups(name):
             for rep in reps
         ]
         assert sorted(place) == list(range(len(m_table))), name
-        assert marks.tolist() == [[m_marks[a][b] for b in place] for a in place], name
+        assert marks.array.tolist() == [[m_marks[a][b] for b in place] for a in place], name
         induced = [
             induct(m_table, table, BurnsideElement.basis(m_table, t)).coeffs.index(1)
             for t in place
@@ -672,26 +704,16 @@ def test_hypo_mask_matches_the_class_loop(name):
             assert got.tolist() == hypo_mask_by_loop(table, normal, p, over).tolist(), (name, char)
 
 
-class _RowsUnread(list):
-    def __getitem__(self, index):
-        raise AssertionError("a marks row was read")
-
-
-class _ArrayUnread(np.ndarray):
-    def __getitem__(self, index):
-        raise AssertionError("a mark was read")
-
-
 def test_all_hypo_views_read_no_marks_rows():
     # C2^4 at char 2: every class of every view is hypo-elementary, so
-    # every view kernel is zero and no mark of G is read, from the array
-    # or from the lists
+    # every view kernel is zero and no column of G's marks, or of a
+    # view's, is counted, nor are G's marks read as lists
     group = _cold_copy(preset_group("C2xC2xC2xC2"))
     table = enumerate_classes(group)
     marks = marks_table(group, table)
-    marks.array = marks.array.view(_ArrayUnread)
-    marks._m = _RowsUnread(range(len(table)))
     assert imprimitive_lattice(group, 2).cols == 0
+    assert marks.counted == 0 and marks._m is None
+    assert all(view.counted == 0 for _, view in group._memo.get("maximal_views", ()))
 
 
 def _count_calls(monkeypatch, fname, record, home="permrel.subgroups"):
@@ -892,10 +914,15 @@ def test_views_and_hypo_classes_are_built_once(monkeypatch, name):
     # what the group keeps: class map and int32 marks per view
     kept = group._memo["maximal_views"]
     assert len(kept) == len(maximal)
+    hypo_somewhere = np.logical_or.reduce(
+        [relations._own_hypo_mask(table, prime or effective_prime(group, 0)) for prime in primes])
     for (class_map, marks), i in zip(kept, maximal):
-        assert marks.dtype == np.int32
+        # only columns some lattice prime's hypo-elementary classes asked
+        # for, or all of a table small enough to be counted whole
+        assert (marks.counted <= np.count_nonzero(hypo_somewhere[class_map])
+                or marks.counted == len(class_map))
         view_map, view_marks, _ = maximal_view(table, table.classes[i])
-        assert marks.tolist() == view_marks.tolist()
+        assert marks.array.tolist() == view_marks.array.tolist()
         assert class_map.tolist() == view_map.tolist()
 
 

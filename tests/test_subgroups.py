@@ -558,3 +558,21 @@ def test_the_table_keeps_no_unpacked_matrix():
     held = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
     assert [a.dtype for a in held if a.ndim == 2] == [np.uint8]
     assert not hasattr(table, "members")
+
+
+@pytest.mark.parametrize("name", ("S4", "A5", "C2xC2xC2xC2", "D8xS3"))
+def test_containing_in_chunks_matches_one_gather(monkeypatch, name):
+    # the tests gathered a few columns at a time, on all rows and on some,
+    # give the one-gather answer, which is the bool matrix's
+    group = preset_group(name)
+    table = enumerate_classes(group)
+    members = members_by_keys(table.sub_to_class, group.order)
+    tests = [c.generators for c in table.classes] + [c.representative.indices for c in table.classes]
+    want = np.column_stack([members[:, test].all(axis=1) for test in tests])
+    rows = np.arange(0, len(table.class_of), 2)
+    assert np.array_equal(table.containing(tests), want)
+    for size in (1, 40, 300):
+        monkeypatch.setattr(subgroups, "_GATHER_BYTES", size)
+        assert np.array_equal(table.containing(tests), want)
+        assert np.array_equal(table.containing(tests, rows), want[rows])
+        assert table.maximal_classes() == maximal_classes_by_members(table, members)

@@ -36,6 +36,7 @@ from oracles import (
     quotient_invariants_by_hnf,
     rank_modulo_by_elimination,
     snf_by_dense_echelon,
+    unit_kernel_by_gauss_jordan,
     unit_kernel_by_lists,
     unit_rows,
 )
@@ -632,3 +633,51 @@ def test_quotient_invariants_match_the_hermite_path(data, coeffs, draw):
         assert (y if y is None else zlattice._dense(y, len(basis))) == echelon_solve(
             dense, pivots, col
         )
+
+
+@st.composite
+def unit_kernel_blocks(draw):
+    """r x k int64 blocks, r <= k: small entries, a unit upper triangle on
+    the last r columns (so a unit basis exists), a repeated or zero row
+    (rank deficient), or entries at the overflow guard max |M| r Q < 2^63,
+    exactly at it or one past it."""
+    r = draw(st.integers(1, 5))
+    k = draw(st.integers(r, 9))
+    at_guard = (2**63 - 1) // (r * zlattice._PRIME)
+    small = st.integers(-3, 3)
+    mat = np.array(draw(st.lists(st.lists(small, min_size=k, max_size=k),
+                                 min_size=r, max_size=r)), dtype=np.int64)
+    kind = draw(st.sampled_from(("random", "unit", "deficient", "guard", "past guard")))
+    if kind == "unit":
+        right = np.triu(mat[:, k - r:], 1)
+        right[np.arange(r), np.arange(r)] = draw(st.sampled_from((1, -1)))
+        mat[:, k - r:] = right
+    elif kind == "deficient" and r > 1:
+        mat[-1] = mat[0] if draw(st.booleans()) else 0
+    elif kind in ("guard", "past guard"):
+        mat = np.sign(mat) * (at_guard + (kind == "past guard"))
+    return mat
+
+
+@given(unit_kernel_blocks())
+@settings(max_examples=300, deadline=None)
+def test_unit_kernel_record_matches_gauss_jordan(mat):
+    # the r x r record of row operations gives the Gauss-Jordan
+    # elimination's answer: None for both, or (P, N, W) row for row
+    got, want = zlattice._unit_kernel(mat), unit_kernel_by_gauss_jordan(mat)
+    assert (got is None) == (want is None)
+    if got is not None:
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_unit_kernel_at_the_overflow_guard():
+    # max |M| r Q just below 2^63 still gives the unit basis, and one more
+    # falls to the echelon route; |M| * (1 0 1; 0 1 1) has the kernel
+    # (1, 1, -1), so its rows on N = (2, 1) are -1 and 1
+    r, q = 2, zlattice._PRIME
+    at_guard = (2**63 - 1) // (r * q)
+    shape = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64)
+    rest, pivots, w = zlattice._unit_kernel(at_guard * shape)
+    assert rest.tolist() == [0] and pivots.tolist() == [2, 1] and w.tolist() == [[-1], [1]]
+    assert zlattice._unit_kernel((at_guard + 1) * shape) is None
