@@ -1,8 +1,10 @@
 """Hot group-theory kernels, vectorised with numpy.
 
 All kernels operate on a multiplication table ``mult`` of shape
-(n, n) with int32 entries, where index 0 is the identity, plus the
-inverse table ``inv``.  Subgroups are sorted int32 index arrays.
+(n, n), where index 0 is the identity, plus the inverse table ``inv``.
+Both hold element indices in the group's index dtype (``mult.dtype``:
+uint16 or int32, see ``perm``), and so do the subgroups, sorted index
+arrays, that the kernels return.
 """
 
 import numpy as np
@@ -49,7 +51,7 @@ def power_orders(mult, mask):
 
 def closure(mult, seeds, base=None, left=None):
     """The subgroup K = <H, seeds> for the subgroup H = ``base`` (the
-    identity alone by default), as a sorted int32 index array.
+    identity alone by default), as a sorted index array of ``mult.dtype``.
 
     The search grows a set X inside K by whole left cosets zH, one gather
     each (Dimino's coset growth; Butler, *Fundamental Algorithms for
@@ -76,12 +78,12 @@ def closure(mult, seeds, base=None, left=None):
             if n % size:
                 raise InternalCheckError("a closure of %d elements in a group of order %d"
                                          % (size, n))
-            return member.nonzero()[0].astype(np.int32)
+            return member.nonzero()[0].astype(mult.dtype)
         if base.size > 1:
             fresh = mult[fresh[:, None], base].astype(np.intp)  # row i: the coset z_i H
         member[fresh if left is None else mult[left[:, None, None], fresh].astype(np.intp)] = True
         cosets, size = fresh.ravel(), np.count_nonzero(member)
-    return np.arange(n, dtype=np.int32)
+    return np.arange(n, dtype=mult.dtype)
 
 
 def normalizer_members(mult, inv, members, gens):
@@ -91,7 +93,7 @@ def normalizer_members(mult, inv, members, gens):
     n = mult.shape[0]
     member_mask = np.zeros(n, dtype=bool)
     member_mask[members] = True
-    g = np.arange(n, dtype=np.int32)
+    g = np.arange(n, dtype=mult.dtype)
     conj = mult[mult[g[:, None], gens], inv[:, None]]
     return g[member_mask[conj].all(axis=1)]
 
@@ -105,7 +107,7 @@ def count_fixed(mult, inv, member_mask, transversal, kgens):
     return int(member_mask[conj].all(axis=1).sum())
 
 
-# bytes of the int32 products in one block of ``coset_reps``
+# bytes of the products, entries of ``mult``, in one block of ``coset_reps``
 _COSET_BLOCK_BYTES = 2**22
 
 
@@ -116,11 +118,12 @@ def coset_reps(mult, members):
     its gather), each of at most ``_COSET_BLOCK_BYTES`` of products, until
     |G:H| are found, usually in the first block, as cosets spread over G."""
     n, size = mult.shape[0], len(members)
-    step = max(1, min(_COSET_BLOCK_BYTES // (4 * size), max(4 * n, 2**16) // size))
+    step = max(1, min(_COSET_BLOCK_BYTES // (mult.dtype.itemsize * size),
+                      max(4 * n, 2**16) // size))
     reps, count = [], 0
     for start in range(0, n, step):
         least = mult[start:start + step, members].min(axis=1)
-        rows = np.arange(start, start + len(least), dtype=np.int32)
+        rows = np.arange(start, start + len(least), dtype=mult.dtype)
         reps.append(rows[least == rows])
         count += len(reps[-1])
         if count * size >= n:

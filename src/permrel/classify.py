@@ -108,8 +108,7 @@ def derived_subgroup(subgroup):
     a = np.repeat(idx, idx.size)
     b = np.tile(idx, idx.size)
     commutators = mult[mult[inv[a], inv[b]], mult[a, b]]
-    seeds = kernels.sorted_unique(commutators).astype(np.int32)
-    return Subgroup(group, kernels.closure(mult, seeds))
+    return Subgroup(group, kernels.closure(mult, kernels.sorted_unique(commutators)))
 
 
 def is_soluble(group):

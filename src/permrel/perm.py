@@ -1,10 +1,19 @@
 """Permutations on {0, ..., degree-1} and concrete permutation groups.
 
 A Group stores its elements as one array of image rows, sorted, plus
-lazily built int32 multiplication and inverse tables; those tables are
-what every other module indexes into.  Element 0 is always the
-identity, because the identity is the lexicographically smallest
-permutation of its degree.
+lazily built multiplication and inverse tables; those tables are what
+every other module indexes into.  Element 0 is always the identity,
+because the identity is the lexicographically smallest permutation of
+its degree.
+
+Every array of element indices of a group, its tables, subgroups and
+keys among them, has the group's one ``index_dtype``: uint16 from 256
+to 65,536 elements, int32 otherwise.  Two bytes halve the n x n ``mult``
+table; below 256 elements the int32 table is at most 256 KB, less than
+the memory numpy's uint16 loops take when first used.  Under 65,536,
+little-endian uint16 keys sort byte by byte as the int32 ones did (the
+int32 padding bytes are zero in the same places), so a subgroup's key
+order does not depend on the dtype.
 """
 
 import math
@@ -204,12 +213,13 @@ class Group:
     permutations whose rows strictly increase, row 0 the identity; the
     constructor checks all three.
     ``mult`` proves that every row is a product of the generators, each
-    product found by an exact lookup.  Construct through ``generate``
-    (or the preset builders).
+    product found by an exact lookup.  ``index_dtype`` is the dtype of
+    every array of element indices (see the module docstring).
+    Construct through ``generate`` (or the preset builders).
     """
 
-    __slots__ = ("degree", "generators", "images", "_elements", "_mult", "_inv",
-                 "_orders", "_memo")
+    __slots__ = ("degree", "generators", "images", "index_dtype", "_elements", "_mult",
+                 "_inv", "_orders", "_memo")
 
     def __init__(self, degree, generators, images):
         images = np.ascontiguousarray(images, dtype=">i4")
@@ -237,6 +247,7 @@ class Group:
         self.degree = degree
         self.generators = tuple(generators)
         self.images = images
+        self.index_dtype = np.dtype(np.uint16 if 256 <= len(images) <= 2**16 else np.int32)
         self._elements = self._mult = self._inv = self._orders = None
         self._memo = {}
 
@@ -277,7 +288,8 @@ class Group:
 
     @property
     def mult(self):
-        """int32 table with mult[i, j] = index of elements[i] * elements[j].
+        """The table mult[i, j] = index of elements[i] * elements[j], in the
+        group's ``index_dtype``.
 
         Built along a breadth-first walk of the Cayley graph from the
         identity: when y = s * x for a generator s, row y is row s
@@ -287,11 +299,11 @@ class Group:
         if self._mult is None:
             n = self.order
             steps = [
-                self._indices_of(np.asarray(g.images)[self.images]).astype(np.int32)
+                self._indices_of(np.asarray(g.images)[self.images]).astype(self.index_dtype)
                 for g in self.generators
             ]
             step_lists = [step.tolist() for step in steps]
-            table = np.empty((n, n), dtype=np.int32)
+            table = np.empty((n, n), dtype=self.index_dtype)
             table[0] = np.arange(n)
             reached = [True] + [False] * (n - 1)
             walk = [0]
@@ -311,9 +323,14 @@ class Group:
 
     @property
     def inv(self):
+        """inv[i] = index of the inverse of elements[i]: where row i of
+        ``mult`` holds the identity, proved by one gather."""
         if self._inv is None:
-            inverses = np.argsort(self.images, axis=1)
-            self._inv = self._indices_of(inverses).astype(np.int32)
+            mult = self.mult
+            inv = (mult == 0).argmax(axis=1).astype(self.index_dtype)
+            if (mult[np.arange(self.order), inv] != 0).any():
+                raise InternalCheckError("a row of the multiplication table misses the identity")
+            self._inv = inv
         return self._inv
 
     @property
@@ -330,7 +347,7 @@ class Group:
         mult = self.mult
         conj = mult[mult[g_index, indices], self.inv[g_index]]
         conj.sort()
-        return conj.astype(np.int32)
+        return conj
 
     def __repr__(self):
         return "Group(degree=%d, order=%d)" % (self.degree, self.order)

@@ -59,7 +59,7 @@ SUBGROUP_CAP = 5000
 # the bit of each of the eight positions in a byte, high bit first as
 # np.packbits packs them
 _BIT = (128 >> np.arange(8)).astype(np.uint8)
-_IDENTITY = np.zeros(1, dtype=np.int32)
+_IDENTITY = np.zeros(1, dtype=np.uint8)  # uint8: joined to index arrays, keeps their dtype
 # bools gathered at once by ``SubgroupClassTable.containing``
 _GATHER_BYTES = 2**22
 
@@ -72,27 +72,31 @@ def _bits(packed, elements, rows=None):
 
 
 class Subgroup:
-    """A subgroup of a fixed ambient Group, stored as sorted indices."""
+    """A subgroup of a fixed ambient Group, stored as sorted indices in
+    the ambient group's ``index_dtype``."""
 
     __slots__ = ("ambient", "indices", "_mask", "_gens", "_transversal")
 
     def __init__(self, ambient, indices):
-        arr = kernels.sorted_unique(np.asarray(indices, dtype=np.int32))
+        arr = kernels.sorted_unique(np.asarray(indices))
         if arr.size == 0 or arr[0] != 0:
             raise InputError("a subgroup must contain the identity (index 0)")
+        if arr[-1] >= ambient.order:  # checked before the narrowing cast
+            raise InputError("an index is not below the group order")
         if ambient.order % arr.size:
             raise InputError("index set size does not divide the group order")
         self.ambient = ambient
-        self.indices = arr
+        self.indices = arr.astype(ambient.index_dtype, copy=False)
         self._mask = None
         self._gens = None
         self._transversal = None
 
     @classmethod
     def _closed(cls, ambient, indices):
-        """The subgroup with the sorted int32 ``indices`` that a closure, a
-        normalizer or a conjugate of either returned, taken as it is:
-        ``closure`` already checked that the size divides |G|."""
+        """The subgroup with the sorted ``indices``, in the ambient group's
+        ``index_dtype``, that a closure, a normalizer or a conjugate of
+        either returned, taken as it is: ``closure`` already checked that
+        the size divides |G|."""
         sub = cls.__new__(cls)
         sub.ambient, sub.indices = ambient, indices
         sub._mask = sub._gens = sub._transversal = None
@@ -101,16 +105,15 @@ class Subgroup:
     @classmethod
     def generated(cls, ambient, indices):
         """Close an index set into a subgroup."""
-        closed = kernels.closure(ambient.mult, np.asarray(indices, dtype=np.int32))
-        return cls(ambient, closed)
+        return cls(ambient, kernels.closure(ambient.mult, indices))
 
     @classmethod
     def full(cls, ambient):
-        return cls(ambient, np.arange(ambient.order, dtype=np.int32))
+        return cls(ambient, np.arange(ambient.order, dtype=ambient.index_dtype))
 
     @classmethod
     def trivial(cls, ambient):
-        return cls(ambient, np.zeros(1, dtype=np.int32))
+        return cls(ambient, np.zeros(1, dtype=ambient.index_dtype))
 
     @property
     def order(self):
@@ -142,7 +145,7 @@ class Subgroup:
         before generated."""
         if self._gens is None:
             mult = self.ambient.mult
-            covered = np.zeros(1, dtype=np.int32)
+            covered = np.zeros(1, dtype=mult.dtype)
             gens = []
             for idx in self.indices:
                 if idx not in covered:
@@ -150,7 +153,7 @@ class Subgroup:
                     covered = kernels.closure(mult, [idx], covered)
                     if covered.size == self.indices.size:
                         break
-            self._gens = np.asarray(gens, dtype=np.int32)
+            self._gens = np.asarray(gens, dtype=mult.dtype)
         return self._gens
 
     def generators(self):
@@ -178,9 +181,10 @@ class Subgroup:
 
 
 class SubgroupClass(NamedTuple):
-    """A conjugacy class of subgroups.  ``generators``, an int32 index
-    array, generates the representative; unlike its canonical
-    ``generator_indices``, it depends on the order of discovery."""
+    """A conjugacy class of subgroups.  ``generators``, an index array
+    in the group's ``index_dtype``, generates the representative; unlike
+    its canonical ``generator_indices``, it depends on the order of
+    discovery."""
 
     representative: Subgroup
     order: int
@@ -352,7 +356,7 @@ def enumerate_classes(group):
     orders = group.element_orders
     zuppos = kernels.value_mask(orders, lambda o: len(prime_factors(o)) == 1)
     # in an abelian G every subgroup is normal: G is each one's normalizer
-    abelian, everything = is_abelian(group), np.arange(n, dtype=np.int32)
+    abelian, everything = is_abelian(group), np.arange(n, dtype=group.index_dtype)
 
     sub_to_class = {}
     records = []  # (indices, normalizer_indices, member keys, generators, first row)
@@ -419,7 +423,7 @@ def enumerate_classes(group):
             queue.append((canon, canon_gens))
 
     # extending the trivial group gives the cyclic subgroups
-    register(np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32))
+    register(np.zeros(1, dtype=mult.dtype), np.zeros(0, dtype=mult.dtype))
     while queue:
         base, gens = queue.popleft()
         done = ~zuppos
@@ -433,7 +437,7 @@ def enumerate_classes(group):
                 over = over[_bits(over, gens).all(axis=1)]
                 done |= np.unpackbits(np.bitwise_or.reduce(over), count=n).view(bool)
         # the last seed is each g in turn; neither closure nor register keeps seeds
-        seeds = np.append(gens, np.int32(0))
+        seeds = np.append(gens, np.zeros(1, dtype=gens.dtype))
         rows = base.astype(np.intp)
         for g in np.flatnonzero(~done):
             if done[g]:
@@ -561,8 +565,7 @@ def quotient(group, normal):
             raise InputError("preimage expects a subgroup of the quotient group")
         qmask = np.zeros(q.order, dtype=bool)
         qmask[subgroup_of_q.indices] = True
-        members = np.flatnonzero(qmask[q_index_of]).astype(np.int32)
-        return Subgroup(group, members)
+        return Subgroup(group, np.flatnonzero(qmask[q_index_of]))
 
     result = Quotient(q, project, preimage)
     group._memo[("quotient", normal.key)] = result
@@ -594,8 +597,8 @@ def centralizer_indices(group, target_indices, within=None):
     block of products each way."""
     mult = group.mult
     pool = within.indices if within is not None else np.arange(
-        group.order, dtype=np.int32
+        group.order, dtype=group.index_dtype
     )
-    targets = np.asarray(target_indices, dtype=np.int32)
+    targets = np.asarray(target_indices, dtype=group.index_dtype)
     commute = mult[np.ix_(pool, targets)] == mult[np.ix_(targets, pool)].T
-    return pool[commute.all(axis=1)].astype(np.int32)
+    return pool[commute.all(axis=1)]

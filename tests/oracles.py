@@ -109,14 +109,14 @@ def mult_rows_by_lookup(group, rows):
     composes elements[i] with every element at once and binary-searches
     the products among the sorted element images."""
     images = group.images
-    table = np.empty((len(rows), group.order), dtype=np.int32)
+    table = np.empty((len(rows), group.order), dtype=group.index_dtype)
     for t, i in enumerate(rows):
         table[t] = group._indices_of(images[i][images])
     return table
 
 
 def inverses_by_lookup(group):
-    return np.array([group.index(p.inverse()) for p in group.elements], dtype=np.int32)
+    return np.array([group.index(p.inverse()) for p in group.elements], dtype=group.index_dtype)
 
 
 def element_orders_by_permutation(group):
@@ -141,7 +141,7 @@ def subgroups_of(table):
     """Every subgroup in ``table``, decoded from its key map and sorted
     by order, then index set."""
     subs = [
-        Subgroup(table.group, np.frombuffer(key, dtype=np.int32))
+        Subgroup(table.group, np.frombuffer(key, dtype=table.group.index_dtype))
         for key in table.sub_to_class
     ]
     return sorted(subs, key=lambda s: (s.order, s.indices.tolist()))
@@ -201,7 +201,7 @@ def closure_by_products(mult, seeds):
         products = mult[np.ix_(members, members)]
         fresh = products[~member[products]]
         if fresh.size == 0:
-            return members.astype(np.int32)
+            return members.astype(mult.dtype)
         member[fresh] = True
 
 
@@ -218,7 +218,7 @@ def closure_by_bfs(mult, seeds, start=None):
     size = frontier.size
     while frontier.size and gens.size:
         if 2 * size > n:
-            return np.arange(n, dtype=np.int32)
+            return np.arange(n, dtype=mult.dtype)
         reached = np.zeros(n, dtype=bool)
         reached[mult[frontier[:, None], gens]] = True
         fresh = reached > member
@@ -228,7 +228,7 @@ def closure_by_bfs(mult, seeds, start=None):
     if n % size:
         raise InternalCheckError("a closure of %d elements in a group of order %d"
                                  % (size, n))
-    return member.nonzero()[0].astype(np.int32)
+    return member.nonzero()[0].astype(mult.dtype)
 
 
 def coset_reps_by_full_scan(mult, members):
@@ -241,15 +241,15 @@ def coset_reps_by_full_scan(mult, members):
         if not visited[g]:
             reps.append(g)
             visited[mult[g, members]] = True
-    return np.asarray(reps, dtype=np.int32)
+    return np.asarray(reps, dtype=mult.dtype)
 
 
-def members_by_keys(sub_to_class, n):
-    """The subgroup-by-element bool matrix of a group of order ``n``: row r
-    the mask of the r-th key of ``sub_to_class``, read off the key."""
-    members = np.zeros((len(sub_to_class), n), dtype=bool)
+def members_by_keys(sub_to_class, group):
+    """The subgroup-by-element bool matrix of ``group``: row r the mask of
+    the r-th key of ``sub_to_class``, read off the key."""
+    members = np.zeros((len(sub_to_class), group.order), dtype=bool)
     for row, key in enumerate(sub_to_class):
-        members[row, np.frombuffer(key, dtype=np.int32)] = True
+        members[row, np.frombuffer(key, dtype=group.index_dtype)] = True
     return members
 
 
@@ -383,7 +383,7 @@ def enumerate_classes_by_every_extension(group):
     ]
     sub_to_class = {key: position[cid] for key, cid in sub_to_class.items()}
     return SubgroupClassTable(group, classes, sub_to_class,
-                              np.packbits(members_by_keys(sub_to_class, n), axis=1))
+                              np.packbits(members_by_keys(sub_to_class, group), axis=1))
 
 
 def enumerate_classes_by_transversals(group):
@@ -420,7 +420,7 @@ def enumerate_classes_by_transversals(group):
         if canon.size < n:
             queue.append((canon, gens))
 
-    register(np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32))
+    register(np.zeros(1, dtype=group.index_dtype), np.zeros(0, dtype=group.index_dtype))
     while queue:
         base, gens = queue.popleft()
         done = not_zuppo.copy()
@@ -433,7 +433,7 @@ def enumerate_classes_by_transversals(group):
             if done[g]:
                 continue
             done[mult[mult[base, g][:, None], base]] = True
-            seeds = np.append(gens, np.int32(g))
+            seeds = np.append(gens, np.asarray([g], dtype=gens.dtype))
             closed = closure_by_products(mult, seeds)
             if closed.size // base.size in primes:
                 done[closed] = True
@@ -451,7 +451,7 @@ def enumerate_classes_by_transversals(group):
         ))
         sub_to_class.update(dict.fromkeys(keys, pos))
     return SubgroupClassTable(group, classes, sub_to_class,
-                              np.packbits(members_by_keys(sub_to_class, n), axis=1))
+                              np.packbits(members_by_keys(sub_to_class, group), axis=1))
 
 
 def translation_module_by_points(group, l, d):
@@ -1274,7 +1274,8 @@ def _hall_by_keys(group, p):
     """The Hall p'-subgroup of ``group`` with the least index list, read
     off its own class table's key map."""
     target = prime_to_p_part(group.order, p)
-    candidates = [np.frombuffer(key, dtype=np.int32) for key in enumerate_classes(group).sub_to_class]
+    candidates = [np.frombuffer(key, dtype=group.index_dtype)
+                  for key in enumerate_classes(group).sub_to_class]
     candidates = [idx.tolist() for idx in candidates if idx.size == target]
     if not candidates:
         raise InternalCheckError("soluble group is missing a Hall complement")
@@ -1286,10 +1287,10 @@ def _check_fusion(group, ng, hall_in_g, hall_group, hall_table):
     full normalizer must already be conjugate inside the complement."""
     by_key = {}
     for key, idx in hall_table.sub_to_class.items():
-        member = Subgroup(hall_group, np.frombuffer(key, dtype=np.int32))
+        member = Subgroup(hall_group, np.frombuffer(key, dtype=hall_group.index_dtype))
         by_key[_lift_subgroup(group, hall_group, member).key] = idx
     for key, cls_idx in list(by_key.items()):
-        indices = np.frombuffer(key, dtype=np.int32)
+        indices = np.frombuffer(key, dtype=group.index_dtype)
         for g in ng.indices:
             conj = group.conjugate_indices(g, indices)
             other = by_key.get(conj.tobytes())
@@ -1325,9 +1326,7 @@ def dress_decomposition_by_subgroup_groups(group, p, q):
         reps = []
         for v_idx, vcls in enumerate(hall_table.classes):
             v_in_g = _lift_subgroup(group, hall_group, vcls.representative)
-            product = _kernels.sorted_unique(
-                mult[np.ix_(u.indices, v_in_g.indices)]
-            ).astype(np.int32)
+            product = _kernels.sorted_unique(mult[np.ix_(u.indices, v_in_g.indices)])
             if product.size != u.order * v_in_g.order:
                 raise InternalCheckError("core times complement part is not direct")
             if product.tobytes() not in table.sub_to_class:

@@ -399,7 +399,7 @@ def test_marks_columns_on_demand_match_the_members_count(name, requests, whole_e
     group = generate(base.degree, base.generators)  # a cold memo
     table = enumerate_classes(group)
     k = len(table)
-    whole = marks_by_members(table, members_by_keys(table.sub_to_class, group.order))
+    whole = marks_by_members(table, members_by_keys(table.sub_to_class, group))
     cls = table.classes[table.maximal_classes()[0]]
     view_whole = maximal_view(table, cls)[1].array
     with pytest.MonkeyPatch.context() as patch:

@@ -156,7 +156,7 @@ class _CountingTable:
 
     def __init__(self, mult):
         self.mult = mult
-        self.shape = mult.shape
+        self.shape, self.dtype = mult.shape, mult.dtype
         self.rows = []
 
     def __getitem__(self, index):
@@ -195,7 +195,7 @@ def _assert_closures_from_start_sets(group, h_seeds, g):
     for name, (base, left, seeds) in _start_sets(group, h_seeds, g).items():
         table = _CountingTable(group.mult)
         got = _kernels.closure(table, seeds, base, left)
-        assert got.dtype == np.int32
+        assert got.dtype == group.index_dtype
         assert got.tolist() == want, name
         if name == "<H, g>":
             # nothing is left to find: one round, or none past n/2
@@ -304,7 +304,7 @@ def _assert_coset_reps_match_full_scan(group, members):
     norm = _kernels.normalizer_members(group.mult, group.inv, members, members)
     for sub in (members, norm):
         got = _kernels.coset_reps(group.mult, sub)
-        assert got.dtype == np.int32
+        assert got.dtype == group.index_dtype
         assert got.tolist() == coset_reps_by_full_scan(group.mult, sub).tolist()
 
 
@@ -328,7 +328,7 @@ class _RowCountingTable:
 
     def __init__(self, mult):
         self.mult = mult
-        self.shape = mult.shape
+        self.shape, self.dtype = mult.shape, mult.dtype
         self.reads = 0
 
     def __getitem__(self, index):
@@ -352,7 +352,7 @@ def test_coset_reps_read_one_block(name):
 
 
 @pytest.mark.parametrize("block_bytes", (1, 64, 1000))
-@pytest.mark.parametrize("name", ("S4", "A5", "D8xS3", "C3^2:C4"))
+@pytest.mark.parametrize("name", ("S4", "A5", "D8xS3", "C3^2:C4", "A6"))
 def test_coset_reps_in_bounded_blocks_match_full_scan(monkeypatch, name, block_bytes):
     # each block of products holds at most the budget, or one coset when
     # a coset alone exceeds it; the representatives are the scan's
@@ -363,7 +363,18 @@ def test_coset_reps_in_bounded_blocks_match_full_scan(monkeypatch, name, block_b
             table = _RowCountingTable(group.mult)
             got = _kernels.coset_reps(table, sub.indices)
             assert got.tolist() == coset_reps_by_full_scan(group.mult, sub.indices).tolist()
-            assert table.largest <= max(block_bytes, 4 * sub.order)
+            assert table.largest <= max(block_bytes, group.mult.itemsize * sub.order)
+
+
+def test_coset_reps_size_blocks_by_the_table_itemsize(monkeypatch):
+    # A6's table is uint16: a 720-byte budget holds the 360 products of the
+    # trivial subgroup in one block, where 4 bytes a product would take two
+    monkeypatch.setattr(_kernels, "_COSET_BLOCK_BYTES", 720)
+    group = preset_group("A6")
+    table = _RowCountingTable(group.mult)
+    reps = _kernels.coset_reps(table, np.zeros(1, dtype=group.index_dtype))
+    assert reps.tolist() == list(range(group.order))
+    assert (table.reads, table.largest) == (1, 720)
 
 
 @given(group_and_seeds(seed_sets=2))

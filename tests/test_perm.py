@@ -14,6 +14,7 @@ from oracles import (
     mult_rows_by_lookup,
     relabelled,
 )
+from permrel import _kernels
 from permrel.errors import CapExceeded, InputError, InternalCheckError
 from permrel.perm import (
     Group,
@@ -26,6 +27,8 @@ from permrel.perm import (
     parse_cycles,
 )
 from permrel.presets import CORPUS_NAMES, preset_group
+from permrel.classify import derived_subgroup
+from permrel.subgroups import Subgroup, centralizer_indices, enumerate_classes, quotient
 
 # the benchmark's ladders, plus the largest presets the tests build
 WORKLOAD_NAMES = (
@@ -217,7 +220,8 @@ def test_conjugate_indices_sorted():
 
 def _assert_tables_match_oracles(group):
     mult, inv, orders = group.mult, group.inv, group.element_orders
-    assert (mult.dtype, inv.dtype, orders.dtype) == (np.int32, np.int32, np.int64)
+    dtypes = (group.index_dtype, group.index_dtype, np.int64)
+    assert (mult.dtype, inv.dtype, orders.dtype) == dtypes
     assert np.array_equal(mult, mult_rows_by_lookup(group, range(group.order)))
     assert np.array_equal(inv, inverses_by_lookup(group))
     assert np.array_equal(orders, element_orders_by_permutation(group))
@@ -254,6 +258,42 @@ def test_generate_and_tables_match_oracles_on_random_generator_lists(degree_and_
     group.mult
     assert group._inv is None  # mult and inv stay separate lazy builds
     _assert_tables_match_oracles(group)
+
+
+@pytest.mark.parametrize("order, dtype", [(255, np.int32), (256, np.uint16)])
+def test_index_arrays_share_the_group_index_dtype_on_both_sides_of_the_cut(order, dtype):
+    # the cyclic group of one order-cycle: int32 indices below 256
+    # elements, uint16 from 256 on, in the tables and every index array
+    group = generate(order, [Permutation([(i + 1) % order for i in range(order)])])
+    assert group.index_dtype == dtype
+    _assert_tables_match_oracles(group)
+    table = enumerate_classes(group)
+    arrays = [_kernels.closure(group.mult, [3]), _kernels.closure(group.mult, [1]),
+              _kernels.coset_reps(group.mult, table.classes[1].representative.indices),
+              centralizer_indices(group, [5]), group.conjugate_indices(7, [0, 9]),
+              Subgroup(group, [0]).indices, Subgroup.generated(group, [2]).indices,
+              derived_subgroup(Subgroup.full(group)).indices]
+    q = quotient(group, table.classes[1].representative)
+    arrays.append(q.preimage(Subgroup.generated(q.group, [1])).indices)
+    for cls in table.classes:
+        sub = cls.representative
+        arrays += [sub.indices, sub.generator_indices, cls.generators, cls.normalizer.indices,
+                   _kernels.normalizer_members(group.mult, group.inv, sub.indices, cls.generators),
+                   group.conjugate_indices(1, sub.indices)]
+    assert [a.dtype for a in arrays] == [group.index_dtype] * len(arrays)
+    # each key decodes with the dtype to its subgroup's indices
+    for key in table.sub_to_class:
+        indices = np.frombuffer(key, dtype=group.index_dtype)
+        assert _kernels.closure(group.mult, indices).tobytes() == key
+
+
+def test_inv_raises_when_a_row_of_mult_misses_the_identity():
+    s3 = generate(3, [parse_cycles(3, "(0 1)"), parse_cycles(3, "(0 1 2)")])
+    mult = s3.mult.copy()
+    mult[2, mult[2] == 0] = 1
+    s3._mult = mult
+    with pytest.raises(InternalCheckError, match="misses the identity"):
+        s3.inv
 
 
 def test_walk_raises_when_the_generators_do_not_generate_the_group():

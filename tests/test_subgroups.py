@@ -206,6 +206,11 @@ def test_subgroup_rejects_bad_index_sets():
         Subgroup(s3, np.asarray([1, 2], dtype=np.int32))  # no identity
     with pytest.raises(InputError):
         Subgroup(s3, np.asarray([0, 1, 2, 3], dtype=np.int32))  # 4 does not divide 6
+    # no index wraps into range when narrowed to A6's uint16
+    a6 = preset_group("A6")
+    for bad in ([0, -1], [0, 360], [0, 65536 + 1]):
+        with pytest.raises(InputError):
+            Subgroup(a6, np.asarray(bad))
 
 
 def test_generated_subgroup():
@@ -329,7 +334,7 @@ def _assert_generators_and_row_order(table):
     """Each class's carried generators close to its representative, and
     the packed rows follow ``sub_to_class`` in (class, key) order."""
     for cls in table.classes:
-        assert cls.generators.dtype == np.int32
+        assert cls.generators.dtype == table.group.index_dtype
         closed = _kernels.closure(table.group.mult, cls.generators)
         assert closed.tobytes() == cls.representative.key
     keys = list(table.sub_to_class)
@@ -337,10 +342,10 @@ def _assert_generators_and_row_order(table):
     rows = table.unpacked(np.arange(len(keys)))
     assert rows.shape == (len(keys), table.group.order)
     for row, key in zip(rows, keys):
-        assert np.flatnonzero(row).astype(np.int32).tobytes() == key
+        assert np.flatnonzero(row).astype(table.group.index_dtype).tobytes() == key
 
 
-@pytest.mark.parametrize("name", CORPUS_NAMES)
+@pytest.mark.parametrize("name", CORPUS_NAMES + ("A6", "C19:C18"))
 def test_generators_and_row_order(name):
     _assert_generators_and_row_order(enumerate_classes(preset_group(name)))
 
@@ -452,11 +457,11 @@ def _assert_centralizers_match_loop(group):
             for within in (None, cls.normalizer):
                 got = centralizer_indices(group, targets, within=within)
                 expected = centralizer_indices_by_loop(group, targets, within=within)
-                assert got.dtype == np.int32
+                assert got.dtype == group.index_dtype
                 assert got.tolist() == expected.tolist()
 
 
-@pytest.mark.parametrize("name", CORPUS_NAMES)
+@pytest.mark.parametrize("name", CORPUS_NAMES + ("C19:C18",))
 def test_centralizers_match_loop(name):
     _assert_centralizers_match_loop(preset_group(name))
 
@@ -510,7 +515,7 @@ def _assert_packed_readers_match_members(group):
     one, the marks, the Frattini subgroup, the least Hall subgroups, and
     the hypo-elementary masks over each normal subgroup."""
     table = enumerate_classes(group)
-    members = members_by_keys(table.sub_to_class, group.order)
+    members = members_by_keys(table.sub_to_class, group)
     rows = np.arange(len(members))
     assert np.array_equal(table.unpacked(rows), members)
     maximal = table.maximal_classes()
@@ -566,7 +571,7 @@ def test_containing_in_chunks_matches_one_gather(monkeypatch, name):
     # give the one-gather answer, which is the bool matrix's
     group = preset_group(name)
     table = enumerate_classes(group)
-    members = members_by_keys(table.sub_to_class, group.order)
+    members = members_by_keys(table.sub_to_class, group)
     tests = [c.generators for c in table.classes] + [c.representative.indices for c in table.classes]
     want = np.column_stack([members[:, test].all(axis=1) for test in tests])
     rows = np.arange(0, len(table.class_of), 2)
