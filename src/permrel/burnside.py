@@ -104,10 +104,10 @@ class MarksTable:
     Row t of ``rows`` of the class table ``table`` (all by default) is in
     class ``class_of[t]``, and ``tests[j]`` generates K_j; ``weights`` and
     ``index`` are as for ``count_marks``.  ``array`` is the whole table
-    as one int64 array, and ``m`` the same entries as lists of ints."""
+    as one int64 array."""
 
     __slots__ = ("table", "_rows", "_first", "_tests", "_weights", "_index", "_store",
-                 "_slot", "_whole", "_m")
+                 "_slot", "_whole")
 
     def __init__(self, table, tests, weights, index, rows=None, class_of=None):
         if rows is None:
@@ -121,7 +121,6 @@ class MarksTable:
         self._store = np.zeros((len(weights), 0), dtype=np.int64)  # counted columns
         self._slot = np.full(len(weights), -1)  # each column's place in the store, or -1
         self._whole = len(weights) * len(class_of) <= _WHOLE_ENTRIES
-        self._m = None
 
     @property
     def counted(self):
@@ -152,12 +151,6 @@ class MarksTable:
             self._store = np.concatenate((self._store, found), axis=1)
             if self.counted == len(self._slot):
                 self._store, self._slot = self._store[:, self._slot], np.arange(self.counted)
-
-    @property
-    def m(self):
-        if self._m is None:
-            self._m = self.array.tolist()
-        return self._m
 
 
 def marks_table(group, table=None):
@@ -226,7 +219,7 @@ def _from_marks(table, marks):
     remainder means no integral element has these marks, and raises
     InternalCheckError.
     """
-    m = marks_table(table.group, table).m
+    m = marks_table(table.group, table).array.tolist()
     k = len(marks)
     coeffs = [0] * k
     for j in range(k - 1, -1, -1):

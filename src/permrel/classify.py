@@ -199,16 +199,16 @@ def quotient_is_pq_dress(group, normal, p, q):
     return bool((orders == residual.order // core.order).any())
 
 
-def quotient_dress_primes(group, normal, p):
-    """The primes q for which a non-hypo-elementary G/N is (p,q)-Dress.
+def quotient_dress(group, normal, p):
+    """(hypo, q) for G/N: whether it is p-hypo-elementary and, when it is
+    not, the one prime q for which it is (p,q)-Dress, or None.
 
-    The list has at most one entry: G/N modulo its p-core is noncyclic,
-    and a noncyclic group is q-quasi-elementary for at most one prime.
-    Callers must handle the hypo-elementary case (Dress for every q)
-    themselves.
+    G/N modulo its p-core is then noncyclic, and a noncyclic group is
+    q-quasi-elementary for at most one prime.  A hypo-elementary G/N is
+    Dress for every q, and its q is None.
     """
     if quotient_is_p_hypo_elementary(group, normal, p):
-        raise InputError("dress_primes is only meaningful for non-hypo groups")
+        return True, None
     core = quotient_p_core(group, normal, p)
     found = [
         q for q in prime_factors(group.order // core.order)
@@ -218,7 +218,7 @@ def quotient_dress_primes(group, normal, p):
         raise InternalCheckError(
             "a noncyclic quotient cannot be quasi-elementary for two primes"
         )
-    return found
+    return False, (found[0] if found else None)
 
 
 def p_core(group, p):
@@ -286,10 +286,13 @@ def is_pq_dress(group, p, q):
 
 
 def dress_primes(group, p):
-    """The primes q for which a non-hypo-elementary group is (p,q)-Dress;
-    ``quotient_dress_primes`` with N = 1."""
+    """The primes q for which a non-hypo-elementary group is (p,q)-Dress,
+    at most one: ``quotient_dress`` with N = 1."""
     _require_primes(p)
-    return quotient_dress_primes(group, Subgroup.trivial(group), p)
+    hypo, q = quotient_dress(group, Subgroup.trivial(group), p)
+    if hypo:
+        raise InputError("dress_primes is only meaningful for non-hypo groups")
+    return [] if q is None else [q]
 
 
 @dataclass
@@ -516,21 +519,16 @@ def _vector_semidirect_witness(group, p):
         if complement is None:
             continue
         # D is isomorphic to G/W, so its questions are asked of G/W
-        d_hypo = quotient_is_p_hypo_elementary(group, w, p)
-        if d_hypo:
-            qs = None  # Dress for every prime
-        else:
-            found = quotient_dress_primes(group, w, p)
-            if not found:
-                continue
-            qs = found[0]
+        d_hypo, q = quotient_dress(group, w, p)
+        if not d_hypo and q is None:
+            continue
         witness = {
             "l": l,
             "rank": round(math.log(w.order, l)),  # |W| = l^rank
             "module_order": w.order,
             "complement_order": complement.order,
             "complement_is_hypo": d_hypo,
-            "q": qs,
+            "q": q,
             "shape": None,
             "_module": w,
             "_complement": complement,
@@ -542,7 +540,7 @@ def _vector_semidirect_witness(group, p):
         split = two_factor_decomposition(group, w, complement, l)
         if split is not None:
             q2, factor_orders = split
-            if qs is not None and q2 is not None and q2 != qs:
+            if q is not None and q2 is not None and q2 != q:
                 continue
             witness["shape"] = "two_factor"
             witness["factor_orders"] = factor_orders
@@ -564,13 +562,9 @@ def _nonabelian_socle_witness(group, p):
             continue
         if centralizer_indices(group, cls.generators).size != 1:
             continue
-        d_hypo = quotient_is_p_hypo_elementary(group, m, p)
-        q = None
-        if not d_hypo:
-            found = quotient_dress_primes(group, m, p)
-            if not found:
-                continue
-            q = found[0]
+        d_hypo, q = quotient_dress(group, m, p)
+        if not d_hypo and q is None:
+            continue
         out.append(
             MainCaseMatch(
                 tag="NonabelianSerre",

@@ -9,6 +9,7 @@ output).  Exit codes: 0 success, 1 input error, 2 cap exceeded,
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .classify import classify_group, main_case_classify
@@ -64,7 +65,8 @@ def _field(spec, name, typ):
     if name not in spec:
         raise InputError("group spec is missing the %r field" % name)
     value = spec[name]
-    if not isinstance(value, typ):
+    # JSON's true and false are Python bools, which pass as ints
+    if isinstance(value, bool) or not isinstance(value, typ):
         raise InputError("group spec field %r has the wrong type" % name)
     return value
 
@@ -160,24 +162,18 @@ def _emit_json(report, stream):
     stream.write("\n")
 
 
+def _write_csv(stream, head, rows):
+    """The (label, cells) pair ``head`` and each pair of ``rows`` as one
+    CSV line: the label and a comma, then the cells, so that a row with
+    no cells keeps its trailing comma."""
+    for label, cells in [head, *rows]:
+        stream.write(label + "," + ",".join(map(str, cells)) + "\n")
+
+
 def _cmd_classify(args, stream):
     spec, group = _load_group(args)
     table = enumerate_classes(group)
-    report = classify_group(group)
-    result = {
-        "order": report.order,
-        "cyclic": report.cyclic,
-        "abelian": report.abelian,
-        "soluble": report.soluble,
-        "p_core_orders": {str(p): n for p, n in sorted(report.p_core_orders.items())},
-        "q_residual_orders": {
-            str(q): n for q, n in sorted(report.q_residual_orders.items())
-        },
-        "frattini_order": report.frattini_order,
-        "hypo_elementary_primes": list(report.hypo_elementary_primes),
-        "quasi_elementary_primes": list(report.quasi_elementary_primes),
-        "dress_pairs": [list(pair) for pair in report.dress_pairs],
-    }
+    result = _jsonable(asdict(classify_group(group)))
     if args.characteristic is not None:
         p = effective_prime(group, args.characteristic)
         result["effective_prime"] = p
@@ -194,14 +190,12 @@ def _cmd_marks(args, stream):
 
     spec, group = _load_group(args)
     table = enumerate_classes(group)
-    marks = marks_table(group, table)
+    rows = marks_table(group, table).array.tolist()
     labels = _class_labels(table)
     if args.format == "csv":
-        stream.write("label," + ",".join(labels) + "\n")
-        for label, row in zip(labels, marks.m):
-            stream.write(label + "," + ",".join(str(v) for v in row) + "\n")
+        _write_csv(stream, ("label", labels), zip(labels, rows))
         return 0
-    result = {"labels": labels, "matrix": [list(row) for row in marks.m]}
+    result = {"labels": labels, "matrix": rows}
     _emit_json(_report(args, spec, _classes_json(table), result, None), stream)
     return 0
 
@@ -214,10 +208,7 @@ def _cmd_kernel(args, stream):
     labels = _class_labels(table)
     if args.format == "csv":
         heads = ["b%d" % j for j in range(kernel.basis.cols)]
-        stream.write("label," + ",".join(heads) + "\n")
-        for i, label in enumerate(labels):
-            row = [str(kernel.basis.data[i][j]) for j in range(kernel.basis.cols)]
-            stream.write(label + "," + ",".join(row) + "\n")
+        _write_csv(stream, ("label", heads), zip(labels, kernel.basis.data))
         return 0
     result = {
         "characteristic": char,
@@ -359,19 +350,13 @@ def _cmd_corpus(args, stream):
             all_pass = all_pass and row["pass"]
             rows.append(row)
     if args.format == "csv":
-        stream.write("group,characteristic,source,predicted,computed,pass\n")
-        for row in rows:
-            stream.write(
-                "%s,%d,%s,%s,%s,%s\n"
-                % (
-                    row["group"],
-                    row["characteristic"],
-                    row["source"],
-                    row["predicted"] if row["predicted"] is not None else "",
-                    row["computed"],
-                    "PASS" if row["pass"] else "FAIL",
-                )
-            )
+        head = ("group", ("characteristic", "source", "predicted", "computed", "pass"))
+        _write_csv(stream, head, (
+            (row["group"], (row["characteristic"], row["source"],
+                            row["predicted"] if row["predicted"] is not None else "",
+                            row["computed"], "PASS" if row["pass"] else "FAIL"))
+            for row in rows
+        ))
         return 0 if all_pass else 3
     report = {
         "version": __version__,
@@ -389,44 +374,32 @@ def _cmd_corpus(args, stream):
 
 
 def _corpus_row(name, group, char):
+    """One corpus row; an InternalCheckError gives a failing row with
+    source "error" and the message as its computed field."""
     p = effective_prime(group, char)
     try:
         report = prim(group, char)
     except InternalCheckError as exc:
-        return {
-            "group": name,
-            "characteristic": char,
-            "order": group.order,
-            "source": "error",
-            "predicted": None,
-            "computed": str(exc),
-            "main_cases": [],
-            "pass": False,
-        }
-    prediction = report.prediction
-    computed = _invariants_str(report.free_rank, report.torsion)
-    predicted = (
-        _invariants_str(prediction.free_rank, prediction.torsion)
-        if prediction.covered
-        else None
-    )
-    matches = [m.tag for m in main_case_classify(group, p)]
-    ok = True
-    if prediction.covered:
-        ok = predicted == computed
-    nonzero = report.free_rank > 0 or bool(report.torsion)
-    if nonzero and not matches:
-        ok = False  # a nonzero quotient must match a structural case
-    return {
-        "group": name,
-        "characteristic": char,
-        "order": group.order,
-        "source": prediction.source,
-        "predicted": predicted,
-        "computed": computed,
-        "main_cases": matches,
-        "pass": ok,
-    }
+        cells = "error", None, str(exc), [], False
+    else:
+        prediction = report.prediction
+        computed = _invariants_str(report.free_rank, report.torsion)
+        predicted = (
+            _invariants_str(prediction.free_rank, prediction.torsion)
+            if prediction.covered
+            else None
+        )
+        matches = [m.tag for m in main_case_classify(group, p)]
+        ok = True
+        if prediction.covered:
+            ok = predicted == computed
+        nonzero = report.free_rank > 0 or bool(report.torsion)
+        if nonzero and not matches:
+            ok = False  # a nonzero quotient must match a structural case
+        cells = prediction.source, predicted, computed, matches, ok
+    keys = ("group", "characteristic", "order", "source", "predicted", "computed",
+            "main_cases", "pass")
+    return dict(zip(keys, (name, char, group.order, *cells)))
 
 
 def _build_parser():

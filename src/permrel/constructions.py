@@ -113,14 +113,15 @@ def _affine_permutation(matrix, shift, l):
 
 
 def _is_square(matrix, d):
-    """Whether ``matrix`` is d lists of d integers."""
+    """Whether ``matrix`` is d lists of d integers, none a bool (JSON's
+    true and false)."""
     return (
         isinstance(matrix, (list, tuple))
         and len(matrix) == d
         and all(
             isinstance(row, (list, tuple))
             and len(row) == d
-            and all(isinstance(v, int) for v in row)
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in row)
             for row in matrix
         )
     )

@@ -324,10 +324,11 @@ class Group:
     @property
     def inv(self):
         """inv[i] = index of the inverse of elements[i]: where row i of
-        ``mult`` holds the identity, proved by one gather."""
+        ``mult`` holds the identity, its least entry 0 as the row permutes
+        0..n-1, proved by one gather."""
         if self._inv is None:
             mult = self.mult
-            inv = (mult == 0).argmax(axis=1).astype(self.index_dtype)
+            inv = mult.argmin(axis=1).astype(self.index_dtype)
             if (mult[np.arange(self.order), inv] != 0).any():
                 raise InternalCheckError("a row of the multiplication table misses the identity")
             self._inv = inv

@@ -116,13 +116,10 @@ from .burnside import (
 )
 from .classify import (
     _lattice_prime,
-    dress_primes,
     effective_prime,
-    is_p_hypo_elementary,
     orders_modulo,
     p_core,
-    quotient_dress_primes,
-    quotient_is_p_hypo_elementary,
+    quotient_dress,
     two_factor_decomposition,
     vector_semidirect_match,
 )
@@ -159,17 +156,6 @@ from .zlattice import (
 
 # entries, 8 bytes each, of one product in the M x = 0 check
 _CHECK_ENTRIES = 2**20
-
-PREDICTION_SOURCES = (
-    "Hypo",
-    "Thm2.9a",
-    "Thm2.9b",
-    "Thm2.9c",
-    "Thm3.2",
-    "ThmMainB",
-    "NotCovered",
-)
-
 
 @dataclass
 class KernelBasis:
@@ -443,7 +429,8 @@ def imprimitive_lattice(group, characteristic):
 
 @dataclass
 class Prediction:
-    source: str  # one of PREDICTION_SOURCES
+    # Hypo, Thm2.9a, Thm2.9b, Thm2.9c, Thm3.2, ThmMainB or NotCovered
+    source: str
     free_rank: int = None
     torsion: tuple = None
 
@@ -471,12 +458,11 @@ def predict_prim(group, characteristic):
 
 
 def _predict(group, p):
-    if is_p_hypo_elementary(group, p):
+    hypo, q = quotient_dress(group, Subgroup.trivial(group), p)
+    if hypo:
         return Prediction(source="Hypo", free_rank=0, torsion=())
-    qs = dress_primes(group, p)
-    if not qs:
+    if q is None:
         return _quotient_trichotomy(group, p)
-    q = qs[0]
     if q != p and not p_core(group, p).is_trivial():
         return Prediction(source="Thm3.2", free_rank=0, torsion=())
     witness = vector_semidirect_match(group, p)
@@ -498,12 +484,12 @@ def _quotient_trichotomy(group, p):
     for n_sub in normal_subgroups(group):
         if n_sub.order == 1:
             continue
-        if quotient_is_p_hypo_elementary(group, n_sub, p):
+        hypo, q = quotient_dress(group, n_sub, p)
+        if hypo:
             continue
-        found = quotient_dress_primes(group, n_sub, p)
-        if not found:
+        if q is None:
             return Prediction(source="Thm2.9c", free_rank=0, torsion=())
-        non_hypo_primes.add(found[0])
+        non_hypo_primes.add(q)
     if not non_hypo_primes:
         return Prediction(source="Thm2.9a", free_rank=1, torsion=())
     if len(non_hypo_primes) == 1:
@@ -709,8 +695,8 @@ def theta_highdim(l, matrices, characteristic):
     group, module, stabilizer = affine_group(l, d, matrices)
     p = effective_prime(group, characteristic)
     # D is isomorphic to G/W, so its questions are asked of G/W
-    d_hypo = quotient_is_p_hypo_elementary(group, module, p)
-    if not d_hypo and not quotient_dress_primes(group, module, p):
+    d_hypo, q = quotient_dress(group, module, p)
+    if not d_hypo and q is None:
         raise InputError("the stabilizer is not a Dress group for any prime")
     if not is_minimal_normal(group, module):
         if two_factor_decomposition(group, module, stabilizer, l) is None:

@@ -599,7 +599,7 @@ def imprimitive_lattice_by_hnf(group, characteristic):
     table = enumerate_classes(group)
     k = len(table.classes)
     hypo = _own_hypo_mask(table, p)
-    marks = marks_table(group, table).m
+    marks = marks_table(group, table).array.tolist()
     kernels = []
     for normal in minimal_normal_subgroups(group):
         over = table.classes_over(normal).tolist()

@@ -16,7 +16,7 @@ from permrel.classify import (
     main_case_classify,
     p_core,
     q_residual,
-    quotient_dress_primes,
+    quotient_dress,
     quotient_is_p_hypo_elementary,
     quotient_is_pq_dress,
     quotient_p_core,
@@ -409,7 +409,8 @@ def _ladder_primes(group):
 
 def _assert_sections_match_quotient_groups(group):
     """Every question about G/N, read off G's normal subgroups, against
-    G/N built as a group."""
+    G/N built as a group; ``quotient_dress`` at every N, the
+    hypo-elementary G/N included."""
     primes = prime_factors(group.order)
     for normal in normal_subgroups(group):
         quot = quotient(group, normal).group
@@ -421,9 +422,10 @@ def _assert_sections_match_quotient_groups(group):
             for q in primes:
                 expected = is_pq_dress_by_quotient_group(quot, p, q)
                 assert quotient_is_pq_dress(group, normal, p, q) == expected, (p, q)
-            if not hypo:
-                expected = dress_primes_by_quotient_group(quot, p)
-                assert quotient_dress_primes(group, normal, p) == expected
+            # a hypo-elementary G/N is Dress for every q, and its q is None
+            dress = [] if hypo else dress_primes_by_quotient_group(quot, p)
+            assert len(dress) <= 1, (p, dress)
+            assert quotient_dress(group, normal, p) == (hypo, dress[0] if dress else None), p
 
 
 def _assert_ladder_matches_groups(group):

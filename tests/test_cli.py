@@ -274,7 +274,13 @@ def test_spec_rejects_malformed():
     {"type": "semidirect", "l": 3, "d": 2, "matrices": [[[0, 2], [1, 0], [1, 1]]]},
     {"type": "semidirect", "l": 3, "d": 2, "matrices": [[[0, 2], [1]]]},
     {"type": "perm", "degree": 3, "generators": [5]},
-], ids=["float", "string", "flat", "tall", "ragged", "int-generator"])
+    # JSON's true is a Python bool, an int to isinstance
+    {"type": "perm", "degree": True, "generators": []},
+    {"type": "semidirect", "l": True, "d": 2, "matrices": []},
+    {"type": "semidirect", "l": 3, "d": True, "matrices": []},
+    {"type": "semidirect", "l": 3, "d": 2, "matrices": [[[0, True], [1, 0]]]},
+], ids=["float", "string", "flat", "tall", "ragged", "int-generator", "bool-degree", "bool-l",
+        "bool-d", "bool-entry"])
 def test_malformed_spec_entry_is_an_input_error(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec), encoding="utf-8")

@@ -168,10 +168,10 @@ def test_hypo_classes_match_subgroup_scan_on_random_groups(group, char):
 def _hypo_marks_rows(group, char):
     # the marks rows at the hypo-elementary classes, as brauer_kernel builds them
     table = enumerate_classes(group)
-    marks = marks_table(group, table)
+    marks = marks_table(group, table).array.tolist()
     k = len(table.classes)
     hypo = hypo_class_indices(group, char)
-    return IntMatrix([[marks.m[h][u] for h in range(k)] for u in hypo], cols=k)
+    return IntMatrix([[marks[h][u] for h in range(k)] for u in hypo], cols=k)
 
 
 KERNEL_CASES = [(name, CORPUS_CHARACTERISTICS) for name in CORPUS_NAMES]
@@ -581,7 +581,7 @@ def test_maximal_views_match_subgroup_groups(name):
         sub = table.classes[i].representative
         m_group = subgroup_as_group(sub)
         m_table = enumerate_classes(m_group)
-        m_marks = marks_table(m_group, m_table).m
+        m_marks = marks_table(m_group, m_table).array.tolist()
         class_map, marks, reps = maximal_view(table, table.classes[i])
         place = [
             m_table.class_index_of(Subgroup(m_group, np.searchsorted(sub.indices, rep)))
@@ -616,13 +616,13 @@ def test_quotient_views_match_quotient_groups(name):
     # quotient group's, up to the order of the coordinates
     group = _view_case(name)
     table = enumerate_classes(group)
-    marks = marks_table(group, table).m
+    marks = marks_table(group, table).array.tolist()
     for normal in normal_subgroups(group):
         if normal.is_trivial() or not is_minimal_normal(group, normal):
             continue
         quot = quotient(group, normal)
         q_table = enumerate_classes(quot.group)
-        q_marks = marks_table(quot.group, q_table).m
+        q_marks = marks_table(quot.group, q_table).array.tolist()
         for char in CORPUS_CHARACTERISTICS:
             p = effective_prime(group, char)
             found, over = quotient_kernel(table, normal, p, {})
@@ -707,12 +707,12 @@ def test_hypo_mask_matches_the_class_loop(name):
 def test_all_hypo_views_read_no_marks_rows():
     # C2^4 at char 2: every class of every view is hypo-elementary, so
     # every view kernel is zero and no column of G's marks, or of a
-    # view's, is counted, nor are G's marks read as lists
+    # view's, is counted
     group = _cold_copy(preset_group("C2xC2xC2xC2"))
     table = enumerate_classes(group)
     marks = marks_table(group, table)
     assert imprimitive_lattice(group, 2).cols == 0
-    assert marks.counted == 0 and marks._m is None
+    assert marks.counted == 0
     assert all(view.counted == 0 for _, view in group._memo.get("maximal_views", ()))
 
 
