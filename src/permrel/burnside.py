@@ -217,16 +217,19 @@ def _from_marks(table, marks):
     The table of marks is lower triangular with nonzero diagonal, so
     the coefficients solve a triangular system by back substitution.  A
     remainder means no integral element has these marks, and raises
-    InternalCheckError.
+    InternalCheckError.  Row j of the table is read only when the
+    coefficient j is nonzero, and then only left of the diagonal.
     """
-    m = marks_table(table.group, table).array.tolist()
-    k = len(marks)
-    coeffs = [0] * k
-    for j in range(k - 1, -1, -1):
-        acc = marks[j] - sum(coeffs[i] * m[i][j] for i in range(j + 1, k) if coeffs[i])
-        coeffs[j], rem = divmod(acc, m[j][j])
+    array = marks_table(table.group, table).array
+    diagonal = np.diagonal(array).tolist()
+    rest = list(marks)  # the marks less those of the coefficients found
+    coeffs = [0] * len(rest)
+    for j in range(len(rest) - 1, -1, -1):
+        coeffs[j], rem = divmod(rest[j], diagonal[j])
         if rem:
             raise InternalCheckError("marks of no Burnside element")
+        if coeffs[j]:
+            rest[:j] = [x - coeffs[j] * m for x, m in zip(rest[:j], array[j, :j].tolist())]
     return BurnsideElement(table, coeffs)
 
 

@@ -56,6 +56,7 @@ from .subgroups import (
     enumerate_classes,
     is_abelian,
     is_minimal_normal,
+    minimal_normal_subgroups,
     normal_subgroups,
 )
 
@@ -554,11 +555,10 @@ def _nonabelian_socle_witness(group, p):
     """Case: a nonabelian minimal normal subgroup with trivial centralizer
     and a Dress quotient."""
     out = []
-    for cls in enumerate_classes(group).classes:
-        m = cls.representative
-        if cls.class_size != 1 or m.is_trivial():
-            continue
-        if _generators_commute(group, cls.generators) or not is_minimal_normal(group, m):
+    table = enumerate_classes(group)
+    for m in minimal_normal_subgroups(group):
+        cls = table.classes[table.class_index_of(m)]
+        if _generators_commute(group, cls.generators):
             continue
         if centralizer_indices(group, cls.generators).size != 1:
             continue

@@ -51,9 +51,12 @@ every G/N.  Its int64 block is G's marks at the classes over N, in the
 hypo-elementary rows only, and none when every class is
 hypo-elementary; those come from one mask per (N, lattice prime),
 memoised only for G itself.  A kernel stays ``_unit_kernel``'s
-(P, N, W), which the certificate reads as it is.  One lattice
-computation solves each distinct block once, while each view and
-quotient moves its own columns and passes its own M x = 0 check.
+``UnitBasis`` record (P, N, W), which the certificate reads as it is;
+so do ``brauer_kernel``'s basis and, at free rank 0, the lattice L = K,
+and their dense k x rank rows are built only when a caller reads them.
+One lattice computation solves each distinct block once, while each
+view and quotient moves its own columns and passes its own M x = 0
+check.
 
 One test serves every U/N, with o(u) the order of uN: U/N is
 p-hypo-elementary exactly when its Sylow p-subgroup is normal, that is
@@ -145,7 +148,7 @@ from .subgroups import (
 from .zlattice import (
     _PRIME,
     IntMatrix,
-    _basis_matrix,
+    UnitBasis,
     _block_kernel,
     _from_rows,
     _rank_reaches,
@@ -161,7 +164,7 @@ _CHECK_ENTRIES = 2**20
 class KernelBasis:
     group: object
     characteristic: int
-    basis: IntMatrix  # columns are kernel elements over the class basis
+    basis: UnitBasis | IntMatrix  # columns are kernel elements over the class basis
     hypo_classes: tuple  # class indices whose marks are constrained to zero
 
     @property
@@ -215,7 +218,7 @@ def _kernel_of(marks, hypo, over, solved):
     is read."""
     k = len(over)
     if hypo.all():
-        return np.arange(0), np.arange(k), np.zeros((k, 0), dtype=np.int64)
+        return UnitBasis(k, np.arange(0), np.arange(k), np.zeros((k, 0), dtype=np.int64))
     return _block_kernel(marks.columns(over[hypo])[over].T, solved)
 
 
@@ -242,17 +245,17 @@ def brauer_kernel(group, characteristic):
     """
     key = ("brauer_kernel", _lattice_prime(group, characteristic))
     if key in group._memo:
-        return replace(group._memo[key][0], characteristic=characteristic)
+        return replace(group._memo[key], characteristic=characteristic)
     table = enumerate_classes(group)
     p = effective_prime(group, characteristic)
     found, over = quotient_kernel(table, table.classes[0].representative, p, {})
     result = KernelBasis(
         group=group,
         characteristic=characteristic,
-        basis=_basis_matrix(found, len(over)),
+        basis=found,
         hypo_classes=hypo_class_indices(group, characteristic),
     )
-    group._memo[key] = result, None if isinstance(found, IntMatrix) else found[0]
+    group._memo[key] = result
     return result
 
 
@@ -315,30 +318,31 @@ def _view_kernels(table, hypo, solved):
         yield _kernel_of(marks, hypo[class_map], np.arange(len(class_map)), solved), class_map
 
 
-def _certified_lattice(table, kernel, unit, hypo, quotients, views, seen):
+def _certified_lattice(table, kernel, hypo, quotients, views, seen):
     """(free rank, torsion, Hermite basis of L) by the certificate of the
     module docstring, or None when a prime shows torsion or the certificate
-    does not apply; ``unit`` is K's P, or None.  It takes the generators
-    from the kernels of ``quotients`` until t != 0, then from those of
-    ``views``, then from the other quotients, and stops once every rank
-    is complete; each kernel it takes goes to ``seen``."""
+    does not apply, as to a kernel K that is not a ``UnitBasis``.  It
+    takes the generators from the kernels of ``quotients`` until t != 0,
+    then from those of ``views``, then from the other quotients, and
+    stops once every rank is complete; each kernel it takes goes to
+    ``seen``."""
     group = table.group
     k, r = kernel.rows, kernel.cols
     if r == 0:
         return 0, (), kernel
-    if unit is None:
+    if not isinstance(kernel, UnitBasis):
         return None
     slot = np.full(k, r)  # each class's position in P, or r
-    slot[unit] = np.arange(r)
+    slot[kernel.free] = np.arange(r)
     marks = marks_table(group, table).columns(np.flatnonzero(hypo))
 
     def generators(found, class_map):
         # the columns moved to G, checked to satisfy M x = 0, restricted
         # to P, one per row; marks are at most |G| and |W| at most Q/2
         seen.append((found, class_map))
-        if isinstance(found, IntMatrix) or len(class_map) * group.order * _PRIME >= 2**63:
+        if not isinstance(found, UnitBasis) or len(class_map) * group.order * _PRIME >= 2**63:
             return None
-        at_p, at_n, w = class_map[found[0]], class_map[found[1]], found[2]
+        at_p, at_n, w = class_map[found.free], class_map[found.pivots], found.w
         step = max(1, _CHECK_ENTRIES // (w.size or 1))  # hypo columns per product
         for h in range(0, marks.shape[1], step):
             product = (marks[at_n, h:h + step, None] * w[:, None, :]).sum(axis=0)
@@ -354,8 +358,7 @@ def _certified_lattice(table, kernel, unit, hypo, quotients, views, seen):
         first.append(generators(found, over))
         if first[-1] is None:
             return None
-        at_g = found[2][found[1] == len(over) - 1]  # at G, over's last: W's row or e_j
-        t = math.gcd(t, *at_g[0].tolist()) if len(at_g) else 1
+        t = math.gcd(t, *found.row(len(over) - 1))  # at G, over's last
         if t:
             break
     free_rank = 0 if t else 1
@@ -371,9 +374,15 @@ def _certified_lattice(table, kernel, unit, hypo, quotients, views, seen):
         primes = [ell for ell in primes if not _rank_reaches(ell, rows, pivots[ell], target)]
     if not free_rank:
         return 0, (), kernel
-    h = kernel_basis(_from_rows([kernel.data[-1]], r)).columns()
-    h = [[(j, c) for j, c in enumerate(col) if c] for col in h]
-    data = [[sum(row[j] * c for j, c in col) for col in h] for row in kernel.data]
+    # K's basis times H, the Hermite basis of ker(g): H's row j at P[j],
+    # and W[i] H at N[i]
+    h = kernel_basis(_from_rows([kernel.row(k - 1)], r))
+    data = [None] * k
+    for p, row in zip(kernel.free.tolist(), h.data):
+        data[p] = row
+    sparse = [[(j, c) for j, c in enumerate(col) if c] for col in h.columns()]
+    for n, w in zip(kernel.pivots.tolist(), kernel.w.tolist()):
+        data[n] = [sum(w[j] * c for j, c in col) for col in sparse]
     return 1, (), _from_rows(data, r - 1)
 
 
@@ -382,7 +391,7 @@ def _lattice_by_hnf(k, kernels):
     classes by their class maps."""
     columns = []
     for found, class_map in kernels:
-        for col in _basis_matrix(found, len(class_map)).columns():
+        for col in found.columns():
             out = [0] * k
             for t, c in enumerate(col):
                 if c:
@@ -413,12 +422,11 @@ def imprimitive_lattice(group, characteristic):
         p = effective_prime(group, characteristic)
         table = enumerate_classes(group)
         kernel = brauer_kernel(group, characteristic).basis
-        unit = group._memo[("brauer_kernel", key[1])][1]
         hypo = _own_hypo_mask(table, p)
         solved = {}
         quotients = (quotient_kernel(table, n, p, solved) for n in minimal_normal_subgroups(group))
         views, seen = _view_kernels(table, hypo, solved), []
-        certified = _certified_lattice(table, kernel, unit, hypo, quotients, views, seen)
+        certified = _certified_lattice(table, kernel, hypo, quotients, views, seen)
         if certified is None:
             kernels = itertools.chain(seen, views, quotients)
             lattice = _lattice_by_hnf(len(table.classes), kernels)
@@ -503,7 +511,7 @@ class PrimReport:
     group: object
     characteristic: int
     kernel: KernelBasis
-    imprimitive: IntMatrix
+    imprimitive: UnitBasis | IntMatrix  # K's own UnitBasis when L = K
     free_rank: int
     torsion: tuple
     generator: object  # BurnsideElement or None
@@ -517,12 +525,14 @@ def _extract_generator(table, kernel):
     Preference order: the Hermite basis column whose last coordinate is
     a unit and whose entry list, times that unit, is lexicographically
     least; otherwise an extended-gcd combination of basis columns when
-    the last coordinates are coprime; otherwise None.
+    the last coordinates are coprime; otherwise None.  The other rows
+    are read only when those coordinates are coprime.
     """
-    data = kernel.basis.data
-    at_g = data[-1]
-    if not kernel.basis.cols or math.gcd(*at_g) != 1:
+    basis = kernel.basis
+    at_g = basis.row(basis.rows - 1)
+    if not basis.cols or math.gcd(*at_g) != 1:
         return None
+    data = basis.data
     # the unit columns, each times its unit, filtered row by row to the least
     units = [j for j, c in enumerate(at_g) if c == 1 or c == -1]
     for row in data:
@@ -562,8 +572,11 @@ def prim(group, characteristic):
     table = enumerate_classes(group)
     kernel = brauer_kernel(group, characteristic)
     imprim = imprimitive_lattice(group, characteristic)
-    free_rank, torsion, _ = group._memo[("imprimitive", _lattice_prime(group, characteristic))]
-    generator = _extract_generator(table, kernel)
+    prime = _lattice_prime(group, characteristic)
+    free_rank, torsion, _ = group._memo[("imprimitive", prime)]
+    if ("generator", prime) not in group._memo:
+        group._memo[("generator", prime)] = _extract_generator(table, kernel)
+    generator = group._memo[("generator", prime)]
     prediction = predict_prim(group, characteristic)
     if prediction.covered:
         if (free_rank, tuple(torsion)) != (
@@ -737,7 +750,7 @@ def generates_quotient(group, characteristic, element):
     kernel, imprim = report.kernel.basis, report.imprimitive
     x = list(element.coeffs)
     if not report.torsion and verify_relation(group, characteristic, element):
-        return not report.free_rank or abs(x[-1]) == math.gcd(*kernel.data[-1])
+        return not report.free_rank or abs(x[-1]) == math.gcd(*kernel.row(kernel.rows - 1))
     stacked = _from_rows([row + [v] for row, v in zip(imprim.data, x)], imprim.cols + 1)
     free_rank, torsion = quotient_invariants(kernel, stacked)
     return free_rank == 0 and not torsion

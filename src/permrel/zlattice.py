@@ -35,12 +35,13 @@ Comput. 8, 1979).
 basis off one elimination modulo a prime (its docstring gives the
 argument), and otherwise off the same echelon ``hnf`` runs: the columns
 of T past the rank of H.  The elimination, ``_unit_kernel``, takes an
-int64 array and returns the basis as (P, N, W): the identity on the
-coordinates P, and the rows W, each entry at most Q/2, on the pivot
+int64 array and returns the basis as a ``UnitBasis``: the identity on
+the coordinates P, and the rows W, each entry at most Q/2, on the pivot
 coordinates N.  ``relations`` passes its int64 marks blocks to
 ``_block_kernel``, which solves each distinct block once per memo the
-caller keeps and returns that triple as it is; an ``IntMatrix`` is
-built only for a value a public function returns.
+caller keeps and returns that record as it is.  The record reads like
+an ``IntMatrix`` but holds only P, N and W: its dense rows are built
+each time a caller reads ``data`` or ``columns()``, and never kept.
 """
 
 import operator
@@ -109,10 +110,59 @@ class IntMatrix:
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
 
+    def row(self, i):
+        return self.data[i]
+
     def __repr__(self):
         return "IntMatrix(%r)" % (self.data,) if self.rows else (
             "IntMatrix([], cols=%d)" % self.cols
         )
+
+
+class UnitBasis:
+    """A basis with unit pivots, as ``_unit_kernel`` finds it: the
+    ``rows`` x len(P) matrix that is the identity on the rows P, in
+    order, and whose row N[i] is W[i], with W an int64 array.  It reads
+    like an ``IntMatrix`` and equals one with the same rows; ``data``
+    builds those rows, k Python lists, on each read and keeps none."""
+
+    __slots__ = ("rows", "free", "pivots", "w")
+
+    def __init__(self, rows, free, pivots, w):
+        self.rows, self.free, self.pivots, self.w = rows, free, pivots, w
+
+    @property
+    def cols(self):
+        return len(self.free)
+
+    @property
+    def data(self):
+        data = [None] * self.rows
+        for j, p in enumerate(self.free.tolist()):
+            data[p] = [0] * self.cols
+            data[p][j] = 1
+        for n, row in zip(self.pivots.tolist(), self.w.tolist()):
+            data[n] = row
+        return data
+
+    columns = IntMatrix.columns
+
+    def row(self, i):
+        """Row i alone: W's row at a pivot, and a unit row on P."""
+        at = np.flatnonzero(self.pivots == i)
+        if at.size:
+            return self.w[at[0]].tolist()
+        out = [0] * self.cols
+        out[int(np.searchsorted(self.free, i))] = 1
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, (IntMatrix, UnitBasis)):
+            return NotImplemented
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
+
+    def __repr__(self):
+        return "UnitBasis(%d x %d, pivots %r)" % (self.rows, self.cols, self.pivots.tolist())
 
 
 def _dense(col, n):
@@ -355,7 +405,7 @@ def kernel_basis(m):
     """
     mat = _int64(m)
     unit = None if mat is None else _unit_kernel(mat)
-    return _echelon_kernel(m) if unit is None else _basis_matrix(unit, m.cols)
+    return _echelon_kernel(m) if unit is None else _from_rows(unit.data, unit.cols)
 
 
 def _echelon_kernel(m):
@@ -375,12 +425,15 @@ def _echelon_kernel(m):
 # each entry of M_N W while r * Q * max |M| does
 _PRIME = 2**31 - 1
 
+# entries, 8 bytes each, of one product in the check of ``_unit_kernel``
+_CHECK_ENTRIES = 2**16
+
 
 def _unit_kernel(mat):
     """``kernel_basis``'s unit-pivot basis of the int64 array M by
-    elimination modulo Q, or None.  The basis is returned as (P, N, W):
-    it is the identity on the coordinates P, and on N[i], the pivot of
-    row i of M, it is the row W[i], with |W| <= Q/2.
+    elimination modulo Q, or None.  The basis is returned as a
+    ``UnitBasis``: it is the identity on the coordinates P, and on N[i],
+    the pivot of row i of M, it is the row W[i], with |W| <= Q/2.
 
     The elimination keeps only the r x r record A of its row operations
     modulo Q, so the reduced M is A M modulo Q: each column, right to
@@ -411,18 +464,23 @@ def _unit_kernel(mat):
     if free:
         return None
     rest = np.delete(np.arange(k), pivot_cols)
-    neg = -(ops @ mat[:, rest]) % q  # -W, lifted below
+    neg = ops @ mat[:, rest]  # -W: negated, reduced and lifted in place
+    np.negative(neg, out=neg)
+    neg %= q
     neg[neg > q // 2] -= q
-    if (mat[:, rest] + mat[:, pivot_cols] @ neg).any():  # M_P + M_N (-W) must vanish
-        return None
-    return rest, np.array(pivot_cols, dtype=np.intp), neg
+    at_n = mat[:, pivot_cols]
+    step = max(1, _CHECK_ENTRIES // (r or 1))  # columns of P per product
+    for a in range(0, len(rest), step):  # M_P + M_N (-W) must vanish
+        if (mat[:, rest[a:a + step]] + at_n @ neg[:, a:a + step]).any():
+            return None
+    return UnitBasis(k, rest, np.array(pivot_cols, dtype=np.intp), neg)
 
 
 def _block_kernel(block, solved):
     """The kernel of the int64 array ``block``, whose rows are
     independent, solved once per memo ``solved`` (keyed by the block's
-    shape and bytes): (P, N, W) from ``_unit_kernel``, which proves the
-    rank itself with a pivot in every row, or else the IntMatrix of
+    shape and bytes): the ``UnitBasis`` of ``_unit_kernel``, which proves
+    the rank itself with a pivot in every row, or else the IntMatrix of
     ``_echelon_kernel``, whose rank is checked."""
     key = block.shape, block.tobytes()
     if key not in solved:
@@ -435,20 +493,6 @@ def _block_kernel(block, solved):
                     "kernel rank %d differs from %d columns less %d rows" % (basis.cols, k, r)
                 )
     return solved[key]
-
-
-def _basis_matrix(found, k):
-    """The k-row IntMatrix of a basis from ``_block_kernel``."""
-    if isinstance(found, IntMatrix):
-        return found
-    rest, pivot_cols, neg = found
-    data = [None] * k
-    for j, p in enumerate(rest.tolist()):
-        data[p] = [0] * len(rest)
-        data[p][j] = 1
-    for n, row in zip(pivot_cols.tolist(), neg.tolist()):
-        data[n] = row
-    return _from_rows(data, len(rest))
 
 
 def _int64(matrix):

@@ -62,7 +62,15 @@ from permrel.subgroups import (
     quotient,
     subgroup_as_group,
 )
-from permrel.zlattice import IntMatrix, _as_int, hnf, kernel_basis, quotient_invariants, snf
+from permrel.zlattice import (
+    IntMatrix,
+    UnitBasis,
+    _as_int,
+    hnf,
+    kernel_basis,
+    quotient_invariants,
+    snf,
+)
 
 
 @st.composite
@@ -121,6 +129,22 @@ def inverses_by_lookup(group):
 
 def element_orders_by_permutation(group):
     return np.array([p.order() for p in group.elements], dtype=np.int64)
+
+
+def from_marks_by_whole_table(table, marks):
+    """``burnside._from_marks`` as it was before it read only the rows
+    of the nonzero coefficients: the whole table of marks copied to
+    lists, and each coefficient solved by back substitution against
+    every later nonzero one."""
+    m = marks_table(table.group, table).array.tolist()
+    k = len(marks)
+    coeffs = [0] * k
+    for j in range(k - 1, -1, -1):
+        acc = marks[j] - sum(coeffs[i] * m[i][j] for i in range(j + 1, k) if coeffs[i])
+        coeffs[j], rem = divmod(acc, m[j][j])
+        if rem:
+            raise InternalCheckError("marks of no Burnside element")
+    return BurnsideElement(table, coeffs)
 
 
 def marks_table_by_fixed_points(group, table):
@@ -752,14 +776,25 @@ def unit_kernel_by_lists(m, prime=2**31 - 1):
     if r and k and max(max(map(max, m.data)), -min(map(min, m.data))) * r * prime >= 2**63:
         return None
     found = unit_kernel_by_gauss_jordan(np.array(m.data, dtype=np.int64).reshape(r, k), prime)
-    if found is None:
-        return None
-    rest, pivot_cols, neg = found[0].tolist(), found[1].tolist(), found[2]
+    return None if found is None else basis_matrix(found, k)
+
+
+def basis_matrix(found, k):
+    """The k-row IntMatrix of a kernel basis, as ``zlattice`` built every
+    kernel before it kept the ``UnitBasis`` record: ``found`` as it is
+    when it is an IntMatrix, and otherwise, given as the triple
+    (P, N, W) or that record, the identity on the rows P with the rows
+    W[i] at N[i], built from lists."""
+    if isinstance(found, IntMatrix):
+        return found
+    if isinstance(found, UnitBasis):
+        found = found.free, found.pivots, found.w
+    rest, pivot_cols, neg = found
     data = [None] * k
-    for j, p in enumerate(rest):
+    for j, p in enumerate(rest.tolist()):
         data[p] = [0] * len(rest)
         data[p][j] = 1
-    for n, row in zip(pivot_cols, neg.tolist()):
+    for n, row in zip(pivot_cols.tolist(), neg.tolist()):
         data[n] = row
     return IntMatrix(data, cols=len(rest))
 

@@ -35,6 +35,7 @@ from permrel.relations import maximal_view
 
 from oracles import (
     class_orbit_by_conjugation,
+    from_marks_by_whole_table,
     marks_by_members,
     marks_table_by_fixed_points,
     members_by_keys,
@@ -141,6 +142,27 @@ def test_marks_of_no_element_are_rejected():
     assert _from_marks(table, [6, 0, 0, 0]).coeffs == (1, 0, 0, 0)
     with pytest.raises(InternalCheckError):
         _from_marks(table, [1, 0, 0, 0])
+
+
+@given(permutation_groups(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_from_marks_matches_the_whole_table_oracle(group, data):
+    # the marks of a product of random elements, and those marks moved
+    # off the ring at one class: the same element, or a rejection by both
+    table = enumerate_classes(group)
+    k = len(table)
+    coeffs = st.lists(st.integers(-4, 4), min_size=k, max_size=k)
+    a, b = (BurnsideElement(table, data.draw(coeffs)) for _ in range(2))
+    marks = [x * y for x, y in zip(mark_vector(a), mark_vector(b))]
+    assert _from_marks(table, marks) == from_marks_by_whole_table(table, marks)
+    marks[data.draw(st.integers(0, k - 1))] += data.draw(st.integers(1, 3))
+    try:
+        want = from_marks_by_whole_table(table, marks)
+    except InternalCheckError:
+        with pytest.raises(InternalCheckError):
+            _from_marks(table, marks)
+    else:
+        assert _from_marks(table, marks) == want
 
 
 def test_multiply_identity_and_zero():

@@ -1,9 +1,12 @@
 """Kernel lattices, primitive quotients, predictions, and the generator
 constructions, checked against independently computed values."""
 
+import math
+import operator
 import random
 import sys
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,10 +45,11 @@ from permrel.subgroups import (
     quotient,
     subgroup_as_group,
 )
-from permrel.zlattice import IntMatrix
+from permrel.zlattice import IntMatrix, UnitBasis
 
 from oracles import (
     LADDER_NAMES,
+    basis_matrix,
     classes_containing_by_loop,
     extract_generator_by_columns,
     generates_quotient_by_snf,
@@ -197,6 +201,85 @@ def test_kernel_basis_matches_two_hnfs_on_random_groups(group, char):
     expected = kernel_basis_by_two_hnfs(rows)
     assert brauer_kernel(group, char).basis == expected
     assert unit_kernel_by_lists(rows) == expected
+
+
+def _assert_records_read_as_lists(group, char):
+    # the kernel, the lattice and the report's lattice read as the list
+    # build of their rows, entry for entry and one row at a time
+    report = prim(group, char)
+    for basis in (brauer_kernel(group, char).basis, imprimitive_lattice(group, char),
+                  report.imprimitive):
+        dense = basis_matrix(basis, basis.rows)
+        assert (basis.rows, basis.cols) == (dense.rows, dense.cols)
+        assert basis.data == dense.data and basis.columns() == dense.columns()
+        assert [basis.row(i) for i in range(basis.rows)] == dense.data
+        assert basis == dense and dense == basis
+    return report
+
+
+# the corpus and the groups of the big-order and many-classes workloads
+RECORD_NAMES = CORPUS_NAMES + (
+    "A6", "C19:C18", "S5", "C2xC2xC2xC2", "D8xS3", "S4xC2", "C2xC2xC2xC2xC2"
+)
+
+
+@pytest.mark.parametrize("name", RECORD_NAMES)
+def test_kernel_and_lattice_records_read_as_their_rows(name):
+    # each kernel is a UnitBasis, and at free rank 0 without torsion the
+    # lattice L = K is that same record
+    group = preset_group(name)
+    for char in CORPUS_CHARACTERISTICS:
+        report = _assert_records_read_as_lists(group, char)
+        assert isinstance(report.kernel.basis, UnitBasis), (name, char)
+        if (report.free_rank, report.torsion) == (0, ()):
+            assert report.imprimitive is report.kernel.basis, (name, char)
+
+
+@given(permutation_groups(), st.sampled_from(CORPUS_CHARACTERISTICS))
+@settings(max_examples=40, deadline=None)
+def test_kernel_and_lattice_records_read_as_their_rows_on_random_groups(group, char):
+    _assert_records_read_as_lists(group, char)
+
+
+def test_c2_5_kernel_keeps_its_record_alone():
+    # the kernel of C2^5 at char 0 keeps W, 32 x 342 int64, and the
+    # columns and masks it read, not 374 rows of Python ints (1.1 MB)
+    group = _cold_copy(preset_group("C2xC2xC2xC2xC2"))
+    enumerate_classes(group)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kernel = brauer_kernel(group, 0)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kernel.rank == 342
+    assert live < 400 * 1024, live
+
+
+def test_prim_builds_dense_rows_only_to_search_a_generator(monkeypatch):
+    # the certificate and generates_quotient read the kernel records by
+    # their fields and single rows; the generator search builds the
+    # kernel's rows once per lattice prime, and only when the gcd at G is 1
+    reads = []
+    dense = UnitBasis.data
+    monkeypatch.setattr(UnitBasis, "data", property(lambda b: reads.append(b) or dense.fget(b)))
+    # the groups without torsion at any characteristic
+    for name in ("C2xC2", "C12", "Q8", "A4", "A5", "C7:C6", "C2xC2xC2xC2", "D8xS3", "S4xC2"):
+        group = _cold_copy(preset_group(name))
+        kernels, searched = [], []
+        for char in CORPUS_CHARACTERISTICS:
+            report = prim(group, char)
+            basis = report.kernel.basis
+            if not any(basis is b for b in kernels):
+                kernels.append(basis)
+                if basis.cols and math.gcd(*basis.row(basis.rows - 1)) == 1:
+                    searched.append(basis)
+            if report.generator is not None:
+                assert generates_quotient(group, char, report.generator)
+        read = [b for b in reads if any(b is kernel for kernel in kernels)]
+        assert len(read) == len(searched) and all(map(operator.is_, read, searched)), name
+        reads.clear()
 
 
 def test_marks_kernels_take_the_modular_route(monkeypatch):
@@ -460,7 +543,7 @@ def _stray_column(k, last):
     # basis: the identity on P = {0}, and the rows W on N = {1, ..., k-1}
     w = np.zeros((k - 1, 1), dtype=np.int64)
     w[-1, 0] = last
-    return np.array([0]), np.arange(1, k), w
+    return UnitBasis(k, np.array([0]), np.arange(1, k), w)
 
 
 def test_a_generator_outside_the_kernel_is_rejected(monkeypatch):
@@ -625,8 +708,7 @@ def test_quotient_views_match_quotient_groups(name):
         q_marks = marks_table(quot.group, q_table).array.tolist()
         for char in CORPUS_CHARACTERISTICS:
             p = effective_prime(group, char)
-            found, over = quotient_kernel(table, normal, p, {})
-            basis = zlattice._basis_matrix(found, len(over))
+            basis, over = quotient_kernel(table, normal, p, {})
             in_g = over.tolist()
             place = [
                 in_g.index(table.class_index_of(quot.preimage(c.representative)))

@@ -28,6 +28,7 @@ from permrel.zlattice import (
 )
 
 from oracles import (
+    basis_matrix,
     echelon_solve,
     hnf_by_dense_echelon,
     kernel_basis_by_two_hnfs,
@@ -475,16 +476,21 @@ def test_unit_rows():
 
 
 def _array_route(m):
-    # _unit_kernel's (P, N, W) as an IntMatrix, or None; P must be the
-    # rows on which that basis is the identity, and N the others
+    # _unit_kernel's UnitBasis as an IntMatrix, or None; P must be the
+    # rows on which that basis is the identity, and N the others; the
+    # record's rows, columns and single rows are those of the list build
     mat = zlattice._int64(m)
     unit = None if mat is None else zlattice._unit_kernel(mat)
     if unit is None:
         return None
-    basis = zlattice._basis_matrix(unit, m.cols)
-    assert unit[0].tolist() == unit_rows(basis)
-    assert sorted(unit[0].tolist() + unit[1].tolist()) == list(range(m.cols))
-    assert unit[2].dtype == np.int64 and np.all(np.abs(unit[2]) <= zlattice._PRIME // 2)
+    basis = basis_matrix(unit, m.cols)
+    assert unit.free.tolist() == unit_rows(basis)
+    assert sorted(unit.free.tolist() + unit.pivots.tolist()) == list(range(m.cols))
+    assert unit.w.dtype == np.int64 and np.all(np.abs(unit.w) <= zlattice._PRIME // 2)
+    assert (unit.rows, unit.cols, unit.data, unit.columns()) == (
+        basis.rows, basis.cols, basis.data, basis.columns())
+    assert [unit.row(i) for i in range(unit.rows)] == basis.data
+    assert unit == basis and basis == unit
     return basis
 
 
@@ -501,11 +507,14 @@ def test_array_route_matches_the_list_route(m):
     assert_array_route_matches_lists(m)
 
 
-@given(kernel_input, st.sampled_from((2, 3, 5, 7)))
+@given(kernel_input, st.sampled_from((2, 3, 5, 7)), st.sampled_from((1, 2**16)))
 @settings(max_examples=120, deadline=None)
-def test_array_route_matches_the_list_route_modulo_a_small_prime(m, prime):
+def test_array_route_matches_the_list_route_modulo_a_small_prime(m, prime, entries):
+    # small primes wrap residues, which the exact check must reject in
+    # whichever column block of its products they fall
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zlattice, "_PRIME", prime)
+        patch.setattr(zlattice, "_CHECK_ENTRIES", entries)
         assert_array_route_matches_lists(m)
 
 
@@ -667,7 +676,8 @@ def test_unit_kernel_record_matches_gauss_jordan(mat):
     got, want = zlattice._unit_kernel(mat), unit_kernel_by_gauss_jordan(mat)
     assert (got is None) == (want is None)
     if got is not None:
-        for a, b in zip(got, want):
+        assert got.rows == mat.shape[1]
+        for a, b in zip((got.free, got.pivots, got.w), want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
@@ -678,6 +688,7 @@ def test_unit_kernel_at_the_overflow_guard():
     r, q = 2, zlattice._PRIME
     at_guard = (2**63 - 1) // (r * q)
     shape = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64)
-    rest, pivots, w = zlattice._unit_kernel(at_guard * shape)
-    assert rest.tolist() == [0] and pivots.tolist() == [2, 1] and w.tolist() == [[-1], [1]]
+    basis = zlattice._unit_kernel(at_guard * shape)
+    assert basis.free.tolist() == [0] and basis.pivots.tolist() == [2, 1]
+    assert basis.w.tolist() == [[-1], [1]] and basis.data == [[1], [1], [-1]]
     assert zlattice._unit_kernel((at_guard + 1) * shape) is None
