@@ -168,15 +168,14 @@ def marks_table(group, table=None):
         table = enumerate_classes(group)
     elif table.group is not group:
         raise InputError("marks_table was given the class table of another group")
-    cached = group._memo.get("marks")
-    if cached is not None:
-        return cached
-    classes = table.classes
-    orders = np.asarray([c.order for c in classes], dtype=np.int64)
-    weights = np.asarray([c.normalizer.order for c in classes], dtype=np.int64) // orders
-    result = MarksTable(table, [c.generators for c in classes], weights, group.order // orders)
-    group._memo["marks"] = result
-    return result
+
+    def build():
+        classes = table.classes
+        orders = np.asarray([c.order for c in classes], dtype=np.int64)
+        weights = np.asarray([c.normalizer.order for c in classes], dtype=np.int64) // orders
+        return MarksTable(table, [c.generators for c in classes], weights, group.order // orders)
+
+    return group.cached("marks", build)
 
 
 def count_marks(above, first, weights, index, cols):

@@ -21,10 +21,11 @@ shape G = W x| D with W abelian, C_G(W) = W C_D(W), so D acts faithfully
 exactly when C_G(W) = W; and D is isomorphic to G/W, so the questions
 about D are asked of G/W.
 
-``main_case_classify`` and ``vector_semidirect_match`` are memoised per
-lattice prime (``_lattice_prime``): the ``relations`` module docstring
-shows that every prime not dividing |G| gives the same answers.  The
-public functions that take a prime p (and q) reject one that is not.
+Every answer kept on a group is kept in ``Group.cached``, the one cache:
+``main_case_classify`` and ``vector_semidirect_match`` per lattice prime
+(``_lattice_prime``), as the ``relations`` module docstring shows that
+every prime not dividing |G| gives the same answers.  The public
+functions that take a prime p (and q) reject one that is not.
 
 ``dress_decomposition`` builds no subgroup as a group either: the
 subgroup classes of a subgroup S of G are its orbits on G's subgroups
@@ -113,17 +114,15 @@ def derived_subgroup(subgroup):
 
 
 def is_soluble(group):
-    cached = group._memo.get("soluble")
-    if cached is None:
+    def build():
         current = Subgroup.full(group)
         while True:
             nxt = derived_subgroup(current)
             if nxt.order == current.order:
-                break
+                return current.is_trivial()
             current = nxt
-        cached = current.is_trivial()
-        group._memo["soluble"] = cached
-    return cached
+
+    return group.cached("soluble", build)
 
 
 def sylow_subgroup(group, p):
@@ -139,10 +138,8 @@ def orders_modulo(group, normal):
     """The order of gN in G/N for every element g, memoised per N."""
     if normal.is_trivial():
         return group.element_orders
-    key = ("orders_modulo", normal.key)
-    if key not in group._memo:
-        group._memo[key] = kernels.power_orders(group.mult, normal.mask)
-    return group._memo[key]
+    return group.cached(("orders_modulo", normal.key),
+                        lambda: kernels.power_orders(group.mult, normal.mask))
 
 
 def _normal_over(group, normal):
@@ -157,21 +154,16 @@ def quotient_p_core(group, normal, p):
     |M:N| a power of p, which contains every other one."""
     if (group.order // normal.order) % p:
         return normal  # read off no table: G/N has no nontrivial p-subgroup
-    key = ("p_core", normal.key, p)
-    if key not in group._memo:
-        group._memo[key] = max(
-            (m for m in _normal_over(group, normal)
-             if is_prime_power(m.order // normal.order, p)),
-            key=lambda m: m.order,
-        )
-    return group._memo[key]
+    return group.cached(("p_core", normal.key, p), lambda: max(
+        (m for m in _normal_over(group, normal) if is_prime_power(m.order // normal.order, p)),
+        key=lambda m: m.order,
+    ))
 
 
 def quotient_q_residual(group, normal, q):
     """The preimage of the q-residual of G/N: the intersection of the
     normal M >= N of q-power index in G."""
-    key = ("q_residual", normal.key, q)
-    if key not in group._memo:
+    def build():
         n = group.order
         mask = np.ones(n, dtype=bool)
         for sub in _normal_over(group, normal):
@@ -181,8 +173,9 @@ def quotient_q_residual(group, normal, q):
         # the intersection has q-power index iff some member attains it
         if not is_prime_power(n // result.order, q):
             raise InternalCheckError("q-residual does not have q-power index")
-        group._memo[key] = result
-    return group._memo[key]
+        return result
+
+    return group.cached(("q_residual", normal.key, q), build)
 
 
 def quotient_is_p_hypo_elementary(group, normal, p):
@@ -236,13 +229,14 @@ def q_residual(group, q):
 
 def frattini_subgroup(group):
     """Intersection of the maximal subgroups."""
-    if "frattini" not in group._memo:
+    def build():
         table = enumerate_classes(group)
         maximal = np.zeros(len(table.classes), dtype=bool)
         maximal[list(table.maximal_classes())] = True
         rows = table.unpacked(np.flatnonzero(maximal[table.class_of]))
-        group._memo["frattini"] = Subgroup(group, np.flatnonzero(rows.all(axis=0)))
-    return group._memo["frattini"]
+        return Subgroup(group, np.flatnonzero(rows.all(axis=0)))
+
+    return group.cached("frattini", build)
 
 
 def hall_p_complement(group, p):
@@ -491,10 +485,8 @@ def vector_semidirect_match(group, p):
     witness dict or None, memoised per group and lattice prime; callers
     must not mutate the dict.
     """
-    key = ("vector_semidirect", _lattice_prime(group, p))
-    if key not in group._memo:
-        group._memo[key] = _vector_semidirect_witness(group, p)
-    return group._memo[key]
+    return group.cached(("vector_semidirect", _lattice_prime(group, p)),
+                        lambda: _vector_semidirect_witness(group, p))
 
 
 def _vector_semidirect_witness(group, p):
@@ -587,10 +579,7 @@ def main_case_classify(group, p):
     per group and lattice prime; callers must not mutate it.
     """
     _require_primes(p)
-    key = ("main_case", _lattice_prime(group, p))
-    if key not in group._memo:
-        group._memo[key] = _main_cases(group, p)
-    return group._memo[key]
+    return group.cached(("main_case", _lattice_prime(group, p)), lambda: _main_cases(group, p))
 
 
 def _main_cases(group, p):

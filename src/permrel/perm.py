@@ -218,8 +218,7 @@ class Group:
     Construct through ``generate`` (or the preset builders).
     """
 
-    __slots__ = ("degree", "generators", "images", "index_dtype", "_elements", "_mult",
-                 "_inv", "_orders", "_memo")
+    __slots__ = ("degree", "generators", "images", "index_dtype", "_mult", "_inv", "_memo")
 
     def __init__(self, degree, generators, images):
         images = np.ascontiguousarray(images, dtype=">i4")
@@ -248,7 +247,7 @@ class Group:
         self.generators = tuple(generators)
         self.images = images
         self.index_dtype = np.dtype(np.uint16 if 256 <= len(images) <= 2**16 else np.int32)
-        self._elements = self._mult = self._inv = self._orders = None
+        self._mult = self._inv = None
         self._memo = {}
 
     @property
@@ -258,9 +257,7 @@ class Group:
     @property
     def elements(self):
         """The elements as Permutations, built when first read."""
-        if self._elements is None:
-            self._elements = self._perms(slice(None))
-        return self._elements
+        return self.cached("elements", lambda: self._perms(slice(None)))
 
     def _perms(self, indices):
         """The elements at ``indices`` as Permutations."""
@@ -337,11 +334,20 @@ class Group:
     @property
     def element_orders(self):
         """int64 order of each element, read off ``mult``."""
-        if self._orders is None:
+        def build():
             identity_only = np.zeros(self.order, dtype=bool)
             identity_only[0] = True
-            self._orders = kernels.power_orders(self.mult, identity_only)
-        return self._orders
+            return kernels.power_orders(self.mult, identity_only)
+
+        return self.cached("element_orders", build)
+
+    def cached(self, key, build):
+        """The answer kept under ``key``, from ``build()`` on the first
+        request alone; an answer of None is kept as any other.  Every
+        per-group memo goes through here."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def conjugate_indices(self, g_index, indices):
         """Sorted indices of g H g^-1 for H given by ``indices``."""

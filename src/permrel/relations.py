@@ -7,16 +7,19 @@ subquotient is hypo-elementary for such a prime exactly when it is
 cyclic, so every lattice computed at the surrogate coincides with the
 characteristic-0 one while letting all code paths take a single prime
 argument.  Every prime not dividing the group order selects the cyclic
-subquotients, as 0 does, so the kernel, the imprimitive lattice and the
-quotient invariants are memoised per lattice prime: the characteristic
-when it divides the order, and 0 otherwise.  So are ``predict_prim``,
-``main_case_classify`` and ``vector_semidirect_match``: p reaches
-``classify`` only through ``quotient_p_core``, which returns N when p
-does not divide |G:N|, and through comparisons with primes that divide
-|G|: p = l for the prime l of a module W, p dividing |G| for the
-quasi-elementary case, and |G:M| a power of p for the q-residual at
-q = p, which holds only at M = G.  Each comes out the same for every p
-not dividing |G|, so every such p gives the answers of any other.
+subquotients, as 0 does, so G's hypo-elementary classes, the kernel, the
+imprimitive lattice with K/L's invariants, and ``prim``'s report are
+kept in ``Group.cached``, the one cache, per lattice prime: the
+characteristic when it divides the order, and 0 otherwise; the kernel
+and the report are stamped with the characteristic asked for.  So are
+``predict_prim``, ``main_case_classify`` and
+``vector_semidirect_match``: p reaches ``classify`` only through
+``quotient_p_core``, which returns N when p does not divide |G:N|, and
+through comparisons with primes that divide |G|: p = l for the prime l
+of a module W, p dividing |G| for the quasi-elementary case, and |G:M| a
+power of p for the q-residual at q = p, which holds only at M = G.  Each
+comes out the same for every p not dividing |G|, so every such p gives
+the answers of any other.
 
 The imprimitive lattice is spanned by Ind_H^G Inf_{H/N}^H of the kernel
 of every proper subquotient H/N.  Induction and inflation are
@@ -46,17 +49,17 @@ each view's, counts a column only when a kernel, the certificate or
 ``verify_relation`` first reads it, and those read only the
 hypo-elementary columns.
 
-G is the view G/1: ``quotient_kernel`` serves ``brauer_kernel`` and
-every G/N.  Its int64 block is G's marks at the classes over N, in the
-hypo-elementary rows only, and none when every class is
-hypo-elementary; those come from one mask per (N, lattice prime),
-memoised only for G itself.  A kernel stays ``_unit_kernel``'s
-``UnitBasis`` record (P, N, W), which the certificate reads as it is;
-so do ``brauer_kernel``'s basis and, at free rank 0, the lattice L = K,
-and their dense k x rank rows are built only when a caller reads them.
-One lattice computation solves each distinct block once, while each
-view and quotient moves its own columns and passes its own M x = 0
-check.
+G is the view G/1 of ``brauer_kernel``, and ``quotient_kernel`` serves
+every other G/N.  The int64 block of G/N is G's marks at the classes
+over N, in the hypo-elementary rows only, and none when every class is
+hypo-elementary; those come from one mask per (N, lattice prime), of
+which only G's is kept.  A kernel stays ``_unit_kernel``'s ``UnitBasis``
+record (P, N, W), which the certificate reads as it is; so do
+``brauer_kernel``'s basis and, at free rank 0, the lattice L = K, and
+their dense k x rank rows are built only when a caller reads them.  One
+lattice computation solves each distinct block once, while each view and
+quotient moves its own columns and passes its own M x = 0 check; G's
+block, of a shape no other has, is solved with no memo.
 
 One test serves every U/N, with o(u) the order of uN: U/N is
 p-hypo-elementary exactly when its Sylow p-subgroup is normal, that is
@@ -146,6 +149,7 @@ from .subgroups import (
     normal_subgroups,
 )
 from .zlattice import (
+    _CHECK_ENTRIES,
     _PRIME,
     IntMatrix,
     UnitBasis,
@@ -157,8 +161,6 @@ from .zlattice import (
     quotient_invariants,
 )
 
-# entries, 8 bytes each, of one product in the M x = 0 check
-_CHECK_ENTRIES = 2**20
 
 @dataclass
 class KernelBasis:
@@ -178,35 +180,31 @@ class KernelBasis:
 def _hypo_mask(table, normal, p, over):
     """Mask over the classes ``over`` over the normal N (from
     ``table.classes_over``) of those with U/N p-hypo-elementary, by the
-    module docstring's test on each class's first member.  Memoised per
-    lattice prime for N = 1 alone, the one mask read again at that prime."""
+    module docstring's test on each class's first member."""
     group = table.group
-    key = ("hypo", _lattice_prime(group, p))
-    if normal.is_trivial() and key in group._memo:
-        return group._memo[key]
     orders, n = orders_modulo(group, normal), normal.order
     p_elements = kernels.value_mask(orders, lambda o: p_part(o, p) == o)
     rows = table.unpacked(np.searchsorted(table.class_of, over))
     sizes = np.array([table.classes[i].order // n for i in over], dtype=np.int64)  # |U/N|
     sylow = np.array([p_part(size, p) for size in sizes.tolist()], dtype=np.int64)
-    mask = ((np.count_nonzero(rows & p_elements, axis=1) == n * sylow)
+    return ((np.count_nonzero(rows & p_elements, axis=1) == n * sylow)
             & (rows & (orders == (sizes // sylow)[:, None])).any(axis=1))
-    if normal.is_trivial():
-        group._memo[key] = mask
-    return mask
 
 
-def _own_hypo_mask(table, p):
-    """``_hypo_mask`` of G itself, G/1: over all of G's classes."""
-    return _hypo_mask(table, table.classes[0].representative, p, range(len(table.classes)))
+def _own_hypo_mask(group, characteristic):
+    """``_hypo_mask`` of G itself, G/1, over all of G's classes, kept per
+    lattice prime."""
+    def build():
+        table = enumerate_classes(group)
+        p = effective_prime(group, characteristic)
+        return _hypo_mask(table, table.classes[0].representative, p, range(len(table.classes)))
+
+    return group.cached(("hypo", _lattice_prime(group, characteristic)), build)
 
 
 def hypo_class_indices(group, characteristic):
-    """Positions of the p-hypo-elementary classes: ``_hypo_mask`` with
-    N = 1, the representative of G's first class."""
-    table = enumerate_classes(group)
-    p = effective_prime(group, characteristic)
-    return tuple(np.flatnonzero(_own_hypo_mask(table, p)).tolist())
+    """Positions of the p-hypo-elementary classes: ``_own_hypo_mask``'s."""
+    return tuple(np.flatnonzero(_own_hypo_mask(group, characteristic)).tolist())
 
 
 def _kernel_of(marks, hypo, over, solved):
@@ -215,18 +213,20 @@ def _kernel_of(marks, hypo, over, solved):
     columns it asks ``marks`` for.  Those rows are independent, as
     ``count_marks`` proved each column zero above a positive diagonal.
     With every class hypo-elementary the kernel is zero, and no column
-    is read."""
+    is read.  ``over`` increases, so when it holds every row of
+    ``marks`` the columns are the block as they come."""
     k = len(over)
     if hypo.all():
         return UnitBasis(k, np.arange(0), np.arange(k), np.zeros((k, 0), dtype=np.int64))
-    return _block_kernel(marks.columns(over[hypo])[over].T, solved)
+    block = marks.columns(over[hypo])
+    return _block_kernel((block[over] if k < len(block) else block).T, solved)
 
 
 def quotient_kernel(table, normal, p, solved):
     """The kernel of G/N at the prime p for the normal N, read off G's
     class table ``table`` and marks, and the positions ``over`` of G's
     classes that contain N.  Class i of G/N holds U/N for the U in G's
-    class over[i], and its marks are G's; G itself is G/1."""
+    class over[i], and its marks are G's."""
     over = table.classes_over(normal)
     hypo = _hypo_mask(table, normal, p, over)
     return _kernel_of(marks_table(table.group, table), hypo, over, solved), over
@@ -243,20 +243,13 @@ def brauer_kernel(group, characteristic):
     It is zero without any echelon when every class is
     hypo-elementary.
     """
+    def build():
+        hypo = _own_hypo_mask(group, characteristic)
+        found = _kernel_of(marks_table(group), hypo, np.arange(len(hypo)), None)
+        return KernelBasis(group, characteristic, found, hypo_class_indices(group, characteristic))
+
     key = ("brauer_kernel", _lattice_prime(group, characteristic))
-    if key in group._memo:
-        return replace(group._memo[key], characteristic=characteristic)
-    table = enumerate_classes(group)
-    p = effective_prime(group, characteristic)
-    found, over = quotient_kernel(table, table.classes[0].representative, p, {})
-    result = KernelBasis(
-        group=group,
-        characteristic=characteristic,
-        basis=found,
-        hypo_classes=hypo_class_indices(group, characteristic),
-    )
-    group._memo[key] = result
-    return result
+    return replace(group.cached(key, build), characteristic=characteristic)
 
 
 def _check_group(group, element):
@@ -302,13 +295,9 @@ def maximal_view(table, cls):
 def _maximal_views(table):
     """(class_map, marks) of the view of each maximal class, kept once
     per group, each table of marks holding the columns read so far."""
-    group = table.group
-    if "maximal_views" not in group._memo:
-        group._memo["maximal_views"] = [
-            maximal_view(table, table.classes[i])[:2]
-            for i in table.maximal_classes()
-        ]
-    return group._memo["maximal_views"]
+    return table.group.cached("maximal_views", lambda: [
+        maximal_view(table, table.classes[i])[:2] for i in table.maximal_classes()
+    ])
 
 
 def _view_kernels(table, hypo, solved):
@@ -413,26 +402,30 @@ def imprimitive_lattice(group, characteristic):
     Only the maximal subgroups and the quotients by minimal normal
     subgroups are visited, each as a view of the group's own class
     table and marks; the module docstring says why that suffices, and
-    how the certificate finds the lattice.  Its memo entry holds the
-    free rank and torsion of K/L with the lattice: the certificate's,
-    or, after the exact route, those of ``quotient_invariants``.
+    how the certificate finds the lattice.
     """
-    key = ("imprimitive", _lattice_prime(group, characteristic))
-    if key not in group._memo:
+    return _imprimitive(group, characteristic)[2]
+
+
+def _imprimitive(group, characteristic):
+    """(free rank, torsion, L), kept per lattice prime: the certificate's
+    invariants of K/L, or, after the exact route, those of
+    ``quotient_invariants``."""
+    def build():
         p = effective_prime(group, characteristic)
         table = enumerate_classes(group)
         kernel = brauer_kernel(group, characteristic).basis
-        hypo = _own_hypo_mask(table, p)
+        hypo = _own_hypo_mask(group, characteristic)
         solved = {}
         quotients = (quotient_kernel(table, n, p, solved) for n in minimal_normal_subgroups(group))
         views, seen = _view_kernels(table, hypo, solved), []
         certified = _certified_lattice(table, kernel, hypo, quotients, views, seen)
         if certified is None:
-            kernels = itertools.chain(seen, views, quotients)
-            lattice = _lattice_by_hnf(len(table.classes), kernels)
+            lattice = _lattice_by_hnf(len(table.classes), itertools.chain(seen, views, quotients))
             certified = *quotient_invariants(kernel, lattice), lattice
-        group._memo[key] = certified
-    return group._memo[key][2]
+        return certified
+
+    return group.cached(("imprimitive", _lattice_prime(group, characteristic)), build)
 
 
 @dataclass
@@ -459,10 +452,8 @@ def predict_prim(group, characteristic):
     or complement is built as a group.  The prediction is memoised per
     lattice prime.
     """
-    key = ("prediction", _lattice_prime(group, characteristic))
-    if key not in group._memo:
-        group._memo[key] = _predict(group, effective_prime(group, characteristic))
-    return group._memo[key]
+    return group.cached(("prediction", _lattice_prime(group, characteristic)),
+                        lambda: _predict(group, effective_prime(group, characteristic)))
 
 
 def _predict(group, p):
@@ -561,51 +552,38 @@ def _extract_generator(table, kernel):
 def prim(group, characteristic):
     """The primitive quotient: kernel modulo the imprimitive sublattice.
 
-    Its invariants are those ``imprimitive_lattice`` keeps with the
-    lattice.  When the structural prediction covers the group, the
-    computed invariants must match it exactly; disagreement raises
-    InternalCheckError.
+    Its invariants are those kept with the imprimitive lattice.  When
+    the structural prediction covers the group, the computed invariants
+    must match it exactly; disagreement raises InternalCheckError.  The
+    report is kept per lattice prime, as the kernel is, and stamped with
+    the characteristic asked for.
     """
-    cached = group._memo.get(("prim", characteristic))
-    if cached is not None:
-        return cached
-    table = enumerate_classes(group)
-    kernel = brauer_kernel(group, characteristic)
-    imprim = imprimitive_lattice(group, characteristic)
-    prime = _lattice_prime(group, characteristic)
-    free_rank, torsion, _ = group._memo[("imprimitive", prime)]
-    if ("generator", prime) not in group._memo:
-        group._memo[("generator", prime)] = _extract_generator(table, kernel)
-    generator = group._memo[("generator", prime)]
-    prediction = predict_prim(group, characteristic)
-    if prediction.covered:
-        if (free_rank, tuple(torsion)) != (
-            prediction.free_rank,
-            tuple(prediction.torsion),
-        ):
+    def build():
+        kernel = brauer_kernel(group, characteristic)
+        imprim = imprimitive_lattice(group, characteristic)
+        free_rank, torsion, _ = _imprimitive(group, characteristic)
+        prediction = predict_prim(group, characteristic)
+        predicted = prediction.free_rank, prediction.torsion
+        if prediction.covered and (free_rank, torsion) != predicted:
             raise InternalCheckError(
                 "computed primitive quotient (rank %d, torsion %r) disagrees "
                 "with the %s prediction (rank %d, torsion %r)"
-                % (
-                    free_rank,
-                    tuple(torsion),
-                    prediction.source,
-                    prediction.free_rank,
-                    tuple(prediction.torsion),
-                )
+                % (free_rank, torsion, prediction.source, *predicted)
             )
-    report = PrimReport(
-        group=group,
-        characteristic=characteristic,
-        kernel=kernel,
-        imprimitive=imprim,
-        free_rank=free_rank,
-        torsion=tuple(torsion),
-        generator=generator,
-        prediction=prediction,
-    )
-    group._memo[("prim", characteristic)] = report
-    return report
+        return PrimReport(
+            group=group,
+            characteristic=characteristic,
+            kernel=kernel,
+            imprimitive=imprim,
+            free_rank=free_rank,
+            torsion=torsion,
+            generator=_extract_generator(enumerate_classes(group), kernel),
+            prediction=prediction,
+        )
+
+    report = group.cached(("prim", _lattice_prime(group, characteristic)), build)
+    return replace(report, characteristic=characteristic,
+                   kernel=replace(report.kernel, characteristic=characteristic))
 
 
 def _power_indices(group, base_index, exponent):

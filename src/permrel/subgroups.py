@@ -346,9 +346,10 @@ def enumerate_classes(group):
     Raises CapExceeded when the total subgroup count passes
     ``SUBGROUP_CAP``.  The result is cached on the group.
     """
-    cached = group._memo.get("class_table")
-    if cached is not None:
-        return cached
+    return group.cached("class_table", lambda: _enumerate_classes(group))
+
+
+def _enumerate_classes(group):
     mult = group.mult
     inv = group.inv
     n = group.order
@@ -483,9 +484,7 @@ def enumerate_classes(group):
         sub_to_class.update(dict.fromkeys(keys, pos))
     if len(sub_to_class) != total:
         raise InternalCheckError("class sizes disagree with the subgroup key map")
-    table = SubgroupClassTable(group, classes, sub_to_class, packed)
-    group._memo["class_table"] = table
-    return table
+    return SubgroupClassTable(group, classes, sub_to_class, packed)
 
 
 def is_normal(group, subgroup):
@@ -503,16 +502,16 @@ def minimal_normal_subgroups(group):
     """The minimal normal subgroups of ``group``, by order: the nontrivial
     normal N containing none found before.  A minimal normal M meets N in
     M or 1, so one nonidentity element of M tells whether N contains M."""
-    cached = group._memo.get("minimal_normal")
-    if cached is None:
-        cached = []
+    def build():
+        found = []
         witness = np.zeros(group.order, dtype=bool)  # one element of each kept M
         for sub in normal_subgroups(group):
             if not sub.is_trivial() and not witness[sub.indices].any():
-                cached.append(sub)
+                found.append(sub)
                 witness[sub.indices[1]] = True
-        group._memo["minimal_normal"] = cached
-    return cached
+        return found
+
+    return group.cached("minimal_normal", build)
 
 
 def is_minimal_normal(group, normal):
@@ -538,9 +537,10 @@ def quotient(group, normal):
     maps a Subgroup of the quotient back to the full Subgroup of the
     parent containing ``normal``.
     """
-    cached = group._memo.get(("quotient", normal.key))
-    if cached is not None:
-        return cached
+    return group.cached(("quotient", normal.key), lambda: _coset_action(group, normal))
+
+
+def _coset_action(group, normal):
     if not is_normal(group, normal):
         raise InputError("quotient requires a normal subgroup")
     mult = group.mult
@@ -567,9 +567,7 @@ def quotient(group, normal):
         qmask[subgroup_of_q.indices] = True
         return Subgroup(group, np.flatnonzero(qmask[q_index_of]))
 
-    result = Quotient(q, project, preimage)
-    group._memo[("quotient", normal.key)] = result
-    return result
+    return Quotient(q, project, preimage)
 
 
 def subgroup_as_group(subgroup):
@@ -582,13 +580,13 @@ def subgroup_as_group(subgroup):
     ambient = subgroup.ambient
     if subgroup.is_full():
         return ambient
-    cached = ambient._memo.get(("as_group", subgroup.key))
-    if cached is not None:
-        return cached
-    grp = Group(ambient.degree, subgroup.generators(), ambient.images[subgroup.indices])
-    grp._memo["parent_indices"] = subgroup.indices
-    ambient._memo[("as_group", subgroup.key)] = grp
-    return grp
+
+    def build():
+        grp = Group(ambient.degree, subgroup.generators(), ambient.images[subgroup.indices])
+        grp.cached("parent_indices", lambda: subgroup.indices)
+        return grp
+
+    return ambient.cached(("as_group", subgroup.key), build)
 
 
 def centralizer_indices(group, target_indices, within=None):

@@ -425,7 +425,8 @@ def _echelon_kernel(m):
 # each entry of M_N W while r * Q * max |M| does
 _PRIME = 2**31 - 1
 
-# entries, 8 bytes each, of one product in the check of ``_unit_kernel``
+# entries, 8 bytes each, of one product in the M x = 0 checks of
+# ``_unit_kernel`` and of the imprimitive lattice's certificate
 _CHECK_ENTRIES = 2**16
 
 
@@ -478,21 +479,25 @@ def _unit_kernel(mat):
 
 def _block_kernel(block, solved):
     """The kernel of the int64 array ``block``, whose rows are
-    independent, solved once per memo ``solved`` (keyed by the block's
-    shape and bytes): the ``UnitBasis`` of ``_unit_kernel``, which proves
-    the rank itself with a pivot in every row, or else the IntMatrix of
-    ``_echelon_kernel``, whose rank is checked."""
-    key = block.shape, block.tobytes()
-    if key not in solved:
-        solved[key] = _unit_kernel(block)
-        if solved[key] is None:
-            r, k = block.shape
-            solved[key] = basis = _echelon_kernel(_from_rows(block.tolist(), k))
-            if basis.cols != k - r:
-                raise InternalCheckError(
-                    "kernel rank %d differs from %d columns less %d rows" % (basis.cols, k, r)
-                )
-    return solved[key]
+    independent: the ``UnitBasis`` of ``_unit_kernel``, which proves the
+    rank itself with a pivot in every row, or else the IntMatrix of
+    ``_echelon_kernel``, whose rank is checked.  A memo ``solved``, keyed
+    by the block's shape and bytes, solves each distinct block once; with
+    None, the block is solved and no key is made."""
+    if solved is not None:
+        key = block.shape, block.tobytes()
+        if key not in solved:
+            solved[key] = _block_kernel(block, None)
+        return solved[key]
+    basis = _unit_kernel(block)
+    if basis is None:
+        r, k = block.shape
+        basis = _echelon_kernel(_from_rows(block.tolist(), k))
+        if basis.cols != k - r:
+            raise InternalCheckError(
+                "kernel rank %d differs from %d columns less %d rows" % (basis.cols, k, r)
+            )
+    return basis
 
 
 def _int64(matrix):

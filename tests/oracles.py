@@ -622,7 +622,7 @@ def imprimitive_lattice_by_hnf(group, characteristic):
     p = effective_prime(group, characteristic)
     table = enumerate_classes(group)
     k = len(table.classes)
-    hypo = _own_hypo_mask(table, p)
+    hypo = _own_hypo_mask(group, characteristic)
     marks = marks_table(group, table).array.tolist()
     kernels = []
     for normal in minimal_normal_subgroups(group):

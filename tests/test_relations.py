@@ -7,6 +7,7 @@ import random
 import sys
 import time
 import tracemalloc
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +20,7 @@ from permrel.burnside import BurnsideElement, induct, mark_vector, marks_table
 from permrel.classify import _normal_over, main_case_classify, quotient_is_p_hypo_elementary
 from permrel.constructions import affine_group, frobenius_group
 from permrel.errors import InputError, InternalCheckError, PermrelError
-from permrel.perm import generate, parse_cycles
+from permrel.perm import Group, generate, parse_cycles
 from permrel.presets import CORPUS_CHARACTERISTICS, CORPUS_NAMES, preset_group
 from permrel.relations import (
     brauer_kernel,
@@ -379,7 +380,7 @@ def test_c2_5_at_char_0_counts_only_the_columns_read(monkeypatch):
         read.update(over[hypo_mask_by_loop(table, normal, p, over)].tolist())
     assert set(np.flatnonzero(marks._slot >= 0).tolist()) == read
     assert marks.counted == len(read) < len(table)
-    hypo = relations._own_hypo_mask(table, p)
+    hypo = relations._own_hypo_mask(group, 0)
     views = group._memo["maximal_views"]
     assert len(views) == 31 and report.imprimitive.cols == 342
     assert all(np.count_nonzero(hypo[class_map]) == 16 and view.counted == len(class_map) == 67
@@ -939,6 +940,54 @@ def test_coprime_characteristics_reuse_the_lattices(monkeypatch):
     assert calls == dict.fromkeys(names, 0)
 
 
+def test_each_cached_answer_is_built_once(monkeypatch):
+    # every per-group answer goes through Group.cached, which builds a
+    # (group, key) once, also when the answer is None, whatever the
+    # characteristics asked for and whatever the order of the questions
+    real, built = Group.cached, []
+
+    def spying(group, key, build):
+        def recorded():
+            built.append((group, key, build()))
+            return built[-1][2]
+
+        return real(group, key, recorded)
+
+    monkeypatch.setattr(Group, "cached", spying)
+    for name in CORPUS_NAMES:
+        group = _cold_copy(preset_group(name))
+        for char in CORPUS_CHARACTERISTICS:
+            prim(group, char)
+            main_case_classify(group, effective_prime(group, char))
+            prim(group, char)
+    keys = [(id(group), key) for group, key, _ in built]
+    assert len(set(keys)) == len(keys)
+    kinds = {key if isinstance(key, str) else key[0] for _, key, _ in built}
+    assert {"class_table", "marks", "hypo", "brauer_kernel", "maximal_views", "imprimitive",
+            "prediction", "prim", "main_case", "vector_semidirect"} <= kinds
+    assert any(answer is None for _, key, answer in built if key[0] == "vector_semidirect")
+
+
+@pytest.mark.parametrize("name, chars", (("S4", (5, 7)), ("C2xC2xC2xC2", (3, 5)),
+                                         ("C7:C6", (5, 11))))
+def test_prim_at_one_lattice_prime_shares_its_answers(name, chars):
+    # neither characteristic divides |G|: one lattice prime, one report,
+    # which differs only in the characteristic it is stamped with
+    group = _cold_copy(preset_group(name))
+    first, second = (prim(group, char) for char in chars)
+    assert (first.characteristic, first.kernel.characteristic) == (chars[0],) * 2
+    assert (second.characteristic, second.kernel.characteristic) == (chars[1],) * 2
+    assert first.kernel.basis is second.kernel.basis is brauer_kernel(group, 0).basis
+    assert first.imprimitive is second.imprimitive is imprimitive_lattice(group, 0)
+    for report, char in zip((first, second), reversed(chars)):
+        stamped = replace(report, characteristic=char,
+                          kernel=replace(report.kernel, characteristic=char))
+        again = prim(group, char)
+        assert all(getattr(stamped, f.name) is getattr(again, f.name)
+                   for f in fields(report) if f.name not in ("characteristic", "kernel"))
+        assert stamped.kernel == again.kernel
+
+
 def _assert_lattices_independent_of_char_order(group):
     up, down = _cold_copy(group), _cold_copy(group)
     chars = (0, 2, 3, 5, 7)
@@ -997,7 +1046,7 @@ def test_views_and_hypo_classes_are_built_once(monkeypatch, name):
     kept = group._memo["maximal_views"]
     assert len(kept) == len(maximal)
     hypo_somewhere = np.logical_or.reduce(
-        [relations._own_hypo_mask(table, prime or effective_prime(group, 0)) for prime in primes])
+        [relations._own_hypo_mask(group, prime) for prime in primes])
     for (class_map, marks), i in zip(kept, maximal):
         # only columns some lattice prime's hypo-elementary classes asked
         # for, or all of a table small enough to be counted whole
