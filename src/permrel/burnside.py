@@ -239,19 +239,17 @@ def multiply(a, b):
 
 
 def _induction_map(table_h, table_g):
-    """G-class of each H-class, built once per pair of tables and
-    cached on ``table_h``."""
-    maps = table_h._class_maps
-    if table_g not in maps:
+    """G-class of each H-class, built once per pair of tables and kept
+    on H's group."""
+    def build():
         g_group = table_g.group
         parent = g_group._indices_of(table_h.group.images)
-        maps[table_g] = [
-            table_g.class_index_of(
-                Subgroup(g_group, parent[cls.representative.indices])
-            )
+        return [
+            table_g.class_index_of(Subgroup(g_group, parent[cls.representative.indices]))
             for cls in table_h.classes
         ]
-    return maps[table_g]
+
+    return table_h.group.cached(("induction_map", table_g), build)
 
 
 def induct(table_h, table_g, x):

@@ -142,20 +142,13 @@ def orders_modulo(group, normal):
                         lambda: kernels.power_orders(group.mult, normal.mask))
 
 
-def _normal_over(group, normal):
-    """The normal subgroups of ``group`` that contain the normal ``normal``."""
-    table = enumerate_classes(group)
-    over = [table.classes[i] for i in table.classes_over(normal).tolist()]
-    return [c.representative for c in over if c.class_size == 1]
-
-
 def quotient_p_core(group, normal, p):
     """The preimage of the p-core of G/N: the largest normal M >= N with
     |M:N| a power of p, which contains every other one."""
     if (group.order // normal.order) % p:
         return normal  # read off no table: G/N has no nontrivial p-subgroup
     return group.cached(("p_core", normal.key, p), lambda: max(
-        (m for m in _normal_over(group, normal) if is_prime_power(m.order // normal.order, p)),
+        (m for m in normal_subgroups(group, normal) if is_prime_power(m.order // normal.order, p)),
         key=lambda m: m.order,
     ))
 
@@ -166,7 +159,7 @@ def quotient_q_residual(group, normal, q):
     def build():
         n = group.order
         mask = np.ones(n, dtype=bool)
-        for sub in _normal_over(group, normal):
+        for sub in normal_subgroups(group, normal):
             if is_prime_power(n // sub.order, q):
                 mask &= sub.mask
         result = Subgroup(group, np.flatnonzero(mask))

@@ -14,7 +14,7 @@ from dataclasses import asdict
 from . import __version__
 from .classify import classify_group, main_case_classify
 from .constructions import affine_group, direct_product
-from .errors import InputError, InternalCheckError, PermrelError
+from .errors import CapExceeded, InputError, InternalCheckError, PermrelError
 from .numtheory import xgcd
 from .perm import DEFAULT_ELEMENT_CAP, cycle_string, generate, parse_cycles
 from .presets import CORPUS_CHARACTERISTICS, CORPUS_NAMES, preset_group
@@ -120,18 +120,6 @@ def _element_json(table, coeffs):
     return {labels[i]: int(c) for i, c in enumerate(coeffs) if c}
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, str)):
-        return value
-    return str(value)
-
-
 def _invariants_str(free_rank, torsion):
     parts = []
     if free_rank == 1:
@@ -173,12 +161,12 @@ def _write_csv(stream, head, rows):
 def _cmd_classify(args, stream):
     spec, group = _load_group(args)
     table = enumerate_classes(group)
-    result = _jsonable(asdict(classify_group(group)))
+    result = asdict(classify_group(group))
     if args.characteristic is not None:
         p = effective_prime(group, args.characteristic)
         result["effective_prime"] = p
         result["main_cases"] = [
-            {"tag": match.tag, "witness": _jsonable(match.witness)}
+            {"tag": match.tag, "witness": match.witness}
             for match in main_case_classify(group, p)
         ]
     _emit_json(_report(args, spec, _classes_json(table), result, None), stream)
@@ -264,12 +252,20 @@ def _cmd_prim(args, stream):
     return 0
 
 
+def _refuse_order(args, order):
+    """Refuse a theta group of ``order`` larger than --max-order before
+    it is built."""
+    if args.max_order is not None and order > args.max_order:
+        raise CapExceeded("the group of order %d exceeds --max-order %d" % (order, args.max_order))
+
+
 def _cmd_theta(args, stream):
     char = args.characteristic
     if args.family == "mn":
         for name in ("l", "m", "n"):
             if getattr(args, name) is None:
                 raise InputError("theta --family mn needs --l, --m and --n")
+        _refuse_order(args, args.l * args.m * args.n)
         if (args.alpha is None) != (args.beta is None):
             raise InputError("--alpha and --beta must be given together")
         if args.alpha is None:
@@ -294,6 +290,7 @@ def _cmd_theta(args, stream):
         for name in ("l", "q", "k"):
             if getattr(args, name) is None:
                 raise InputError("theta --family qk needs --l, --q and --k")
+        _refuse_order(args, args.l * args.q ** max(args.k + 1, 0))
         element = theta_qk(args.l, args.q, args.k, char)
         params = {"l": args.l, "q": args.q, "k": args.k}
         spec = None
@@ -463,7 +460,7 @@ def run_command(argv, stream=None):
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        return 1 if exc.code else 0  # a usage error is an input error
     try:
         if args.format == "csv" and args.command not in _CSV_COMMANDS:
             raise InputError(

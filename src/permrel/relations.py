@@ -153,7 +153,6 @@ from .zlattice import (
     _PRIME,
     IntMatrix,
     UnitBasis,
-    _block_kernel,
     _from_rows,
     _rank_reaches,
     hnf,
@@ -208,7 +207,7 @@ def hypo_class_indices(group, characteristic):
 
 
 def _kernel_of(marks, hypo, over, solved):
-    """``_block_kernel`` of the table of marks ``marks`` at the classes
+    """``kernel_basis`` of the table of marks ``marks`` at the classes
     ``over``, transposed, in the rows of the hypo mask ``hypo``: the only
     columns it asks ``marks`` for.  Those rows are independent, as
     ``count_marks`` proved each column zero above a positive diagonal.
@@ -219,7 +218,7 @@ def _kernel_of(marks, hypo, over, solved):
     if hypo.all():
         return UnitBasis(k, np.arange(0), np.arange(k), np.zeros((k, 0), dtype=np.int64))
     block = marks.columns(over[hypo])
-    return _block_kernel((block[over] if k < len(block) else block).T, solved)
+    return kernel_basis((block[over] if k < len(block) else block).T, solved)
 
 
 def quotient_kernel(table, normal, p, solved):
@@ -365,7 +364,7 @@ def _certified_lattice(table, kernel, hypo, quotients, views, seen):
         return 0, (), kernel
     # K's basis times H, the Hermite basis of ker(g): H's row j at P[j],
     # and W[i] H at N[i]
-    h = kernel_basis(_from_rows([kernel.row(k - 1)], r))
+    h = kernel_basis(np.array([kernel.row(k - 1)], dtype=np.int64))
     data = [None] * k
     for p, row in zip(kernel.free.tolist(), h.data):
         data[p] = row

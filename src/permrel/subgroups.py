@@ -210,8 +210,6 @@ class SubgroupClassTable:
         self.sub_to_class = sub_to_class
         self.packed_members = packed_members
         self.class_of = np.fromiter(sub_to_class.values(), dtype=np.intp)  # of each row
-        self._over = {}  # normal subgroup key -> the classes over it
-        self._class_maps = {}  # supergroup table -> its class of each of ours
 
     def __len__(self):
         return len(self.classes)
@@ -268,11 +266,11 @@ class SubgroupClassTable:
     def classes_over(self, normal):
         """Positions of the classes whose members contain the normal N,
         which lies in every member of a class or in none; kept per N."""
-        if normal.key not in self._over:
+        def build():
             first = np.searchsorted(self.class_of, np.arange(len(self.classes)))
-            bits = _bits(self.packed_members, normal.indices, first)
-            self._over[normal.key] = np.flatnonzero(bits.all(axis=1))
-        return self._over[normal.key]
+            return np.flatnonzero(_bits(self.packed_members, normal.indices, first).all(axis=1))
+
+        return self.group.cached(("classes_over", normal.key), build)
 
     def maximal_classes(self):
         """Positions of the classes of maximal subgroups.
@@ -493,9 +491,13 @@ def is_normal(group, subgroup):
                for g in group.generators)
 
 
-def normal_subgroups(group):
+def normal_subgroups(group, over=None):
+    """The normal subgroups of ``group``, by class position; with
+    ``over`` a normal N, only those that contain N."""
     table = enumerate_classes(group)
-    return [c.representative for c in table.classes if c.class_size == 1]
+    classes = table.classes if over is None else [
+        table.classes[i] for i in table.classes_over(over).tolist()]
+    return [c.representative for c in classes if c.class_size == 1]
 
 
 def minimal_normal_subgroups(group):

@@ -31,17 +31,17 @@ Number Theory*, section 2.4).  ``hnf`` splits the result into H and T;
 U beside A, until A is diagonal (R. Kannan and A. Bachem, SIAM J.
 Comput. 8, 1979).
 
-``kernel_basis`` finds {x : M x = 0}.  It first reads the Hermite
-basis off one elimination modulo a prime (its docstring gives the
-argument), and otherwise off the same echelon ``hnf`` runs: the columns
-of T past the rank of H.  The elimination, ``_unit_kernel``, takes an
-int64 array and returns the basis as a ``UnitBasis``: the identity on
-the coordinates P, and the rows W, each entry at most Q/2, on the pivot
-coordinates N.  ``relations`` passes its int64 marks blocks to
-``_block_kernel``, which solves each distinct block once per memo the
-caller keeps and returns that record as it is.  The record reads like
-an ``IntMatrix`` but holds only P, N and W: its dense rows are built
-each time a caller reads ``data`` or ``columns()``, and never kept.
+``kernel_basis`` finds {x : M x = 0} for an int64 array M with
+independent rows; its docstring gives the argument.  It first reads the
+Hermite basis off one elimination modulo a prime, ``_unit_kernel``,
+which returns it as a ``UnitBasis``: the identity on the coordinates P,
+and the rows W, each entry at most Q/2, on the pivot coordinates N.
+Otherwise it reads the basis off the same echelon ``hnf`` runs, the
+columns of T past the rank of H, and checks their count.  Given a memo,
+it solves each distinct array once per memo the caller keeps and
+returns the record as it is.  The record reads like an ``IntMatrix``
+but holds only P, N and W: its dense rows are built each time a caller
+reads ``data`` or ``columns()``, and never kept.
 """
 
 import operator
@@ -382,45 +382,6 @@ def _check_smith(m_cols, d, u, v):
             prev = val
 
 
-def kernel_basis(m):
-    """Basis of the integer kernel {x : M x = 0}, as Hermite-reduced
-    matrix columns.
-
-    First, a Gauss-Jordan elimination of M modulo the prime Q, kept as
-    the r x r record of its row operations, takes pivot columns N from
-    the right.  Each other coordinate p gives the
-    column e_p - W_p, with W = M_N^-1 M_P mod Q in residues of least
-    absolute value; W_p is zero on each n in N below p, whose row had no
-    pivot, hence a zero residue, when p was passed over.  The columns
-    are accepted when there are r = M.rows pivots and M_P = M_N W
-    exactly.  Then det M_N is nonzero, so rank M = r, and the columns,
-    integral kernel vectors equal to the identity on P, span every
-    integral kernel vector (x minus the sum of x_p (e_p - W_p) is a
-    kernel vector supported on N, hence 0).  So they are the unique
-    Hermite basis, with unit pivots.  A rank below r, a non-unit pivot
-    (W is not integral), an entry of W past Q/2 or a prime that divides
-    det M_N fails that test.  Then the basis is the columns of T past
-    the rank of H = M * T, which span the kernel as T is unimodular,
-    brought into Hermite shape, each checked against M x = 0.
-    """
-    mat = _int64(m)
-    unit = None if mat is None else _unit_kernel(mat)
-    return _echelon_kernel(m) if unit is None else _from_rows(unit.data, unit.cols)
-
-
-def _echelon_kernel(m):
-    """``kernel_basis``'s basis read off the transform of the echelon
-    ``hnf`` runs."""
-    m_cols = _sparse_columns(m)
-    cols = _with_identity(m_cols, m.rows)
-    rank = _echelon(cols, range(m.rows))
-    kernel = [_split(col, m.rows)[1] for col in cols[rank:]]
-    _echelon(kernel, range(m.cols))
-    if any(_apply(m_cols, x) for x in kernel):
-        raise InternalCheckError("kernel basis column fails M x = 0")
-    return _from_sparse(kernel, m.cols)
-
-
 # Q: below 2^31, so a product of two residues fits in int64, and so does
 # each entry of M_N W while r * Q * max |M| does
 _PRIME = 2**31 - 1
@@ -477,36 +438,51 @@ def _unit_kernel(mat):
     return UnitBasis(k, rest, np.array(pivot_cols, dtype=np.intp), neg)
 
 
-def _block_kernel(block, solved):
-    """The kernel of the int64 array ``block``, whose rows are
-    independent: the ``UnitBasis`` of ``_unit_kernel``, which proves the
-    rank itself with a pivot in every row, or else the IntMatrix of
-    ``_echelon_kernel``, whose rank is checked.  A memo ``solved``, keyed
-    by the block's shape and bytes, solves each distinct block once; with
-    None, the block is solved and no key is made."""
+def kernel_basis(block, solved=None):
+    """Basis of the integer kernel {x : M x = 0} of the int64 array M =
+    ``block``, whose rows are independent, as Hermite-reduced columns.
+
+    First, a Gauss-Jordan elimination of M modulo the prime Q, kept as
+    the r x r record of its row operations, takes pivot columns N from
+    the right.  Each other coordinate p gives the column e_p - W_p, with
+    W = M_N^-1 M_P mod Q in residues of least absolute value; W_p is
+    zero on each n in N below p, whose row had no pivot, hence a zero
+    residue, when p was passed over.  The columns are accepted when
+    there are r pivots and M_P = M_N W exactly.  Then det M_N is
+    nonzero, so rank M = r, and the columns, integral kernel vectors
+    equal to the identity on P, span every integral kernel vector (x
+    minus the sum of x_p (e_p - W_p) is a kernel vector supported on N,
+    hence 0).  So they are the unique Hermite basis, with unit pivots,
+    returned as ``_unit_kernel``'s ``UnitBasis``.  A rank below r, a
+    non-unit pivot (W is not integral), an entry of W past Q/2 or a
+    prime that divides det M_N fails that test.  Then the basis is the
+    columns of T past the rank of H = M * T, which span the kernel as T
+    is unimodular, brought into Hermite shape and each checked against
+    M x = 0; there must be k - r of them, so a dependent row raises
+    InternalCheckError.  A memo ``solved``, keyed by the array's shape
+    and bytes, solves each distinct array once; with None, no key is
+    made.
+    """
     if solved is not None:
         key = block.shape, block.tobytes()
         if key not in solved:
-            solved[key] = _block_kernel(block, None)
+            solved[key] = kernel_basis(block)
         return solved[key]
     basis = _unit_kernel(block)
-    if basis is None:
-        r, k = block.shape
-        basis = _echelon_kernel(_from_rows(block.tolist(), k))
-        if basis.cols != k - r:
-            raise InternalCheckError(
-                "kernel rank %d differs from %d columns less %d rows" % (basis.cols, k, r)
-            )
-    return basis
-
-
-def _int64(matrix):
-    """``matrix`` as an int64 array, or None when an entry does not fit."""
-    data = matrix.data
-    if matrix.rows and matrix.cols:
-        if max(max(map(max, data)), -min(map(min, data))) >= 2**63:
-            return None
-    return np.array(data, dtype=np.int64).reshape(matrix.rows, matrix.cols)
+    if basis is not None:
+        return basis
+    r, k = block.shape
+    m_cols = _sparse_columns(_from_rows(block.tolist(), k))
+    cols = _with_identity(m_cols, r)
+    kernel = [_split(col, r)[1] for col in cols[_echelon(cols, range(r)):]]
+    _echelon(kernel, range(k))
+    if any(_apply(m_cols, x) for x in kernel):
+        raise InternalCheckError("kernel basis column fails M x = 0")
+    if len(kernel) != k - r:
+        raise InternalCheckError(
+            "kernel rank %d differs from %d columns less %d rows" % (len(kernel), k, r)
+        )
+    return _from_sparse(kernel, k)
 
 
 def _rank_reaches(ell, rows, pivots, target):

@@ -67,7 +67,6 @@ from permrel.zlattice import (
     UnitBasis,
     _as_int,
     hnf,
-    kernel_basis,
     quotient_invariants,
     snf,
 )
@@ -617,8 +616,8 @@ def imprimitive_lattice_by_hnf(group, characteristic):
     """The imprimitive lattice by the exact route alone: the kernel of
     every maximal view and of every G/N, N minimal normal, moved to G's
     classes, and the Hermite form of all those columns with the zero
-    columns dropped.  Each kernel is ``kernel_basis`` of its marks rows,
-    read as lists, with no memo shared between them."""
+    columns dropped.  Each kernel is ``kernel_basis_by_two_hnfs`` of its
+    marks rows, read as lists, not the route under test."""
     p = effective_prime(group, characteristic)
     table = enumerate_classes(group)
     k = len(table.classes)
@@ -629,11 +628,12 @@ def imprimitive_lattice_by_hnf(group, characteristic):
         over = table.classes_over(normal).tolist()
         at = np.flatnonzero(_hypo_mask(table, normal, p, over)).tolist()
         rows = [[marks[a][over[c]] for a in over] for c in at]
-        kernels.append((kernel_basis(IntMatrix(rows, cols=len(over))), over))
+        kernels.append((kernel_basis_by_two_hnfs(IntMatrix(rows, cols=len(over))), over))
     for class_map, view_marks in _maximal_views(table):
         positions = np.flatnonzero(hypo[class_map]).tolist()
         rows = view_marks.columns(positions).T.tolist()
-        kernels.append((kernel_basis(IntMatrix(rows, cols=len(class_map))), class_map))
+        kernels.append((kernel_basis_by_two_hnfs(IntMatrix(rows, cols=len(class_map))),
+                        class_map))
     columns = []
     for basis, class_map in kernels:
         for col in basis.columns():

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from permrel import __version__, subgroups
+from permrel import __version__, cli, subgroups
 from permrel.cli import main, parse_group_spec, run_command
 from permrel.errors import InputError
 
@@ -229,16 +229,44 @@ def test_exit_code_input_errors(tmp_path, specdir):
         ["classify", "--group", str(specdir / "s3.json"),
          "--format", "csv"],
         ["theta", "--family", "mn", "--l", "7", "--char", "5"],
+        # usage errors that argparse reports
+        ["prim", "--group", str(specdir / "s3.json")],  # missing --char
+        ["frobnicate"],
+        ["marks", "--group", str(specdir / "s3.json"), "--format", "xml"],
+        ["marks", "--group", str(specdir / "s3.json"), "--max-order", "abc"],
     ]
     for argv in cases:
         code, _ = _run(argv)
         assert code == 1, argv
 
 
+def test_help_and_version_exit_0(capsys):
+    for argv in (["--help"], ["--version"], ["prim", "--help"]):
+        assert _run(argv)[0] == 0, argv
+    assert __version__ in capsys.readouterr().out
+
+
 def test_exit_code_cap_exceeded(specdir):
     code, _ = _run(["prim", "--group", str(specdir / "s5.json"),
                     "--char", "5", "--max-order", "50"])
     assert code == 2
+
+
+@pytest.mark.parametrize("family, order", [
+    (["mn", "--l", "7", "--m", "2", "--n", "3"], 42),
+    (["qk", "--l", "3", "--q", "2", "--k", "0"], 6),
+])
+def test_theta_refuses_a_group_past_max_order(family, order, capsys, monkeypatch):
+    # the order is read off the parameters; no group is built
+    argv = ["theta", "--char", "5", "--family", *family]
+    monkeypatch.setattr(cli, "theta_mn", None)
+    monkeypatch.setattr(cli, "theta_qk", None)
+    code, text = _run(argv + ["--max-order", str(order - 1)])
+    assert (code, text) == (2, "")
+    assert "order %d exceeds --max-order %d" % (order, order - 1) in capsys.readouterr().err
+    monkeypatch.undo()
+    report = _run_json(argv + ["--max-order", str(order)])
+    assert report["result"]["group_order"] == order
 
 
 def test_exit_code_subgroup_cap_exceeded(specdir, monkeypatch):

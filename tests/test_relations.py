@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from permrel import relations, zlattice
 from permrel.burnside import BurnsideElement, induct, mark_vector, marks_table
-from permrel.classify import _normal_over, main_case_classify, quotient_is_p_hypo_elementary
+from permrel.classify import main_case_classify, quotient_is_p_hypo_elementary
 from permrel.constructions import affine_group, frobenius_group
 from permrel.errors import InputError, InternalCheckError, PermrelError
 from permrel.perm import Group, generate, parse_cycles
@@ -587,7 +587,7 @@ def test_the_kernel_check_reads_every_hypo_class(monkeypatch, entries):
 
 def _count_kernel_work(monkeypatch):
     # (requests, blocks solved): calls of _kernel_of, and of the unit
-    # route behind the memo of _block_kernel
+    # route behind the memo of kernel_basis
     requests, solved = [], []
     for module, fname, record in (
         (relations, "_kernel_of", requests), (zlattice, "_unit_kernel", solved)
@@ -733,7 +733,7 @@ def _assert_quotient_views_keep_the_classes_containing_n(group):
         over = table.classes_over(normal)
         want = classes_containing_by_loop(table, normal)
         assert over.tolist() == want
-        assert [m.key for m in _normal_over(group, normal)] == [
+        assert [m.key for m in normal_subgroups(group, normal)] == [
             table.classes[j].representative.key for j in want if table.classes[j].class_size == 1]
 
 
@@ -908,7 +908,7 @@ def test_shared_lattices_match_cold_groups(name):
 
 
 def test_coprime_characteristics_reuse_the_lattices(monkeypatch):
-    names = ("kernel_basis", "_block_kernel", "hnf", "quotient_invariants", "_certified_lattice")
+    names = ("kernel_basis", "hnf", "quotient_invariants", "_certified_lattice")
     calls = dict.fromkeys(names, 0)
     for fname in names:
         original = getattr(relations, fname)
@@ -960,11 +960,18 @@ def test_each_cached_answer_is_built_once(monkeypatch):
             prim(group, char)
             main_case_classify(group, effective_prime(group, char))
             prim(group, char)
+        # induction from a maximal subgroup, asked twice
+        table = enumerate_classes(group)
+        maximal = table.classes[table.maximal_classes()[0]].representative
+        m_table = enumerate_classes(subgroup_as_group(maximal))
+        for _ in range(2):
+            induct(m_table, table, BurnsideElement.basis(m_table, 0))
     keys = [(id(group), key) for group, key, _ in built]
     assert len(set(keys)) == len(keys)
     kinds = {key if isinstance(key, str) else key[0] for _, key, _ in built}
     assert {"class_table", "marks", "hypo", "brauer_kernel", "maximal_views", "imprimitive",
-            "prediction", "prim", "main_case", "vector_semidirect"} <= kinds
+            "prediction", "prim", "main_case", "vector_semidirect", "classes_over",
+            "induction_map"} <= kinds
     assert any(answer is None for _, key, answer in built if key[0] == "vector_semidirect")
 
 

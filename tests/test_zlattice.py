@@ -156,6 +156,21 @@ def any_shape(draw):
 kernel_input = st.one_of(triangular_led(), any_shape(), small_matrix.map(IntMatrix))
 
 
+def _block(m):
+    """The IntMatrix M as the int64 array ``kernel_basis`` takes."""
+    return np.array(m.data, dtype=np.int64).reshape(m.rows, m.cols)
+
+
+def _kernel_or_raises(m):
+    """``kernel_basis`` of M's block when M's rows are independent, and
+    otherwise None, after checking that the call raises."""
+    if rational_rank(m) == m.rows:
+        return kernel_basis(_block(m))
+    with pytest.raises(InternalCheckError, match="kernel rank"):
+        kernel_basis(_block(m))
+    return None
+
+
 def test_hnf_worked_example():
     h, t = hnf(IntMatrix([[2, 4], [6, 8]]))
     assert h.data == [[2, 0], [2, 4]]
@@ -258,7 +273,7 @@ def test_columns_match_column_by_column_on_random_matrices(data):
 
 
 def test_kernel_of_ones_row():
-    basis = kernel_basis(IntMatrix([[1, 1, 1]]))
+    basis = kernel_basis(np.array([[1, 1, 1]], dtype=np.int64))
     assert basis.cols == 2
     for col in basis.columns():
         assert sum(col) == 0
@@ -266,7 +281,7 @@ def test_kernel_of_ones_row():
 
 def test_kernel_cyclic_rows_matrix():
     # the 3 x 4 marks rows of the cyclic classes of a group of order 6
-    m = IntMatrix([[6, 3, 2, 1], [0, 1, 0, 1], [0, 0, 2, 1]])
+    m = np.array([[6, 3, 2, 1], [0, 1, 0, 1], [0, 0, 2, 1]], dtype=np.int64)
     basis = kernel_basis(m)
     assert basis.columns() == [[1, -2, -1, 2]]
 
@@ -285,7 +300,7 @@ def test_kernel_certificate_rejects_a_pivot_column(monkeypatch):
 
     monkeypatch.setattr(zlattice, "_echelon", short)
     with pytest.raises(InternalCheckError, match="fails M x = 0"):
-        kernel_basis(IntMatrix([[1, 1, 1]]))
+        kernel_basis(np.array([[1, 1, 1]], dtype=np.int64))
 
 
 def test_quotient_invariants_diagonal():
@@ -314,7 +329,7 @@ def test_lattice_contains():
 
 
 def test_empty_kernel():
-    basis = kernel_basis(identity(3))
+    basis = kernel_basis(np.eye(3, dtype=np.int64))
     assert basis.cols == 0
     assert basis.rows == 3
 
@@ -373,9 +388,12 @@ def test_snf_matches_dense_echelon(data):
 @given(kernel_input)
 @settings(max_examples=150, deadline=None)
 def test_kernel_rank_and_membership(m):
-    basis = kernel_basis(m)
+    # independent rows give k - r columns; dependent rows raise
+    basis = _kernel_or_raises(m)
+    if basis is None:
+        return
     assert basis.rows == m.cols
-    assert basis.cols == m.cols - rational_rank(m)
+    assert basis.cols == m.cols - m.rows
     for col in basis.columns():
         image = mat_mul(m, IntMatrix.from_columns([col]))
         assert not any(map(any, image.data))
@@ -384,14 +402,17 @@ def test_kernel_rank_and_membership(m):
 @given(kernel_input)
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_two_hnfs(m):
-    assert kernel_basis(m) == kernel_basis_by_two_hnfs(m)
+    basis = _kernel_or_raises(m)
+    assert basis is None or basis == kernel_basis_by_two_hnfs(m)
 
 
 @given(kernel_input)
 @settings(max_examples=100, deadline=None)
 def test_kernel_saturation(m):
     # any rational kernel vector scaled to integers must lie in the basis span
-    basis = kernel_basis(m)
+    basis = _kernel_or_raises(m)
+    if basis is None:
+        return
     for col in basis.columns():
         doubled = [2 * v for v in col]
         assert lattice_contains(basis, doubled)
@@ -424,7 +445,7 @@ def test_kernel_with_a_non_unit_pivot_takes_the_lattice_route(monkeypatch):
     # so the modular route gives up and the echelon route answers
     m = IntMatrix([[1, 0, 2]])
     calls = _count_echelon_route(monkeypatch)
-    basis = kernel_basis(m)
+    basis = kernel_basis(_block(m))
     assert len(calls) == 1
     assert basis.columns() == [[2, 0, -1], [0, 1, 0]]
     assert basis == kernel_basis_by_two_hnfs(m)
@@ -433,7 +454,7 @@ def test_kernel_with_a_non_unit_pivot_takes_the_lattice_route(monkeypatch):
 def test_kernel_certificate_rejects_a_wrapped_residue(monkeypatch):
     # W = M_N^-1 M_P = 5 is read as -1 modulo 3; the exact product
     # M_N W = M_P rejects it, and the echelon route answers
-    m = IntMatrix([[5, 1]])
+    m = np.array([[5, 1]], dtype=np.int64)
     calls = _count_echelon_route(monkeypatch)
     assert kernel_basis(m).columns() == [[1, -5]]
     assert calls == []
@@ -479,8 +500,7 @@ def _array_route(m):
     # _unit_kernel's UnitBasis as an IntMatrix, or None; P must be the
     # rows on which that basis is the identity, and N the others; the
     # record's rows, columns and single rows are those of the list build
-    mat = zlattice._int64(m)
-    unit = None if mat is None else zlattice._unit_kernel(mat)
+    unit = zlattice._unit_kernel(_block(m))
     if unit is None:
         return None
     basis = basis_matrix(unit, m.cols)
@@ -529,32 +549,32 @@ def test_array_route_at_the_int64_guard(rows, over):
                    for i in range(rows)])
     assert_array_route_matches_lists(m)
     assert (_array_route(m) is None) == bool(over)
-    assert kernel_basis(m) == kernel_basis_by_two_hnfs(m)
+    assert kernel_basis(_block(m)) == kernel_basis_by_two_hnfs(m)
 
 
 def test_kernel_of_a_matrix_with_no_rows():
-    assert kernel_basis(IntMatrix([], cols=3)) == identity(3)
+    assert kernel_basis(np.zeros((0, 3), dtype=np.int64)) == identity(3)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_kernel_of_a_matrix_with_no_columns(rows):
-    # Z^0 has the empty basis: no columns, over no coordinates
-    m = IntMatrix([[] for _ in range(rows)], cols=0)
-    assert zlattice._unit_kernel(zlattice._int64(m)) is None
-    basis = kernel_basis(m)
-    assert (basis.rows, basis.cols) == (0, 0)
-    assert basis == kernel_basis_by_two_hnfs(m)
+    # rows over no columns are zero, hence dependent: both routes find
+    # no pivot, and the rank check raises
+    m = np.zeros((rows, 0), dtype=np.int64)
+    assert zlattice._unit_kernel(m) is None
+    with pytest.raises(InternalCheckError, match="kernel rank 0 differs"):
+        kernel_basis(m)
 
 
 def test_rank_deficient_kernel_takes_the_echelon_route(monkeypatch):
     # the second row is twice the first: the modular route finds one
-    # pivot for two rows and gives up
-    m = IntMatrix([[1, 2, 3], [2, 4, 6]])
+    # pivot for two rows and gives up, and the echelon route finds two
+    # kernel columns where independent rows would give one
+    m = np.array([[1, 2, 3], [2, 4, 6]], dtype=np.int64)
     calls = _count_echelon_route(monkeypatch)
-    basis = kernel_basis(m)
+    with pytest.raises(InternalCheckError, match="kernel rank 2 differs from 3 columns less 2"):
+        kernel_basis(m)
     assert len(calls) == 1
-    assert basis.columns() == [[1, 1, -1], [0, 3, -2]]
-    assert basis == kernel_basis_by_two_hnfs(m)
 
 
 @given(kernel_input, st.sampled_from((2, 3, 5, 7)))
@@ -563,16 +583,19 @@ def test_kernel_matches_two_hnfs_modulo_a_small_prime(m, prime):
     # small primes lose rank and wrap residues; the certificate catches both
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zlattice, "_PRIME", prime)
-        assert kernel_basis(m) == kernel_basis_by_two_hnfs(m)
+        basis = _kernel_or_raises(m)
+        assert basis is None or basis == kernel_basis_by_two_hnfs(m)
 
 
 @given(kernel_input)
 @settings(max_examples=150, deadline=None)
 def test_lattice_route_alone_matches_two_hnfs(m):
     # with the modular route off, the echelon route answers every shape
+    # with independent rows, and raises on the others
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zlattice, "_unit_kernel", lambda m: None)
-        assert kernel_basis(m) == kernel_basis_by_two_hnfs(m)
+        basis = _kernel_or_raises(m)
+        assert basis is None or basis == kernel_basis_by_two_hnfs(m)
 
 
 @st.composite
