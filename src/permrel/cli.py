@@ -12,10 +12,11 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
+from .burnside import marks_table
 from .classify import classify_group, main_case_classify
 from .constructions import affine_group, direct_product
 from .errors import CapExceeded, InputError, InternalCheckError, PermrelError
-from .numtheory import xgcd
+from .numtheory import is_prime, xgcd
 from .perm import DEFAULT_ELEMENT_CAP, cycle_string, generate, parse_cycles
 from .presets import CORPUS_CHARACTERISTICS, CORPUS_NAMES, preset_group
 from .relations import (
@@ -25,7 +26,6 @@ from .relations import (
     theta_highdim,
     theta_mn,
     theta_qk,
-    verify_relation,
 )
 from .subgroups import enumerate_classes
 
@@ -90,8 +90,8 @@ def _parse_characteristic(text):
         value = int(text)
     except (TypeError, ValueError):
         raise InputError("characteristic must be an integer")
-    if value < 0:
-        raise InputError("characteristic must be 0 or a prime")
+    if value != 0 and not is_prime(value):
+        raise InputError("characteristic must be 0 or a prime number")
     return value
 
 
@@ -99,53 +99,32 @@ def _class_labels(table):
     return ["o%d_c%d" % (cls.order, i) for i, cls in enumerate(table.classes)]
 
 
-def _classes_json(table):
-    labels = _class_labels(table)
-    out = []
-    for label, cls in zip(labels, table.classes):
-        out.append(
-            {
-                "label": label,
-                "order": cls.order,
-                "class_size": cls.class_size,
-                "normalizer_order": cls.normalizer.order,
-                "generators": [cycle_string(g) for g in cls.representative.generators()],
-            }
-        )
-    return out
-
-
-def _element_json(table, coeffs):
-    labels = _class_labels(table)
+def _element_json(labels, coeffs):
     return {labels[i]: int(c) for i, c in enumerate(coeffs) if c}
 
 
-def _invariants_str(free_rank, torsion):
+def _invariants(quotient):
+    return {"free_rank": quotient.free_rank, "torsion": list(quotient.torsion)}
+
+
+def _invariants_str(quotient):
     parts = []
-    if free_rank == 1:
+    if quotient.free_rank == 1:
         parts.append("Z")
-    elif free_rank > 1:
-        parts.append("Z^%d" % free_rank)
-    parts.extend("Z/%d" % t for t in torsion)
+    elif quotient.free_rank > 1:
+        parts.append("Z^%d" % quotient.free_rank)
+    parts.extend("Z/%d" % t for t in quotient.torsion)
     return " x ".join(parts) if parts else "0"
 
 
-def _report(args, spec, classes, result, oracle):
-    return {
+def _write_report(stream, args, inputs, **fields):
+    """The JSON report: the version, the input (the command, ``inputs``
+    and the seed), then ``fields`` in their order."""
+    report = {
         "version": __version__,
-        "input": {
-            "command": args.command,
-            "group": spec,
-            "characteristic": getattr(args, "characteristic", None),
-            "seed": args.seed,
-        },
-        "classes": classes,
-        "result": result,
-        "oracle": oracle,
+        "input": {"command": args.command, **inputs, "seed": args.seed},
+        **fields,
     }
-
-
-def _emit_json(report, stream):
     json.dump(report, stream, indent=2)
     stream.write("\n")
 
@@ -158,9 +137,7 @@ def _write_csv(stream, head, rows):
         stream.write(label + "," + ",".join(map(str, cells)) + "\n")
 
 
-def _cmd_classify(args, stream):
-    spec, group = _load_group(args)
-    table = enumerate_classes(group)
+def _cmd_classify(args, group, table, stream):
     result = asdict(classify_group(group))
     if args.characteristic is not None:
         p = effective_prime(group, args.characteristic)
@@ -169,41 +146,32 @@ def _cmd_classify(args, stream):
             {"tag": match.tag, "witness": match.witness}
             for match in main_case_classify(group, p)
         ]
-    _emit_json(_report(args, spec, _classes_json(table), result, None), stream)
-    return 0
+    return result, None
 
 
-def _cmd_marks(args, stream):
-    from .burnside import marks_table
-
-    spec, group = _load_group(args)
-    table = enumerate_classes(group)
+def _cmd_marks(args, group, table, stream):
     rows = marks_table(group, table).array.tolist()
     labels = _class_labels(table)
     if args.format == "csv":
         _write_csv(stream, ("label", labels), zip(labels, rows))
-        return 0
-    result = {"labels": labels, "matrix": rows}
-    _emit_json(_report(args, spec, _classes_json(table), result, None), stream)
-    return 0
+        return None
+    return {"labels": labels, "matrix": rows}, None
 
 
-def _cmd_kernel(args, stream):
-    spec, group = _load_group(args)
+def _cmd_kernel(args, group, table, stream):
     char = args.characteristic
-    table = enumerate_classes(group)
     kernel = brauer_kernel(group, char)
     labels = _class_labels(table)
     if args.format == "csv":
         heads = ["b%d" % j for j in range(kernel.basis.cols)]
         _write_csv(stream, ("label", heads), zip(labels, kernel.basis.data))
-        return 0
+        return None
     result = {
         "characteristic": char,
         "effective_prime": effective_prime(group, char),
         "rank": kernel.rank,
         "hypo_class_labels": [labels[i] for i in kernel.hypo_classes],
-        "basis": [_element_json(table, col) for col in kernel.basis.columns()],
+        "basis": [_element_json(labels, col) for col in kernel.basis.columns()],
     }
     oracle = {
         "source": "rank",
@@ -211,45 +179,34 @@ def _cmd_kernel(args, stream):
         "computed": kernel.rank,
         "pass": True,
     }
-    _emit_json(_report(args, spec, _classes_json(table), result, oracle), stream)
-    return 0
+    return result, oracle
 
 
-def _cmd_prim(args, stream):
-    spec, group = _load_group(args)
+def _cmd_prim(args, group, table, stream):
     char = args.characteristic
-    table = enumerate_classes(group)
     report = prim(group, char)
     prediction = report.prediction
+    computed = _invariants(report)
     result = {
         "characteristic": char,
         "effective_prime": effective_prime(group, char),
-        "free_rank": report.free_rank,
-        "torsion": list(report.torsion),
-        "invariants": _invariants_str(report.free_rank, report.torsion),
+        **computed,
+        "invariants": _invariants_str(report),
         "kernel_rank": report.kernel.rank,
         "imprimitive_columns": report.imprimitive.cols,
         "generator": (
-            _element_json(table, report.generator.coeffs)
+            _element_json(_class_labels(table), report.generator.coeffs)
             if report.generator is not None
             else None
         ),
     }
     oracle = {
         "source": prediction.source,
-        "predicted": (
-            {
-                "free_rank": prediction.free_rank,
-                "torsion": list(prediction.torsion),
-            }
-            if prediction.covered
-            else None
-        ),
-        "computed": {"free_rank": report.free_rank, "torsion": list(report.torsion)},
+        "predicted": _invariants(prediction) if prediction.covered else None,
+        "computed": computed,
         "pass": True,
     }
-    _emit_json(_report(args, spec, _classes_json(table), result, oracle), stream)
-    return 0
+    return result, oracle
 
 
 def _refuse_order(args, order):
@@ -259,93 +216,77 @@ def _refuse_order(args, order):
         raise CapExceeded("the group of order %d exceeds --max-order %d" % (order, args.max_order))
 
 
-def _cmd_theta(args, stream):
-    char = args.characteristic
-    if args.family == "mn":
-        for name in ("l", "m", "n"):
-            if getattr(args, name) is None:
-                raise InputError("theta --family mn needs --l, --m and --n")
-        _refuse_order(args, args.l * args.m * args.n)
-        if (args.alpha is None) != (args.beta is None):
-            raise InputError("--alpha and --beta must be given together")
-        if args.alpha is None:
-            # alpha*m + beta*n = gcd(m, n) with the least alpha >= 0;
-            # theta_mn rejects m and n unless they are coprime and > 1
-            _, alpha, beta = xgcd(args.m, args.n)
-            if args.n > 0:
-                shift, alpha = divmod(alpha, args.n)
-                beta += shift * args.m
-        else:
-            alpha, beta = args.alpha, args.beta
-        element = theta_mn(args.l, args.m, args.n, alpha, beta, char)
-        params = {
-            "l": args.l,
-            "m": args.m,
-            "n": args.n,
-            "alpha": alpha,
-            "beta": beta,
-        }
-        spec = None
-    elif args.family == "qk":
-        for name in ("l", "q", "k"):
-            if getattr(args, name) is None:
-                raise InputError("theta --family qk needs --l, --q and --k")
-        _refuse_order(args, args.l * args.q ** max(args.k + 1, 0))
-        element = theta_qk(args.l, args.q, args.k, char)
-        params = {"l": args.l, "q": args.q, "k": args.k}
-        spec = None
-    elif args.family == "highdim":
-        spec, _ = _load_group(args)
-        if spec.get("type") != "semidirect":
-            raise InputError("theta --family highdim needs a semidirect group spec")
-        if not spec["matrices"] and spec["d"] != 2:
-            raise InputError("theta --family highdim with no matrices needs d = 2")
-        element = theta_highdim(spec["l"], spec["matrices"], char)
-        params = {"l": spec["l"], "d": spec["d"]}
-    else:
-        raise InputError("unknown theta family: %r" % args.family)
-    group = element.table.group
-    table = element.table
-    verified = verify_relation(group, char, element)
+def _theta_mn(args):
+    _refuse_order(args, args.l * args.m * args.n)
+    if (args.alpha is None) != (args.beta is None):
+        raise InputError("--alpha and --beta must be given together")
+    alpha, beta = args.alpha, args.beta
+    if alpha is None:
+        # alpha*m + beta*n = gcd(m, n) with the least alpha >= 0;
+        # theta_mn rejects m and n unless they are coprime and > 1
+        _, alpha, beta = xgcd(args.m, args.n)
+        if args.n > 0:
+            shift, alpha = divmod(alpha, args.n)
+            beta += shift * args.m
+    params = {"l": args.l, "m": args.m, "n": args.n, "alpha": alpha, "beta": beta}
+    return None, params, theta_mn(args.l, args.m, args.n, alpha, beta, args.characteristic)
+
+
+def _theta_qk(args):
+    _refuse_order(args, args.l * args.q ** max(args.k + 1, 0))
+    params = {"l": args.l, "q": args.q, "k": args.k}
+    return None, params, theta_qk(args.l, args.q, args.k, args.characteristic)
+
+
+def _theta_highdim(args):
+    spec, _ = _load_group(args)
+    if spec.get("type") != "semidirect":
+        raise InputError("theta --family highdim needs a semidirect group spec")
+    if not spec["matrices"] and spec["d"] != 2:
+        raise InputError("theta --family highdim with no matrices needs d = 2")
+    params = {"l": spec["l"], "d": spec["d"]}
+    return spec, params, theta_highdim(spec["l"], spec["matrices"], args.characteristic)
+
+
+# each family's required options and its resolver to (spec, parameters, element)
+_THETA = {
+    "mn": (("l", "m", "n"), _theta_mn),
+    "qk": (("l", "q", "k"), _theta_qk),
+    "highdim": ((), _theta_highdim),
+}
+
+
+def _cmd_theta(args):
+    """The spec, class table, result and oracle of a theta relation.
+    theta_mn, theta_qk and theta_highdim return an element only once it
+    is verified to lie in the kernel, and raise InternalCheckError
+    (exit 3) otherwise."""
+    needs, resolve = _THETA[args.family]
+    if any(getattr(args, name) is None for name in needs):
+        raise InputError("theta --family %s needs --%s, --%s and --%s" % (args.family, *needs))
+    spec, params, element = resolve(args)
     result = {
         "family": args.family,
         "parameters": params,
-        "characteristic": char,
-        "group_order": group.order,
-        "element": _element_json(table, element.coeffs),
-        "verified": verified,
+        "characteristic": args.characteristic,
+        "group_order": element.table.group.order,
+        "element": _element_json(_class_labels(element.table), element.coeffs),
+        "verified": True,
     }
-    oracle = {
-        "source": "verify_relation",
-        "predicted": True,
-        "computed": verified,
-        "pass": bool(verified),
-    }
-    _emit_json(_report(args, spec, _classes_json(table), result, oracle), stream)
-    return 0 if verified else 3
-
-
-def _corpus_characteristics(text):
-    if text is None:
-        return list(CORPUS_CHARACTERISTICS)
-    text = text.strip()
-    if not text:
-        return []
-    return [_parse_characteristic(part) for part in text.split(",")]
+    oracle = {"source": "verify_relation", "predicted": True, "computed": True, "pass": True}
+    return spec, element.table, result, oracle
 
 
 def _cmd_corpus(args, stream):
-    chars = _corpus_characteristics(args.chars)
+    text = args.chars.strip()
+    chars = [_parse_characteristic(part) for part in text.split(",")] if text else []
     rows = []
-    all_pass = True
     for name in CORPUS_NAMES:
         group = preset_group(name)
         if args.max_order is not None and group.order > args.max_order:
             continue
-        for char in chars:
-            row = _corpus_row(name, group, char)
-            all_pass = all_pass and row["pass"]
-            rows.append(row)
+        rows.extend(_corpus_row(name, group, char) for char in chars)
+    all_pass = all(row["pass"] for row in rows)
     if args.format == "csv":
         head = ("group", ("characteristic", "source", "predicted", "computed", "pass"))
         _write_csv(stream, head, (
@@ -354,19 +295,9 @@ def _cmd_corpus(args, stream):
                             row["computed"], "PASS" if row["pass"] else "FAIL"))
             for row in rows
         ))
-        return 0 if all_pass else 3
-    report = {
-        "version": __version__,
-        "input": {
-            "command": "corpus",
-            "characteristics": chars,
-            "max_order": args.max_order,
-            "seed": args.seed,
-        },
-        "rows": rows,
-        "all_pass": all_pass,
-    }
-    _emit_json(report, stream)
+    else:
+        inputs = {"characteristics": chars, "max_order": args.max_order}
+        _write_report(stream, args, inputs, rows=rows, all_pass=all_pass)
     return 0 if all_pass else 3
 
 
@@ -380,16 +311,10 @@ def _corpus_row(name, group, char):
         cells = "error", None, str(exc), [], False
     else:
         prediction = report.prediction
-        computed = _invariants_str(report.free_rank, report.torsion)
-        predicted = (
-            _invariants_str(prediction.free_rank, prediction.torsion)
-            if prediction.covered
-            else None
-        )
+        computed = _invariants_str(report)
+        predicted = _invariants_str(prediction) if prediction.covered else None
         matches = [m.tag for m in main_case_classify(group, p)]
-        ok = True
-        if prediction.covered:
-            ok = predicted == computed
+        ok = not prediction.covered or predicted == computed
         nonzero = report.free_rank > 0 or bool(report.torsion)
         if nonzero and not matches:
             ok = False  # a nonzero quotient must match a structural case
@@ -399,6 +324,18 @@ def _corpus_row(name, group, char):
     return dict(zip(keys, (name, char, group.order, *cells)))
 
 
+# each command's --char (required, optional or none) and its function
+_COMMANDS = {
+    "classify": ("optional", _cmd_classify),
+    "marks": (None, _cmd_marks),
+    "kernel": ("required", _cmd_kernel),
+    "prim": ("required", _cmd_prim),
+    "theta": ("required", _cmd_theta),
+    "corpus": (None, _cmd_corpus),
+}
+_CSV_COMMANDS = ("marks", "kernel", "corpus")
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="permrel",
@@ -406,52 +343,26 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_char):
+    for name, (char, _) in _COMMANDS.items():
+        p = sub.add_parser(name)
         p.add_argument("--group", help="path to a JSON group spec")
-        if needs_char == "required":
-            p.add_argument("--char", dest="characteristic", required=True)
-        elif needs_char == "optional":
-            p.add_argument("--char", dest="characteristic")
+        if char is not None:
+            p.add_argument("--char", dest="characteristic", required=char == "required")
         p.add_argument(
             "--format", choices=("json", "csv"), default="json"
         )
         p.add_argument("--seed", type=int, default=None, help="reserved")
         p.add_argument("--max-order", type=int, default=None)
-
-    common(sub.add_parser("classify"), "optional")
-    common(sub.add_parser("marks"), None)
-    common(sub.add_parser("kernel"), "required")
-    common(sub.add_parser("prim"), "required")
-    theta = sub.add_parser("theta")
-    common(theta, "required")
-    theta.add_argument("--family", choices=("mn", "qk", "highdim"), required=True)
-    theta.add_argument("--l", type=int)
-    theta.add_argument("--m", type=int)
-    theta.add_argument("--n", type=int)
-    theta.add_argument("--alpha", type=int)
-    theta.add_argument("--beta", type=int)
-    theta.add_argument("--q", type=int)
-    theta.add_argument("--k", type=int)
-    corpus = sub.add_parser("corpus")
-    common(corpus, None)
-    corpus.add_argument(
+    theta = sub.choices["theta"]
+    theta.add_argument("--family", choices=tuple(_THETA), required=True)
+    for name in ("l", "m", "n", "alpha", "beta", "q", "k"):
+        theta.add_argument("--" + name, type=int)
+    sub.choices["corpus"].add_argument(
         "--chars",
-        default=None,
-        help="comma separated characteristics (default 0,2,3,5,7)",
+        default=",".join(map(str, CORPUS_CHARACTERISTICS)),
+        help="comma separated characteristics (default %(default)s)",
     )
     return parser
-
-
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "marks": _cmd_marks,
-    "kernel": _cmd_kernel,
-    "prim": _cmd_prim,
-    "theta": _cmd_theta,
-    "corpus": _cmd_corpus,
-}
-_CSV_COMMANDS = ("marks", "kernel", "corpus")
 
 
 def run_command(argv, stream=None):
@@ -470,7 +381,33 @@ def run_command(argv, stream=None):
             raise InputError("--max-order must be at least 1")
         if getattr(args, "characteristic", None) is not None:
             args.characteristic = _parse_characteristic(args.characteristic)
-        return _COMMANDS[args.command](args, stream)
+        command = _COMMANDS[args.command][1]
+        if args.command == "corpus":
+            return command(args, stream)
+        if args.command == "theta":
+            spec, table, *answer = command(args)
+        else:
+            # the group commands: one spec, one group, one class table
+            spec, group = _load_group(args)
+            table = enumerate_classes(group)
+            answer = command(args, group, table, stream)
+            if answer is None:
+                return 0  # the command wrote its CSV
+        labels = _class_labels(table)
+        classes = [
+            {
+                "label": label,
+                "order": cls.order,
+                "class_size": cls.class_size,
+                "normalizer_order": cls.normalizer.order,
+                "generators": [cycle_string(g) for g in cls.representative.generators()],
+            }
+            for label, cls in zip(labels, table.classes)
+        ]
+        inputs = {"group": spec, "characteristic": getattr(args, "characteristic", None)}
+        result, oracle = answer
+        _write_report(stream, args, inputs, classes=classes, result=result, oracle=oracle)
+        return 0
     except PermrelError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code

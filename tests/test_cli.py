@@ -1,5 +1,6 @@
 """Command line behavior: report shapes, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from permrel import __version__, cli, subgroups
+from permrel import __version__, cli, relations, subgroups
 from permrel.cli import main, parse_group_spec, run_command
 from permrel.errors import InputError
 
@@ -34,6 +35,7 @@ def specdir(tmp_path):
                     "generators": ["(0 1 2)", "(0 1)(2 3)"]},
         "s4.json": {"type": "preset", "name": "S4"},
         "s5.json": {"type": "preset", "name": "S5"},
+        "d8.json": {"type": "preset", "name": "D8"},
         "aff.json": {"type": "semidirect", "l": 3, "d": 2,
                      "matrices": [[[0, 2], [1, 0]]]},
         "prod.json": {"type": "product", "parts": [
@@ -112,6 +114,16 @@ def test_kernel_json_fields(specdir):
     assert oracle["source"] == "rank"
     assert oracle["predicted"] == 2
     assert oracle["pass"] is True
+
+
+def test_kernel_json_labels_the_classes_once_per_report(specdir, monkeypatch):
+    # one labelling for the classes block and one for the basis, not one per column
+    calls = []
+    labels = cli._class_labels
+    monkeypatch.setattr(cli, "_class_labels", lambda table: calls.append(1) or labels(table))
+    report = _run_json(["kernel", "--group", str(specdir / "s4.json"), "--char", "0"])
+    assert len(report["result"]["basis"]) == 6
+    assert len(calls) == 2
 
 
 def test_classify_report(specdir):
@@ -234,10 +246,69 @@ def test_exit_code_input_errors(tmp_path, specdir):
         ["frobnicate"],
         ["marks", "--group", str(specdir / "s3.json"), "--format", "xml"],
         ["marks", "--group", str(specdir / "s3.json"), "--max-order", "abc"],
+        # a characteristic neither 0 nor prime, with no group computed
+        ["corpus", "--chars", "4", "--max-order", "3"],
+        ["corpus", "--chars", "1", "--max-order", "3"],
     ]
     for argv in cases:
         code, _ = _run(argv)
         assert code == 1, argv
+
+
+# the stdout SHA-256 and exit code of whole reports; reports echo the
+# spec, not its path
+@pytest.mark.parametrize("argv, code, sha", [
+    (["classify", "s4.json"], 0,
+     "31e5cd5dc9b21a9384bdd6d3f55b469da06a8063b9df0e8c9124998da296e6d5"),
+    (["classify", "s4.json", "--char", "0"], 0,
+     "190b8dfe93ee0738259410c94415fe097e72139ecb29454ce486903799f2fb74"),
+    (["classify", "s4.json", "--char", "5"], 0,
+     "597dd3412e8059c7dc99a5261734d421e414338c2825b6181408fc3794609124"),
+    (["marks", "s3.json"], 0,
+     "cd3916a423991a4f7b83aef4568c1ada2d35aea9e1947c7c853c9712ea4a51c1"),
+    (["marks", "s3.json", "--format", "csv"], 0,
+     "b2408c0fe6a0fb9f02f24bd9a1c51a6aa4e5d983fd9e911377cdb333fa7928cd"),
+    (["kernel", "a4.json", "--char", "5"], 0,
+     "92e447f6565995a2ef29983b9be1a36cd052b0dee55fdc56991f0825f8e9e456"),
+    (["kernel", "s4.json", "--char", "0", "--format", "csv"], 0,
+     "9212637bd0b98d9cc370e63f497c41d434a5f079941aba86ddc978f337bbf7dd"),
+    (["prim", "a4.json", "--char", "5"], 0,
+     "477358b2b8f7363b5307ec950c18b17976f95cd8f78268e4f17baf4e6374d927"),
+    (["prim", "s3.json", "--char", "0"], 0,
+     "e376793371d34871369e1cb15ec728f3c71e3ccfcc8b72067671b081e05f3c06"),
+    (["prim", "aff.json", "--char", "5"], 0,
+     "33ea8f9759ba14daddfb71bf8e629c42bc0a67e72ab6750d2b7a0663ce29364e"),
+    (["prim", "d8.json", "--char", "0"], 0,
+     "c1995bb37b270fff7eec9b3bfa84dd8787f4aa04d4f574a631bf527d6494f7d1"),
+    (["prim", "s4.json", "--char", "2"], 0,
+     "51bacee1d95fd2d5a1a3ad489262618493a08d5f996ab84758b94ec26451c586"),
+    (["theta", None, "--family", "mn", "--l", "7", "--m", "2", "--n", "3", "--char", "5"], 0,
+     "d3c4ef3be690abc6a585db66e7ebe7bea367732b76a7d132cdce6e757883f171"),
+    (["theta", None, "--family", "mn", "--l", "7", "--m", "2", "--n", "3", "--alpha", "2",
+      "--beta", "-1", "--char", "5"], 0,
+     "d3c4ef3be690abc6a585db66e7ebe7bea367732b76a7d132cdce6e757883f171"),
+    (["theta", None, "--family", "qk", "--l", "3", "--q", "2", "--k", "0", "--char", "5"], 0,
+     "d4ff96b46b93610d0227a8b0120adcb87a0bc0497cd81ce5a30187d25fbdffcd"),
+    (["theta", "aff.json", "--family", "highdim", "--char", "5"], 0,
+     "c071efaa75c90b237b631440f92e04347107dca5dbb304fa06d13c36e8c1a2e5"),
+    (["corpus", None, "--max-order", "12"], 0,
+     "e1623f4c8fd6e78d893195557ad81259aceca8c07a3237cb0283301bf45b16cf"),
+    (["corpus", None, "--max-order", "12", "--format", "csv"], 0,
+     "7db1e99bec3c6ab112f8541cbba18e3def62fd7d5f4c2c23f50bf6033e819354"),
+], ids=lambda value: " ".join(filter(None, value)) if isinstance(value, list) else str(value)[:8])
+def test_report_bytes_are_pinned(specdir, argv, code, sha):
+    command, spec, *rest = argv
+    group = ["--group", str(specdir / spec)] if spec else []
+    got, text = _run([command, *group, *rest])
+    assert (got, hashlib.sha256(text.encode()).hexdigest()) == (code, sha)
+
+
+def test_theta_exits_3_when_the_relation_fails_its_check(monkeypatch, capsys):
+    monkeypatch.setattr(relations, "verify_relation", lambda *args: False)
+    code, text = _run(["theta", "--family", "qk", "--l", "3", "--q", "2", "--k", "0",
+                       "--char", "5"])
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == "error: constructed relation has nonzero hypo marks\n"
 
 
 def test_help_and_version_exit_0(capsys):
